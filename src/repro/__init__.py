@@ -87,7 +87,6 @@ def run_pipeline(
     stage_hooks=None,
     telemetry=None,
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
     selection_fn=None,
     link_extractor=None,
     pretrained_classifier=None,
@@ -108,14 +107,11 @@ def run_pipeline(
     span tracer and metrics registry — pass one built around an enabled
     :class:`~repro.obs.Tracer` to capture a trace (DESIGN.md §9).
 
-    ``workers`` runs the §4.2 crawl on a parallel executor with
-    crawl→funnel streaming overlap (DESIGN.md §10); ``None`` falls
+    ``workers`` runs the §4.2 crawl on the sharded parallel executor
+    with crawl→vision streaming overlap (DESIGN.md §10); ``None`` falls
     back to the world's :attr:`~repro.synth.world.WorldConfig.
-    crawl_workers` (itself ``None`` = serial).  ``executor`` picks the
-    backend — ``"thread"`` (sharded lanes) or ``"process"`` (true
-    multi-core lanes with a shared-memory raster arena); ``None`` falls
-    back to :attr:`~repro.synth.world.WorldConfig.crawl_executor`.
-    Results are bit-identical for any executor × worker count.
+    crawl_workers` (itself ``None`` = serial).  Results are bit-identical
+    for any worker count.
 
     ``vision_cache`` / ``persist`` plug in a persistent store's warm
     memos (see :mod:`repro.store`); both preserve bit-identity of every
@@ -134,8 +130,6 @@ def run_pipeline(
     truth = world.forums
     if workers is None:
         workers = world.config.crawl_workers
-    if executor is None:
-        executor = world.config.crawl_executor
     top_n = max(10, int(round(50 * math.sqrt(world.config.scale))))
     return pipeline.run(
         top_oracle=lambda thread_id: truth.thread_types.get(thread_id) == "top",
@@ -147,6 +141,5 @@ def run_pipeline(
         stage_hooks=stage_hooks,
         telemetry=telemetry,
         crawl_workers=workers,
-        crawl_executor=executor,
         persist=persist,
     )

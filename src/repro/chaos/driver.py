@@ -38,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--epoch", type=int, default=None)
     parser.add_argument("--epoch-total", type=int, default=1)
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--executor", choices=("thread", "process"), default=None,
-                        help="parallel-crawl backend (with --workers)")
     parser.add_argument("--payload-profile", default=None)
     parser.add_argument("--fault-profile", default=None)
     return parser
@@ -57,7 +55,6 @@ def run_store_mode(args) -> dict:
         fault_profile=args.fault_profile,
         payload_profile=args.payload_profile,
         workers=args.workers,
-        executor=args.executor,
     )
     quarantine = (
         [r.to_dict() for r in result.report.quarantine.records]
@@ -91,7 +88,6 @@ def run_crawl_mode(args) -> dict:
         telemetry=telemetry,
         checkpoint=args.checkpoint,
         workers=args.workers,
-        executor=args.executor,
     )
     quarantine = (
         [r.to_dict() for r in report.quarantine.records]

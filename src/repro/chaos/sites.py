@@ -46,11 +46,6 @@ KILL_SITES = (
     # Crawl checkpointing (repro.web.crawler / repro.web.parallel):
     # after a periodic mid-crawl checkpoint save has hit disk.
     "crawl.checkpoint.saved",
-    # Process-pool crawl (repro.web.procpool): every chunk has been
-    # received and committed but the canonical merge + final checkpoint
-    # sync have not run — dying here must recover bit-identically from
-    # the last periodic (per-lane frontier) save.
-    "crawl.procpool.merge",
     # Atomic artifact writes (repro.atomicio): the torn-write windows of
     # any checkpoint/trace/manifest/JSONL/bench artifact — the temp file
     # is fully written but the target not yet replaced, and just after

@@ -189,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
              "crawl (default: serial)",
     )
     p_run.add_argument(
-        "--executor", choices=("thread", "process"), default=None,
-        help="crawl executor backing --workers: 'thread' (sharded worker "
-             "threads, the default) or 'process' (fork-based process pool "
-             "with shared-memory rasters and work stealing); either way "
-             "the output is bit-identical to the serial crawl",
-    )
-    p_run.add_argument(
         "--store", type=Path, default=None, metavar="STORE",
         help="persist this run into a SQLite run store and reuse every "
              "memo it already holds; repeated runs with increasing "
@@ -399,7 +392,7 @@ def _write_tables(report, out_dir: Path) -> list:
 
 
 def _resilience_summary(report) -> str:
-    """Retry/breaker/degradation summary lines for the ``run`` command."""
+    """Retry/breaker/stage-boundary summary lines for the ``run`` command."""
     lines = ["-- crawl resilience --"]
     if report.crawl is not None:
         stats = report.crawl.stats
@@ -432,17 +425,29 @@ def _resilience_summary(report) -> str:
                 lines.append(line + ")")
             else:
                 lines.append(f"ok      {outcome.stage} [{outcome.elapsed:.2f}s]")
-    lines.append("-- quarantine --")
-    if report.quarantine is not None:
-        lines.extend(report.quarantine.summary_lines())
-    else:
-        lines.append("no quarantine ledger recorded")
-    lines.append("-- vision cache --")
-    if report.vision_cache_stats is not None:
-        lines.append(report.vision_cache_stats.summary())
-    else:
-        lines.append("no vision-cache statistics recorded")
     return "\n".join(lines)
+
+
+def _print_run_report(report, log) -> None:
+    """Print a ``run`` report, every section once.
+
+    The digest ends with the quarantine and telemetry sections (the
+    latter carries the vision-cache line); a degraded run has no digest,
+    so those print on their own after the resilience summary.
+    """
+    if not report.degraded:
+        print(render_digest(report))
+        print(_resilience_summary(report))
+        return
+    log.warning("measurement DEGRADED: some sections unavailable")
+    print(_resilience_summary(report))
+    print("-- quarantine --")
+    if report.quarantine is not None:
+        print("\n".join(report.quarantine.summary_lines()))
+    else:
+        print("no quarantine ledger recorded")
+    print("-- telemetry --")
+    print(render_telemetry(report))
 
 
 def _write_trace_artifacts(args, report, telemetry, log) -> None:
@@ -471,10 +476,7 @@ def _write_trace_artifacts(args, report, telemetry, log) -> None:
     )
     workers = getattr(args, "workers", None)
     executor = {
-        "executor": (
-            (getattr(args, "executor", None) or "thread")
-            if workers is not None else None
-        ),
+        "executor": "thread" if workers is not None else None,
         "workers": workers,
         "cpu_count": os.cpu_count(),
     }
@@ -620,7 +622,6 @@ def _run_store_command(args, log) -> int:
             annotate_n=args.annotate,
             strict=not args.lenient,
             workers=args.workers,
-            executor=getattr(args, "executor", None),
             telemetry=telemetry,
         )
     except StoreError as exc:
@@ -638,13 +639,7 @@ def _run_store_command(args, log) -> int:
     )
     for line in telemetry.summary_lines():
         log.info("%s", line)
-    if report.degraded:
-        log.warning("measurement DEGRADED: some sections unavailable")
-    else:
-        print(render_digest(report))
-    print(_resilience_summary(report))
-    print("-- telemetry --")
-    print(render_telemetry(report))
+    _print_run_report(report, log)
     _print_profile(telemetry)
     if args.trace_out is not None:
         _write_trace_artifacts(args, report, telemetry, log)
@@ -985,13 +980,6 @@ def _dispatch(args, log) -> int:
     payload_profile = getattr(args, "payload_profile", None)
     drift_profile = getattr(args, "drift_profile", None)
 
-    if (getattr(args, "executor", None) == "process"
-            and getattr(args, "workers", None) is None):
-        raise SystemExit(
-            "--executor process requires --workers N "
-            "(see 'repro run --help')"
-        )
-
     if getattr(args, "store", None) is not None:
         return _run_store_command(args, log)
     if getattr(args, "epoch", None) is not None:
@@ -1037,7 +1025,6 @@ def _dispatch(args, log) -> int:
             checkpoint=getattr(args, "resume", None),
             telemetry=telemetry,
             workers=getattr(args, "workers", None),
-            executor=getattr(args, "executor", None),
         )
     finally:
         _stop_profile(telemetry)
@@ -1046,13 +1033,7 @@ def _dispatch(args, log) -> int:
         log.info("%s", line)
 
     if args.command == "run":
-        if report.degraded:
-            log.warning("measurement DEGRADED: some sections unavailable")
-        else:
-            print(render_digest(report))
-        print(_resilience_summary(report))
-        print("-- telemetry --")
-        print(render_telemetry(report))
+        _print_run_report(report, log)
         _print_profile(telemetry)
         if trace_out is not None:
             _write_trace_artifacts(args, report, telemetry, log)

@@ -89,16 +89,6 @@ class StreamMatcher:
     :meth:`AbuseFilter.sweep` in canonical first-seen order, so the
     quarantine ledger is byte-identical to the non-streaming sweep.
 
-    With an :class:`~repro.core.nsfv.NsfvClassifier` (and optionally a
-    :class:`~repro.vision.reverse_search.ReverseImageIndex`) attached,
-    the stream additionally prefetches the stage-4/5 work: NSFW scores
-    for every clean digest, OCR word counts for ambiguous-band previews,
-    and reverse-search reports for previews it predicts NSFV.  These are
-    *memos*, not results: the canonical stages replay them from inside
-    their usual cache-miss compute functions, so the whole §3 funnel
-    overlaps the crawl while every deterministic view stays bit-identical
-    (see :meth:`_prefetch_vision`).
-
     The matcher is driven from the executor's single consumer thread
     (lanes are delivered in lane order) and needs no locking of its own;
     the :class:`VisionCache` it feeds is itself thread-safe.
@@ -109,8 +99,6 @@ class StreamMatcher:
         cache: Optional[VisionCache] = None,
         validate: bool = True,
         validation_memo=None,
-        nsfv=None,
-        reverse_index: Optional[ReverseImageIndex] = None,
     ):
         self._cache = cache
         #: Whether the stream ran the validation boundary; when False a
@@ -120,28 +108,11 @@ class StreamMatcher:
         #: Optional :class:`~repro.media.validate.ValidationMemo`; a hit
         #: replays the recorded outcome without materialising pixels.
         self._validation_memo = validation_memo
-        #: Optional :class:`~repro.core.nsfv.NsfvClassifier`: when set,
-        #: streamed digests are NSFW-scored (and OCR'd inside the
-        #: ambiguous band) while the crawl is still running, extending
-        #: the overlap into stage 4.
-        self._nsfv = nsfv
-        #: Optional :class:`~repro.vision.reverse_search.ReverseImageIndex`:
-        #: when set together with ``nsfv``, previews the stream predicts
-        #: NSFV get their reverse search issued early, extending the
-        #: overlap into stage 5.
-        self._reverse_index = reverse_index
         self._seen: Set[str] = set()
         #: digest → 64-bit perceptual hash, for every clean streamed digest.
         self.hash_by_digest: Dict[str, int] = {}
         #: digest → the validation exception it raised.
         self.poisoned: Dict[str, Exception] = {}
-        #: digest → NSFW score computed by the stream (misses only; a
-        #: cache-warm digest is skipped via :meth:`VisionCache.peek`).
-        self.nsfw_by_digest: Dict[str, float] = {}
-        #: digest → OCR word count for streamed ambiguous-band previews.
-        self.ocr_by_digest: Dict[str, int] = {}
-        #: perceptual hash → prefetched reverse-search report.
-        self.reverse_reports: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
     def add_images(self, images: Sequence[CrawledImage]) -> None:
@@ -178,63 +149,6 @@ class StreamMatcher:
             hashes = [int(h) for h in hash_batch([c.image.pixels for c in fresh])]
         for crawled, value in zip(fresh, hashes):
             self.hash_by_digest[crawled.digest] = int(value)
-        if self._nsfv is not None and self.validated:
-            self._prefetch_vision(fresh)
-
-    def _prefetch_vision(self, fresh: Sequence[CrawledImage]) -> None:
-        """Score streamed digests ahead of stages 4/5 (best-effort memo).
-
-        The values land in side dicts the canonical stages replay from
-        inside their *cache-miss compute functions*: the stages still
-        issue exactly their usual cache lookups in exactly their usual
-        order, so hit/miss counters, LRU order and every deterministic
-        view are bit-identical whether or not the stream ran — a
-        mispredicted prefetch merely wastes a pure computation, and a
-        missing one merely falls back to computing at the stage.
-        """
-        nsfv = self._nsfv
-        for crawled in fresh:
-            digest = crawled.digest
-            nsfw = self._peek("nsfw", digest)
-            if nsfw is None:
-                nsfw = float(nsfv.scorer.score(crawled.image.pixels))
-                self.nsfw_by_digest[digest] = nsfw
-            else:
-                nsfw = float(nsfw)
-            if crawled.pack_id is not None:
-                # Pack members are never OCR'd or (individually) certain
-                # to be queried; their streamed NSFW score still feeds
-                # the provenance sampling sort.
-                continue
-            if nsfw < nsfv.sfv_threshold:
-                continue  # clear-cut SFV: no OCR, never reverse-searched
-            if nsfw > nsfv.nsfv_threshold:
-                predicted_nsfv = True
-            else:
-                words = self._peek("ocr", digest)
-                if words is None:
-                    words = int(nsfv.ocr.word_count(crawled.image.pixels))
-                    self.ocr_by_digest[digest] = words
-                else:
-                    words = int(words)
-                limit = (
-                    nsfv.low_ocr_words
-                    if nsfw < nsfv.low_band_threshold
-                    else nsfv.high_ocr_words
-                )
-                predicted_nsfv = not (words > limit)
-            if predicted_nsfv and self._reverse_index is not None:
-                image_hash = self.hash_by_digest.get(digest)
-                if image_hash is not None and image_hash not in self.reverse_reports:
-                    self.reverse_reports[image_hash] = self._reverse_index.search_hash(
-                        int(image_hash)
-                    )
-
-    def _peek(self, field: str, digest: str):
-        """Cache-warm check that touches no counters (see ``VisionCache.peek``)."""
-        if self._cache is None:
-            return None
-        return self._cache.peek(digest, field)
 
     def on_lane(self, lane_index: int, domain: str, outcomes) -> None:
         """Streaming hook for ``Crawler.crawl(..., on_lane=...)``."""
@@ -261,25 +175,6 @@ class StreamMatcher:
             self.hash_by_digest[d] if d in self.hash_by_digest else int(computed[d])
             for d in digests
         ]
-
-    def nsfw_for(self, digest: str, fallback: Callable[[], float]) -> float:
-        """Streamed NSFW score for ``digest``; unseen digests compute live.
-
-        Designed to be the *compute function* of a canonical-stage cache
-        lookup: the stage's cache traffic is unchanged, only the miss
-        cost is (usually) a dict lookup instead of a model inference.
-        """
-        value = self.nsfw_by_digest.get(digest)
-        return float(value) if value is not None else float(fallback())
-
-    def ocr_words_for(self, digest: str, fallback: Callable[[], int]) -> int:
-        """Streamed OCR word count for ``digest``, falling back to live."""
-        value = self.ocr_by_digest.get(digest)
-        return int(value) if value is not None else int(fallback())
-
-    def report_for(self, query_hash: int):
-        """Prefetched reverse-search report for ``query_hash``, or ``None``."""
-        return self.reverse_reports.get(int(query_hash))
 
     @property
     def n_streamed(self) -> int:

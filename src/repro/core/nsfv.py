@@ -103,7 +103,6 @@ class NsfvClassifier:
         digests: Optional[Sequence[str]] = None,
         cache: Optional[VisionCache] = None,
         tracer=None,
-        precomputed=None,
     ) -> List[NsfvVerdict]:
         """Classify many rasters, optionally memoised through a cache.
 
@@ -125,14 +124,6 @@ class NsfvClassifier:
         ``tracer`` wraps the batch in a ``vision.nsfv_batch`` span whose
         attributes count the images scored and the OCR passes the
         ambiguous band demanded (DESIGN.md §9).
-
-        ``precomputed`` is a :class:`~repro.core.abuse_filter.StreamMatcher`
-        that scored digests while the crawl streamed lane completions.
-        It only changes what a cache *miss* costs: the same lookups run
-        in the same order, but the compute function replays the streamed
-        value instead of re-running the model, so verdicts, cache
-        statistics and every deterministic view are bit-identical with
-        or without the stream.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         items = rasters if isinstance(rasters, list) else list(rasters)
@@ -165,24 +156,23 @@ class NsfvClassifier:
                 if cached is not None:
                     verdicts[i] = cached
                     continue
-                compute_nsfw = lambda it=item: self.scorer.score(pixels_of(it))
-                if precomputed is not None:
-                    compute_nsfw = (
-                        lambda d=digest, fn=compute_nsfw: precomputed.nsfw_for(d, fn)
+                nsfw = float(
+                    cache.nsfw_for(
+                        digest, lambda it=item: self.scorer.score(pixels_of(it))
                     )
-                nsfw = float(cache.nsfw_for(digest, compute_nsfw))
+                )
                 if nsfw < self.sfv_threshold:
                     verdict = NsfvVerdict(True, nsfw, 0)
                 elif nsfw > self.nsfv_threshold:
                     verdict = NsfvVerdict(False, nsfw, 0)
                 else:
                     n_ocr += 1
-                    compute_ocr = lambda it=item: self.ocr.word_count(pixels_of(it))
-                    if precomputed is not None:
-                        compute_ocr = (
-                            lambda d=digest, fn=compute_ocr: precomputed.ocr_words_for(d, fn)
+                    words = int(
+                        cache.ocr_for(
+                            digest,
+                            lambda it=item: self.ocr.word_count(pixels_of(it)),
                         )
-                    words = int(cache.ocr_for(digest, compute_ocr))
+                    )
                     if nsfw < self.low_band_threshold:
                         verdict = NsfvVerdict(words > self.low_ocr_words, nsfw, words)
                     else:

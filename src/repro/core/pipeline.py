@@ -231,7 +231,6 @@ class EwhoringPipeline:
         stage_hooks: Optional[Mapping[str, Callable[[], None]]] = None,
         telemetry: Optional[RunTelemetry] = None,
         crawl_workers: Optional[int] = None,
-        crawl_executor: Optional[str] = None,
         persist: Optional[object] = None,
     ) -> PipelineReport:
         """Execute the full measurement and return the report.
@@ -249,20 +248,15 @@ class EwhoringPipeline:
         zero-cost-off.  The same object rides out on
         :attr:`PipelineReport.telemetry`.
 
-        ``crawl_workers`` switches the §4.2 crawl to a parallel executor
-        (per-domain lanes) **and** overlaps it with the downstream
-        vision work: lane completions stream through a
-        :class:`~repro.core.abuse_filter.StreamMatcher` that hashes,
-        validates, NSFW-scores, OCRs and reverse-searches images while
-        later lanes are still crawling, so the whole §3 funnel runs as a
-        pipeline rather than a sequence of barriers.  ``crawl_executor``
-        selects the backend: ``"thread"`` (default, GIL-bound lanes via
-        :mod:`repro.web.parallel`) or ``"process"`` (true multi-core via
-        :mod:`repro.web.procpool`; rasters return through a
-        shared-memory arena).  Every measured quantity — the crawl
+        ``crawl_workers`` switches the §4.2 crawl to the sharded
+        parallel executor (per-domain lanes, see
+        :mod:`repro.web.parallel`) **and** overlaps it with the abuse
+        filter's hash work: lane completions stream through a
+        :class:`~repro.core.abuse_filter.StreamMatcher` while later
+        lanes are still crawling.  Every measured quantity — the crawl
         digest, the quarantine ledger, the deterministic telemetry view
-        — is bit-identical for any executor × worker count (``None``
-        workers = the serial loop).
+        — is bit-identical for any worker count (``None`` = the serial
+        loop).
 
         ``persist`` is a warm-memo bundle (duck-typed as
         :class:`~repro.store.incremental.PersistSession`) carrying the
@@ -291,7 +285,7 @@ class EwhoringPipeline:
                 runner, tele, quarantine,
                 top_oracle, proof_oracle, annotate_n, train_fraction,
                 min_ce_posts, key_actor_top_n, checkpoint, crawl_workers,
-                crawl_executor, persist,
+                persist,
             )
         return report
 
@@ -309,7 +303,6 @@ class EwhoringPipeline:
         key_actor_top_n: int,
         checkpoint: Optional[Union[str, Path, CrawlCheckpoint]],
         crawl_workers: Optional[int] = None,
-        crawl_executor: Optional[str] = None,
         persist: Optional[object] = None,
     ) -> PipelineReport:
         """The stage chain, executed inside the ``pipeline.run`` span."""
@@ -356,19 +349,16 @@ class EwhoringPipeline:
             )
             stream: Optional[StreamMatcher] = None
             if crawl_workers is not None:
-                # Crawl→funnel overlap: finished lanes stream their
-                # images through validation, batched hashing, NSFW/OCR
-                # scoring and NSFV-preview reverse search while later
-                # lanes are still crawling.  The downstream stages
-                # consume the precomputed results in canonical order.
+                # Crawl→vision overlap: finished lanes stream their
+                # images through validation + batched hashing while
+                # later lanes are still crawling.  The sweep below
+                # consumes the precomputed results in canonical order.
                 stream = StreamMatcher(
                     cache=self.vision_cache,
                     validate=True,
                     validation_memo=(
                         persist.validation_memo if persist is not None else None
                     ),
-                    nsfv=self.nsfv,
-                    reverse_index=self.reverse_index,
                 )
             result = crawler.crawl(
                 links.all_links,
@@ -377,7 +367,6 @@ class EwhoringPipeline:
                 stage="url_crawl",
                 tracer=tele.tracer,
                 workers=crawl_workers,
-                executor=crawl_executor,
                 on_lane=stream.on_lane if stream is not None else None,
                 metrics=tele.metrics,
             )
@@ -439,7 +428,6 @@ class EwhoringPipeline:
                 digests=[c.digest for c in previews],
                 cache=self.vision_cache,
                 tracer=tele.tracer,
-                precomputed=stream,
             )
             preview_verdicts = list(zip(previews, verdicts))
             return preview_verdicts, [c for c, v in preview_verdicts if v.nsfv]
@@ -462,12 +450,7 @@ class EwhoringPipeline:
                 classifiers=self.classifiers,
                 category_lookup=self.category_lookup,
                 cache=self.vision_cache,
-            ).analyze(
-                clean_pack_images,
-                nsfv_previews,
-                quarantine=quarantine,
-                precomputed=stream,
-            )
+            ).analyze(clean_pack_images, nsfv_previews, quarantine=quarantine)
 
         provenance, _ = runner.run(
             "provenance",

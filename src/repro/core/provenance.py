@@ -141,7 +141,6 @@ class ProvenanceAnalyzer:
         pack_images: Sequence[CrawledImage],
         preview_images: Sequence[CrawledImage],
         quarantine: Optional[Quarantine] = None,
-        precomputed=None,
     ) -> ProvenanceResult:
         """Reverse-search sampled pack images and all previews.
 
@@ -150,14 +149,6 @@ class ProvenanceAnalyzer:
         stages is excised under ``"provenance"``) and each reverse-search
         query runs inside a per-record error boundary, so one bad record
         costs exactly one query, never the stage.
-
-        ``precomputed`` is a :class:`~repro.core.abuse_filter.StreamMatcher`
-        that scored and reverse-searched digests while the crawl streamed
-        lane completions: sampling replays its NSFW scores from inside
-        the usual cache-miss compute function, and a query whose hash the
-        stream already searched reuses the prefetched report (the search
-        is a pure function of the hash).  Results, cache statistics and
-        every deterministic view are bit-identical with or without it.
         """
         if quarantine is not None:
             pack_images = quarantine.filter_rasters(
@@ -174,11 +165,9 @@ class ProvenanceAnalyzer:
                 raster=lambda c: c.image.pixels,
                 context=lambda c: {"group": "previews"},
             )
-        sampled = self._sample_packs(pack_images, precomputed)
-        pack_outcomes = self._query_all(sampled, quarantine, "packs", precomputed)
-        preview_outcomes = self._query_all(
-            preview_images, quarantine, "previews", precomputed
-        )
+        sampled = self._sample_packs(pack_images)
+        pack_outcomes = self._query_all(sampled, quarantine, "packs")
+        preview_outcomes = self._query_all(preview_images, quarantine, "previews")
 
         zero_match: Set[int] = set()
         per_pack_matches: Dict[int, List[int]] = {}
@@ -210,11 +199,7 @@ class ProvenanceAnalyzer:
         )
 
     # ------------------------------------------------------------------
-    def _sample_packs(
-        self,
-        pack_images: Sequence[CrawledImage],
-        precomputed=None,
-    ) -> List[CrawledImage]:
+    def _sample_packs(self, pack_images: Sequence[CrawledImage]) -> List[CrawledImage]:
         """Pick lowest/median/highest NSFW-scored images per pack.
 
         Duplicate digests within a pack are collapsed first, mirroring
@@ -232,9 +217,7 @@ class ProvenanceAnalyzer:
             if len(members) <= self._sampling.per_pack:
                 selected.extend(members)
                 continue
-            scored = sorted(
-                members, key=lambda c: self._nsfw_score(c, precomputed)
-            )
+            scored = sorted(members, key=self._nsfw_score)
             # Evenly spaced score quantiles; per_pack=3 gives the paper's
             # lowest / median / highest selection.
             positions = np.linspace(0, len(scored) - 1, self._sampling.per_pack)
@@ -242,35 +225,36 @@ class ProvenanceAnalyzer:
             selected.extend(scored[i] for i in picks)
         return selected
 
-    def _nsfw_score(self, crawled: CrawledImage, precomputed=None) -> float:
+    def _nsfw_score(self, crawled: CrawledImage) -> float:
         """NSFW score for sampling, memoised through the shared cache."""
-        compute = lambda: self._scorer.score(crawled.image.pixels)
-        if precomputed is not None:
-            compute = lambda fn=compute: precomputed.nsfw_for(crawled.digest, fn)
         if self._cache is None:
-            return float(compute())
-        return float(self._cache.nsfw_for(crawled.digest, compute))
+            return self._scorer.score(crawled.image.pixels)
+        return float(
+            self._cache.nsfw_for(
+                crawled.digest,
+                lambda: self._scorer.score(crawled.image.pixels),
+            )
+        )
 
     def _query_all(
         self,
         images: Sequence[CrawledImage],
         quarantine: Optional[Quarantine],
         group: str,
-        precomputed=None,
     ) -> List[QueryOutcome]:
         """Query every image; per-record boundary when a ledger is attached."""
         if quarantine is None:
-            return [self._query(c, precomputed) for c in images]
+            return [self._query(c) for c in images]
         outcomes: List[QueryOutcome] = []
         for crawled in images:
             with quarantine.guard(
                 "provenance", crawled.digest,
                 {"group": group, "pack_id": crawled.pack_id},
             ):
-                outcomes.append(self._query(crawled, precomputed))
+                outcomes.append(self._query(crawled))
         return outcomes
 
-    def _query(self, crawled: CrawledImage, precomputed=None) -> QueryOutcome:
+    def _query(self, crawled: CrawledImage) -> QueryOutcome:
         if self._cache is None:
             report = self._index.search_pixels(crawled.image.pixels)
         else:
@@ -278,13 +262,7 @@ class ProvenanceAnalyzer:
                 crawled.digest,
                 lambda: robust_hash(crawled.image.pixels),
             )
-            report = (
-                precomputed.report_for(int(query_hash))
-                if precomputed is not None
-                else None
-            )
-            if report is None:
-                report = self._index.search_hash(int(query_hash))
+            report = self._index.search_hash(int(query_hash))
         posted_at = crawled.link.posted_at
         seen_before = False
         if posted_at is not None:

@@ -138,17 +138,10 @@ class RunTelemetry:
     WORK_METRIC_PREFIXES = ("vision_cache.", "store.", "internet.")
 
     #: Exact metric names describing executor shape rather than the
-    #: world: ``crawl.lanes`` exists only when a parallel executor runs
-    #: (serial crawls never emit it), and the chunk/steal/arena gauges
-    #: describe the process pool's scheduling, so none can be part of a
-    #: contract that holds across executors and worker counts.
-    WORK_METRIC_NAMES = (
-        "crawl.lanes",
-        "crawl.chunks",
-        "crawl.steals",
-        "crawl.arena_bytes",
-        "crawl.arena_segments",
-    )
+    #: world: ``crawl.lanes`` exists only when the sharded executor runs
+    #: (serial crawls never emit it), so it cannot be part of a contract
+    #: that holds across worker counts.
+    WORK_METRIC_NAMES = ("crawl.lanes",)
 
     def measurement_view(self) -> dict:
         """The run's *measured quantities*: the incremental-≡-cold contract.

@@ -221,7 +221,7 @@ def build_manifest(
 
     ``executor`` is the crawl-executor shape of the run — a mapping with
     ``executor``/``workers``/``cpu_count`` — recorded so manifests from
-    thread and process runs can be told apart; it is environment, not
+    serial and parallel runs can be told apart; it is environment, not
     measurement, so :func:`deterministic_manifest_view` drops it.
     """
     telemetry = getattr(report, "telemetry", None)

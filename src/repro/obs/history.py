@@ -54,10 +54,11 @@ class HistorySummary:
     profiled: bool = False
     #: Crawl executor shape of the run (``None`` = serial crawl): these
     #: let ``repro obs runs|diff|regressions`` compare like with like
-    #: instead of silently mixing thread and process runs.
+    #: instead of silently mixing serial and parallel runs.  Older rows
+    #: may also hold ``"process"``.
     executor: Optional[str] = None
     workers: Optional[int] = None
-    #: ``os.cpu_count()`` of the recording machine — a 1-core process
+    #: ``os.cpu_count()`` of the recording machine — a 1-core parallel
     #: run regressing against a 16-core one is signal, not noise.
     cpu_count: Optional[int] = None
     #: :func:`~repro.obs.profile.aggregate_spans` rows.
@@ -92,10 +93,12 @@ def summarize_run(
     wall_seconds: Optional[float] = None,
     label: Optional[str] = None,
     created_unix: Optional[float] = None,
-    executor: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> HistorySummary:
     """Condense a live :class:`~repro.obs.RunTelemetry` into history form.
+
+    ``workers`` is the crawl worker count (``None`` = serial); a
+    parallel run is recorded with the ``"thread"`` executor.
 
     Works for any tracer: with tracing off the span aggregates are
     empty but funnel and deterministic metrics are still recorded —
@@ -132,7 +135,7 @@ def summarize_run(
         n_records=_funnel_lookup(funnel, "images_downloaded"),
         n_quarantined=_funnel_lookup(funnel, "quarantined_records"),
         profiled=profiled,
-        executor=executor if workers is not None else None,
+        executor="thread" if workers is not None else None,
         workers=workers,
         cpu_count=os.cpu_count(),
         spans=span_rows,

@@ -65,11 +65,6 @@ _RUNTIME_SUFFIXES = ("_queue_depth_peak", ".queue_depth_peak", "_inflight")
 #: the whole prefix is excluded from deterministic views wholesale.
 _RUNTIME_PREFIXES = ("profile.",)
 
-#: Exact names of runtime-only metrics: the process pool's steal counter
-#: depends on which worker happened to commit a stolen chunk first, so
-#: it varies run-to-run even on a fixed seed and worker count.
-_RUNTIME_NAMES = ("crawl.steals",)
-
 
 def is_runtime_metric(name: str) -> bool:
     """True for metrics excluded from deterministic views.
@@ -84,7 +79,6 @@ def is_runtime_metric(name: str) -> bool:
         is_timing_metric(name)
         or name.endswith(_RUNTIME_SUFFIXES)
         or name.startswith(_RUNTIME_PREFIXES)
-        or name in _RUNTIME_NAMES
     )
 
 

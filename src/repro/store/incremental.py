@@ -130,7 +130,6 @@ def run_incremental(
     annotate_n: int = 1000,
     strict: bool = True,
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
     telemetry: Optional[RunTelemetry] = None,
     **config_overrides,
 ) -> IncrementalResult:
@@ -225,7 +224,6 @@ def run_incremental(
                 strict=strict,
                 telemetry=tele,
                 workers=workers,
-                executor=executor,
                 vision_cache=session.cache,
                 persist=session,
             )
@@ -265,19 +263,13 @@ def run_incremental(
             # never exist for an epoch the store does not hold.
             from ..obs.history import record_history, summarize_run
 
-            effective_workers = (
-                workers if workers is not None else cfg.crawl_workers
-            )
             summary = summarize_run(
                 tele,
                 seed=cfg.seed,
                 epoch=effective_epoch,
                 wall_seconds=time.perf_counter() - wall_start,
                 label=f"epoch {effective_epoch}/{cfg.epoch_total}",
-                executor=(
-                    executor if executor is not None else cfg.crawl_executor
-                ),
-                workers=effective_workers,
+                workers=workers if workers is not None else cfg.crawl_workers,
             )
             history_id = record_history(run_store, summary, run_id=run_id)
             kill_point("store.history.recorded")

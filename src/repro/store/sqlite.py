@@ -57,10 +57,10 @@ _SCHEMA_VERSION = 1
 
 #: WorldConfig fields excluded from the identity fingerprint: the epoch
 #: is the watermark axis (it *varies* across runs of one store), and the
-#: worker count and executor backend are pure throughput knobs that
-#: provably cannot change any measurement (the PR 5 / PR 10 bit-identity
-#: invariant), so thread and process runs may share one store.
-_FINGERPRINT_EXCLUDED = ("epoch", "crawl_workers", "crawl_executor")
+#: worker count is a pure throughput knob that provably cannot change
+#: any measurement (parallel crawls are bit-identical to serial), so
+#: serial and parallel runs may share one store.
+_FINGERPRINT_EXCLUDED = ("epoch", "crawl_workers")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (

@@ -103,13 +103,6 @@ class WorldConfig:
     #: (bit-identical results either way — a pure throughput knob that
     #: perturbs neither world content nor any measurement).
     crawl_workers: Optional[int] = None
-    #: Executor backend for parallel crawls: ``"thread"`` (default,
-    #: sharded lanes of :mod:`repro.web.parallel`) or ``"process"``
-    #: (true multi-core lanes of :mod:`repro.web.procpool`).  Like
-    #: ``crawl_workers`` this is a pure throughput knob: results are
-    #: bit-identical across executors, and it is ignored when
-    #: ``crawl_workers`` is ``None``.
-    crawl_executor: str = "thread"
     #: Named adversarial-drift profile (see :data:`repro.drift.profiles.
     #: DRIFT_PROFILES`) applied to the freshly built world, or ``None``
     #: (≡ ``"none"``) for the static paper-world.  Drift mutations are a
@@ -137,10 +130,6 @@ class WorldConfig:
             raise ValueError("scale must be in (0, 2]")
         if self.crawl_workers is not None and self.crawl_workers < 1:
             raise ValueError("crawl_workers must be >= 1 or None")
-        if self.crawl_executor not in ("thread", "process"):
-            raise ValueError(
-                f"crawl_executor must be 'thread' or 'process', got {self.crawl_executor!r}"
-            )
         if self.fault_profile is not None:
             fault_profile(self.fault_profile)  # validate the name eagerly
         if self.payload_profile is not None:

@@ -137,21 +137,6 @@ class VisionCache:
         self.put(digest, field, value)
         return value
 
-    def peek(self, digest: str, field: str):
-        """Uncounted, LRU-neutral lookup: the memoised value or ``None``.
-
-        The streaming prefetcher (:class:`~repro.core.abuse_filter.StreamMatcher`)
-        uses this to skip recomputing quantities a warm cache already
-        holds *without* perturbing the hit/miss counters or the LRU
-        order, both of which belong to the canonical stage lookups.
-        """
-        self._check_field(field)
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is not None and field in entry:
-                return entry[field]
-            return None
-
     # -- convenience wrappers ------------------------------------------
     def hash_for(self, digest: str, compute: Callable[[], int]) -> int:
         return self.get_or_compute(digest, "hash", compute)  # type: ignore[return-value]

@@ -22,14 +22,7 @@ from .crawler import (
     ShardState,
     content_digest,
 )
-from .parallel import (
-    Lane,
-    ReorderBuffer,
-    crawl_sharded,
-    merge_outcomes,
-    partition_lanes,
-)
-from .procpool import crawl_procpool
+from .parallel import Lane, ReorderBuffer, crawl_sharded, partition_lanes
 from .faults import (
     FAULT_PROFILES,
     DomainFaultSpec,
@@ -115,10 +108,8 @@ __all__ = [
     "all_services",
     "content_digest",
     "corrupt_raster",
-    "crawl_procpool",
     "crawl_sharded",
     "extract_urls",
-    "merge_outcomes",
     "fault_profile",
     "link_key",
     "normalize_url",

@@ -529,8 +529,6 @@ class Crawler:
         workers: Optional[int] = None,
         on_lane=None,
         metrics=None,
-        executor: Optional[str] = None,
-        stream_capacity: Optional[int] = None,
     ) -> CrawlResult:
         """Crawl all links; OK images are downloaded, OK packs unpacked.
 
@@ -567,22 +565,13 @@ class Crawler:
         worker count.  ``on_lane`` (parallel mode only) streams each
         finished lane's result, in deterministic lane order, into a
         downstream consumer before the whole crawl finishes.
-
-        ``executor`` selects the parallel substrate: ``"thread"`` (the
-        default) runs lanes on a thread pool, ``"process"`` on forked
-        worker processes with a shared-memory raster arena
-        (:func:`repro.web.procpool.crawl_procpool`) — bit-identical
-        either way, and checkpoints written under one executor resume
-        under the other.  ``stream_capacity`` bounds the
-        completed-but-unstreamed lane backlog in both parallel modes
-        (default ``max(2, workers)``).
         """
-        if executor not in (None, "thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r} (one of 'thread', 'process')"
-            )
         if workers is not None:
-            common = dict(
+            from .parallel import crawl_sharded
+
+            return crawl_sharded(
+                self,
+                links,
                 workers=workers,
                 checkpoint=checkpoint,
                 checkpoint_every=checkpoint_every,
@@ -591,18 +580,6 @@ class Crawler:
                 tracer=tracer,
                 on_lane=on_lane,
                 metrics=metrics,
-                stream_capacity=stream_capacity,
-            )
-            if executor == "process":
-                from .procpool import crawl_procpool
-
-                return crawl_procpool(self, links, **common)
-            from .parallel import crawl_sharded
-
-            return crawl_sharded(self, links, **common)
-        if executor == "process":
-            raise ValueError(
-                "executor='process' requires a worker count (pass workers=N)"
             )
         if on_lane is not None:
             raise ValueError("on_lane streaming requires the sharded executor "

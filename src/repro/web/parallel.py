@@ -71,13 +71,7 @@ from .crawler import (
 )
 from .retry import BreakerBoard, CircuitBreaker
 
-__all__ = [
-    "Lane",
-    "ReorderBuffer",
-    "crawl_sharded",
-    "merge_outcomes",
-    "partition_lanes",
-]
+__all__ = ["Lane", "ReorderBuffer", "crawl_sharded", "partition_lanes"]
 
 
 @dataclass
@@ -149,13 +143,6 @@ class ReorderBuffer:
                 return
             self._slots[index] = payload
             self.peak_depth = max(self.peak_depth, len(self._slots))
-            # The bound is structural, not advisory: a full buffer only
-            # ever admits the one next-needed lane, so depth can exceed
-            # ``capacity`` by at most that single bypass slot.
-            assert len(self._slots) <= self.capacity + 1, (
-                f"reorder buffer holds {len(self._slots)} payloads "
-                f"against a capacity of {self.capacity}"
-            )
             self._cond.notify_all()
 
     def take(self) -> Any:
@@ -181,35 +168,6 @@ def partition_lanes(links: Sequence[LinkRecord]) -> List[Tuple[str, List[Tuple[i
     for index, link in enumerate(links):
         lanes.setdefault(link.url.host, []).append((index, link))
     return list(lanes.items())
-
-
-def merge_outcomes(all_outcomes: Sequence[LinkOutcome]):
-    """Accumulate index-sorted outcomes exactly like the serial loop.
-
-    Shared by the thread and process executors.  ``all_outcomes`` must
-    already be sorted by :attr:`LinkOutcome.index`.  Packs were
-    deduplicated shard-locally; re-deduplicating globally in index
-    order picks exactly the first-seen copy the serial loop keeps.
-    Returns ``(preview_images, pack_images, packs, attempt_logs,
-    quarantined_records)``.
-    """
-    preview_images = []
-    pack_images = []
-    packs = []
-    attempt_logs = []
-    quarantined = []
-    seen_pack_ids: Dict[int, None] = {}
-    for outcome in all_outcomes:
-        preview_images.extend(outcome.preview_images)
-        pack_images.extend(outcome.pack_images)
-        for pack in outcome.packs:
-            if pack.pack_id not in seen_pack_ids:
-                seen_pack_ids[pack.pack_id] = None
-                packs.append(pack)
-        if outcome.log is not None:
-            attempt_logs.append(outcome.log)
-        quarantined.extend(outcome.quarantined)
-    return preview_images, pack_images, packs, attempt_logs, quarantined
 
 
 def _lane_breakers(base: BreakerBoard, domain: str) -> BreakerBoard:
@@ -281,7 +239,6 @@ def crawl_sharded(
     tracer=None,
     on_lane: Optional[Callable[[int, str, List[LinkOutcome]], None]] = None,
     metrics=None,
-    stream_capacity: Optional[int] = None,
 ) -> CrawlResult:
     """Crawl ``links`` on per-domain lanes; bit-identical to serial.
 
@@ -437,8 +394,7 @@ def crawl_sharded(
         return time.perf_counter() - t0
 
     # -- dispatch + in-order streaming consumption ----------------------
-    capacity = stream_capacity if stream_capacity is not None else max(2, workers)
-    buffer = ReorderBuffer(capacity=capacity)
+    buffer = ReorderBuffer(capacity=max(2, workers))
 
     def lane_task(lane: Lane) -> None:
         try:
@@ -491,12 +447,25 @@ def crawl_sharded(
         (outcome for lane in lanes for outcome in lane.outcomes),
         key=lambda o: o.index,
     )
-    # Transfer ledger records in canonical order without re-firing
-    # their quarantine.admit events (the lane ledgers fired them).
-    preview_images, pack_images, packs, attempt_logs, quarantined = (
-        merge_outcomes(all_outcomes)
-    )
-    quarantine.records.extend(quarantined)
+    preview_images = []
+    pack_images = []
+    packs = []
+    attempt_logs = []
+    seen_pack_ids: Dict[int, None] = {}
+    for outcome in all_outcomes:
+        preview_images.extend(outcome.preview_images)
+        pack_images.extend(outcome.pack_images)
+        for pack in outcome.packs:
+            # Lane-local dedup kept each lane's first copy; re-deduplicate
+            # globally in index order — exactly the serial first-seen pick.
+            if pack.pack_id not in seen_pack_ids:
+                seen_pack_ids[pack.pack_id] = None
+                packs.append(pack)
+        if outcome.log is not None:
+            attempt_logs.append(outcome.log)
+        # Transfer ledger records in canonical order without re-firing
+        # their quarantine.admit events (the lane ledgers fired them).
+        quarantine.records.extend(outcome.quarantined)
 
     merged_stats = base_state.stats
     merged_board = base_state.breakers

@@ -32,12 +32,6 @@ PAYLOAD_PROFILE = os.environ.get("REPRO_TEST_PAYLOAD_PROFILE") or None
 _workers = os.environ.get("REPRO_TEST_CRAWL_WORKERS")
 CRAWL_WORKERS = int(_workers) if _workers else None
 
-#: CI multi-core leg: set REPRO_TEST_CRAWL_EXECUTOR=process (with
-#: REPRO_TEST_CRAWL_WORKERS=N) to back every shared pipeline crawl with
-#: the fork-based process pool instead of worker threads — also
-#: bit-identical to serial, so the suite must pass unchanged.
-CRAWL_EXECUTOR = os.environ.get("REPRO_TEST_CRAWL_EXECUTOR") or "thread"
-
 
 @pytest.fixture(scope="session")
 def world():
@@ -52,7 +46,6 @@ def world():
             hashlist_rate=0.5,
             payload_profile=PAYLOAD_PROFILE,
             crawl_workers=CRAWL_WORKERS,
-            crawl_executor=CRAWL_EXECUTOR,
         )
     )
 

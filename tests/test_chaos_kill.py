@@ -55,29 +55,13 @@ SRC_DIR = REPO_ROOT / "src"
 SEED = 7
 SCALE = 0.005
 
-#: Sites inside the store's epoch transaction fire once per epoch, and
-#: the process pool's merge site fires once per crawl, so their
-#: deterministic hit must be 1; the other crawl/artifact sites fire on
+#: Sites inside the store's epoch transaction fire once per epoch, so
+#: the deterministic hit must be 1; the crawl/artifact sites fire on
 #: every periodic checkpoint save and can land anywhere in 1..3.
-SITE_MAX_HITS = {
-    site: 1 if site.startswith("store.") or site == "crawl.procpool.merge"
-    else 3
-    for site in KILL_SITES
-}
+SITE_MAX_HITS = {site: 1 if site.startswith("store.") else 3 for site in KILL_SITES}
 
 STORE_SITES = tuple(s for s in KILL_SITES if s.startswith("store."))
 CRAWL_SITES = tuple(s for s in KILL_SITES if not s.startswith("store."))
-
-
-def site_extra_args(site):
-    """Per-site driver arguments: the procpool merge site only exists
-    when the crawl runs on the process executor."""
-    if site == "crawl.procpool.merge":
-        extra = ["--executor", "process"]
-        if not WORKERS:
-            extra += ["--workers", "2"]
-        return extra
-    return []
 
 #: Optional worker-count override so CI can push the same matrix
 #: through the sharded parallel crawler.
@@ -212,7 +196,6 @@ class TestCrawlKillMatrix:
     def test_kill_resume_equals_uninterrupted(self, tmp_path, site, cold_crawl_json):
         ckpt = tmp_path / "crawl.checkpoint.json"
         args = ["--mode", "crawl", "--checkpoint", str(ckpt)]
-        args += site_extra_args(site)
 
         killed = run_driver(args, chaos_site=site, cwd=tmp_path)
         assert killed.returncode == -signal.SIGKILL, (

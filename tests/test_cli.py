@@ -1,5 +1,7 @@
 """Tests for the command-line interface and text renderers."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -129,10 +131,31 @@ class TestCommands:
         output = capsys.readouterr().out
         # the run still completes and renders the digest ...
         assert "== selection (§3) ==" in output
-        # ... and both quarantine surfaces carry the ledger
+        # ... whose quarantine section carries the ledger
         assert "== quarantine (record-level faults) ==" in output
-        assert "-- quarantine --" in output
         assert "records quarantined" in output
+
+    @pytest.mark.parametrize("payload_profile", [None, "hostile"])
+    def test_run_prints_each_section_once(self, capsys, payload_profile):
+        argv = ["run", *CLI_WORLD, "--annotate", "200"]
+        if payload_profile is not None:
+            argv += ["--payload-profile", payload_profile]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        # ``== name ==`` (digest) or ``-- name --`` (resilience summary).
+        headers = [
+            line for line in output.splitlines()
+            if re.match(r"^(==|--) .+ (==|--)$", line)
+        ]
+        assert len(headers) == len(set(headers)), headers
+        assert headers.count("== telemetry (DESIGN.md §9) ==") == 1
+        assert headers.count("-- crawl resilience --") == 1
+        quarantined = payload_profile is not None
+        assert headers.count("== quarantine (record-level faults) ==") == int(quarantined)
+        assert "-- quarantine --" not in headers
+        assert "-- telemetry --" not in headers
+        assert output.count("records quarantined") == int(quarantined)
+        assert output.count("vision cache:") == 1
 
     def test_tables_writes_files(self, tmp_path, capsys):
         out = tmp_path / "tables"

@@ -65,7 +65,7 @@ class TestTraceOut:
         assert code == 0
         assert list(tmp_path.iterdir()) == []
         output = capsys.readouterr().out
-        assert "-- telemetry --" in output  # summary still rendered
+        assert "== telemetry (DESIGN.md §9) ==" in output  # summary still rendered
 
 
 class TestLoggingFlags:

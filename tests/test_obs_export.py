@@ -134,7 +134,7 @@ class TestManifest:
 
     def test_executor_block_recorded(self):
         tele = RunTelemetry(tracer=_sample_tracer())
-        shape = {"executor": "process", "workers": 4, "cpu_count": 8}
+        shape = {"executor": "thread", "workers": 4, "cpu_count": 8}
         manifest = build_manifest(
             _FakeReport(tele), seed=7, config={}, executor=shape
         )

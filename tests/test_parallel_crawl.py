@@ -312,6 +312,37 @@ class TestExecutorMechanics:
         assert buffer.take() == "b"
         buffer.close()
 
+    def test_single_domain_world_matches_serial(self):
+        """A one-lane crawl on more workers than lanes equals serial."""
+        from datetime import datetime
+
+        import numpy as np
+
+        from repro.media import ImageKind, SyntheticImage, sample_latent
+        from repro.web import (
+            HostingService, LinkRecord, ServiceKind, SimulatedInternet,
+        )
+
+        rng = np.random.default_rng(5)
+        net = SimulatedInternet(seed=13)
+        host = HostingService(
+            "mono", "mono.com", ServiceKind.IMAGE_SHARING, 1.0, 0.0, 0.0
+        )
+        links = []
+        for i in range(16):
+            image = SyntheticImage(
+                9000 + i, sample_latent(rng, ImageKind.MODEL_NUDE, model_id=1)
+            )
+            url = net.host_on_service(host, image, datetime(2014, 5, 1), False)
+            links.append(LinkRecord(url=url, link_kind="preview"))
+        assert len(partition_lanes(links)) == 1
+
+        serial, q_serial = crawl_serial(net, links)
+        parallel, q_parallel = crawl_parallel(net, links, workers=4)
+        assert parallel.digest() == serial.digest()
+        assert parallel.stats == serial.stats
+        assert quarantine_view(q_parallel) == quarantine_view(q_serial)
+
     def test_reorder_buffer_close_unblocks_take(self):
         buffer = ReorderBuffer(capacity=2)
         errors = []
@@ -352,6 +383,7 @@ class TestPipelineDeterministicViews:
                 "digest": report.crawl.digest(),
                 "quarantine": [r.to_dict() for r in report.quarantine.records],
                 "funnel": telemetry.funnel(),
+                "vision_cache": report.vision_cache_stats.as_dict(),
             }
             if workers is not None:
                 snapshots[workers] = telemetry.deterministic_snapshot()
