@@ -107,11 +107,10 @@ def run_pipeline(
     span tracer and metrics registry — pass one built around an enabled
     :class:`~repro.obs.Tracer` to capture a trace (DESIGN.md §9).
 
-    ``workers`` runs the §4.2 crawl on the sharded parallel executor
-    with crawl→vision streaming overlap (DESIGN.md §10); ``None`` falls
-    back to the world's :attr:`~repro.synth.world.WorldConfig.
-    crawl_workers` (itself ``None`` = serial).  Results are bit-identical
-    for any worker count.
+    ``workers`` is accepted and ignored: the crawl is always serial
+    (DESIGN.md §10).  ``benchmarks/e2e/worker.py`` still passes it; the
+    parameter goes once that benchmark drops its ``threads2`` workload
+    (ROADMAP item 2).
 
     ``vision_cache`` / ``persist`` plug in a persistent store's warm
     memos (see :mod:`repro.store`); both preserve bit-identity of every
@@ -128,8 +127,6 @@ def run_pipeline(
         vision_cache=vision_cache,
     )
     truth = world.forums
-    if workers is None:
-        workers = world.config.crawl_workers
     top_n = max(10, int(round(50 * math.sqrt(world.config.scale))))
     return pipeline.run(
         top_oracle=lambda thread_id: truth.thread_types.get(thread_id) == "top",
@@ -140,6 +137,5 @@ def run_pipeline(
         checkpoint=checkpoint,
         stage_hooks=stage_hooks,
         telemetry=telemetry,
-        crawl_workers=workers,
         persist=persist,
     )

@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=float, default=0.005)
     parser.add_argument("--epoch", type=int, default=None)
     parser.add_argument("--epoch-total", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--payload-profile", default=None)
     parser.add_argument("--fault-profile", default=None)
     return parser
@@ -54,7 +53,6 @@ def run_store_mode(args) -> dict:
         epoch_total=args.epoch_total,
         fault_profile=args.fault_profile,
         payload_profile=args.payload_profile,
-        workers=args.workers,
     )
     quarantine = (
         [r.to_dict() for r in result.report.quarantine.records]
@@ -87,7 +85,6 @@ def run_crawl_mode(args) -> dict:
         world,
         telemetry=telemetry,
         checkpoint=args.checkpoint,
-        workers=args.workers,
     )
     quarantine = (
         [r.to_dict() for r in report.quarantine.records]

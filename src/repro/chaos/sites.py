@@ -43,7 +43,7 @@ __all__ = [
 #: instrumented ``kill_point`` call with a new name requires adding it
 #: here (asserted by ``tests/test_chaos_kill.py``).
 KILL_SITES = (
-    # Crawl checkpointing (repro.web.crawler / repro.web.parallel):
+    # Crawl checkpointing (repro.web.crawler):
     # after a periodic mid-crawl checkpoint save has hit disk.
     "crawl.checkpoint.saved",
     # Atomic artifact writes (repro.atomicio): the torn-write windows of

@@ -183,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
              "of aborting the measurement",
     )
     p_run.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run the crawl on N sharded worker threads with crawl->vision "
-             "streaming overlap; results are bit-identical to the serial "
-             "crawl (default: serial)",
-    )
-    p_run.add_argument(
         "--store", type=Path, default=None, metavar="STORE",
         help="persist this run into a SQLite run store and reuse every "
              "memo it already holds; repeated runs with increasing "
@@ -229,10 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--defenses", choices=("off", "on", "both"), default="both",
         help="run the static instrument (off), the adaptive one (on), "
              "or both for comparison (default both)",
-    )
-    p_drift.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="crawl worker threads per epoch run (default: serial)",
     )
     p_drift.add_argument(
         "--out", type=Path, default=None,
@@ -474,12 +464,7 @@ def _write_trace_artifacts(args, report, telemetry, log) -> None:
         len(telemetry.tracer.spans()),
         telemetry.tracer.n_events,
     )
-    workers = getattr(args, "workers", None)
-    executor = {
-        "executor": "thread" if workers is not None else None,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-    }
+    executor = {"executor": None, "workers": None, "cpu_count": os.cpu_count()}
     manifest = build_manifest(
         report, seed=args.seed, config=config, executor=executor
     )
@@ -570,7 +555,6 @@ def _run_drift_command(args, log) -> int:
             seed=args.seed,
             scale=args.scale,
             defenses=defense_config,
-            workers=args.workers,
         )
         log.info("%s done [%.1fs]", key, time.perf_counter() - start)
         payload["runs"][key] = report.as_dict()
@@ -621,7 +605,6 @@ def _run_store_command(args, log) -> int:
             config=config,
             annotate_n=args.annotate,
             strict=not args.lenient,
-            workers=args.workers,
             telemetry=telemetry,
         )
     except StoreError as exc:
@@ -1024,7 +1007,6 @@ def _dispatch(args, log) -> int:
             strict=not getattr(args, "lenient", False),
             checkpoint=getattr(args, "resume", None),
             telemetry=telemetry,
-            workers=getattr(args, "workers", None),
         )
     finally:
         _stop_profile(telemetry)

@@ -1,6 +1,6 @@
 """The paper's contribution: the eWhoring measurement pipeline (§4–§6)."""
 
-from .abuse_filter import AbuseFilter, AbuseFilterResult, StreamMatcher
+from .abuse_filter import AbuseFilter, AbuseFilterResult
 from .actors import (
     ActorAnalyzer,
     ActorMetrics,
@@ -117,7 +117,6 @@ __all__ = [
     "StageFailure",
     "StageOutcome",
     "StageRunner",
-    "StreamMatcher",
     "TABLE2_LEXICONS",
     "TRADE_KEYWORDS",
     "TUTORIAL_KEYWORDS",

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..forum.dataset import ForumDataset
-from ..media.validate import validate_raster
+# Unused here; benchmarks/e2e/layers.py wraps this module attribute.
+from ..media.validate import validate_raster  # noqa: F401
 from ..vision.batch import hash_batch
 from ..vision.cache import VisionCache
 from ..vision.photodna import (
@@ -33,7 +34,7 @@ from ..vision.reverse_search import ReverseImageIndex
 from ..web.crawler import CrawledImage
 from .quarantine import Quarantine
 
-__all__ = ["AbuseFilterResult", "AbuseFilter", "StreamMatcher"]
+__all__ = ["AbuseFilterResult", "AbuseFilter"]
 
 #: How domain metadata (region, site type) is looked up for report URLs.
 DomainInfoFn = Callable[[str], Tuple[Optional[str], Optional[str]]]
@@ -69,119 +70,6 @@ class AbuseFilterResult:
         )
 
 
-class StreamMatcher:
-    """Incremental hashing/validation frontend for the streaming overlap.
-
-    The sharded crawl executor (:mod:`repro.web.parallel`) hands each
-    finished lane's outcomes to :meth:`on_lane` while later lanes are
-    still crawling; the matcher deduplicates by content digest, runs the
-    per-digest validation boundary, and pushes the fresh rasters through
-    the batched hash kernel (via the shared :class:`VisionCache` when
-    one is attached) — so by the time the crawl barrier falls, most of
-    the abuse-filter's hash work is already done.
-
-    Determinism: validation and hashing are pure per-raster functions
-    and the matcher performs **exactly one** cache lookup/compute per
-    distinct digest — the same count, though not the same order, as the
-    batch path — so cache statistics and every deterministic view are
-    unchanged.  Poison records are *not* admitted to the shared ledger
-    here: they are stashed per digest and admitted by
-    :meth:`AbuseFilter.sweep` in canonical first-seen order, so the
-    quarantine ledger is byte-identical to the non-streaming sweep.
-
-    The matcher is driven from the executor's single consumer thread
-    (lanes are delivered in lane order) and needs no locking of its own;
-    the :class:`VisionCache` it feeds is itself thread-safe.
-    """
-
-    def __init__(
-        self,
-        cache: Optional[VisionCache] = None,
-        validate: bool = True,
-        validation_memo=None,
-    ):
-        self._cache = cache
-        #: Whether the stream ran the validation boundary; when False a
-        #: quarantining sweep re-validates (stream results unusable for
-        #: the ledger).
-        self.validated = validate
-        #: Optional :class:`~repro.media.validate.ValidationMemo`; a hit
-        #: replays the recorded outcome without materialising pixels.
-        self._validation_memo = validation_memo
-        self._seen: Set[str] = set()
-        #: digest → 64-bit perceptual hash, for every clean streamed digest.
-        self.hash_by_digest: Dict[str, int] = {}
-        #: digest → the validation exception it raised.
-        self.poisoned: Dict[str, Exception] = {}
-
-    # ------------------------------------------------------------------
-    def add_images(self, images: Sequence[CrawledImage]) -> None:
-        """Hash (and validate) the not-yet-seen digests in ``images``."""
-        fresh: List[CrawledImage] = []
-        for crawled in images:
-            digest = crawled.digest
-            if digest in self._seen:
-                continue
-            self._seen.add(digest)
-            if self.validated:
-                try:
-                    if self._validation_memo is not None:
-                        self._validation_memo.validate(
-                            digest, lambda c=crawled: c.image.pixels
-                        )
-                    else:
-                        validate_raster(crawled.image.pixels, context=digest)
-                except Exception as exc:
-                    self.poisoned[digest] = exc
-                    continue
-            fresh.append(crawled)
-        if not fresh:
-            return
-        if self._cache is not None:
-            hashes = self._cache.hashes_for(
-                [
-                    (crawled.digest, (lambda c=crawled: c.image.pixels))
-                    for crawled in fresh
-                ],
-                hash_batch,
-            )
-        else:
-            hashes = [int(h) for h in hash_batch([c.image.pixels for c in fresh])]
-        for crawled, value in zip(fresh, hashes):
-            self.hash_by_digest[crawled.digest] = int(value)
-
-    def on_lane(self, lane_index: int, domain: str, outcomes) -> None:
-        """Streaming hook for ``Crawler.crawl(..., on_lane=...)``."""
-        images: List[CrawledImage] = []
-        for outcome in outcomes:
-            images.extend(outcome.preview_images)
-            images.extend(outcome.pack_images)
-        self.add_images(images)
-
-    # ------------------------------------------------------------------
-    def hashes_for_digests(
-        self,
-        digests: Sequence[str],
-        fallback: Callable[[List[str]], Sequence[int]],
-    ) -> List[int]:
-        """Streamed hashes for ``digests``; stragglers go to ``fallback``.
-
-        ``fallback`` receives the (normally empty) list of digests the
-        stream never saw and must return their hashes in order.
-        """
-        missing = [d for d in digests if d not in self.hash_by_digest]
-        computed = dict(zip(missing, fallback(missing))) if missing else {}
-        return [
-            self.hash_by_digest[d] if d in self.hash_by_digest else int(computed[d])
-            for d in digests
-        ]
-
-    @property
-    def n_streamed(self) -> int:
-        """Distinct digests that passed through the stream."""
-        return len(self._seen)
-
-
 class AbuseFilter:
     """Hash-match-report-delete sweep over crawled images."""
 
@@ -203,7 +91,6 @@ class AbuseFilter:
         images: Sequence[CrawledImage],
         dataset: Optional[ForumDataset] = None,
         quarantine: Optional[Quarantine] = None,
-        precomputed: Optional[StreamMatcher] = None,
     ) -> AbuseFilterResult:
         """Match all images; report and delete the hits.
 
@@ -221,13 +108,6 @@ class AbuseFilter:
         ``"abuse_filter"`` and its digest excluded from the sweep (and,
         via :meth:`AbuseFilterResult.is_clean`, from every later stage)
         instead of corrupting the batched hash kernel.
-
-        ``precomputed`` is a :class:`StreamMatcher` that already hashed
-        (and validated) the digests while the crawl streamed lane
-        completions: the sweep then consumes its per-digest hashes and
-        validation outcomes instead of recomputing, admitting streamed
-        poison to the ledger in canonical first-seen order — the result
-        and the ledger are bit-identical to a non-streaming sweep.
         """
         log = ReportLog()
         matched_digests: Set[str] = set()
@@ -241,39 +121,16 @@ class AbuseFilter:
         digests = list(representatives)
         quarantined_digests: Set[str] = set()
         if quarantine is not None:
-            if precomputed is not None and precomputed.validated:
-                # Replay the stream's per-digest validation outcomes in
-                # canonical order (validation is a pure per-raster
-                # function, so the outcomes are order-independent; only
-                # the ledger's admission order needs restoring here).
-                survivors = []
-                for digest in digests:
-                    exc = precomputed.poisoned.get(digest)
-                    if exc is None:
-                        survivors.append(digest)
-                        continue
-                    quarantine.admit(
-                        "abuse_filter",
-                        digest,
-                        exc,
-                        {"link_kind": representatives[digest].link.link_kind},
-                    )
-            else:
-                survivors = quarantine.filter_rasters(
-                    "abuse_filter",
-                    digests,
-                    ref=lambda d: d,
-                    raster=lambda d: representatives[d].image.pixels,
-                    context=lambda d: {"link_kind": representatives[d].link.link_kind},
-                )
+            survivors = quarantine.filter_rasters(
+                "abuse_filter",
+                digests,
+                ref=lambda d: d,
+                raster=lambda d: representatives[d].image.pixels,
+                context=lambda d: {"link_kind": representatives[d].link.link_kind},
+            )
             quarantined_digests = set(digests) - set(survivors)
             digests = survivors
-        if precomputed is not None:
-            hashes = precomputed.hashes_for_digests(
-                digests, lambda missing: self._hashes_for(representatives, missing)
-            )
-        else:
-            hashes = self._hashes_for(representatives, digests)
+        hashes = self._hashes_for(representatives, digests)
         matches = self._hashlist.match_hashes(hashes)
         match_by_digest: Dict[str, MatchResult] = dict(zip(digests, matches))
         hash_by_digest: Dict[str, int] = dict(zip(digests, hashes))

@@ -47,7 +47,7 @@ from ..web.checkpoint import CrawlCheckpoint
 from ..web.crawler import CrawlResult, CrawledImage, Crawler
 from ..web.internet import SimulatedInternet
 from ..web.retry import RetryPolicy
-from .abuse_filter import AbuseFilter, AbuseFilterResult, StreamMatcher
+from .abuse_filter import AbuseFilter, AbuseFilterResult
 from .quarantine import Quarantine
 from .stage_runner import StageFailure, StageOutcome, StageRunner
 from .actors import (
@@ -230,7 +230,6 @@ class EwhoringPipeline:
         checkpoint: Optional[Union[str, Path, CrawlCheckpoint]] = None,
         stage_hooks: Optional[Mapping[str, Callable[[], None]]] = None,
         telemetry: Optional[RunTelemetry] = None,
-        crawl_workers: Optional[int] = None,
         persist: Optional[object] = None,
     ) -> PipelineReport:
         """Execute the full measurement and return the report.
@@ -247,16 +246,6 @@ class EwhoringPipeline:
         values are always recorded while span tracing stays
         zero-cost-off.  The same object rides out on
         :attr:`PipelineReport.telemetry`.
-
-        ``crawl_workers`` switches the §4.2 crawl to the sharded
-        parallel executor (per-domain lanes, see
-        :mod:`repro.web.parallel`) **and** overlaps it with the abuse
-        filter's hash work: lane completions stream through a
-        :class:`~repro.core.abuse_filter.StreamMatcher` while later
-        lanes are still crawling.  Every measured quantity — the crawl
-        digest, the quarantine ledger, the deterministic telemetry view
-        — is bit-identical for any worker count (``None`` = the serial
-        loop).
 
         ``persist`` is a warm-memo bundle (duck-typed as
         :class:`~repro.store.incremental.PersistSession`) carrying the
@@ -284,8 +273,7 @@ class EwhoringPipeline:
             report = self._run_stages(
                 runner, tele, quarantine,
                 top_oracle, proof_oracle, annotate_n, train_fraction,
-                min_ce_posts, key_actor_top_n, checkpoint, crawl_workers,
-                persist,
+                min_ce_posts, key_actor_top_n, checkpoint, persist,
             )
         return report
 
@@ -302,7 +290,6 @@ class EwhoringPipeline:
         min_ce_posts: int,
         key_actor_top_n: int,
         checkpoint: Optional[Union[str, Path, CrawlCheckpoint]],
-        crawl_workers: Optional[int] = None,
         persist: Optional[object] = None,
     ) -> PipelineReport:
         """The stage chain, executed inside the ``pipeline.run`` span."""
@@ -347,30 +334,14 @@ class EwhoringPipeline:
                     persist.ingest_memo("url_crawl") if persist is not None else None
                 ),
             )
-            stream: Optional[StreamMatcher] = None
-            if crawl_workers is not None:
-                # Crawl→vision overlap: finished lanes stream their
-                # images through validation + batched hashing while
-                # later lanes are still crawling.  The sweep below
-                # consumes the precomputed results in canonical order.
-                stream = StreamMatcher(
-                    cache=self.vision_cache,
-                    validate=True,
-                    validation_memo=(
-                        persist.validation_memo if persist is not None else None
-                    ),
-                )
             result = crawler.crawl(
                 links.all_links,
                 checkpoint=checkpoint,
                 quarantine=quarantine,
                 stage="url_crawl",
                 tracer=tele.tracer,
-                workers=crawl_workers,
-                on_lane=stream.on_lane if stream is not None else None,
-                metrics=tele.metrics,
             )
-            return links, result, stream
+            return links, result
 
         crawl_out, _ = runner.run(
             "url_crawl",
@@ -378,9 +349,7 @@ class EwhoringPipeline:
             requires=("top_extraction",),
             context={"n_tops": len(tops) if tops is not None else 0},
         )
-        links, crawl, stream = (
-            crawl_out if crawl_out is not None else (None, None, None)
-        )
+        links, crawl = crawl_out if crawl_out is not None else (None, None)
 
         # ---- stage 3: abuse filter ----------------------------------
         def _stage_abuse():
@@ -394,7 +363,6 @@ class EwhoringPipeline:
                 crawl.all_images,
                 dataset=self.dataset,
                 quarantine=quarantine,
-                precomputed=stream,
             )
             clean_previews = [c for c in crawl.preview_images if abuse.is_clean(c)]
             clean_pack_images = [c for c in crawl.pack_images if abuse.is_clean(c)]

@@ -214,7 +214,7 @@ class Quarantine:
         return self.records[: max(0, n)]
 
     def merge(self, other: "Quarantine") -> None:
-        """Append another ledger's records (shard collection)."""
+        """Append another ledger's records."""
         self.records.extend(other.records)
 
     def as_dict(self) -> dict:

@@ -5,8 +5,8 @@ over a freshly built world.  Every decision is a pure hash of
 ``(seed, channel, epoch, entity)`` via
 :func:`~repro.web.faults.stable_uniform` — the same recipe as the
 transient-fault and payload-fault injectors — so drift is independent of
-iteration order, commutes with crawl retries, checkpointed resume and
-parallel lanes, and two builds of the same ``(world seed, drift seed,
+iteration order, commutes with crawl retries and checkpointed resume,
+and two builds of the same ``(world seed, drift seed,
 profile, epoch)`` are bit-identical.
 
 The engine mutates only what real adversaries control: hosted resources

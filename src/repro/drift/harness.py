@@ -10,9 +10,8 @@ epoch, defenses off vs on.
 
 Determinism: every ingredient — world build, drift engine, defenses
 (own seed stream), pipeline — is a pure function of ``(seed, profile,
-epochs, defenses, workers)``; ``workers`` only changes crawl
-scheduling, which is already bit-identical by construction.  The
-returned report is therefore reproducible to the byte.
+epochs, defenses)``.  The returned report is therefore reproducible to
+the byte.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ class DriftReport:
 def _run_epoch_pipeline(
     world,
     annotate_n: int,
-    workers: Optional[int],
     selection_fn=None,
     link_extractor=None,
     pretrained_classifier=None,
@@ -124,7 +122,6 @@ def _run_epoch_pipeline(
         annotate_n=annotate_n,
         key_actor_top_n=top_n,
         telemetry=telemetry,
-        crawl_workers=workers if workers is not None else world.config.crawl_workers,
     )
     return pipeline, report
 
@@ -135,7 +132,6 @@ def run_drift(
     seed: int = 7,
     scale: float = 0.02,
     defenses: Optional[DefenseConfig] = None,
-    workers: Optional[int] = None,
     annotate_n: int = 1000,
     fault_profile: Optional[str] = None,
     payload_profile: Optional[str] = None,
@@ -179,7 +175,6 @@ def run_drift(
                 drift_epoch=epoch,
                 fault_profile=fault_profile,
                 payload_profile=payload_profile,
-                crawl_workers=workers,
             )
             # Small worlds rarely reference hashlist-listed lineages from
             # TOP threads; the bench raises these rates (E3 precedent) so
@@ -217,7 +212,6 @@ def run_drift(
             pipeline, pipeline_report = _run_epoch_pipeline(
                 world,
                 annotate_n=annotate_n,
-                workers=workers,
                 selection_fn=selection_fn,
                 link_extractor=link_extractor,
                 pretrained_classifier=pretrained,

@@ -17,8 +17,7 @@ Five stages are measured:
 5. ``provenance`` — reverse-search matches vs indexed lineages queried.
 
 Every score is a pure function of ``(world, ledger, report)`` — no RNG,
-no wall clock — so decay curves are bit-identical across runs and
-worker counts.
+no wall clock — so decay curves are bit-identical across runs.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ instrument:
 All rates are *per epoch, per entity*; every decision in
 :mod:`repro.drift.engine` is a pure hash of ``(seed, channel, epoch,
 entity)`` (the :func:`repro.web.faults.stable_uniform` recipe), so drift
-commutes with retries, resume and parallel crawl lanes.
+commutes with retries and resume.
 """
 
 from __future__ import annotations

@@ -187,14 +187,12 @@ class ValidationMemo:
     """Digest-keyed memo of :func:`validate_raster` outcomes.
 
     Validation is a pure function of the raster, and every stage-level
-    boundary (abuse filter, NSFV, provenance, the streaming matcher)
-    validates with ``context = digest`` — so per digest the outcome
+    boundary (abuse filter, NSFV, provenance) validates with ``context = digest`` — so per digest the outcome
     *and the error message* are deterministic, and a warm run can skip
     both the raster render and the re-validation.  Entries are
     ``digest -> None`` (clean) or ``digest -> (error_type, message)``.
 
-    Thread-safe: the streaming matcher writes from the executor's
-    consumer thread while serial boundaries read.
+    Every access holds the memo's lock.
     """
 
     def __init__(self) -> None:

@@ -137,12 +137,6 @@ class RunTelemetry:
     #: are outside the bit-identity contract of :meth:`measurement_view`.
     WORK_METRIC_PREFIXES = ("vision_cache.", "store.", "internet.")
 
-    #: Exact metric names describing executor shape rather than the
-    #: world: ``crawl.lanes`` exists only when the sharded executor runs
-    #: (serial crawls never emit it), so it cannot be part of a contract
-    #: that holds across worker counts.
-    WORK_METRIC_NAMES = ("crawl.lanes",)
-
     def measurement_view(self) -> dict:
         """The run's *measured quantities*: the incremental-≡-cold contract.
 
@@ -158,7 +152,6 @@ class RunTelemetry:
             metric
             for metric in snapshot["metrics"]
             if not metric["name"].startswith(self.WORK_METRIC_PREFIXES)
-            and metric["name"] not in self.WORK_METRIC_NAMES
         ]
         return snapshot
 

@@ -220,8 +220,9 @@ def build_manifest(
     ``as_dict()`` snapshot protocol.
 
     ``executor`` is the crawl-executor shape of the run — a mapping with
-    ``executor``/``workers``/``cpu_count`` — recorded so manifests from
-    serial and parallel runs can be told apart; it is environment, not
+    ``executor``/``workers``/``cpu_count``.  The crawl is always serial,
+    so the first two are ``None``; the block stays so manifests written
+    by earlier versions keep the same keys.  It is environment, not
     measurement, so :func:`deterministic_manifest_view` drops it.
     """
     telemetry = getattr(report, "telemetry", None)

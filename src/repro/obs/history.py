@@ -52,14 +52,14 @@ class HistorySummary:
     n_records: Optional[int] = None
     n_quarantined: Optional[int] = None
     profiled: bool = False
-    #: Crawl executor shape of the run (``None`` = serial crawl): these
-    #: let ``repro obs runs|diff|regressions`` compare like with like
-    #: instead of silently mixing serial and parallel runs.  Older rows
-    #: may also hold ``"process"``.
+    #: Crawl executor shape of the run.  The crawl is always serial now,
+    #: so new runs record ``None``; rows from earlier versions may hold
+    #: ``"thread"``/``"process"`` and a worker count, which
+    #: ``repro obs runs|diff`` still display.
     executor: Optional[str] = None
     workers: Optional[int] = None
-    #: ``os.cpu_count()`` of the recording machine — a 1-core parallel
-    #: run regressing against a 16-core one is signal, not noise.
+    #: ``os.cpu_count()`` of the recording machine, so runs on different
+    #: machines are never compared blind.
     cpu_count: Optional[int] = None
     #: :func:`~repro.obs.profile.aggregate_spans` rows.
     spans: List[Dict[str, Any]] = field(default_factory=list)
@@ -93,12 +93,8 @@ def summarize_run(
     wall_seconds: Optional[float] = None,
     label: Optional[str] = None,
     created_unix: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> HistorySummary:
     """Condense a live :class:`~repro.obs.RunTelemetry` into history form.
-
-    ``workers`` is the crawl worker count (``None`` = serial); a
-    parallel run is recorded with the ``"thread"`` executor.
 
     Works for any tracer: with tracing off the span aggregates are
     empty but funnel and deterministic metrics are still recorded —
@@ -135,8 +131,6 @@ def summarize_run(
         n_records=_funnel_lookup(funnel, "images_downloaded"),
         n_quarantined=_funnel_lookup(funnel, "quarantined_records"),
         profiled=profiled,
-        executor="thread" if workers is not None else None,
-        workers=workers,
         cpu_count=os.cpu_count(),
         spans=span_rows,
         metrics=telemetry.deterministic_snapshot()["metrics"],

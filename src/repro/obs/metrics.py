@@ -55,10 +55,6 @@ def is_timing_metric(name: str) -> bool:
     return name.endswith("_seconds") or name.endswith(".seconds")
 
 
-#: Name suffixes of metrics whose values depend on the *runtime* — wall
-#: time or thread scheduling — rather than on the world seed.
-_RUNTIME_SUFFIXES = ("_queue_depth_peak", ".queue_depth_peak", "_inflight")
-
 #: Name prefixes reserved for runtime-only metrics.  ``profile.`` is the
 #: resource-profiler namespace (:mod:`repro.obs.profile`): CPU seconds,
 #: RSS, allocation deltas — environment measurements by definition, so
@@ -69,17 +65,10 @@ _RUNTIME_PREFIXES = ("profile.",)
 def is_runtime_metric(name: str) -> bool:
     """True for metrics excluded from deterministic views.
 
-    Covers :func:`is_timing_metric` (``*_seconds``) plus
-    scheduling-dependent gauges — streaming queue depths, in-flight
-    counts — whose values vary with worker count and thread
-    interleaving even on a fixed seed, plus the reserved ``profile.``
-    namespace of the resource profiler.
+    Covers :func:`is_timing_metric` (``*_seconds``) plus the reserved
+    ``profile.`` namespace of the resource profiler.
     """
-    return (
-        is_timing_metric(name)
-        or name.endswith(_RUNTIME_SUFFIXES)
-        or name.startswith(_RUNTIME_PREFIXES)
-    )
+    return is_timing_metric(name) or name.startswith(_RUNTIME_PREFIXES)
 
 
 def _labels_key(labels: Mapping[str, Any]) -> LabelsKey:
@@ -233,12 +222,10 @@ class MetricsRegistry:
         ]
 
     def deterministic_snapshot(self) -> List[dict]:
-        """The snapshot minus runtime metrics (timing + queue depths).
+        """The snapshot minus runtime metrics (timing + profiler).
 
-        Two runs over the same seed — at *any* crawl worker count —
-        must agree on this view exactly; the property tests of
-        ``tests/test_obs_pipeline.py`` and
-        ``tests/test_parallel_crawl.py``.
+        Two runs over the same seed must agree on this view exactly;
+        the property tests of ``tests/test_obs_pipeline.py``.
         """
         return [m for m in self.snapshot() if not is_runtime_metric(m["name"])]
 

@@ -129,7 +129,6 @@ def run_incremental(
     config: Optional[WorldConfig] = None,
     annotate_n: int = 1000,
     strict: bool = True,
-    workers: Optional[int] = None,
     telemetry: Optional[RunTelemetry] = None,
     **config_overrides,
 ) -> IncrementalResult:
@@ -223,7 +222,6 @@ def run_incremental(
                 annotate_n=annotate_n,
                 strict=strict,
                 telemetry=tele,
-                workers=workers,
                 vision_cache=session.cache,
                 persist=session,
             )
@@ -269,7 +267,6 @@ def run_incremental(
                 epoch=effective_epoch,
                 wall_seconds=time.perf_counter() - wall_start,
                 label=f"epoch {effective_epoch}/{cfg.epoch_total}",
-                workers=workers if workers is not None else cfg.crawl_workers,
             )
             history_id = record_history(run_store, summary, run_id=run_id)
             kill_point("store.history.recorded")

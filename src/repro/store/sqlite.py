@@ -56,11 +56,8 @@ __all__ = ["RunStore", "config_fingerprint"]
 _SCHEMA_VERSION = 1
 
 #: WorldConfig fields excluded from the identity fingerprint: the epoch
-#: is the watermark axis (it *varies* across runs of one store), and the
-#: worker count is a pure throughput knob that provably cannot change
-#: any measurement (parallel crawls are bit-identical to serial), so
-#: serial and parallel runs may share one store.
-_FINGERPRINT_EXCLUDED = ("epoch", "crawl_workers")
+#: is the watermark axis (it *varies* across runs of one store).
+_FINGERPRINT_EXCLUDED = ("epoch",)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -247,7 +244,7 @@ def config_fingerprint(config) -> str:
     Two runs share a store iff their fingerprints match: same seed,
     scale, fault/payload/drift profiles and rates.  The observation
     ``epoch`` is deliberately excluded (it is the watermark, not the
-    identity) and so is ``crawl_workers`` (bit-identical by PR 5).
+    identity).
     """
     payload = asdict(config)
     for excluded in _FINGERPRINT_EXCLUDED:

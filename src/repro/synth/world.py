@@ -98,11 +98,6 @@ class WorldConfig:
     #: never mutated — and uses its own seed stream, so world *content*
     #: is identical across profiles.
     payload_profile: Optional[str] = None
-    #: Default worker count for the §4.2 crawl: ``None`` runs the serial
-    #: loop, ``N >= 1`` the sharded executor of :mod:`repro.web.parallel`
-    #: (bit-identical results either way — a pure throughput knob that
-    #: perturbs neither world content nor any measurement).
-    crawl_workers: Optional[int] = None
     #: Named adversarial-drift profile (see :data:`repro.drift.profiles.
     #: DRIFT_PROFILES`) applied to the freshly built world, or ``None``
     #: (≡ ``"none"``) for the static paper-world.  Drift mutations are a
@@ -128,8 +123,6 @@ class WorldConfig:
     def __post_init__(self) -> None:
         if self.scale <= 0 or self.scale > 2.0:
             raise ValueError("scale must be in (0, 2]")
-        if self.crawl_workers is not None and self.crawl_workers < 1:
-            raise ValueError("crawl_workers must be >= 1 or None")
         if self.fault_profile is not None:
             fault_profile(self.fault_profile)  # validate the name eagerly
         if self.payload_profile is not None:

@@ -17,8 +17,7 @@ across all stages**.  Hit/miss/evict counters are exposed through
 :meth:`VisionCache.stats` and surfaced in the pipeline report and CLI.
 
 The cache is bounded (LRU per digest) so corpus-scale runs cannot grow
-it without limit, and thread-safe so future parallel stages can share
-one instance.
+it without limit, and a lock guards every access.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from .crawler import (
     ShardState,
     content_digest,
 )
-from .parallel import Lane, ReorderBuffer, crawl_sharded, partition_lanes
 from .faults import (
     FAULT_PROFILES,
     DomainFaultSpec,
@@ -85,7 +84,6 @@ __all__ = [
     "HostedResource",
     "HostingService",
     "IMAGE_SHARING_SERVICES",
-    "Lane",
     "LinkAttempt",
     "LinkAttemptLog",
     "LinkOutcome",
@@ -95,7 +93,6 @@ __all__ = [
     "PayloadFaultInjector",
     "PayloadFaultProfile",
     "PayloadFaultSpec",
-    "ReorderBuffer",
     "RetryPolicy",
     "ScriptedFaultInjector",
     "ServiceKind",
@@ -108,12 +105,10 @@ __all__ = [
     "all_services",
     "content_digest",
     "corrupt_raster",
-    "crawl_sharded",
     "extract_urls",
     "fault_profile",
     "link_key",
     "normalize_url",
-    "partition_lanes",
     "payload_profile",
     "registrable_domain",
     "service_by_domain",

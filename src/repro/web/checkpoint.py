@@ -87,11 +87,10 @@ class CrawlCheckpoint:
     clock: float = 0.0
     #: Retries spent against the crawl's retry budget.
     budget_spent: int = 0
-    #: Per-domain virtual clocks, seconds.  Domain-scoped so a crawl
-    #: interrupted under any worker count resumes under any other —
-    #: serial and sharded checkpoints share this wire format.  Older
-    #: checkpoints without the field fall back to :attr:`clock` for
-    #: every domain.
+    #: Per-domain virtual clocks, seconds.  Domain-scoped, so checkpoints
+    #: written by the per-domain parallel crawls of earlier versions
+    #: still resume.  Older checkpoints without the field fall back to
+    #: :attr:`clock` for every domain.
     domain_clocks: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------

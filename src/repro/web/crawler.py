@@ -28,9 +28,10 @@ The virtual clock is **domain-scoped**: each domain advances its own
 clock by the attempt costs and backoff delays of *its* links, and
 breaker cooldowns are measured against it.  Because retry state,
 breakers and clocks are all per-domain, the resolution of a link
-depends only on its domain's state and ``(url, attempt)`` — which is
-what makes the sharded executor in :mod:`repro.web.parallel`
-bit-identical to this serial loop for any worker count.
+depends only on its domain's state and ``(url, attempt)``.  So a
+checkpoint whose settled links are not a prefix of the link order —
+as written by the per-domain parallel crawls of earlier versions —
+still resumes to the uninterrupted result.
 
 With no fault injector installed every fetch settles on its first
 attempt and the crawler behaves exactly like the pre-fault version.
@@ -102,8 +103,7 @@ class IngestMemo:
     byte-identical quarantine record.
 
     Entries are ``key -> ("ok", digest)`` or ``key -> ("err",
-    error_type, message)``.  Thread-safe: sharded crawls ingest from
-    worker threads.
+    error_type, message)``.  Every access holds the memo's lock.
     """
 
     def __init__(self) -> None:
@@ -246,8 +246,7 @@ class CrawlStats:
 
     ``by_status``/``by_domain`` count each link once, under its *final*
     status; the retry-layer counters account for the transient events on
-    the way there.  :meth:`merge` combines shard stats for future
-    distributed crawls.
+    the way there.
     """
 
     n_links: int = 0
@@ -275,25 +274,6 @@ class CrawlStats:
     @property
     def n_ok(self) -> int:
         return self.count(FetchStatus.OK)
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "CrawlStats") -> "CrawlStats":
-        """A new :class:`CrawlStats` combining two shards' counters."""
-        merged = CrawlStats(
-            n_links=self.n_links + other.n_links,
-            n_retries=self.n_retries + other.n_retries,
-            n_giveups=self.n_giveups + other.n_giveups,
-            n_breaker_skips=self.n_breaker_skips + other.n_breaker_skips,
-            n_transient_faults=self.n_transient_faults + other.n_transient_faults,
-            n_redirect_hops=self.n_redirect_hops + other.n_redirect_hops,
-        )
-        for source in (self.by_status, other.by_status):
-            for status, count in source.items():
-                merged.by_status[status] = merged.by_status.get(status, 0) + count
-        for source in (self.by_domain, other.by_domain):
-            for domain, count in source.items():
-                merged.by_domain[domain] = merged.by_domain.get(domain, 0) + count
-        return merged
 
     # -- checkpoint serialization --------------------------------------
     def to_dict(self) -> dict:
@@ -345,14 +325,13 @@ class CrawlStats:
 
 @dataclass
 class ShardState:
-    """Mutable crawl state for one shard (or a whole serial crawl).
+    """Mutable state of one crawl.
 
     Everything a link's resolution can read or write lives here: the
     outcome counters, the per-domain circuit breakers, the per-domain
-    virtual clocks, and the running retry-budget spend.  A serial crawl
-    owns one :class:`ShardState` covering every domain; the sharded
-    executor gives each lane its own, restricted to the lane's domain,
-    and merges them afterwards.
+    virtual clocks, and the running retry-budget spend.  It is restored
+    from a checkpoint by :meth:`Crawler.restore_state` and written back
+    by :meth:`Crawler.sync_checkpoint`.
     """
 
     stats: CrawlStats = field(default_factory=CrawlStats)
@@ -372,26 +351,17 @@ class ShardState:
 class LinkOutcome:
     """Everything one resolved link occurrence contributed to a crawl.
 
-    The unit of the deterministic merge: the sharded executor collects
-    lane outcomes and reassembles them in ``index`` order, reproducing
-    the serial crawl's accumulator contents exactly.
+    :meth:`Crawler.resolve_links` yields one per link occurrence;
+    :meth:`Crawler.crawl` appends it to the result accumulators and
+    writes its checkpoint entry.
     """
 
-    #: Global position of the link in the crawl's link sequence.
-    index: int
-    domain: str
-    final_status: FetchStatus
-    #: True when the outcome was replayed from a checkpoint (stats for
-    #: it are already counted in the checkpointed :class:`CrawlStats`).
-    replayed: bool
     preview_images: List[CrawledImage] = field(default_factory=list)
     pack_images: List[CrawledImage] = field(default_factory=list)
-    #: Packs first claimed at this link (deduplicated within the
-    #: resolving shard; the merge re-deduplicates globally).
+    #: Packs first claimed at this link (deduplicated within one
+    #: :meth:`Crawler.resolve_links` call).
     packs: List[Pack] = field(default_factory=list)
     log: Optional[LinkAttemptLog] = None
-    #: Ledger records admitted while ingesting this link's payloads.
-    quarantined: List["QuarantineRecord"] = field(default_factory=list)
     #: Checkpoint key for this occurrence ("" when not checkpointing).
     key: str = ""
     #: Newly settled checkpoint entry (``None`` for replays or when not
@@ -526,9 +496,6 @@ class Crawler:
         quarantine: Optional["Quarantine"] = None,
         stage: str = "url_crawl",
         tracer=None,
-        workers: Optional[int] = None,
-        on_lane=None,
-        metrics=None,
     ) -> CrawlResult:
         """Crawl all links; OK images are downloaded, OK packs unpacked.
 
@@ -556,34 +523,7 @@ class Crawler:
         attempt count, carrying the retry/backoff/breaker events of its
         resolution — plus ``crawl.replay`` events for links settled from
         the checkpoint.
-
-        ``workers`` switches to the sharded parallel executor
-        (:func:`repro.web.parallel.crawl_sharded`): links are
-        partitioned into per-domain lanes run on a thread pool and
-        merged in canonical order, producing a result — and a
-        checkpoint — **bit-identical** to this serial loop for any
-        worker count.  ``on_lane`` (parallel mode only) streams each
-        finished lane's result, in deterministic lane order, into a
-        downstream consumer before the whole crawl finishes.
         """
-        if workers is not None:
-            from .parallel import crawl_sharded
-
-            return crawl_sharded(
-                self,
-                links,
-                workers=workers,
-                checkpoint=checkpoint,
-                checkpoint_every=checkpoint_every,
-                quarantine=quarantine,
-                stage=stage,
-                tracer=tracer,
-                on_lane=on_lane,
-                metrics=metrics,
-            )
-        if on_lane is not None:
-            raise ValueError("on_lane streaming requires the sharded executor "
-                             "(pass workers=N)")
         tracer = tracer if tracer is not None else NULL_TRACER
         if quarantine is None:
             from ..core.quarantine import Quarantine
@@ -609,7 +549,7 @@ class Crawler:
 
         try:
             for outcome in self.resolve_links(
-                enumerate(links), state, completed=completed,
+                links, state, completed=completed,
                 quarantine=quarantine, stage=stage, tracer=tracer,
             ):
                 preview_images.extend(outcome.preview_images)
@@ -677,7 +617,7 @@ class Crawler:
 
     @staticmethod
     def sync_checkpoint(ckpt: CrawlCheckpoint, state: ShardState) -> None:
-        """Snapshot shard state into the checkpoint's serialized fields."""
+        """Snapshot crawl state into the checkpoint's serialized fields."""
         ckpt.stats = state.stats.to_dict()
         ckpt.breakers = state.breakers.snapshot()
         ckpt.domain_clocks = dict(state.clocks)
@@ -687,7 +627,7 @@ class Crawler:
     # ------------------------------------------------------------------
     def resolve_links(
         self,
-        indexed_links: Iterable[Tuple[int, LinkRecord]],
+        links: Iterable[LinkRecord],
         state: ShardState,
         *,
         completed: Optional[Mapping[str, dict]] = None,
@@ -697,10 +637,9 @@ class Crawler:
     ) -> Iterator[LinkOutcome]:
         """Resolve link occurrences in order, yielding one outcome each.
 
-        The shared resolution engine of the serial crawl and of every
-        lane of the sharded executor: replay-or-fetch, retry policy,
-        breaker discipline, ingest/quarantine boundary, and per-shard
-        pack deduplication all happen here, against the caller's
+        The crawl's resolution engine: replay-or-fetch, retry policy,
+        breaker discipline, ingest/quarantine boundary, and pack
+        deduplication all happen here, against the caller's
         :class:`ShardState`.
 
         ``completed`` is a read-only view of already-settled checkpoint
@@ -708,31 +647,23 @@ class Crawler:
         :attr:`LinkOutcome.entry` — writing them into a checkpoint (and
         deciding when to save) is the caller's job.
 
-        Occurrence indices are counted per URL *within this call*;
-        because a URL belongs to exactly one domain, a per-domain lane's
-        local count equals the serial crawl's global one.
+        Occurrence indices are counted per URL *within this call*.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         occurrences: Dict[str, int] = {}
         seen_pack_ids: Dict[int, None] = {}
 
-        for index, link in indexed_links:
+        for link in links:
             url_str = str(link.url)
             host = link.url.host
             occurrence = occurrences.get(url_str, 0)
             occurrences[url_str] = occurrence + 1
             key = link_key(url_str, occurrence) if completed is not None else ""
 
-            outcome = LinkOutcome(
-                index=index, domain=host,
-                final_status=FetchStatus.OK, replayed=False, key=key,
-            )
-            q_start = len(quarantine.records)
+            outcome = LinkOutcome(key=key)
             entry = completed.get(key) if completed is not None else None
             if entry is not None:
                 tracer.event("crawl.replay", domain=host, status=entry["status"])
-                outcome.replayed = True
-                outcome.final_status = FetchStatus(entry["status"])
                 outcome.log = self._replay(
                     link, entry, outcome.preview_images, outcome.pack_images,
                     outcome.packs, seen_pack_ids, quarantine, stage,
@@ -756,7 +687,6 @@ class Crawler:
                             outcome.pack_images, outcome.packs,
                             seen_pack_ids, quarantine, stage,
                         )
-                outcome.final_status = final_status
                 outcome.log = log
                 if completed is not None:
                     new_entry: dict = {
@@ -766,7 +696,6 @@ class Crawler:
                     if log is not None:
                         new_entry["log"] = log.to_dict()
                     outcome.entry = new_entry
-            outcome.quarantined = list(quarantine.records[q_start:])
             yield outcome
 
     # ------------------------------------------------------------------

@@ -175,8 +175,8 @@ class SimulatedInternet:
         # Lifetime fetch accounting (telemetry).  Cumulative over the
         # internet's lifetime; per-run consumers (the pipeline's metric
         # mirror) difference ``n_fetch_calls`` around their run.  The
-        # lock keeps the counters exact when crawl lanes fetch
-        # concurrently (fetch itself is read-only beyond them).
+        # lock keeps the counters exact under concurrent fetches (fetch
+        # itself is read-only beyond them).
         self._accounting_lock = threading.Lock()
         self._n_fetch_calls = 0
         self._n_injected_faults = 0

@@ -267,7 +267,7 @@ class PayloadFaultInjector:
         self.by_kind: Dict[str, int] = {}
         # Injection *decisions* are pure functions of (seed, url) so the
         # injector is logically stateless, but the event counters are
-        # shared mutable state once crawl lanes fetch concurrently.
+        # shared mutable state, guarded for concurrent fetches.
         self._count_lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -232,25 +232,6 @@ class BreakerBoard:
             "states": dict(sorted(self.states().items())),
         }
 
-    def merge(self, other: "BreakerBoard") -> "BreakerBoard":
-        """A new board combining two shards' per-domain breakers.
-
-        Domains are expected to be disjoint (each crawl lane owns every
-        breaker of its domain); when both boards carry the same domain
-        the *other* board's breaker wins, matching "later shard state
-        supersedes earlier".  Insertion order is self's domains followed
-        by other's new domains, so merging lanes in lane order preserves
-        the serial first-appearance ordering.
-        """
-        merged = BreakerBoard(
-            failure_threshold=self.failure_threshold, cooldown=self.cooldown
-        )
-        for domain, breaker in self._breakers.items():
-            merged._breakers[domain] = breaker
-        for domain, breaker in other._breakers.items():
-            merged._breakers[domain] = breaker
-        return merged
-
     # -- checkpoint serialization --------------------------------------
     def snapshot(self) -> dict:
         """JSON-serializable state of every breaker."""

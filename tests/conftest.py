@@ -25,13 +25,6 @@ TEST_SEED = 7
 #: payload, so the suite must still pass.
 PAYLOAD_PROFILE = os.environ.get("REPRO_TEST_PAYLOAD_PROFILE") or None
 
-#: CI parallel leg: set REPRO_TEST_CRAWL_WORKERS=4 to run every shared
-#: pipeline crawl through the sharded executor with crawl→vision
-#: streaming (bit-identical to serial, so the whole suite must pass
-#: unchanged for any worker count).
-_workers = os.environ.get("REPRO_TEST_CRAWL_WORKERS")
-CRAWL_WORKERS = int(_workers) if _workers else None
-
 
 @pytest.fixture(scope="session")
 def world():
@@ -45,7 +38,6 @@ def world():
             underage_rate=0.30,
             hashlist_rate=0.5,
             payload_profile=PAYLOAD_PROFILE,
-            crawl_workers=CRAWL_WORKERS,
         )
     )
 

@@ -16,9 +16,6 @@ Two legs:
 * ``--mode crawl`` — a checkpointed crawl is killed around checkpoint
   saves and atomic replaces; the checkpoint file must stay loadable
   (never torn) and the resumed run must equal an uninterrupted one.
-
-Set ``REPRO_CHAOS_TEST_WORKERS=<n>`` to push the whole matrix through
-the sharded parallel crawler (the CI chaos leg runs 1 and 4).
 """
 
 import json
@@ -63,17 +60,9 @@ SITE_MAX_HITS = {site: 1 if site.startswith("store.") else 3 for site in KILL_SI
 STORE_SITES = tuple(s for s in KILL_SITES if s.startswith("store."))
 CRAWL_SITES = tuple(s for s in KILL_SITES if not s.startswith("store."))
 
-#: Optional worker-count override so CI can push the same matrix
-#: through the sharded parallel crawler.
-WORKERS = os.environ.get("REPRO_CHAOS_TEST_WORKERS")
-
-
 def driver_cmd(*args):
-    cmd = [sys.executable, "-m", "repro.chaos.driver", "--seed", str(SEED),
-           "--scale", str(SCALE), *args]
-    if WORKERS:
-        cmd += ["--workers", WORKERS]
-    return cmd
+    return [sys.executable, "-m", "repro.chaos.driver", "--seed", str(SEED),
+            "--scale", str(SCALE), *args]
 
 
 def run_driver(args, chaos_site=None, cwd=None):

@@ -150,6 +150,17 @@ class TestStoreRoundTrip:
         assert by_name["nsfv.rate"]["value"] == pytest.approx(0.25)
         store.close()
 
+    def test_legacy_parallel_row_still_displays(self, tmp_path, capsys):
+        # Earlier versions recorded parallel crawls as executor/workers.
+        path = tmp_path / "s.sqlite"
+        with RunStore(path) as store:
+            record_history(store, _summary(executor="thread", workers=2))
+            record_history(store, _summary())
+        assert main(["obs", "runs", "--store", str(path)]) == 0
+        assert "thread/2" in capsys.readouterr().out
+        assert main(["obs", "diff", "1", "2", "--store", str(path)]) == 0
+        assert "#1 thread/2" in capsys.readouterr().out
+
     def test_incremental_run_records_history(self, tmp_path):
         result = run_incremental(
             tmp_path / "s.sqlite", epoch=1, annotate_n=200, **WORLD

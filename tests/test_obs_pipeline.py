@@ -221,6 +221,16 @@ class TestDeterminism:
         assert report_a.n_nsfv_previews == report_b.n_nsfv_previews
         assert report_a.earnings.total_usd == report_b.earnings.total_usd
 
+    def test_ignored_workers_argument_changes_nothing(self):
+        # benchmarks/e2e/worker.py still passes workers=2 to run_pipeline.
+        report_a, tele_a = _run(_small_world())
+        tele_b = RunTelemetry()
+        report_b = run_pipeline(
+            _small_world(), annotate_n=SMALL_ANNOTATE, telemetry=tele_b, workers=2
+        )
+        assert report_b.crawl.digest() == report_a.crawl.digest()
+        assert tele_b.measurement_view() == tele_a.measurement_view()
+
     def test_span_structure_is_seed_deterministic(self):
         _, tele_a = _run(_small_world(), tracer=Tracer())
         _, tele_b = _run(_small_world(), tracer=Tracer())

@@ -44,14 +44,13 @@ def _small_world(**overrides):
     return build_world(**kwargs)
 
 
-def _run(world, tracer=None, workers=None):
+def _run(world, tracer=None):
     telemetry = RunTelemetry(tracer=tracer)
     try:
         report = run_pipeline(
             world,
             annotate_n=SMALL_ANNOTATE,
             telemetry=telemetry,
-            workers=workers,
         )
     finally:
         if tracer is not None and getattr(tracer, "profiled", False):
@@ -204,26 +203,19 @@ class TestAggregateSpans:
 class TestObserverPurity:
     """Profiling must not perturb the measurement — property-tested."""
 
-    @pytest.mark.parametrize("workers", [None, 4])
     @pytest.mark.parametrize(
         "fault_profile,payload_profile",
         [(None, None), ("flaky", "dirty")],
     )
-    def test_profiled_run_bit_identical(
-        self, workers, fault_profile, payload_profile
-    ):
+    def test_profiled_run_bit_identical(self, fault_profile, payload_profile):
         overrides = {}
         if fault_profile:
             overrides["fault_profile"] = fault_profile
         if payload_profile:
             overrides["payload_profile"] = payload_profile
-        report_off, tele_off = _run(
-            _small_world(**overrides), tracer=None, workers=workers
-        )
+        report_off, tele_off = _run(_small_world(**overrides), tracer=None)
         report_prof, tele_prof = _run(
-            _small_world(**overrides),
-            tracer=_profiler(allocations=True),
-            workers=workers,
+            _small_world(**overrides), tracer=_profiler(allocations=True)
         )
         assert report_off.crawl.digest() == report_prof.crawl.digest()
         assert tele_off.measurement_view() == tele_prof.measurement_view()

@@ -42,15 +42,12 @@ def ledger(result):
     return [r.to_dict() for r in result.report.quarantine.records]
 
 
-def run_epochs(tmp_path, name, epochs, workers=None, **overrides):
+def run_epochs(tmp_path, name, epochs, **overrides):
     cfg = {**WORLD_KW, **overrides}
     path = tmp_path / f"{name}.sqlite"
     result = None
     for epoch in epochs:
-        kwargs = dict(cfg)
-        if workers is not None and epoch == epochs[-1]:
-            kwargs["workers"] = workers
-        result = run_incremental(path, epoch=epoch, **kwargs)
+        result = run_incremental(path, epoch=epoch, **cfg)
     return result
 
 
@@ -66,10 +63,9 @@ class TestIncrementalEqualsCold:
         ],
         ids=["clean", "payload-hostile", "fault-flaky", "drift", "fault+payload"],
     )
-    @pytest.mark.parametrize("workers", [None, 4], ids=["serial", "workers4"])
-    def test_epochs_1_to_3_equal_cold_union(self, tmp_path, overrides, workers):
+    def test_epochs_1_to_3_equal_cold_union(self, tmp_path, overrides):
         cold = run_epochs(tmp_path, "cold", [3], **overrides)
-        inc = run_epochs(tmp_path, "inc", [1, 2, 3], workers=workers, **overrides)
+        inc = run_epochs(tmp_path, "inc", [1, 2, 3], **overrides)
         assert inc.crawl_digest == cold.crawl_digest
         assert ledger(inc) == ledger(cold)
         assert inc.measurement == cold.measurement

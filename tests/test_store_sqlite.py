@@ -86,14 +86,14 @@ class TestBindConfig:
         store.bind_config(cfg)
         store.bind_config(cfg)  # idempotent
 
-    def test_epoch_and_workers_are_not_identity(self, store):
+    def test_epoch_is_not_identity(self, store):
         from dataclasses import replace
 
         cfg = WorldConfig(seed=7, scale=0.01, epoch_total=3)
         store.bind_config(cfg)
-        store.bind_config(replace(cfg, epoch=2, crawl_workers=4))
+        store.bind_config(replace(cfg, epoch=2))
         assert config_fingerprint(cfg) == config_fingerprint(
-            replace(cfg, epoch=1, crawl_workers=8)
+            replace(cfg, epoch=1)
         )
 
     def test_different_world_refused(self, store):

@@ -133,6 +133,27 @@ class TestResumeEquivalence:
         finally:
             net.set_fault_injector(None)
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_resume_from_non_prefix_checkpoint(self, arena, profile):
+        """Settled links need not be a prefix of the link order: the
+        per-domain parallel crawls of earlier versions checkpointed whole
+        domains out of order, and those checkpoints must still resume."""
+        net, links = arena
+        set_profile(net, profile)
+        try:
+            baseline = crawler_for(net).crawl(links)
+            ckpt = CrawlCheckpoint()
+            crawler_for(net).crawl(
+                [link for link in links if link.url.host != "dead.com"],
+                checkpoint=ckpt,
+            )
+            resumed = crawler_for(net).crawl(links, checkpoint=ckpt)
+            assert resumed.digest() == baseline.digest()
+            assert resumed.stats == baseline.stats
+            assert resumed.attempt_logs == baseline.attempt_logs
+        finally:
+            net.set_fault_injector(None)
+
     def test_resume_is_idempotent(self, arena):
         """Crawling a completed checkpoint again changes nothing."""
         net, links = arena

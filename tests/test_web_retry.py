@@ -254,34 +254,6 @@ class TestCrawlerRetries:
 
 
 class TestCrawlStats:
-    def test_merge_sums_everything(self):
-        a = CrawlStats(
-            n_links=3,
-            by_status={FetchStatus.OK: 2, FetchStatus.NOT_FOUND: 1},
-            by_domain={"a.com": 3},
-            n_retries=2,
-            n_giveups=1,
-            n_transient_faults=3,
-        )
-        b = CrawlStats(
-            n_links=2,
-            by_status={FetchStatus.OK: 1, FetchStatus.TIMEOUT: 1},
-            by_domain={"a.com": 1, "b.com": 1},
-            n_breaker_skips=1,
-        )
-        merged = a.merge(b)
-        assert merged.n_links == 5
-        assert merged.by_status[FetchStatus.OK] == 3
-        assert merged.by_status[FetchStatus.NOT_FOUND] == 1
-        assert merged.by_status[FetchStatus.TIMEOUT] == 1
-        assert merged.by_domain == {"a.com": 4, "b.com": 1}
-        assert merged.n_retries == 2
-        assert merged.n_giveups == 1
-        assert merged.n_breaker_skips == 1
-        assert merged.n_transient_faults == 3
-        # merge() does not mutate its operands
-        assert a.n_links == 3 and b.n_links == 2
-
     def test_serialization_round_trip(self):
         stats = CrawlStats(
             n_links=4,
