@@ -1,24 +1,29 @@
-"""Shared helpers for benchmark modules (importable, unlike conftest)."""
+"""Shared helpers for benchmark modules (importable, unlike conftest).
+
+A bench with pass/fail gates writes one record, ``results/BENCH_<x>.json``
+(:func:`write_result_json`), stamped with the fingerprint of the machine
+that measured it, and prints its table.  A paper-shape bench has no
+record; its table is the result, written to ``results/<name>.txt``
+(:func:`write_result_text`).
+"""
 
 from __future__ import annotations
 
-import json
 import os
-import time
+import sys
 from pathlib import Path
 from typing import Any
 
 from repro.atomicio import atomic_write_json, atomic_write_text
 
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+
+from run import fingerprint  # noqa: E402
+
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "11"))
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Append-only cross-run log of every JSON bench result; ``repro obs
-#: ingest-bench`` folds it into a store's ``bench_results`` table so
-#: performance trends survive CI artifact expiry (DESIGN.md §14).
-TRAJECTORY_PATH = RESULTS_DIR / "TRAJECTORY.jsonl"
 
 
 def scale_note() -> str:
@@ -26,44 +31,30 @@ def scale_note() -> str:
     return f"(seed={BENCH_SEED}, scale={BENCH_SCALE} of paper population)"
 
 
+def print_table(name: str, text: str) -> None:
+    """Print a result table under its name (visible with ``pytest -s``)."""
+    print(f"\n=== {name} ===\n{text}")
+
+
 def write_result_text(name: str, text: str) -> Path:
     """Atomically write ``results/<name>.txt`` (DESIGN.md §13).
 
     Routed through :func:`repro.atomicio.atomic_write_text` so an
     interrupted benchmark run leaves the previous complete artifact,
-    never a torn one — CI uploads these files directly.
+    never a torn one.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     return atomic_write_text(RESULTS_DIR / f"{name}.txt", text + "\n")
 
 
-def write_result_json(name: str, payload: Any, **dumps_kwargs: Any) -> Path:
-    """Atomically write ``results/<name>.json`` and append to the trajectory."""
+def write_result_json(name: str, payload: dict, **dumps_kwargs: Any) -> Path:
+    """Atomically write ``results/<name>.json`` with a machine fingerprint.
+
+    The ``fingerprint`` block is the one the end-to-end benchmark puts
+    in its records (``benchmarks/e2e/run.py``), so numbers from
+    different machines are never compared blind.
+    """
     dumps_kwargs.setdefault("indent", 2)
     RESULTS_DIR.mkdir(exist_ok=True)
-    path = atomic_write_json(RESULTS_DIR / f"{name}.json", payload, **dumps_kwargs)
-    append_trajectory(name, payload)
-    return path
-
-
-def append_trajectory(name: str, payload: Any, recorded_unix: float = None) -> Path:
-    """Append one ``{name, recorded_unix, payload}`` line to TRAJECTORY.jsonl.
-
-    Read-modify-rewrite through the atomic-replace path: a kill mid-append
-    leaves the previous complete trajectory, never a torn tail line.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    existing = (
-        TRAJECTORY_PATH.read_text(encoding="utf-8")
-        if TRAJECTORY_PATH.exists()
-        else ""
-    )
-    if existing and not existing.endswith("\n"):
-        existing += "\n"
-    entry = {
-        "name": name,
-        "recorded_unix": time.time() if recorded_unix is None else recorded_unix,
-        "payload": payload,
-    }
-    line = json.dumps(entry, sort_keys=True, default=str)
-    return atomic_write_text(TRAJECTORY_PATH, existing + line + "\n")
+    record = {**payload, "fingerprint": fingerprint()}
+    return atomic_write_json(RESULTS_DIR / f"{name}.json", record, **dumps_kwargs)

@@ -14,8 +14,8 @@ Two questions, one gate each:
    determinism contract, also property-tested at unit scale in
    ``tests/test_obs_pipeline.py``).
 
-Emits ``benchmarks/results/BENCH_telemetry.json`` (CI artifact) plus
-the human-readable table.
+Writes ``benchmarks/results/BENCH_telemetry.json`` (CI artifact) and
+prints the human-readable table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,13 @@ import time
 from repro import run_pipeline
 from repro.obs import ProfilingTracer, RunTelemetry, Tracer
 
-from _common import BENCH_SCALE, BENCH_SEED, scale_note, write_result_json
+from _common import (
+    BENCH_SCALE,
+    BENCH_SEED,
+    print_table,
+    scale_note,
+    write_result_json,
+)
 
 
 REPEATS = 3
@@ -47,7 +53,7 @@ def _timed_run(world, tracer):
     return time.perf_counter() - start, telemetry
 
 
-def test_o1_telemetry_overhead(bench_world, benchmark, emit):
+def test_o1_telemetry_overhead(bench_world, benchmark):
     # Warm-up (caches, lazy imports) before any timed round, then
     # *interleave* traced/untraced rounds so drift in shared world
     # state cannot bias either side; take the best of each.
@@ -110,7 +116,7 @@ def test_o1_telemetry_overhead(bench_world, benchmark, emit):
     ]
     for row in tele_on.funnel():
         lines.append(f"  {row['stage']:<22} {row['count']}")
-    emit("BENCH_telemetry", "\n".join(lines))
+    print_table("BENCH_telemetry", "\n".join(lines))
 
     # Acceptance gates.
     assert deterministic, (
@@ -124,7 +130,7 @@ def test_o1_telemetry_overhead(bench_world, benchmark, emit):
     assert n_spans > 0 and tele_on.tracing_enabled
 
 
-def test_o1_profiler_disabled_overhead(bench_world, benchmark, emit):
+def test_o1_profiler_disabled_overhead(bench_world, benchmark):
     """Profiling OFF must cost < 1% — including after a profiler ran.
 
     The "after" rounds run once a :class:`ProfilingTracer` (allocation
@@ -197,7 +203,7 @@ def test_o1_profiler_disabled_overhead(bench_world, benchmark, emit):
     }
     write_result_json("BENCH_profiler", payload)
 
-    emit(
+    print_table(
         "BENCH_profiler",
         "\n".join(
             [

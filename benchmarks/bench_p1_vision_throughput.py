@@ -1,6 +1,6 @@
 """P1 — vision throughput: batched hashing vs the seed scalar loop.
 
-Emits ``benchmarks/results/BENCH_vision.json`` with images/second for
+Writes ``benchmarks/results/BENCH_vision.json`` with images/second for
 
 * ``seed_scalar``   — a faithful copy of the seed implementation of
   :func:`robust_hash` (per-image NumPy calls, per-bit Python packing,
@@ -29,7 +29,13 @@ from scipy import fft as scipy_fft
 from repro.vision import hash_batch, robust_hash
 from repro.vision.batch import prepare_thumbnails
 
-from _common import BENCH_SCALE, BENCH_SEED, scale_note, write_result_json
+from _common import (
+    BENCH_SCALE,
+    BENCH_SEED,
+    print_table,
+    scale_note,
+    write_result_json,
+)
 
 
 N_RASTERS = int(os.environ.get("REPRO_BENCH_VISION_N", "512"))
@@ -99,7 +105,7 @@ def rasters():
     return _make_rasters(N_RASTERS)
 
 
-def test_p1_vision_throughput(rasters, bench_report, benchmark, emit):
+def test_p1_vision_throughput(rasters, bench_report, benchmark):
     # Correctness gate before timing anything: all three paths agree.
     sample = rasters[:32]
     seed_hashes = [_seed_robust_hash(r) for r in sample]
@@ -156,7 +162,7 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark, emit):
         f"vision cache     : "
         + (cache_stats.summary() if cache_stats is not None else "n/a"),
     ]
-    emit("BENCH_vision", "\n".join(lines))
+    print_table("BENCH_vision", "\n".join(lines))
 
     # Acceptance: the batched engine must beat the seed loop ≥ 3×.
     assert speed >= 3.0, f"batched speedup {speed:.2f}× below the 3× target"

@@ -12,8 +12,8 @@ Two questions, one gate each:
    count exactly, for every profile (the chaos-suite invariant, measured
    here at benchmark scale).
 
-Emits ``benchmarks/results/BENCH_quarantine.json`` (CI artifact) plus
-the human-readable table.
+Writes ``benchmarks/results/BENCH_quarantine.json`` (CI artifact) and
+prints the human-readable table.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ import time
 from repro.core.quarantine import Quarantine
 from repro.web import Crawler, PayloadFaultInjector, payload_profile
 
-from _common import BENCH_SCALE, BENCH_SEED, scale_note, write_result_json
+from _common import (
+    BENCH_SCALE,
+    BENCH_SEED,
+    print_table,
+    scale_note,
+    write_result_json,
+)
 
 
 PROFILES = ("dirty", "hostile")
@@ -53,7 +59,7 @@ def _time_crawl(internet, links, validate: bool) -> float:
     return best
 
 
-def test_r3_quarantine(bench_world, bench_report, benchmark, emit):
+def test_r3_quarantine(bench_world, bench_report, benchmark):
     internet = bench_world.internet
     links = bench_report.links.all_links
     assert internet.payload_injector is None  # clean benchmark world
@@ -127,7 +133,7 @@ def test_r3_quarantine(bench_world, bench_report, benchmark, emit):
         "invariant: every corruption event the injector served is exactly",
         "one quarantine record — nothing lost, nothing double-counted.",
     ]
-    emit("BENCH_quarantine", "\n".join(lines))
+    print_table("BENCH_quarantine", "\n".join(lines))
 
     # Acceptance gates.
     assert overhead < OVERHEAD_TARGET, (

@@ -16,7 +16,7 @@ whitelist, the shipped hash radius) and the *adaptive* one
 Worlds raise ``underage_rate`` / ``hashlist_rate`` (the E3 precedent) so
 the abuse stage has ground truth to decay against at bench scale.
 
-Emits ``benchmarks/results/BENCH_drift.json``.
+Writes ``benchmarks/results/BENCH_drift.json`` and prints its table.
 
 Env knobs: ``REPRO_BENCH_DRIFT_EPOCHS`` (default 2),
 ``REPRO_BENCH_SCALE`` (shared world scale, capped at 0.02 here).
@@ -28,7 +28,7 @@ import os
 
 from repro.drift import DefenseConfig, STAGE_NAMES, run_drift
 
-from _common import BENCH_SCALE, BENCH_SEED, write_result_json
+from _common import BENCH_SCALE, BENCH_SEED, print_table, write_result_json
 
 
 PROFILES = ("mild", "aggressive", "hostile")
@@ -51,7 +51,7 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def test_r4_drift_decay_and_recovery(emit):
+def test_r4_drift_decay_and_recovery():
     results = {}
     lines = [f"R4 drift (seed={BENCH_SEED}, scale={SCALE}, epochs={EPOCHS})"]
     for profile in PROFILES:
@@ -134,4 +134,4 @@ def test_r4_drift_decay_and_recovery(emit):
         "profiles": results,
     }
     write_result_json("BENCH_drift", payload, sort_keys=True)
-    emit("BENCH_drift", "\n".join(lines))
+    print_table("BENCH_drift", "\n".join(lines))

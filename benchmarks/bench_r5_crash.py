@@ -18,7 +18,7 @@ Benchmarks the DESIGN.md §13 layer against its two performance gates:
 Identity is asserted alongside the clocks: the post-crash re-run's
 crawl digest and measurement view must equal an uninterrupted run's.
 
-Emits ``benchmarks/results/BENCH_crash.json``.
+Writes ``benchmarks/results/BENCH_crash.json`` and prints its table.
 
 Env knobs: ``REPRO_BENCH_CRASH_OVERHEAD`` (overhead gate, default
 0.02), ``REPRO_BENCH_CRASH_RECOVERY`` (recovery ratio gate, default
@@ -39,7 +39,7 @@ import repro
 from repro.chaos import ChaosMonkey, chosen_hit, install, kill_point, uninstall
 from repro.store import run_incremental, verify_store
 
-from _common import BENCH_SCALE, BENCH_SEED, write_result_json
+from _common import BENCH_SCALE, BENCH_SEED, print_table, write_result_json
 
 OVERHEAD_GATE = float(os.environ.get("REPRO_BENCH_CRASH_OVERHEAD", "0.02"))
 RECOVERY_GATE = float(os.environ.get("REPRO_BENCH_CRASH_RECOVERY", "1.5"))
@@ -114,7 +114,7 @@ def _driver(store_path, chaos: bool, tmp) -> subprocess.CompletedProcess:
     )
 
 
-def test_r5_crash_overhead_and_recovery(emit, tmp_path_factory):
+def test_r5_crash_overhead_and_recovery(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("bench-crash")
 
     # ---- gate 1: steady-state overhead of the armed worst case -------
@@ -180,7 +180,7 @@ def test_r5_crash_overhead_and_recovery(emit, tmp_path_factory):
     }
     write_result_json("BENCH_crash", payload)
 
-    emit(
+    print_table(
         "BENCH_crash",
         "\n".join(
             [

@@ -16,7 +16,7 @@ digest, quarantine ledger and measurement view must equal the cold
 run's exactly (the tentpole invariant, also property-tested in
 ``tests/test_store_incremental.py``).
 
-Emits ``benchmarks/results/BENCH_store.json``.
+Writes ``benchmarks/results/BENCH_store.json`` and prints its table.
 
 Env knobs: ``REPRO_BENCH_STORE_EPOCHS`` (default 10),
 ``REPRO_BENCH_STORE_RATIO`` (speedup gate, default 0.40),
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.store import RunStore, run_incremental
 
-from _common import BENCH_SCALE, BENCH_SEED, write_result_json
+from _common import BENCH_SCALE, BENCH_SEED, print_table, write_result_json
 
 
 EPOCH_TOTAL = int(os.environ.get("REPRO_BENCH_STORE_EPOCHS", "10"))
@@ -47,7 +47,7 @@ def _sized(store_path):
         return store.size_bytes(), store.row_counts()
 
 
-def test_s1_store_delta_runs(emit, tmp_path_factory):
+def test_s1_store_delta_runs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("bench-store")
     cfg = dict(seed=BENCH_SEED, scale=PIPELINE_SCALE, epoch_total=EPOCH_TOTAL)
 
@@ -118,7 +118,7 @@ def test_s1_store_delta_runs(emit, tmp_path_factory):
     }
     write_result_json("BENCH_store", payload)
 
-    emit(
+    print_table(
         "BENCH_store",
         "\n".join(
             [

@@ -5,29 +5,27 @@ synthetic world.  The default scale (0.05 of the paper's population
 sizes) keeps a full benchmark run in the minutes range; set
 ``REPRO_BENCH_SCALE`` to 1.0 for a paper-sized world.
 
-Each benchmark writes its reproduced table to ``benchmarks/results/``
-and prints it (visible with ``pytest -s``), while the pytest-benchmark
-fixture times the stage's core computation.
+Each paper-shape benchmark writes its reproduced table to
+``benchmarks/results/<name>.txt`` through :func:`emit` and prints it
+(visible with ``pytest -s``).  A gated benchmark writes one
+fingerprinted ``BENCH_*.json`` record instead and only prints its
+table (see ``_common.py``).  The pytest-benchmark fixture times each
+stage's core computation.
 """
 
 from __future__ import annotations
-
-import os
-from pathlib import Path
 
 import pytest
 
 from repro import build_world, run_pipeline
 from repro.synth import WorldConfig
 
-from _common import (  # noqa: F401
+from _common import (
     BENCH_SCALE,
     BENCH_SEED,
-    scale_note,
+    print_table,
     write_result_text,
 )
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +45,6 @@ def emit():
     """Callable writing a named result table to disk and stdout."""
     def _emit(name: str, text: str) -> None:
         write_result_text(name, text)
-        print(f"\n=== {name} ===\n{text}")
+        print_table(name, text)
 
     return _emit

@@ -20,8 +20,7 @@ Six subcommands:
   store-backed run records (DESIGN.md §14): ``runs`` (history table),
   ``top`` (hottest spans by self-time/CPU/RSS), ``diff`` (deltas
   between two runs), ``regressions`` (SLO gate with a typed non-zero
-  exit for CI), ``ingest-bench`` / ``ingest-trace`` (fold benchmark
-  artifacts and trace files into the history).
+  exit for CI), ``ingest-trace`` (fold a trace file into the history).
 
 Examples::
 
@@ -340,16 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_reg.add_argument(
         "--latest", type=int, default=None, metavar="ID",
         help="candidate history id (default: the most recent run)",
-    )
-
-    p_obs_bench = obs_sub.add_parser(
-        "ingest-bench",
-        help="fold BENCH_*.json artifacts / TRAJECTORY.jsonl into the store",
-    )
-    add_store_arg(p_obs_bench)
-    p_obs_bench.add_argument(
-        "paths", type=Path, nargs="*",
-        help="result files or directories (default: benchmarks/results)",
     )
 
     p_obs_trace = obs_sub.add_parser(
@@ -710,58 +699,8 @@ def _print_span_table(rows, by: str, top_n: int) -> None:
         )
 
 
-def _obs_ingest_bench(store, paths, log) -> int:
-    """Fold BENCH_*.json files and TRAJECTORY.jsonl lines into the store."""
-    import json
-
-    if not paths:
-        paths = [Path(__file__).resolve().parents[2] / "benchmarks" / "results"]
-    files = []
-    for path in paths:
-        if path.is_dir():
-            files.extend(sorted(path.glob("BENCH_*.json")))
-            trajectory = path / "TRAJECTORY.jsonl"
-            if trajectory.exists():
-                files.append(trajectory)
-        else:
-            files.append(path)
-    ingested = skipped = 0
-    with store.transaction():
-        for path in files:
-            if not path.exists():
-                log.warning("ingest-bench: %s does not exist, skipping", path)
-                continue
-            try:
-                if path.suffix == ".jsonl":
-                    for line in path.read_text(encoding="utf-8").splitlines():
-                        line = line.strip()
-                        if not line:
-                            continue
-                        entry = json.loads(line)
-                        added = store.ingest_bench(
-                            str(entry.get("name", path.stem)),
-                            entry.get("payload"),
-                            float(entry.get("recorded_unix", 0.0)),
-                        )
-                        ingested += int(added)
-                        skipped += int(not added)
-                else:
-                    payload = json.loads(path.read_text(encoding="utf-8"))
-                    added = store.ingest_bench(
-                        path.stem, payload, path.stat().st_mtime
-                    )
-                    ingested += int(added)
-                    skipped += int(not added)
-            except (json.JSONDecodeError, OSError, ValueError) as exc:
-                log.error("ingest-bench: %s unreadable: %s", path, exc)
-                return 2
-    print(f"ingested {ingested} bench results "
-          f"({skipped} already present) from {len(files)} files")
-    return 0
-
-
 def _run_obs_command(args, log) -> int:
-    """``repro obs runs|top|diff|regressions|ingest-bench|ingest-trace``.
+    """``repro obs runs|top|diff|regressions|ingest-trace``.
 
     Exit codes: 0 ok; 2 usage/value error; 3 corrupt store; 4 config
     mismatch; :data:`~repro.obs.regress.EXIT_REGRESSION` (5) when the
@@ -899,9 +838,6 @@ def _run_obs_command(args, log) -> int:
                     return 0
                 print(f"{len(report.violations)} regression(s) detected")
                 return EXIT_REGRESSION
-
-            if cmd == "ingest-bench":
-                return _obs_ingest_bench(store, list(args.paths), log)
 
             # ingest-trace
             summary = summarize_trace(args.path, label=args.label)

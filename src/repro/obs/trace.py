@@ -35,9 +35,8 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "NULL_TRACER",
@@ -130,9 +129,8 @@ class Tracer:
     """The recording tracer: hierarchical, thread-safe, deterministic ids.
 
     Span ids are sequential in *open* order; each thread keeps its own
-    ancestry stack, so spans opened on worker threads parent correctly
-    within that thread (a worker's first span is a root unless the
-    caller opened one on the same thread).
+    ancestry stack, so a span opened on another thread than its
+    would-be parent's becomes a root rather than mis-nesting.
     """
 
     enabled = True
@@ -178,32 +176,6 @@ class Tracer:
         )
         stack.append(span)
         return _SpanContext(self, span)
-
-    @contextmanager
-    def adopt(self, span: Optional[Span]) -> Iterator[None]:
-        """Parent this thread's subsequent spans under ``span``.
-
-        Worker threads have empty ancestry stacks, so their first span
-        would become a root.  ``adopt`` pushes an *existing* span
-        (typically one opened on the dispatching thread and still open
-        there) onto this thread's stack without opening or closing it:
-        spans and events recorded inside the block nest under it.
-        ``adopt(None)`` is a no-op, so callers can pass
-        ``tracer.current`` captured on the dispatching thread directly.
-        """
-        if span is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield
-        finally:
-            # Pop up to and including the adopted span (tolerant of
-            # mis-nesting, mirroring _close).
-            while stack:
-                if stack.pop() is span:
-                    break
 
     def _close(self, span: Span) -> None:
         span.t_end = self._now()
@@ -326,9 +298,6 @@ class NullTracer:
     enabled = False
 
     def span(self, name: str, **attributes: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def adopt(self, span: Any) -> _NullSpan:
         return _NULL_SPAN
 
     def event(self, name: str, **attributes: Any) -> None:

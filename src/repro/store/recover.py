@@ -72,7 +72,6 @@ _SALVAGE_TABLES = (
     "history_metrics",
     "history_funnel",
     "profile_samples",
-    "bench_results",
 )
 
 #: Sidecar suffixes of a SQLite database in WAL mode.

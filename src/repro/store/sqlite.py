@@ -225,12 +225,6 @@ CREATE TABLE IF NOT EXISTS profile_samples (
     cpu_seconds REAL NOT NULL,
     PRIMARY KEY (history_id, seq)
 );
-CREATE TABLE IF NOT EXISTS bench_results (
-    name TEXT NOT NULL,
-    recorded_unix REAL NOT NULL,
-    payload TEXT NOT NULL,
-    PRIMARY KEY (name, recorded_unix)
-);
 """
 
 #: ``pack_id``/``member_index`` are part of the ingest-memo primary key,
@@ -924,7 +918,7 @@ class RunStore:
 
     # ------------------------------------------------------------------
     # Telemetry history (DESIGN.md §14): span summaries, deterministic
-    # metric snapshots, funnel rows, profile samples, bench results.
+    # metric snapshots, funnel rows, profile samples.
     # ------------------------------------------------------------------
     def save_history(self, summary, run_id: Optional[int] = None) -> int:
         """Persist one :class:`~repro.obs.history.HistorySummary`.
@@ -1119,49 +1113,6 @@ class RunStore:
             {"t": float(r[0]), "rss_kb": float(r[1]), "cpu_seconds": float(r[2])}
             for r in rows
         ]
-
-    def ingest_bench(self, name: str, payload: Any, recorded_unix: float) -> bool:
-        """Record one benchmark result; idempotent on (name, timestamp)."""
-        try:
-            encoded = json.dumps(payload, sort_keys=True)
-        except (TypeError, ValueError) as exc:
-            raise StoreError(
-                f"bench result {name!r} is not JSON-serialisable: {exc}"
-            ) from exc
-        cursor = self._execute(
-            "INSERT OR IGNORE INTO bench_results (name, recorded_unix, payload) "
-            "VALUES (?, ?, ?)",
-            (name, float(recorded_unix), encoded),
-        )
-        self.commit()
-        return cursor.rowcount > 0
-
-    def bench_results(self, name: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Ingested bench results, oldest first (optionally one name)."""
-        if name is None:
-            rows = self._execute(
-                "SELECT name, recorded_unix, payload FROM bench_results "
-                "ORDER BY recorded_unix, name"
-            ).fetchall()
-        else:
-            rows = self._execute(
-                "SELECT name, recorded_unix, payload FROM bench_results "
-                "WHERE name=? ORDER BY recorded_unix",
-                (name,),
-            ).fetchall()
-        try:
-            return [
-                {
-                    "name": r[0],
-                    "recorded_unix": float(r[1]),
-                    "payload": json.loads(r[2]),
-                }
-                for r in rows
-            ]
-        except json.JSONDecodeError as exc:
-            raise StoreCorruptionError(
-                f"{self.path}: bench result payload is not JSON: {exc}"
-            ) from exc
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

@@ -2,7 +2,7 @@
 
 Hot-path batching lives in :mod:`repro.vision.batch` (stacked DCT
 hashing, vectorised bit packing) on top of the :mod:`repro.vision.bits`
-kernels (popcount with a NumPy<2 fallback, Hamming matrices), and
+kernels (popcount, Hamming matrices), and
 :mod:`repro.vision.cache` provides the content-addressed
 :class:`VisionCache` that memoises hash / NSFW / OCR work across
 pipeline stages.

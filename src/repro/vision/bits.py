@@ -2,10 +2,8 @@
 
 Three primitives every hash-heavy stage leans on:
 
-* :func:`popcount` — per-element set-bit counts over ``uint64`` arrays.
-  Uses :func:`numpy.bitwise_count` when available (NumPy ≥ 2.0) and a
-  byte lookup table otherwise, so the library keeps working on the 1.x
-  series the fallback matrix in DESIGN.md §7 documents;
+* :func:`popcount` — per-element set-bit counts over ``uint64`` arrays,
+  via :func:`numpy.bitwise_count` (NumPy ≥ 2.0, the pinned minimum);
 * :func:`pack_bits_rows` — vectorised MSB-first bit packing, replacing
   the per-bit Python loops the hash functions shipped with;
 * :func:`hamming_matrix` — many-vs-many Hamming distances via a single
@@ -23,42 +21,22 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "HAS_NATIVE_POPCOUNT",
     "hamming_matrix",
     "pack_bits_rows",
     "popcount",
 ]
-
-#: True when :func:`numpy.bitwise_count` exists (NumPy ≥ 2.0).
-HAS_NATIVE_POPCOUNT: bool = hasattr(np, "bitwise_count")
-
-#: Set-bit count of every byte value, for the NumPy < 2.0 fallback.
-_POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-_BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
-
-
-def _popcount_lookup(values: np.ndarray) -> np.ndarray:
-    """Pure-NumPy popcount: split each word into bytes, sum table hits."""
-    words = np.asarray(values, dtype=np.uint64)
-    nibbles = (words[..., None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
-    return _POPCOUNT_TABLE[nibbles.astype(np.intp)].sum(axis=-1, dtype=np.int64)
 
 
 def popcount(values: Union[int, np.ndarray]) -> np.ndarray:
     """Per-element count of set bits of ``values`` as ``uint64`` words.
 
     Accepts scalars or arrays of any shape; returns ``int64`` counts of
-    the same shape.  Dispatches to :func:`numpy.bitwise_count` on
-    NumPy ≥ 2.0 and to a byte lookup table on older releases, so callers
-    never touch the version split.
+    the same shape.
 
     >>> int(popcount(0b1011))
     3
     """
-    words = np.asarray(values, dtype=np.uint64)
-    if HAS_NATIVE_POPCOUNT:
-        return np.bitwise_count(words).astype(np.int64)
-    return _popcount_lookup(words)
+    return np.bitwise_count(np.asarray(values, dtype=np.uint64)).astype(np.int64)
 
 
 def pack_bits_rows(bits: np.ndarray) -> np.ndarray:

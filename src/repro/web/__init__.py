@@ -17,9 +17,7 @@ from .crawler import (
     Crawler,
     LinkAttempt,
     LinkAttemptLog,
-    LinkOutcome,
     LinkRecord,
-    ShardState,
     content_digest,
 )
 from .faults import (
@@ -86,7 +84,6 @@ __all__ = [
     "IMAGE_SHARING_SERVICES",
     "LinkAttempt",
     "LinkAttemptLog",
-    "LinkOutcome",
     "LinkRecord",
     "OriginSite",
     "PAYLOAD_PROFILES",
@@ -96,7 +93,6 @@ __all__ = [
     "RetryPolicy",
     "ScriptedFaultInjector",
     "ServiceKind",
-    "ShardState",
     "SimulatedInternet",
     "TRANSIENT_STATUSES",
     "TransientFault",

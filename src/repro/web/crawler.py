@@ -46,9 +46,7 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -79,9 +77,7 @@ __all__ = [
     "IngestMemo",
     "LinkAttempt",
     "LinkAttemptLog",
-    "LinkOutcome",
     "LinkRecord",
-    "ShardState",
     "content_digest",
 ]
 
@@ -324,7 +320,7 @@ class CrawlStats:
 
 
 @dataclass
-class ShardState:
+class CrawlState:
     """Mutable state of one crawl.
 
     Everything a link's resolution can read or write lives here: the
@@ -345,28 +341,6 @@ class ShardState:
 
     def clock_for(self, domain: str) -> float:
         return self.clocks.get(domain, self.base_clock)
-
-
-@dataclass
-class LinkOutcome:
-    """Everything one resolved link occurrence contributed to a crawl.
-
-    :meth:`Crawler.resolve_links` yields one per link occurrence;
-    :meth:`Crawler.crawl` appends it to the result accumulators and
-    writes its checkpoint entry.
-    """
-
-    preview_images: List[CrawledImage] = field(default_factory=list)
-    pack_images: List[CrawledImage] = field(default_factory=list)
-    #: Packs first claimed at this link (deduplicated within one
-    #: :meth:`Crawler.resolve_links` call).
-    packs: List[Pack] = field(default_factory=list)
-    log: Optional[LinkAttemptLog] = None
-    #: Checkpoint key for this occurrence ("" when not checkpointing).
-    key: str = ""
-    #: Newly settled checkpoint entry (``None`` for replays or when not
-    #: checkpointing) — the caller owns writing it into the checkpoint.
-    entry: Optional[dict] = None
 
 
 @dataclass
@@ -539,34 +513,71 @@ class Crawler:
             ckpt = CrawlCheckpoint.load(checkpoint)
 
         state = self.restore_state(ckpt)
-        completed = ckpt.completed if ckpt is not None else None
 
         preview_images: List[CrawledImage] = []
         pack_images: List[CrawledImage] = []
         packs: List[Pack] = []
         attempt_logs: List[LinkAttemptLog] = []
+        # Occurrence index per URL, for the checkpoint keys.
+        occurrences: Dict[str, int] = {}
+        seen_pack_ids: Dict[int, None] = {}
         since_save = 0
 
         try:
-            for outcome in self.resolve_links(
-                links, state, completed=completed,
-                quarantine=quarantine, stage=stage, tracer=tracer,
-            ):
-                preview_images.extend(outcome.preview_images)
-                pack_images.extend(outcome.pack_images)
-                packs.extend(outcome.packs)
-                if outcome.log is not None:
-                    attempt_logs.append(outcome.log)
-                if ckpt is not None and outcome.entry is not None:
-                    ckpt.completed[outcome.key] = outcome.entry
-                    since_save += 1
-                    # Satellite: the expensive stats/breaker serialization
-                    # happens only at save points, not on every link.
-                    if since_save >= max(1, checkpoint_every):
-                        self.sync_checkpoint(ckpt, state)
-                        ckpt.save()
-                        since_save = 0
-                        kill_point("crawl.checkpoint.saved")
+            for link in links:
+                url_str = str(link.url)
+                host = link.url.host
+                occurrence = occurrences.get(url_str, 0)
+                occurrences[url_str] = occurrence + 1
+                key = link_key(url_str, occurrence) if ckpt is not None else ""
+
+                entry = ckpt.completed.get(key) if ckpt is not None else None
+                if entry is not None:
+                    tracer.event("crawl.replay", domain=host, status=entry["status"])
+                    log = self._replay(
+                        link, entry, preview_images, pack_images, packs,
+                        seen_pack_ids, quarantine, stage,
+                    )
+                    if log is not None:
+                        attempt_logs.append(log)
+                    continue
+
+                with tracer.span(
+                    "crawl.fetch", domain=host, kind=link.link_kind
+                ) as span:
+                    clock = state.clock_for(host)
+                    (final_status, final_attempt, log, resource,
+                     clock, state.budget_spent) = self._fetch_with_retry(
+                        link, state.stats, state.breakers, clock,
+                        state.budget_spent, tracer,
+                    )
+                    state.clocks[host] = clock
+                    state.stats.record(host, final_status)
+                    span.set(status=final_status.value, attempts=final_attempt + 1)
+                    if final_status is FetchStatus.OK:
+                        self._collect(
+                            link, resource, preview_images, pack_images,
+                            packs, seen_pack_ids, quarantine, stage,
+                        )
+                if log is not None:
+                    attempt_logs.append(log)
+                if ckpt is None:
+                    continue
+                new_entry: dict = {
+                    "status": final_status.value,
+                    "attempt": int(final_attempt),
+                }
+                if log is not None:
+                    new_entry["log"] = log.to_dict()
+                ckpt.completed[key] = new_entry
+                since_save += 1
+                # The expensive stats/breaker serialization happens only
+                # at save points, not on every link.
+                if since_save >= max(1, checkpoint_every):
+                    self.sync_checkpoint(ckpt, state)
+                    ckpt.save()
+                    since_save = 0
+                    kill_point("crawl.checkpoint.saved")
         except BaseException:
             # A stop request (SignalInterrupt / KeyboardInterrupt) or
             # stage failure mid-crawl must still leave a resumable
@@ -592,7 +603,7 @@ class Crawler:
         )
 
     # ------------------------------------------------------------------
-    def restore_state(self, ckpt: Optional[CrawlCheckpoint]) -> ShardState:
+    def restore_state(self, ckpt: Optional[CrawlCheckpoint]) -> CrawlState:
         """Rebuild mutable crawl state from a checkpoint (or start fresh)."""
         if ckpt is not None and ckpt.stats is not None:
             stats = CrawlStats.from_dict(ckpt.stats)
@@ -606,8 +617,8 @@ class Crawler:
                 cooldown=self._breaker_cooldown,
             )
         if ckpt is None:
-            return ShardState(stats=stats, breakers=breakers)
-        return ShardState(
+            return CrawlState(stats=stats, breakers=breakers)
+        return CrawlState(
             stats=stats,
             breakers=breakers,
             clocks=dict(ckpt.domain_clocks),
@@ -616,87 +627,13 @@ class Crawler:
         )
 
     @staticmethod
-    def sync_checkpoint(ckpt: CrawlCheckpoint, state: ShardState) -> None:
+    def sync_checkpoint(ckpt: CrawlCheckpoint, state: CrawlState) -> None:
         """Snapshot crawl state into the checkpoint's serialized fields."""
         ckpt.stats = state.stats.to_dict()
         ckpt.breakers = state.breakers.snapshot()
         ckpt.domain_clocks = dict(state.clocks)
         ckpt.clock = max(state.clocks.values(), default=state.base_clock)
         ckpt.budget_spent = state.budget_spent
-
-    # ------------------------------------------------------------------
-    def resolve_links(
-        self,
-        links: Iterable[LinkRecord],
-        state: ShardState,
-        *,
-        completed: Optional[Mapping[str, dict]] = None,
-        quarantine: "Quarantine",
-        stage: str = "url_crawl",
-        tracer=None,
-    ) -> Iterator[LinkOutcome]:
-        """Resolve link occurrences in order, yielding one outcome each.
-
-        The crawl's resolution engine: replay-or-fetch, retry policy,
-        breaker discipline, ingest/quarantine boundary, and pack
-        deduplication all happen here, against the caller's
-        :class:`ShardState`.
-
-        ``completed`` is a read-only view of already-settled checkpoint
-        entries; newly settled occurrences come back on
-        :attr:`LinkOutcome.entry` — writing them into a checkpoint (and
-        deciding when to save) is the caller's job.
-
-        Occurrence indices are counted per URL *within this call*.
-        """
-        tracer = tracer if tracer is not None else NULL_TRACER
-        occurrences: Dict[str, int] = {}
-        seen_pack_ids: Dict[int, None] = {}
-
-        for link in links:
-            url_str = str(link.url)
-            host = link.url.host
-            occurrence = occurrences.get(url_str, 0)
-            occurrences[url_str] = occurrence + 1
-            key = link_key(url_str, occurrence) if completed is not None else ""
-
-            outcome = LinkOutcome(key=key)
-            entry = completed.get(key) if completed is not None else None
-            if entry is not None:
-                tracer.event("crawl.replay", domain=host, status=entry["status"])
-                outcome.log = self._replay(
-                    link, entry, outcome.preview_images, outcome.pack_images,
-                    outcome.packs, seen_pack_ids, quarantine, stage,
-                )
-            else:
-                with tracer.span(
-                    "crawl.fetch", domain=host, kind=link.link_kind
-                ) as span:
-                    clock = state.clock_for(host)
-                    (final_status, final_attempt, log, resource,
-                     clock, state.budget_spent) = self._fetch_with_retry(
-                        link, state.stats, state.breakers, clock,
-                        state.budget_spent, tracer,
-                    )
-                    state.clocks[host] = clock
-                    state.stats.record(host, final_status)
-                    span.set(status=final_status.value, attempts=final_attempt + 1)
-                    if final_status is FetchStatus.OK:
-                        self._collect(
-                            link, resource, outcome.preview_images,
-                            outcome.pack_images, outcome.packs,
-                            seen_pack_ids, quarantine, stage,
-                        )
-                outcome.log = log
-                if completed is not None:
-                    new_entry: dict = {
-                        "status": final_status.value,
-                        "attempt": int(final_attempt),
-                    }
-                    if log is not None:
-                        new_entry["log"] = log.to_dict()
-                    outcome.entry = new_entry
-            yield outcome
 
     # ------------------------------------------------------------------
     def _fetch_with_retry(

@@ -8,6 +8,7 @@ violations, diffs) and the ``repro obs`` CLI exit-code contract.
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -161,6 +162,45 @@ class TestStoreRoundTrip:
         assert main(["obs", "diff", "1", "2", "--store", str(path)]) == 0
         assert "#1 thread/2" in capsys.readouterr().out
 
+    def test_legacy_bench_results_store_still_works(self, tmp_path, capsys):
+        # Earlier versions kept ingested bench results in a bench_results
+        # table; stores that hold one must still verify, repair and list.
+        path = tmp_path / "s.sqlite"
+        run_incremental(path, epoch=1, annotate_n=200, **WORLD)
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE bench_results (name TEXT NOT NULL, recorded_unix "
+            "REAL NOT NULL, payload TEXT NOT NULL, "
+            "PRIMARY KEY (name, recorded_unix))"
+        )
+        conn.execute(
+            "INSERT INTO bench_results VALUES ('BENCH_telemetry', 5.0, '{}')"
+        )
+        conn.commit()
+        conn.close()
+        assert main(["store", "verify", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "runs", "--store", str(path)]) == 0
+        listed = capsys.readouterr().out
+        assert "no run history" not in listed
+        with RunStore(path) as store:
+            runs = store.runs()
+        # A dangling quarantine row forces repair to rebuild the store
+        # table by table, past the legacy one.
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "INSERT INTO quarantine (run_id, seq, stage, ref, error_type, "
+            "message, context) VALUES (999, 0, 'url_crawl', 'x', 'E', 'm', '{}')"
+        )
+        conn.commit()
+        conn.close()
+        assert main(["store", "repair", str(path)]) == 0
+        assert "rebuilt store" in capsys.readouterr().out
+        with RunStore(path) as store:
+            assert store.runs() == runs
+        assert main(["obs", "runs", "--store", str(path)]) == 0
+        assert capsys.readouterr().out == listed
+
     def test_incremental_run_records_history(self, tmp_path):
         result = run_incremental(
             tmp_path / "s.sqlite", epoch=1, annotate_n=200, **WORLD
@@ -189,15 +229,6 @@ class TestStoreRoundTrip:
             # (history rides inside it), so it is absent by design.
             assert "pipeline.run" in names
             assert "store.read" in names
-
-    def test_ingest_bench_idempotent(self, tmp_path):
-        with RunStore(tmp_path / "s.sqlite") as store:
-            assert store.ingest_bench("BENCH_x", {"overhead": 0.01}, 100.0)
-            assert not store.ingest_bench("BENCH_x", {"overhead": 0.99}, 100.0)
-            assert store.ingest_bench("BENCH_x", {"overhead": 0.02}, 200.0)
-            rows = store.bench_results("BENCH_x")
-            assert [r["recorded_unix"] for r in rows] == [100.0, 200.0]
-            assert rows[0]["payload"]["overhead"] == 0.01
 
 
 class TestLoadSlo:
@@ -409,26 +440,6 @@ class TestObsCli:
         ) == 0
         assert main(["obs", "runs", "--store", str(store_path)]) == 0
         assert "from-trace" in capsys.readouterr().out
-
-    def test_ingest_bench(self, store_path, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "BENCH_demo.json").write_text(json.dumps({"ok": True}))
-        (results / "TRAJECTORY.jsonl").write_text(
-            json.dumps(
-                {"name": "BENCH_demo", "recorded_unix": 5.0, "payload": {}}
-            )
-            + "\n"
-        )
-        assert main(
-            ["obs", "ingest-bench", "--store", str(store_path), str(results)]
-        ) == 0
-        assert "ingested 2" in capsys.readouterr().out
-        # idempotent
-        assert main(
-            ["obs", "ingest-bench", "--store", str(store_path), str(results)]
-        ) == 0
-        assert "ingested 0" in capsys.readouterr().out
 
     def test_profiled_store_run_measurement_matches_plain(self, tmp_path):
         plain = run_incremental(

@@ -1,13 +1,10 @@
 """Property tests for the batched vision engine (DESIGN.md §7).
 
 The contract under test is *bit-identity*: the batched paths must agree
-exactly — not approximately — with the scalar functions they replace, on
-both popcount backends (native ``np.bitwise_count`` and the NumPy < 2.0
-lookup-table fallback).
+exactly — not approximately — with the scalar functions they replace.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.vision import (
@@ -20,7 +17,6 @@ from repro.vision import (
     prepare_thumbnails,
     robust_hash,
 )
-from repro.vision.bits import HAS_NATIVE_POPCOUNT, _popcount_lookup
 from repro.vision.photodna import _block_mean_resize
 
 
@@ -95,21 +91,6 @@ class TestPopcount:
         out = popcount(words)
         assert out.dtype == np.int64
         assert out.tolist() == [bin(v).count("1") for v in values]
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
-    def test_fallback_matches_native_contract(self, values):
-        # The lookup-table path must agree with bin().count on any NumPy.
-        words = np.array(values, dtype=np.uint64)
-        assert _popcount_lookup(words).tolist() == [bin(v).count("1") for v in values]
-
-    @pytest.mark.skipif(not HAS_NATIVE_POPCOUNT, reason="NumPy < 2.0")
-    def test_fallback_matches_native_when_both_exist(self):
-        rng = np.random.default_rng(0)
-        words = rng.integers(0, 2**63, size=(8, 9), dtype=np.uint64)
-        np.testing.assert_array_equal(
-            _popcount_lookup(words), np.bitwise_count(words).astype(np.int64)
-        )
 
     def test_preserves_shape(self):
         words = np.zeros((3, 4), dtype=np.uint64)
