@@ -15,6 +15,8 @@ Rendering is pure: the same latent always yields bit-identical pixels.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Tuple
 
 import numpy as np
@@ -27,19 +29,23 @@ __all__ = ["render_latent", "skin_tone_for_model", "SKIN_TONE_BASE"]
 SKIN_TONE_BASE: Tuple[float, float, float] = (0.86, 0.62, 0.50)
 
 
+@functools.lru_cache(maxsize=1024)
 def skin_tone_for_model(model_id: int | None) -> np.ndarray:
     """Consistent skin tone for a model identity.
 
     Images of the same model share a tone, which keeps packs visually
     coherent (the paper notes packs contain "the same (or visually
-    similar) model").
+    similar) model").  Memoised, since seeding a generator costs more
+    than painting with it (a full-scale world has ~900 models); the
+    returned array is shared and read-only.
     """
-    base = np.array(SKIN_TONE_BASE, dtype=np.float64)
-    if model_id is None:
-        return base
-    tone_rng = np.random.default_rng(model_id * 2654435761 % (2**32))
-    jitter = tone_rng.uniform(-0.08, 0.08, size=3)
-    return np.clip(base + jitter, 0.0, 1.0)
+    tone = np.array(SKIN_TONE_BASE, dtype=np.float64)
+    if model_id is not None:
+        tone_rng = np.random.default_rng(model_id * 2654435761 % (2**32))
+        jitter = tone_rng.uniform(-0.08, 0.08, size=3)
+        tone = np.clip(tone + jitter, 0.0, 1.0)
+    tone.setflags(write=False)
+    return tone
 
 
 def render_latent(latent: ImageLatent) -> np.ndarray:
@@ -80,8 +86,8 @@ def _render_base(latent: ImageLatent, rng: np.random.Generator) -> np.ndarray:
         _paint_words(pixels, latent, rng)
 
     # Per-image identity texture: low-amplitude seeded noise everywhere.
-    noise = rng.normal(0.0, 0.015, size=pixels.shape)
-    return np.clip(pixels + noise, 0.0, 1.0)
+    pixels += rng.normal(0.0, 0.015, size=pixels.shape)
+    return np.clip(pixels, 0.0, 1.0, out=pixels)
 
 
 def _screenshot_background(kind: ImageKind, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,15 +190,35 @@ def _photo_background(size: int, rng: np.random.Generator) -> np.ndarray:
 # Skin and text painting
 # ----------------------------------------------------------------------
 
+#: Blob attempts per image, and the uniform draws each attempt consumes:
+#: area scale, aspect ratio, centre row, centre column, rotation angle.
+_SKIN_ATTEMPTS = 64
+_SKIN_LOW = np.array([0.5, 0.4, 0.2, 0.2, 0.0])
+_SKIN_HIGH = np.array([1.0, 2.5, 0.8, 0.8, np.pi])
+
+
 def _paint_skin(pixels: np.ndarray, latent: ImageLatent, rng: np.random.Generator) -> None:
     """Add elliptical skin-tone blobs until coverage reaches the target.
 
-    Each blob's mask is evaluated only on the ellipse's bounding box
-    rather than the full grid — bit-identical ``covered`` output (the
-    per-element arithmetic is unchanged and the ellipse cannot extend
-    past its box; see ``test_paint_skin_matches_full_grid``) with an
-    order of magnitude less per-attempt work.  The scalar parameter
-    draws are untouched, so the RNG stream is consumed identically.
+    Bit-identical, in pixels and in RNG stream consumption, to drawing
+    each attempt's five parameters with scalar ``rng.uniform`` calls and
+    testing every blob on the full grid (``_paint_skin_reference`` in
+    ``tests/test_media.py``), at a fraction of the cost:
+
+    * the parameters of all 64 attempts come from one ``rng.random`` call,
+      mapped as ``low + (high - low) * u``, which is exactly what
+      ``Generator.uniform`` computes.  The loop usually stops early, so
+      afterwards the generator is rewound and re-advanced by exactly the
+      draws the loop used, leaving the stream where the scalar calls
+      would have left it;
+    * the scalar geometry runs on Python floats (``math.sqrt`` and
+      ``math.floor`` are exact, like NumPy's); ``cos``/``sin`` stay NumPy
+      ufuncs, called once for all 64 angles, because NumPy's SIMD
+      kernels may differ from libm's in the last ulp;
+    * each blob is rasterised on its bounding box only, skipped when that
+      box is already fully covered (it cannot add coverage), and the
+      coverage count grows by the newly covered pixels instead of
+      rescanning the grid.
     """
     size = latent.size
     tone = skin_tone_for_model(latent.model_id)
@@ -200,44 +226,57 @@ def _paint_skin(pixels: np.ndarray, latent: ImageLatent, rng: np.random.Generato
     total_pixels = size * size
     covered = np.zeros((size, size), dtype=bool)
     n_covered = 0
+    axis = np.arange(size, dtype=np.float64)
+
+    state = rng.bit_generator.state
+    params = _SKIN_LOW + (_SKIN_HIGH - _SKIN_LOW) * rng.random((_SKIN_ATTEMPTS, 5))
+    draws = zip(params.tolist(), np.cos(params[:, 4]).tolist(), np.sin(params[:, 4]).tolist())
 
     # Start with one dominant body blob, then add limbs until coverage.
-    for attempt in range(64):
+    attempts = 0
+    for (area_scale, aspect, centre_r, centre_c, _), cos_a, sin_a in draws:
         coverage = n_covered / total_pixels
         if coverage >= target:
             break
+        attempts += 1
         remaining = target - coverage
         # Blob area proportional to what is still missing.
-        area = max(remaining * total_pixels * rng.uniform(0.5, 1.0), 9.0)
-        aspect = rng.uniform(0.4, 2.5)
-        semi_minor = max(np.sqrt(area / (np.pi * aspect)), 1.5)
+        area = max(remaining * total_pixels * area_scale, 9.0)
+        semi_minor = max(math.sqrt(area / (math.pi * aspect)), 1.5)
         semi_major = semi_minor * aspect
-        centre_r = rng.uniform(0.2, 0.8) * size
-        centre_c = rng.uniform(0.2, 0.8) * size
-        angle = rng.uniform(0.0, np.pi)
-        cos_a, sin_a = np.cos(angle), np.sin(angle)
+        centre_r *= size
+        centre_c *= size
         # Axis-aligned bounding box of the rotated ellipse (+1px guard
         # against float fuzz at the rim).
-        half_r = np.sqrt((semi_major * cos_a) ** 2 + (semi_minor * sin_a) ** 2) + 1.0
-        half_c = np.sqrt((semi_major * sin_a) ** 2 + (semi_minor * cos_a) ** 2) + 1.0
-        r0 = max(int(np.floor(centre_r - half_r)), 0)
-        r1 = min(int(np.ceil(centre_r + half_r)) + 1, size)
-        c0 = max(int(np.floor(centre_c - half_c)), 0)
-        c1 = min(int(np.ceil(centre_c + half_c)) + 1, size)
+        half_r = math.sqrt((semi_major * cos_a) ** 2 + (semi_minor * sin_a) ** 2) + 1.0
+        half_c = math.sqrt((semi_major * sin_a) ** 2 + (semi_minor * cos_a) ** 2) + 1.0
+        r0 = max(math.floor(centre_r - half_r), 0)
+        r1 = min(math.ceil(centre_r + half_r) + 1, size)
+        c0 = max(math.floor(centre_c - half_c), 0)
+        c1 = min(math.ceil(centre_c + half_c) + 1, size)
         if r0 >= r1 or c0 >= c1:
             continue
-        dr = (np.arange(r0, r1, dtype=np.float64) - centre_r)[:, None]
-        dc = (np.arange(c0, c1, dtype=np.float64) - centre_c)[None, :]
+        window = covered[r0:r1, c0:c1]
+        inside = np.count_nonzero(window)
+        if inside == window.size:
+            continue
+        dr = (axis[r0:r1] - centre_r)[:, None]
+        dc = (axis[c0:c1] - centre_c)[None, :]
         rot_r = dr * cos_a + dc * sin_a
         rot_c = -dr * sin_a + dc * cos_a
-        mask = (rot_r / semi_major) ** 2 + (rot_c / semi_minor) ** 2 <= 1.0
-        window = covered[r0:r1, c0:c1]
-        window |= mask
-        n_covered = int(covered.sum())
+        window |= (rot_r / semi_major) ** 2 + (rot_c / semi_minor) ** 2 <= 1.0
+        n_covered += np.count_nonzero(window) - inside
 
-    shading = rng.uniform(0.92, 1.05, size=(size, size))[..., None]
-    blob = np.clip(tone[None, None, :] * shading, 0.0, 1.0)
-    pixels[covered] = blob[covered]
+    # Rewind, then re-draw exactly the parameters the loop consumed.
+    rng.bit_generator.state = state
+    rng.random(5 * attempts)
+
+    # Shade only the covered pixels; a (3, n) product keeps NumPy's inner
+    # loops long instead of three elements wide.
+    shading = rng.uniform(0.92, 1.05, size=(size, size))[covered]
+    blob = tone[:, None] * shading
+    np.clip(blob, 0.0, 1.0, out=blob)
+    pixels[covered] = blob.T
 
 
 def _paint_words(pixels: np.ndarray, latent: ImageLatent, rng: np.random.Generator) -> None:

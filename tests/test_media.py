@@ -92,6 +92,19 @@ class TestRendering:
         assert np.array_equal(tone_a, tone_b)
         assert not np.array_equal(tone_a, skin_tone_for_model(8))
 
+    @pytest.mark.parametrize("model_id", [None, 7])
+    def test_model_tone_is_shared_and_read_only(self, model_id):
+        # The tone is memoised, so every render of this model shares one
+        # array: a caller that mutates it must fail, not poison later renders.
+        tone = skin_tone_for_model(model_id)
+        assert skin_tone_for_model(model_id) is tone
+        before = render_latent(latent_for(model_id=model_id))
+        with pytest.raises(ValueError, match="read-only"):
+            tone[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            tone *= 0.5
+        assert np.array_equal(render_latent(latent_for(model_id=model_id)), before)
+
     @given(st.sampled_from(list(ImageKind)), st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
     def test_any_kind_renders_in_range(self, kind, seed):
@@ -187,7 +200,9 @@ class TestVectorisedRenderBitIdentity:
 
     @staticmethod
     def _paint_skin_reference(pixels, latent, rng):
-        """Original full-grid ellipse rasteriser (pre-bounding-box)."""
+        """Original rasteriser: one scalar ``rng.uniform`` call per blob
+        parameter, every blob tested on the full grid.  Returns the number
+        of blob attempts made."""
         from repro.media.render import skin_tone_for_model
 
         size = latent.size
@@ -196,10 +211,12 @@ class TestVectorisedRenderBitIdentity:
         total_pixels = size * size
         rows, cols = np.mgrid[0:size, 0:size]
         covered = np.zeros((size, size), dtype=bool)
+        attempts = 0
         for _attempt in range(64):
             coverage = covered.sum() / total_pixels
             if coverage >= target:
                 break
+            attempts += 1
             remaining = target - coverage
             area = max(remaining * total_pixels * rng.uniform(0.5, 1.0), 9.0)
             aspect = rng.uniform(0.4, 2.5)
@@ -217,25 +234,76 @@ class TestVectorisedRenderBitIdentity:
         shading = rng.uniform(0.92, 1.05, size=(size, size))[..., None]
         blob = np.clip(tone[None, None, :] * shading, 0.0, 1.0)
         pixels[covered] = blob[covered]
+        return attempts
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_paint_skin_matches_full_grid(self, seed):
-        """The bounding-box ellipse rasteriser equals the full-grid
-        original bit-for-bit, including RNG stream consumption (the
-        coverage early-break must fire on identical attempt counts)."""
+    def _assert_paint_skin_matches_reference(self, latent, base, seed):
+        """Paint ``base`` with both painters; pixels and the generator
+        state afterwards must be equal.  Returns the attempts made."""
         from repro.media.render import _paint_skin
 
-        meta = np.random.default_rng(seed)
-        kind = ImageKind.MODEL_SEXUAL if seed % 2 else ImageKind.MODEL_NUDE
-        latent = sample_latent(meta, kind, model_id=int(meta.integers(1, 30)))
-        base = meta.uniform(0.0, 1.0, (latent.size, latent.size, 3))
         new_pixels, ref_pixels = base.copy(), base.copy()
         rng_new = np.random.default_rng(seed)
         rng_ref = np.random.default_rng(seed)
         _paint_skin(new_pixels, latent, rng_new)
-        self._paint_skin_reference(ref_pixels, latent, rng_ref)
-        assert np.array_equal(new_pixels, ref_pixels)
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        attempts = self._paint_skin_reference(ref_pixels, latent, rng_ref)
+        assert np.array_equal(new_pixels, ref_pixels), latent
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state, latent
+        return attempts
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_paint_skin_matches_full_grid(self, seed):
+        """The fast painter equals the per-attempt, full-grid original
+        bit-for-bit, including RNG stream consumption (the coverage
+        early-break must fire on identical attempt counts, and the
+        rewind must leave the stream where the scalar draws would)."""
+        meta = np.random.default_rng(seed)
+        kind = ImageKind.MODEL_SEXUAL if seed % 2 else ImageKind.MODEL_NUDE
+        latent = sample_latent(meta, kind, model_id=int(meta.integers(1, 30)))
+        base = meta.uniform(0.0, 1.0, (latent.size, latent.size, 3))
+        self._assert_paint_skin_matches_reference(latent, base, seed)
+
+        # Edges: odd and minimum raster sizes, no model, near-zero coverage
+        # (stops after a blob or two) and unreachable coverage (all 64
+        # attempts run, so the rewind re-draws every parameter).
+        for size in (16, DEFAULT_SIZE, 65):
+            base = meta.uniform(0.0, 1.0, (size, size, 3))
+            for skin_fraction in (0.002, 0.9, 1.0):
+                for model_id in (None, 7):
+                    latent = ImageLatent(
+                        visual_seed=seed,
+                        kind=kind,
+                        skin_fraction=skin_fraction,
+                        word_count=0,
+                        model_id=model_id,
+                        size=size,
+                    )
+                    attempts = self._assert_paint_skin_matches_reference(
+                        latent, base, seed
+                    )
+                    if skin_fraction == 0.002:
+                        assert attempts <= 3
+                    elif skin_fraction == 1.0:
+                        assert attempts == 64
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_render_matches_reference_skin_painter(self, seed, monkeypatch):
+        """Whole renders equal the same renders with the reference skin
+        painter swapped in: nothing drawn after the skin (shading, words,
+        noise, transforms) sees a different stream."""
+        import repro.media.render as render_module
+        from repro.media.image import KIND_SKIN_RANGE
+
+        # Every kind that can show skin, so each background painter runs.
+        kinds = [kind for kind in ImageKind if KIND_SKIN_RANGE[kind][1] > 0]
+        kind = kinds[seed % len(kinds)]
+        rng = np.random.default_rng(seed)
+        latent = sample_latent(rng, kind, model_id=seed if kind.is_model else None)
+        assert latent.skin_fraction > 0
+        if seed % 3 == 0:
+            latent = latent.with_transform("mirror")
+        fast = render_latent(latent)
+        monkeypatch.setattr(render_module, "_paint_skin", self._paint_skin_reference)
+        assert np.array_equal(fast, render_latent(latent))
 
     @given(st.sampled_from(list(ImageKind)), st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
