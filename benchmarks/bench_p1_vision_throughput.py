@@ -142,7 +142,6 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
                 "hits": cache_stats.hits,
                 "misses": cache_stats.misses,
                 "hit_rate": round(cache_stats.hit_rate, 4),
-                "evictions": cache_stats.evictions,
                 "entries": cache_stats.n_entries,
             }
             if cache_stats is not None

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..forum.dataset import ForumDataset
-# Unused here; benchmarks/e2e/layers.py wraps this module attribute.
+# Unused here; benchmarks/e2e/layers.py wraps these module attributes.
 from ..media.validate import validate_raster  # noqa: F401
-from ..vision.batch import hash_batch
-from ..vision.cache import VisionCache
+from ..vision.batch import hash_batch  # noqa: F401
+from ..vision.cache import Featurizer
 from ..vision.photodna import (
     AbuseSeverity,
     HashListService,
@@ -78,12 +78,12 @@ class AbuseFilter:
         hashlist: HashListService,
         reverse_index: Optional[ReverseImageIndex] = None,
         domain_info: Optional[DomainInfoFn] = None,
-        cache: Optional[VisionCache] = None,
+        features: Optional[Featurizer] = None,
     ):
         self._hashlist = hashlist
         self._reverse_index = reverse_index
         self._domain_info = domain_info if domain_info is not None else (lambda d: (None, None))
-        self._cache = cache
+        self._features = features if features is not None else Featurizer(hashlist=hashlist)
 
     # ------------------------------------------------------------------
     def sweep(
@@ -97,10 +97,10 @@ class AbuseFilter:
         ``dataset`` enables the thread/actor exposure statistics; without
         it only image-level results are produced.
 
-        Hashing is deduplicated by content digest: each distinct image
-        is hashed exactly once (through the batched vision engine, and
-        through the shared :class:`VisionCache` when one is attached),
-        no matter how many crawled copies carry the same digest.
+        Hashes come from the digests' feature records (see
+        :class:`~repro.vision.cache.Featurizer`), computed at crawler
+        ingest; a digest without a record is featurised here, once, no
+        matter how many crawled copies carry it.
 
         When a ``quarantine`` ledger is supplied, every representative
         raster crosses a validation boundary before hashing: poison that
@@ -130,7 +130,10 @@ class AbuseFilter:
             )
             quarantined_digests = set(digests) - set(survivors)
             digests = survivors
-        hashes = self._hashes_for(representatives, digests)
+        hashes = [
+            int(self._features.features(d, representatives[d].image)["hash"])
+            for d in digests
+        ]
         matches = self._hashlist.match_hashes(hashes)
         match_by_digest: Dict[str, MatchResult] = dict(zip(digests, matches))
         hash_by_digest: Dict[str, int] = dict(zip(digests, hashes))
@@ -177,21 +180,6 @@ class AbuseFilter:
         )
 
     # ------------------------------------------------------------------
-    def _hashes_for(
-        self,
-        representatives: Dict[str, CrawledImage],
-        digests: List[str],
-    ) -> List[int]:
-        """Perceptual hashes for each digest, batched and cache-aware."""
-        if self._cache is not None:
-            keyed = [
-                (digest, (lambda c=representatives[digest]: c.image.pixels))
-                for digest in digests
-            ]
-            return self._cache.hashes_for(keyed, hash_batch)
-        rasters = [representatives[digest].image.pixels for digest in digests]
-        return [int(h) for h in hash_batch(rasters)]
-
     def _report(
         self,
         log: ReportLog,

@@ -20,6 +20,7 @@ from datetime import datetime
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from ..forum.dataset import ForumDataset
 from ..forum.models import Post, Thread
@@ -223,16 +224,24 @@ def _eigenvector_centrality(
     iterations: int = 100,
     tolerance: float = 1e-10,
 ) -> Dict[int, float]:
-    """Power iteration on the symmetrised weighted adjacency matrix."""
+    """Power iteration on the symmetrised weighted adjacency matrix.
+
+    The adjacency is sparse (CSR, duplicate entries summed), so memory
+    grows with the edge count rather than the square of the actor count.
+    """
     if not edges:
         return {}
     nodes = sorted({a for a, _ in edges} | {b for _, b in edges})
     index = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    for (a, b), weight in edges.items():
-        adjacency[index[a], index[b]] += weight
-        adjacency[index[b], index[a]] += weight
+    heads = np.array([index[a] for a, _ in edges], dtype=np.int64)
+    tails = np.array([index[b] for _, b in edges], dtype=np.int64)
+    weights = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+    adjacency = sparse.csr_matrix(
+        (np.concatenate([weights, weights]),
+         (np.concatenate([heads, tails]), np.concatenate([tails, heads]))),
+        shape=(n, n),
+    )
     vector = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(iterations):
         nxt = adjacency @ vector

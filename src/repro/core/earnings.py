@@ -34,7 +34,10 @@ from ..forum.dataset import ForumDataset
 from ..forum.models import Post, Thread
 from ..forum.query import ewhoring_threads
 from ..synth.earnings_gen import ProofPlan
-from ..vision.photodna import HashListService, robust_hash
+from ..vision.cache import Featurizer
+from ..vision.photodna import HashListService
+# Unused here; benchmarks/e2e/layers.py wraps this module attribute.
+from ..vision.photodna import robust_hash  # noqa: F401
 from ..web.crawler import CrawledImage, Crawler, LinkRecord
 from ..web.internet import SimulatedInternet
 from ..web.sites import ServiceKind, service_by_domain
@@ -168,7 +171,7 @@ class EarningsAnalyzer:
         nsfv: Optional[NsfvClassifier] = None,
         rates: Optional[HistoricalRates] = None,
         quarantine: Optional[Quarantine] = None,
-        cache=None,
+        features: Optional[Featurizer] = None,
         ingest_memo=None,
         checkpoint=None,
     ):
@@ -179,10 +182,14 @@ class EarningsAnalyzer:
         self._nsfv = nsfv if nsfv is not None else NsfvClassifier()
         self._rates = rates if rates is not None else HistoricalRates()
         self._quarantine = quarantine
-        #: Optional :class:`~repro.vision.cache.VisionCache`: hash and
-        #: NSFV scores are then memoised by digest, so a warm run (the
-        #: persistent-store delta path) never renders proof rasters.
-        self._cache = cache
+        #: The run's feature records: hashes and NSFW scores are read
+        #: from them by digest, so a warm run (the persistent-store delta
+        #: path) never renders proof rasters.
+        self._features = (
+            features
+            if features is not None
+            else Featurizer(hashlist=hashlist, scorer=self._nsfv.scorer)
+        )
         #: Optional :class:`~repro.web.crawler.IngestMemo` + crawl
         #: checkpoint for the §5.1 crawl, see ``repro.store``.
         self._ingest_memo = ingest_memo
@@ -215,13 +222,14 @@ class EarningsAnalyzer:
             if crawled.digest in seen_abuse_digests:
                 continue
             try:
-                match = self._hashlist.match_hash(self._hash_of(crawled))
+                record = self._features.features(crawled.digest, crawled.image)
+                match = self._hashlist.match_hash(int(record["hash"]))
                 if match.matched:
                     n_abuse += 1
                     seen_abuse_digests.add(crawled.digest)
                     crawled.image.drop_pixels()
                     continue
-                verdict = self._classify(crawled)
+                verdict = self._nsfv.classify_batch([crawled], self._features)[0]
             except Exception as exc:
                 # Defence in depth behind the ingest boundary: a record
                 # that still manages to poison the safety checks is
@@ -259,33 +267,6 @@ class EarningsAnalyzer:
             records=records,
             n_non_proofs=n_non_proofs,
         )
-
-    # ------------------------------------------------------------------
-    def _hash_of(self, crawled: CrawledImage) -> int:
-        """Perceptual hash, memoised by digest when a cache is attached."""
-        if self._cache is None:
-            return robust_hash(crawled.image.pixels)
-        return int(
-            self._cache.hash_for(
-                crawled.digest, lambda: robust_hash(crawled.image.pixels)
-            )
-        )
-
-    def _classify(self, crawled: CrawledImage):
-        """NSFV verdict, memoised by digest when a cache is attached.
-
-        The cached path goes through :meth:`NsfvClassifier.classify_batch`
-        (verdict-identical to :meth:`~NsfvClassifier.classify` by that
-        method's contract) with a lazy raster, so a warm digest never
-        renders pixels.
-        """
-        if self._cache is None:
-            return self._nsfv.classify(crawled.image.pixels)
-        return self._nsfv.classify_batch(
-            [lambda: crawled.image.pixels],
-            digests=[crawled.digest],
-            cache=self._cache,
-        )[0]
 
     # ------------------------------------------------------------------
     def _earnings_threads(self, threads: Sequence[Thread]) -> List[Thread]:

@@ -21,14 +21,17 @@ positives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..obs.trace import NULL_TRACER
-from ..vision.cache import VisionCache
+from ..vision.cache import Featurizer
 from ..vision.nsfw import NsfwScorer
 from ..vision.ocr import OcrEngine
+
+if TYPE_CHECKING:
+    from ..web.crawler import CrawledImage
 
 __all__ = ["NsfvClassifier", "NsfvVerdict"]
 
@@ -82,15 +85,7 @@ class NsfvClassifier:
         Skipping OCR outside the ambiguous band halves the cost on the
         dominant clear-cut classes without changing any verdict.
         """
-        nsfw = self.scorer.score(pixels)
-        if nsfw < self.sfv_threshold:
-            return NsfvVerdict(True, nsfw, 0)
-        if nsfw > self.nsfv_threshold:
-            return NsfvVerdict(False, nsfw, 0)
-        words = self.ocr.word_count(pixels)
-        if nsfw < self.low_band_threshold:
-            return NsfvVerdict(words > self.low_ocr_words, nsfw, words)
-        return NsfvVerdict(words > self.high_ocr_words, nsfw, words)
+        return self._decide(self.scorer.score(pixels), lambda: self.ocr.word_count(pixels))
 
     def is_sfv(self, pixels: np.ndarray) -> bool:
         """Algorithm 1's boolean: True when safe for viewing."""
@@ -98,86 +93,55 @@ class NsfvClassifier:
 
     def classify_batch(
         self,
-        rasters: Sequence[object],
-        *,
-        digests: Optional[Sequence[str]] = None,
-        cache: Optional[VisionCache] = None,
+        images: Sequence["CrawledImage"],
+        features: Optional[Featurizer] = None,
         tracer=None,
     ) -> List[NsfvVerdict]:
-        """Classify many rasters, optionally memoised through a cache.
+        """Classify crawled images from their feature records.
 
-        ``rasters`` items may be arrays **or zero-argument callables**
-        returning an array: callables defer pixel materialisation to the
-        moment a score is actually computed, so a fully cache-warm batch
-        (an incremental re-run against a persistent store) never renders
-        a single raster.
-
-        When ``digests`` (one content digest per raster, aligned) and a
-        :class:`~repro.vision.cache.VisionCache` are both supplied, NSFW
-        scores and OCR word counts are looked up / stored under each
-        digest, so repeated digests — within this batch or across
-        pipeline stages — are scored once.  Verdicts are identical to
-        mapping :meth:`classify` over the same rasters: OCR still runs
-        only inside the ambiguous band, and a cached OCR count never
-        changes a clear-cut verdict.
+        The NSFW score comes from each digest's record (see
+        :class:`~repro.vision.cache.Featurizer`; without ``features`` a
+        private one scores with :attr:`scorer`).  OCR runs lazily, only
+        for digests inside the ambiguous band, and its word count joins
+        the record, so a record-warm batch renders no raster outside the
+        band.  Verdicts are identical to mapping :meth:`classify` over the
+        images' pixels, and each distinct digest is classified once.
 
         ``tracer`` wraps the batch in a ``vision.nsfv_batch`` span whose
-        attributes count the images scored and the OCR passes the
+        attributes count the distinct images and the OCR passes the
         ambiguous band demanded (DESIGN.md §9).
         """
         tracer = tracer if tracer is not None else NULL_TRACER
-        items = rasters if isinstance(rasters, list) else list(rasters)
-        if digests is not None and len(digests) != len(items):
-            raise ValueError("digests must align one-to-one with rasters")
-
-        def pixels_of(item):
-            return item() if callable(item) else item
-
-        with tracer.span("vision.nsfv_batch", n_images=len(items)) as span:
-            if digests is None or cache is None:
-                verdicts_plain: List[NsfvVerdict] = []
-                n_ocr = 0
-                for item in items:
-                    verdict = self.classify(pixels_of(item))
-                    if (
-                        self.sfv_threshold <= verdict.nsfw_score
-                        and verdict.nsfw_score <= self.nsfv_threshold
-                    ):
-                        n_ocr += 1
-                    verdicts_plain.append(verdict)
-                span.set(n_ocr=n_ocr)
-                return verdicts_plain
-
-            verdicts: List[Optional[NsfvVerdict]] = [None] * len(items)
+        features = features if features is not None else Featurizer(scorer=self.scorer)
+        with tracer.span("vision.nsfv_batch", n_images=len(images)) as span:
             seen: Dict[str, NsfvVerdict] = {}
-            n_ocr = 0
-            for i, (item, digest) in enumerate(zip(items, digests)):
-                cached = seen.get(digest)
-                if cached is not None:
-                    verdicts[i] = cached
-                    continue
-                nsfw = float(
-                    cache.nsfw_for(
-                        digest, lambda it=item: self.scorer.score(pixels_of(it))
+            verdicts: List[NsfvVerdict] = []
+            for crawled in images:
+                verdict = seen.get(crawled.digest)
+                if verdict is None:
+                    record = features.features(crawled.digest, crawled.image)
+                    verdict = self._decide(
+                        float(record["nsfw"]),
+                        lambda c=crawled: features.ocr_words(c.digest, c.image, self.ocr),
                     )
-                )
-                if nsfw < self.sfv_threshold:
-                    verdict = NsfvVerdict(True, nsfw, 0)
-                elif nsfw > self.nsfv_threshold:
-                    verdict = NsfvVerdict(False, nsfw, 0)
-                else:
-                    n_ocr += 1
-                    words = int(
-                        cache.ocr_for(
-                            digest,
-                            lambda it=item: self.ocr.word_count(pixels_of(it)),
-                        )
-                    )
-                    if nsfw < self.low_band_threshold:
-                        verdict = NsfvVerdict(words > self.low_ocr_words, nsfw, words)
-                    else:
-                        verdict = NsfvVerdict(words > self.high_ocr_words, nsfw, words)
-                seen[digest] = verdict
-                verdicts[i] = verdict
-            span.set(n_unique=len(seen), n_ocr=n_ocr)
-            return [v for v in verdicts if v is not None]
+                    seen[crawled.digest] = verdict
+                verdicts.append(verdict)
+            span.set(
+                n_unique=len(seen),
+                n_ocr=sum(
+                    1 for v in seen.values()
+                    if self.sfv_threshold <= v.nsfw_score <= self.nsfv_threshold
+                ),
+            )
+            return verdicts
+
+    def _decide(self, nsfw: float, words: Callable[[], int]) -> NsfvVerdict:
+        """Algorithm 1 on a score; ``words`` is called only when ambiguous."""
+        if nsfw < self.sfv_threshold:
+            return NsfvVerdict(True, nsfw, 0)
+        if nsfw > self.nsfv_threshold:
+            return NsfvVerdict(False, nsfw, 0)
+        count = words()
+        if nsfw < self.low_band_threshold:
+            return NsfvVerdict(count > self.low_ocr_words, nsfw, count)
+        return NsfvVerdict(count > self.high_ocr_words, nsfw, count)

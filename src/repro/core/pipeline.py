@@ -39,7 +39,7 @@ from ..forum.models import Thread
 from ..forum.query import ForumSummary, ewhoring_threads, forum_summaries
 from ..ml.split import train_test_split
 from ..synth.earnings_gen import ProofPlan
-from ..vision.cache import VisionCache, VisionCacheStats
+from ..vision.cache import Featurizer, VisionCache, VisionCacheStats
 from ..vision.photodna import HashListService
 from ..vision.reverse_search import ReverseImageIndex
 from ..web.archive import WaybackArchive
@@ -127,7 +127,7 @@ class PipelineReport:
     stage_outcomes: List[StageOutcome] = field(default_factory=list)
     stage_failures: List[StageFailure] = field(default_factory=list)
 
-    #: Hit/miss/evict counters of the run's shared :class:`VisionCache`.
+    #: Hit/miss counters of the run's shared :class:`VisionCache`.
     vision_cache_stats: Optional[VisionCacheStats] = None
 
     #: The run's shared record-level fault ledger (see DESIGN.md §8):
@@ -198,7 +198,7 @@ class EwhoringPipeline:
         )
         self.nsfv = nsfv if nsfv is not None else NsfvClassifier()
         self.seed = seed
-        #: Shared per-run memo of hash / NSFW / OCR work (see DESIGN.md §7).
+        #: Digest → feature-record map the stages read (DESIGN.md §7).
         self.vision_cache = vision_cache if vision_cache is not None else VisionCache()
         # Adversarial-drift injection points (defaults reproduce the
         # paper's static methodology bit-for-bit; repro.drift overrides
@@ -266,12 +266,13 @@ class EwhoringPipeline:
             tracer=tele.tracer,
             validation_memo=persist.validation_memo if persist is not None else None,
         )
-        #: The run's shared cache narrates its batched kernels to the
-        #: run's tracer (re-pointed each run; the cache may outlive it).
-        self.vision_cache.set_tracer(tele.tracer)
+        #: One featuriser per run: crawler ingest records each distinct
+        #: image's hash and NSFW score (scored by the NSFV stage's own
+        #: scorer) and drops its pixels; every later stage reads records.
+        features = Featurizer(self.vision_cache, self.hashlist, self.nsfv.scorer)
         with tele.tracer.span("pipeline.run", seed=self.seed, strict=strict):
             report = self._run_stages(
-                runner, tele, quarantine,
+                runner, tele, quarantine, features,
                 top_oracle, proof_oracle, annotate_n, train_fraction,
                 min_ce_posts, key_actor_top_n, checkpoint, persist,
             )
@@ -283,6 +284,7 @@ class EwhoringPipeline:
         runner: StageRunner,
         tele: RunTelemetry,
         quarantine: Quarantine,
+        features: Featurizer,
         top_oracle: TopOracleFn,
         proof_oracle: ProofOracleFn,
         annotate_n: int,
@@ -333,6 +335,7 @@ class EwhoringPipeline:
                 ingest_memo=(
                     persist.ingest_memo("url_crawl") if persist is not None else None
                 ),
+                features=features,
             )
             result = crawler.crawl(
                 links.all_links,
@@ -357,7 +360,7 @@ class EwhoringPipeline:
                 self.hashlist,
                 reverse_index=self.reverse_index,
                 domain_info=self._domain_info,
-                cache=self.vision_cache,
+                features=features,
             )
             abuse = abuse_filter.sweep(
                 crawl.all_images,
@@ -381,22 +384,15 @@ class EwhoringPipeline:
         # ---- stage 4: NSFV classification ---------------------------
         def _stage_nsfv():
             # Record-level boundary: previews whose raster fails
-            # validation are excised into the ledger; the batch kernel
-            # only ever sees clean rasters.
+            # validation are excised into the ledger; the classifier
+            # only ever sees clean records.
             previews = quarantine.filter_rasters(
                 "nsfv",
                 clean_previews,
                 ref=lambda c: c.digest,
                 raster=lambda c: c.image.pixels,
             )
-            # Rasters go in as zero-arg callables so a cache-warm digest
-            # (an incremental re-run) never renders its pixels at all.
-            verdicts = self.nsfv.classify_batch(
-                [lambda c=c: c.image.pixels for c in previews],
-                digests=[c.digest for c in previews],
-                cache=self.vision_cache,
-                tracer=tele.tracer,
-            )
+            verdicts = self.nsfv.classify_batch(previews, features, tracer=tele.tracer)
             preview_verdicts = list(zip(previews, verdicts))
             return preview_verdicts, [c for c, v in preview_verdicts if v.nsfv]
 
@@ -417,7 +413,7 @@ class EwhoringPipeline:
                 archive=self.archive,
                 classifiers=self.classifiers,
                 category_lookup=self.category_lookup,
-                cache=self.vision_cache,
+                features=features,
             ).analyze(clean_pack_images, nsfv_previews, quarantine=quarantine)
 
         provenance, _ = runner.run(
@@ -441,7 +437,7 @@ class EwhoringPipeline:
                 annotator=proof_oracle,
                 nsfv=self.nsfv,
                 quarantine=quarantine,
-                cache=self.vision_cache if persist is not None else None,
+                features=features,
                 ingest_memo=(
                     persist.ingest_memo("earnings") if persist is not None else None
                 ),
@@ -586,7 +582,6 @@ class EwhoringPipeline:
         if cache_stats is not None:
             metrics.gauge("vision_cache.hits").set(cache_stats.hits)
             metrics.gauge("vision_cache.misses").set(cache_stats.misses)
-            metrics.gauge("vision_cache.evictions").set(cache_stats.evictions)
             metrics.gauge("vision_cache.entries").set(cache_stats.n_entries)
         if report.quarantine is not None:
             for stage, count in sorted(report.quarantine.by_stage().items()):
@@ -638,6 +633,7 @@ class EwhoringPipeline:
 
     @staticmethod
     def _release_pixels(images: Sequence[CrawledImage]) -> None:
-        """Drop cached rasters once every stage has consumed them."""
+        """Drop the rasters stages re-rendered (the OCR band, digests
+        without a record) once every stage has consumed them."""
         for crawled in images:
             crawled.image.drop_pixels()

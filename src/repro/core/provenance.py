@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..domains.classifiers import DomainClassifier, DomainVerdict, tag_distribution
 from ..media.pack import Pack
-from ..vision.cache import VisionCache
-from ..vision.nsfw import NsfwScorer
-from ..vision.photodna import robust_hash
+from ..vision.cache import Featurizer
+# Unused here; benchmarks/e2e/layers.py wraps this module attribute.
+from ..vision.photodna import robust_hash  # noqa: F401
 from ..vision.reverse_search import ReverseImageIndex, ReverseSearchReport
 from ..web.archive import WaybackArchive
 from ..web.crawler import CrawledImage
@@ -123,17 +123,18 @@ class ProvenanceAnalyzer:
         archive: Optional[WaybackArchive] = None,
         classifiers: Sequence[DomainClassifier] = (),
         category_lookup: Optional[Callable[[str], Optional[str]]] = None,
-        scorer: Optional[NsfwScorer] = None,
         sampling: PackSampling = PackSampling(),
-        cache: Optional[VisionCache] = None,
+        features: Optional[Featurizer] = None,
     ):
         self._index = reverse_index
         self._archive = archive
         self._classifiers = list(classifiers)
         self._category_lookup = category_lookup if category_lookup is not None else (lambda d: None)
-        self._scorer = scorer if scorer is not None else NsfwScorer()
         self._sampling = sampling
-        self._cache = cache
+        #: The run's feature records: sampling ranks packs by their NSFW
+        #: scores and queries use their hashes, so the scores are the
+        #: ones the NSFV stage classified with.
+        self._features = features if features is not None else Featurizer()
 
     # ------------------------------------------------------------------
     def analyze(
@@ -225,16 +226,11 @@ class ProvenanceAnalyzer:
             selected.extend(scored[i] for i in picks)
         return selected
 
+    def _record(self, crawled: CrawledImage) -> Dict[str, Any]:
+        return self._features.features(crawled.digest, crawled.image)
+
     def _nsfw_score(self, crawled: CrawledImage) -> float:
-        """NSFW score for sampling, memoised through the shared cache."""
-        if self._cache is None:
-            return self._scorer.score(crawled.image.pixels)
-        return float(
-            self._cache.nsfw_for(
-                crawled.digest,
-                lambda: self._scorer.score(crawled.image.pixels),
-            )
-        )
+        return float(self._record(crawled)["nsfw"])
 
     def _query_all(
         self,
@@ -255,14 +251,7 @@ class ProvenanceAnalyzer:
         return outcomes
 
     def _query(self, crawled: CrawledImage) -> QueryOutcome:
-        if self._cache is None:
-            report = self._index.search_pixels(crawled.image.pixels)
-        else:
-            query_hash = self._cache.hash_for(
-                crawled.digest,
-                lambda: robust_hash(crawled.image.pixels),
-            )
-            report = self._index.search_hash(int(query_hash))
+        report = self._index.search_hash(int(self._record(crawled)["hash"]))
         posted_at = crawled.link.posted_at
         seen_before = False
         if posted_at is not None:

@@ -48,7 +48,9 @@ from typing import (
     TypeVar,
 )
 
-from ..media.validate import validate_raster
+from ..media.validate import ValidationMemo
+# Unused here; benchmarks/e2e/layers.py wraps this module attribute.
+from ..media.validate import validate_raster  # noqa: F401
 from ..obs.trace import NULL_TRACER
 
 __all__ = ["Quarantine", "QuarantineRecord"]
@@ -97,12 +99,16 @@ class Quarantine:
     def __init__(self, tracer=None, validation_memo=None) -> None:
         self.records: List[QuarantineRecord] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Optional :class:`~repro.media.validate.ValidationMemo` shared
-        #: across every stage boundary that filters rasters through this
-        #: ledger.  All such boundaries validate with ``context ==
-        #: digest`` (a pure per-raster computation), so memoised replay
-        #: admits byte-identical records without re-rendering pixels.
-        self.validation_memo = validation_memo
+        #: The :class:`~repro.media.validate.ValidationMemo` shared by
+        #: crawler ingest (which records each clean digest) and every
+        #: stage boundary that filters rasters through this ledger —
+        #: fresh unless a persistent store lends one.  All such
+        #: boundaries validate with ``context == digest`` (a pure
+        #: per-raster computation), so memoised replay admits
+        #: byte-identical records without re-rendering pixels.
+        self.validation_memo = (
+            validation_memo if validation_memo is not None else ValidationMemo()
+        )
 
     # ------------------------------------------------------------------
     # Admission
@@ -156,19 +162,16 @@ class Quarantine:
     ) -> List[T]:
         """Validation boundary over a record sequence, order-preserving.
 
-        Each item's raster is materialised and passed through
+        Each item whose digest the validation memo does not know has
+        its raster materialised and passed through
         :func:`~repro.media.validate.validate_raster`; items whose
         payload access *or* validation fails are admitted to the ledger
         and dropped, the rest are returned in their original order.
         """
-        memo = self.validation_memo
         survivors: List[T] = []
         for item in items:
             try:
-                if memo is not None:
-                    memo.validate(ref(item), lambda it=item: raster(it))
-                else:
-                    validate_raster(raster(item), context=ref(item))
+                self.validation_memo.validate(ref(item), lambda it=item: raster(it))
             except Exception as exc:
                 self.admit(
                     stage, ref(item), exc, context(item) if context else None

@@ -13,12 +13,13 @@ an actual image-analysis pipeline rather than a lookup of ground truth.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ImageKind", "ImageLatent", "SyntheticImage", "DEFAULT_SIZE"]
+__all__ = ["ImageKind", "ImageLatent", "SyntheticImage", "DEFAULT_SIZE", "raster_digest"]
 
 #: Raster edge length used throughout (square images).
 DEFAULT_SIZE: int = 64
@@ -168,20 +169,42 @@ def sample_latent(
     )
 
 
+def raster_digest(raster: np.ndarray) -> str:
+    """Exact-content digest of a raster (for file deduplication).
+
+    The digest covers shape **and dtype** alongside the raw bytes: two
+    rasters whose buffers happen to coincide but whose dtypes differ
+    (e.g. the same 12 bytes viewed as ``float32`` vs ``uint8`` rows) are
+    different files and must not collide in the dedup step.
+    """
+    digest = hashlib.sha1()
+    digest.update(str(raster.shape).encode("ascii"))
+    digest.update(raster.dtype.str.encode("ascii"))
+    digest.update(raster.tobytes())
+    return digest.hexdigest()
+
+
 class SyntheticImage:
     """An image: a latent plus a lazily rendered, cached pixel raster.
 
     Rendering is deferred because the synthetic world creates many more
     images than the pipeline ever downloads; pixels are materialised only
     when a classifier first needs them.
+
+    The pixels are a pure function of the object (rendering is pure, and
+    subclasses such as corrupt payload views draw from fixed seeds), so
+    the content digest is memoised on the object and survives
+    :meth:`drop_pixels`: a repeat download of a dropped image needs no
+    re-render to be deduplicated.
     """
 
-    __slots__ = ("image_id", "latent", "_pixels")
+    __slots__ = ("image_id", "latent", "_pixels", "_digest")
 
     def __init__(self, image_id: int, latent: ImageLatent):
         self.image_id = image_id
         self.latent = latent
         self._pixels: Optional[np.ndarray] = None
+        self._digest: Optional[str] = None
 
     @property
     def pixels(self) -> np.ndarray:
@@ -191,6 +214,18 @@ class SyntheticImage:
 
             self._pixels = render_latent(self.latent)
         return self._pixels
+
+    @property
+    def content_digest(self) -> str:
+        """:func:`raster_digest` of the pixels, computed once per object."""
+        if self._digest is None:
+            self._digest = raster_digest(self.pixels)
+        return self._digest
+
+    @property
+    def known_digest(self) -> Optional[str]:
+        """The memoised content digest, or ``None`` before the first one."""
+        return self._digest
 
     @property
     def kind(self) -> ImageKind:

@@ -187,9 +187,12 @@ class ValidationMemo:
     """Digest-keyed memo of :func:`validate_raster` outcomes.
 
     Validation is a pure function of the raster, and every stage-level
-    boundary (abuse filter, NSFV, provenance) validates with ``context = digest`` — so per digest the outcome
-    *and the error message* are deterministic, and a warm run can skip
-    both the raster render and the re-validation.  Entries are
+    boundary (abuse filter, NSFV, provenance) validates with ``context =
+    digest`` — so per digest the outcome *and the error message* are
+    deterministic, and a run can skip both the raster render and the
+    re-validation.  Crawler ingest records each digest it validated
+    clean, so the stage boundaries of the same run re-render nothing
+    either.  Entries are
     ``digest -> None`` (clean) or ``digest -> (error_type, message)``.
 
     Every access holds the memo's lock.

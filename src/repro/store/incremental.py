@@ -67,7 +67,7 @@ class PersistSession:
 
     def _sizes(self) -> Dict[str, int]:
         sizes = {
-            "vision_cache": sum(len(entry) for _, entry in self.cache.items()),
+            "vision_cache": sum(len(record) for record in self.cache.values()),
             "validation_memo": len(self.validation_memo.items()),
         }
         for stage, memo in self.ingest_memos.items():

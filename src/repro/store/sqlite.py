@@ -663,7 +663,8 @@ class RunStore:
             raise StoreCorruptionError(
                 f"{self.path}: vision cache payload is not JSON: {exc}"
             ) from exc
-        cache.preload(list(grouped.items()))
+        for digest, record in grouped.items():
+            cache.setdefault(digest, {}).update(record)
         return len(grouped)
 
     def save_validation_memo(self, memo) -> int:

@@ -3,14 +3,14 @@
 Hot-path batching lives in :mod:`repro.vision.batch` (stacked DCT
 hashing, vectorised bit packing) on top of the :mod:`repro.vision.bits`
 kernels (popcount, Hamming matrices), and
-:mod:`repro.vision.cache` provides the content-addressed
-:class:`VisionCache` that memoises hash / NSFW / OCR work across
-pipeline stages.
+:mod:`repro.vision.cache` provides the :class:`Featurizer` that computes
+each distinct image's hash / NSFW / OCR record once, into the
+content-addressed :class:`VisionCache` every pipeline stage reads.
 """
 
 from .batch import hash_batch, hash_batch_ints, prepare_thumbnails
 from .bits import hamming_matrix, pack_bits_rows, popcount
-from .cache import VisionCache, VisionCacheStats
+from .cache import Featurizer, VisionCache, VisionCacheStats
 from .nsfw import NsfwScorer, nsfw_score, skin_mask
 from .ocr import OcrEngine, WordBox, ocr_word_count
 from .photodna import (
@@ -32,6 +32,7 @@ from .reverse_search import (
 
 __all__ = [
     "AbuseSeverity",
+    "Featurizer",
     "HashListEntry",
     "HashListService",
     "IndexedCopy",

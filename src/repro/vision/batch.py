@@ -168,10 +168,9 @@ def hash_batch(rasters: Sequence[np.ndarray], tracer=None) -> np.ndarray:
     packing is a single vectorised shift/sum instead of ``64n`` Python
     loop iterations.
 
-    ``tracer`` (a :class:`~repro.obs.trace.Tracer`-shaped recorder, used
-    by direct callers outside the :class:`~repro.vision.cache.
-    VisionCache` batching path, which already spans its own calls) wraps
-    the kernel in a ``vision.hash_batch`` span carrying the image count.
+    ``tracer`` (a :class:`~repro.obs.trace.Tracer`-shaped recorder)
+    wraps the kernel in a ``vision.hash_batch`` span carrying the image
+    count.
 
     Returns an empty array for an empty input.  Results are
     bit-identical to ``[robust_hash(r) for r in rasters]``.

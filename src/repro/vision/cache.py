@@ -1,40 +1,34 @@
-"""Content-addressed vision cache: one computation per distinct image.
+"""Content-addressed image features: one record per distinct image.
 
-The pipeline's image stages all key their work off
-``CrawledImage.digest`` (the exact-content SHA-1 of the raster), yet the
-seed code re-derived the same quantities independently per stage: the
-abuse filter hashed pixels, the reverse-search stage hashed the same
-pixels again, provenance re-scored NSFW values the NSFV stage had
-already computed.  :class:`VisionCache` memoises the three per-image
-quantities —
+The paper's workflow hashes each downloaded image, classifies it and
+deletes it (§4.3 hash-then-delete; §4.4: researchers never view NSFV
+images).  The pipeline does the same.  The crawler's ingest boundary
+hands every clean image to the run's :class:`Featurizer`, which computes
+the image's feature record once per content digest; the crawler then
+drops the pixels.  A record is a plain dict:
 
-* ``"hash"``  — the 64-bit DCT perceptual hash,
-* ``"nsfw"``  — the OpenNSFW-analogue score,
-* ``"ocr"``   — the Tesseract-analogue word count,
+* ``"hash"`` — the 64-bit DCT perceptual hash, always present;
+* ``"nsfw"`` — the OpenNSFW-analogue score, computed only when the hash
+  does not match the abuse hashlist, so no score of abuse material is
+  ever computed or stored;
+* ``"ocr"``  — the Tesseract-analogue word count, added lazily by the
+  NSFV stage for the few images inside Algorithm 1's ambiguous band.
 
-— under the image digest, so each distinct image is processed **once
-across all stages**.  Hit/miss/evict counters are exposed through
-:meth:`VisionCache.stats` and surfaced in the pipeline report and CLI.
-
-The cache is bounded (LRU per digest) so corpus-scale runs cannot grow
-it without limit, and a lock guards every access.
+Every later stage reads records instead of pixels.  A digest without a
+complete record — one replayed by a persisted ingest memo whose store
+predates this layout, or a hand-built test record — is featurised from
+its pixels where a stage first needs it, so old stores still load.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional
 
-from ..obs.trace import NULL_TRACER
+from .nsfw import NsfwScorer
+from .photodna import HashListService, robust_hash
 
-__all__ = ["VisionCache", "VisionCacheStats"]
-
-#: The memoisable per-image quantities.
-_FIELDS = ("hash", "nsfw", "ocr")
-
-_MISSING = object()
+__all__ = ["Featurizer", "VisionCache", "VisionCacheStats"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +37,6 @@ class VisionCacheStats:
 
     hits: int
     misses: int
-    evictions: int
     n_entries: int
 
     @property
@@ -52,7 +45,7 @@ class VisionCacheStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when untouched)."""
+        """Fraction of lookups served from a record (0.0 when untouched)."""
         total = self.lookups
         return self.hits / total if total else 0.0
 
@@ -60,8 +53,7 @@ class VisionCacheStats:
         """One-line human-readable rendering (CLI / report use)."""
         return (
             f"hits={self.hits} misses={self.misses} "
-            f"hit_rate={self.hit_rate:.1%} evictions={self.evictions} "
-            f"entries={self.n_entries}"
+            f"hit_rate={self.hit_rate:.1%} entries={self.n_entries}"
         )
 
     def as_dict(self) -> dict:
@@ -69,192 +61,72 @@ class VisionCacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "n_entries": self.n_entries,
             "hit_rate": self.hit_rate,
         }
 
 
-class VisionCache:
-    """LRU cache of per-image vision quantities keyed by content digest.
+class VisionCache(Dict[str, Dict[str, Any]]):
+    """Digest → feature record map, with lookup counters.
 
-    ``max_entries`` bounds the number of distinct digests retained
-    (``None`` = unbounded).  Eviction is least-recently-used at digest
-    granularity: all memoised fields of the evicted digest go together.
+    A *hit* is a :meth:`Featurizer.features` request an existing record
+    answered; a *miss* had to render pixels.  Values are plain ints and
+    floats, so the map is JSON-serialisable as-is — :mod:`repro.store`
+    persists it row by row.
     """
 
-    def __init__(self, max_entries: Optional[int] = None, tracer=None):
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive or None")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._tracer = tracer if tracer is not None else NULL_TRACER
+    def __init__(self) -> None:
+        super().__init__()
+        self.hits = 0
+        self.misses = 0
 
-    def set_tracer(self, tracer) -> None:
-        """Install the run's span recorder (``None`` restores the no-op).
-
-        The pipeline owns one cache across runs, so each
-        :meth:`EwhoringPipeline.run` re-points the cache at its own
-        tracer; batched computations then emit ``vision.hash_batch``
-        spans under whichever stage triggered them.
-        """
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-
-    # ------------------------------------------------------------------
-    def get(self, digest: str, field: str):
-        """The memoised ``field`` for ``digest``, or ``None`` on a miss.
-
-        Counts one hit or one miss.  Use :meth:`get_or_compute` when a
-        compute function is at hand.
-        """
-        value = self._lookup(digest, field)
-        return None if value is _MISSING else value
-
-    def put(self, digest: str, field: str, value) -> None:
-        """Memoise ``field`` = ``value`` for ``digest`` (LRU-refreshing)."""
-        self._check_field(field)
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is None:
-                entry = {}
-                self._entries[digest] = entry
-            else:
-                self._entries.move_to_end(digest)
-            entry[field] = value
-            self._evict_locked()
-
-    def get_or_compute(self, digest: str, field: str, compute: Callable[[], object]):
-        """The memoised value, computing and storing it on a miss."""
-        value = self._lookup(digest, field)
-        if value is not _MISSING:
-            return value
-        value = compute()
-        self.put(digest, field, value)
-        return value
-
-    # -- convenience wrappers ------------------------------------------
-    def hash_for(self, digest: str, compute: Callable[[], int]) -> int:
-        return self.get_or_compute(digest, "hash", compute)  # type: ignore[return-value]
-
-    def nsfw_for(self, digest: str, compute: Callable[[], float]) -> float:
-        return self.get_or_compute(digest, "nsfw", compute)  # type: ignore[return-value]
-
-    def ocr_for(self, digest: str, compute: Callable[[], int]) -> int:
-        return self.get_or_compute(digest, "ocr", compute)  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def hashes_for(
-        self,
-        keyed_rasters: Sequence[Tuple[str, Callable[[], "object"]]],
-        compute_batch: Callable[[List[object]], Sequence[int]],
-    ) -> List[int]:
-        """Batch get-or-compute of perceptual hashes.
-
-        ``keyed_rasters`` is a sequence of ``(digest, raster_fn)`` pairs
-        (``raster_fn`` defers pixel materialisation to cache misses);
-        ``compute_batch`` maps the missing rasters to hashes in order —
-        normally :func:`repro.vision.batch.hash_batch`.  Returns one
-        hash per input pair, preserving order, with each distinct digest
-        computed at most once.
-        """
-        results: List[Optional[int]] = [None] * len(keyed_rasters)
-        missing_digests: List[str] = []
-        missing_rasters: List[object] = []
-        first_slot: Dict[str, List[int]] = {}
-        for i, (digest, raster_fn) in enumerate(keyed_rasters):
-            value = self._lookup(digest, "hash")
-            if value is not _MISSING:
-                results[i] = int(value)  # type: ignore[arg-type]
-                continue
-            slots = first_slot.get(digest)
-            if slots is None:
-                first_slot[digest] = [i]
-                missing_digests.append(digest)
-                missing_rasters.append(raster_fn())
-            else:
-                slots.append(i)
-        if missing_digests:
-            with self._tracer.span(
-                "vision.hash_batch",
-                n_requested=len(keyed_rasters),
-                n_missing=len(missing_digests),
-            ):
-                computed = compute_batch(missing_rasters)
-            for digest, value in zip(missing_digests, computed):
-                as_int = int(value)
-                self.put(digest, "hash", as_int)
-                for slot in first_slot[digest]:
-                    results[slot] = as_int
-        return [int(v) for v in results]  # type: ignore[arg-type]
-
-    # ------------------------------------------------------------------
     def stats(self) -> VisionCacheStats:
-        """Snapshot of the hit/miss/evict counters."""
-        with self._lock:
-            return VisionCacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                n_entries=len(self._entries),
-            )
+        return VisionCacheStats(hits=self.hits, misses=self.misses, n_entries=len(self))
 
-    def items(self) -> List[Tuple[str, Dict[str, object]]]:
-        """Snapshot of every entry as ``(digest, {field: value})`` pairs.
 
-        Values are the plain ints/floats the cache memoises, so the
-        snapshot is JSON-serialisable as-is — this is the persistence
-        export used by :mod:`repro.store`.  LRU order and counters are
-        unaffected.
-        """
-        with self._lock:
-            return [(digest, dict(entry)) for digest, entry in self._entries.items()]
+class Featurizer:
+    """Computes and serves each distinct image's feature record.
 
-    def preload(self, items: Sequence[Tuple[str, Dict[str, object]]]) -> None:
-        """Bulk-install persisted entries without touching hit/miss counters.
+    ``hashlist`` decides which images are abuse material; their records
+    keep only the hash.  ``None`` treats every image as clean, which is
+    what the stages behind the abuse filter see.  ``scorer`` is the
+    run's NSFW scorer — the one Algorithm 1 classifies with.
+    """
 
-        The inverse of :meth:`items`: warm-starting a run from a
-        persistent store must not perturb the cache statistics that
-        belong to the run itself (``put`` already counts nothing).
-        """
-        for digest, entry in items:
-            for fld, value in entry.items():
-                self.put(digest, fld, value)
+    def __init__(
+        self,
+        cache: Optional[VisionCache] = None,
+        hashlist: Optional[HashListService] = None,
+        scorer: Optional[NsfwScorer] = None,
+    ):
+        self.cache = cache if cache is not None else VisionCache()
+        self.hashlist = hashlist
+        self.scorer = scorer if scorer is not None else NsfwScorer()
 
-    def clear(self) -> None:
-        """Drop all entries (counters are preserved)."""
-        with self._lock:
-            self._entries.clear()
+    def features(self, digest: str, image) -> Dict[str, Any]:
+        """``digest``'s record, completed from ``image.pixels`` if needed."""
+        record = self.cache.get(digest)
+        if record is not None and self._complete(record):
+            self.cache.hits += 1
+            return record
+        self.cache.misses += 1
+        record = self.cache.setdefault(digest, {})
+        pixels = image.pixels
+        if "hash" not in record:
+            record["hash"] = robust_hash(pixels)
+        if "nsfw" not in record and not self._matched(record["hash"]):
+            record["nsfw"] = self.scorer.score(pixels)
+        return record
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def ocr_words(self, digest: str, image, ocr) -> int:
+        """``digest``'s OCR word count, computed by ``ocr`` on first use."""
+        record = self.cache.setdefault(digest, {})
+        if "ocr" not in record:
+            record["ocr"] = ocr.word_count(image.pixels)
+        return int(record["ocr"])
 
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._entries
+    def _complete(self, record: Dict[str, Any]) -> bool:
+        return "hash" in record and ("nsfw" in record or self._matched(record["hash"]))
 
-    # ------------------------------------------------------------------
-    def _lookup(self, digest: str, field: str):
-        self._check_field(field)
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is not None and field in entry:
-                self._entries.move_to_end(digest)
-                self._hits += 1
-                return entry[field]
-            self._misses += 1
-            return _MISSING
-
-    def _evict_locked(self) -> None:
-        if self.max_entries is None:
-            return
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self._evictions += 1
-
-    @staticmethod
-    def _check_field(field: str) -> None:
-        if field not in _FIELDS:
-            raise ValueError(f"unknown vision-cache field {field!r}; expected one of {_FIELDS}")
+    def _matched(self, image_hash: int) -> bool:
+        return self.hashlist is not None and self.hashlist.match_hash(int(image_hash)).matched

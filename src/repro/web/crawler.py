@@ -68,6 +68,7 @@ from .url import Url
 
 if TYPE_CHECKING:  # import cycle: repro.core.quarantine ← repro.web
     from ..core.quarantine import Quarantine, QuarantineRecord
+    from ..vision.cache import Featurizer
 
 __all__ = [
     "CrawlResult",
@@ -142,19 +143,9 @@ class IngestMemo:
 
 
 def content_digest(image: SyntheticImage) -> str:
-    """Exact-content digest of an image's pixels (for file deduplication).
-
-    The digest covers shape **and dtype** alongside the raw bytes: two
-    rasters whose buffers happen to coincide but whose dtypes differ
-    (e.g. the same 12 bytes viewed as ``float32`` vs ``uint8`` rows) are
-    different files and must not collide in the dedup step.
-    """
-    raster = image.pixels
-    digest = hashlib.sha1()
-    digest.update(str(raster.shape).encode("ascii"))
-    digest.update(raster.dtype.str.encode("ascii"))
-    digest.update(raster.tobytes())
-    return digest.hexdigest()
+    """Exact-content digest of an image's pixels (for file deduplication;
+    see :func:`~repro.media.image.raster_digest`), memoised on the image."""
+    return image.content_digest
 
 
 @dataclass(frozen=True, slots=True)
@@ -439,6 +430,14 @@ class Crawler:
     payloads failing the contract are excised into the quarantine ledger
     instead of entering the measurement.  Disable it only to measure the
     validation overhead itself (``benchmarks/bench_r3_quarantine.py``).
+
+    ``features`` is the run's :class:`~repro.vision.cache.Featurizer`.
+    With it, every clean image is featurised at ingest — its digest
+    recorded clean in the ledger's validation memo, its hash and NSFW
+    score computed once per digest — and its pixels are then dropped
+    (§4.3 hash-then-delete), so a crawl holds no rasters.  It is ignored
+    when ``validate_payloads`` is off: only a validated digest may be
+    recorded clean.
     """
 
     def __init__(
@@ -450,6 +449,7 @@ class Crawler:
         jitter_seed: int = 0,
         validate_payloads: bool = True,
         ingest_memo: Optional[IngestMemo] = None,
+        features: Optional["Featurizer"] = None,
     ):
         self._internet = internet
         self._policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -460,6 +460,7 @@ class Crawler:
         #: Optional persistent memo of per-payload ingest outcomes; a
         #: hit skips the render/validate/digest work (see IngestMemo).
         self._ingest_memo = ingest_memo
+        self._features = features if validate_payloads else None
 
     # ------------------------------------------------------------------
     def crawl(
@@ -789,9 +790,11 @@ class Crawler:
         pack_id: Optional[int] = None,
         member_index: Optional[int] = None,
     ) -> Optional[CrawledImage]:
-        """Validate and digest one downloaded image — the record boundary.
+        """Validate, digest and featurise one downloaded image — the
+        record boundary.
 
-        Returns the :class:`CrawledImage` for clean payloads; corrupt
+        Returns the :class:`CrawledImage` for clean payloads, whose
+        pixels are dropped once their features are recorded; corrupt
         ones (including payloads whose pixel access itself blows up) are
         admitted to the ledger and ``None`` is returned.  Nothing an
         individual payload does can escape this boundary as an
@@ -823,17 +826,30 @@ class Crawler:
                 )
                 return None
         try:
-            pixels = image.pixels
-            if self._validate_payloads:
-                validate_raster(pixels, context=url_str)
+            # A repeat download of an object already validated clean
+            # renders nothing: validation is a pure function of the bytes,
+            # shape and dtype the digest covers.
+            digest = image.known_digest
+            known_clean = (
+                digest is not None
+                and quarantine.validation_memo.lookup(digest) == (True, None)
+            )
+            if not known_clean:
+                if self._validate_payloads:
+                    validate_raster(image.pixels, context=url_str)
+                digest = image.content_digest
             crawled = CrawledImage(
                 image=image,
-                digest=content_digest(image),
+                digest=digest,
                 link=link,
                 pack_id=pack_id,
             )
+            if self._features is not None:
+                quarantine.validation_memo.record_ok(digest)
+                self._features.features(digest, image)
+                image.drop_pixels()
             if memo is not None:
-                memo.record_ok(key, crawled.digest)
+                memo.record_ok(key, digest)
             return crawled
         except Exception as exc:
             if memo is not None:

@@ -130,6 +130,76 @@ class TestEigenvector:
             assert value == pytest.approx(reference[node] / norm, abs=1e-4)
 
 
+def _dense_centrality(edges, iterations=100, tolerance=1e-10):
+    """The dense power iteration the sparse one replaced (reference)."""
+    if not edges:
+        return {}
+    nodes = sorted({a for a, _ in edges} | {b for _, b in edges})
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    adjacency = np.zeros((n, n), dtype=np.float64)
+    for (a, b), weight in edges.items():
+        adjacency[index[a], index[b]] += weight
+        adjacency[index[b], index[a]] += weight
+    vector = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(iterations):
+        nxt = adjacency @ vector
+        norm = np.linalg.norm(nxt)
+        if norm == 0.0:
+            break
+        nxt /= norm
+        if np.linalg.norm(nxt - vector) < tolerance:
+            vector = nxt
+            break
+        vector = nxt
+    return {node: float(vector[index[node]]) for node in nodes}
+
+
+def _random_edges(rng, n_nodes, n_edges, offset=0):
+    """Random directed, weighted interactions; repeated pairs accumulate."""
+    edges = {}
+    for _ in range(n_edges):
+        a, b = (int(x) + offset for x in rng.integers(0, n_nodes, size=2))
+        edges[(a, b)] = edges.get((a, b), 0.0) + float(rng.integers(1, 5))
+    return edges
+
+
+def _influence_groups(centrality):
+    metrics = {
+        node: ActorMetrics(actor_id=node, eigenvector=value)
+        for node, value in centrality.items()
+    }
+    return select_key_actors(metrics, top_n=5).groups.as_dict()
+
+
+class TestSparseCentrality:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        edges = _random_edges(rng, n_nodes=60, n_edges=150)
+        if seed % 2:  # a second, disconnected component
+            edges.update(_random_edges(rng, n_nodes=12, n_edges=20, offset=1000))
+        ours = _eigenvector_centrality(edges)
+        reference = _dense_centrality(edges)
+        assert ours.keys() == reference.keys()
+        assert max(abs(ours[k] - reference[k]) for k in reference) <= 1e-12
+        assert _influence_groups(ours) == _influence_groups(reference)
+
+    def test_world_graph_matches_dense_reference(self, report):
+        report.actor_analyzer.metrics()
+        edges = report.actor_analyzer._edges
+        ours = _eigenvector_centrality(edges)
+        reference = _dense_centrality(edges)
+        assert max(abs(ours[k] - reference[k]) for k in reference) <= 1e-12
+        assert _influence_groups(ours) == _influence_groups(reference)
+
+    def test_all_zero_weights_keep_uniform_start(self):
+        edges = {(1, 2): 0.0, (2, 3): 0.0, (4, 5): 0.0}
+        ours = _eigenvector_centrality(edges)
+        assert ours == _dense_centrality(edges)
+        assert len(set(ours.values())) == 1
+
+
 class TestCohortTable:
     def make_metrics(self, counts):
         return {

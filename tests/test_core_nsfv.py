@@ -1,5 +1,7 @@
 """Tests for Algorithm 1 — the NSFV classifier (§4.4)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -86,8 +88,14 @@ class TestVerdicts:
 
     def test_classify_batch(self, rng):
         clf = NsfvClassifier()
-        rasters = [render(rng, ImageKind.PROOF_SCREENSHOT) for _ in range(3)]
-        verdicts = clf.classify_batch(rasters)
+        images = [
+            SimpleNamespace(
+                digest=str(i),
+                image=SimpleNamespace(pixels=render(rng, ImageKind.PROOF_SCREENSHOT)),
+            )
+            for i in range(3)
+        ]
+        verdicts = clf.classify_batch(images)
         assert len(verdicts) == 3
         assert all(v.safe_for_viewing for v in verdicts)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.media.image import ImageKind, SyntheticImage, sample_latent
+from repro.media.image import ImageKind, SyntheticImage, raster_digest, sample_latent
 from repro.media.pack import Pack
 from repro.media.validate import CorruptPayloadError, validate_raster
 from repro.web.crawler import content_digest
@@ -264,15 +264,11 @@ class TestContentDigestDtype:
         bytes but different dtypes are different files and must not
         collide in the dedup step."""
 
-        class Raw:
-            def __init__(self, pixels):
-                self.pixels = pixels
-
         as_float64 = np.arange(3, dtype=np.float64).reshape(1, 1, 3)
         as_int64 = as_float64.view(np.int64)  # same shape, same bytes
         assert as_float64.shape == as_int64.shape
         assert as_float64.tobytes() == as_int64.tobytes()
-        digests = {content_digest(Raw(as_float64)), content_digest(Raw(as_int64))}
+        digests = {raster_digest(as_float64), raster_digest(as_int64)}
         assert len(digests) == 2
 
     def test_same_content_same_digest(self):

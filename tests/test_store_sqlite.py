@@ -186,14 +186,12 @@ class TestDatasetRoundTrip:
 class TestMemoPersistence:
     def test_vision_cache_round_trip(self, store):
         cache = VisionCache()
-        cache.put("d1", "hash", 12345)
-        cache.put("d1", "nsfw", {"score": 0.25})
-        cache.put("d2", "hash", 777)
+        cache["d1"] = {"hash": 12345, "nsfw": 0.25}
+        cache["d2"] = {"hash": 777}
         store.save_vision_cache(cache)
         warm = VisionCache()
         assert store.load_vision_cache(warm) == 2
-        assert warm.get("d1", "nsfw") == {"score": 0.25}
-        assert warm.get("d2", "hash") == 777
+        assert warm == {"d1": {"hash": 12345, "nsfw": 0.25}, "d2": {"hash": 777}}
 
     def test_validation_memo_round_trip(self, store):
         memo = ValidationMemo()

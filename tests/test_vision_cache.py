@@ -1,138 +1,42 @@
-"""Tests for the content-addressed VisionCache and its stage wiring.
+"""Tests for the content-addressed feature records and their stage wiring.
 
-Covers the cache itself (hit/miss accounting, LRU eviction, batched
-``hashes_for``), the cache-aware ``NsfvClassifier.classify_batch`` (must
-be verdict-identical to the scalar path, including OCR-band edges), and
-the abuse filter's hash deduplication (each distinct digest hashed once,
-result semantics unchanged).
+Covers the :class:`Featurizer` itself (one computation per digest,
+hit/miss accounting, no NSFW score for abuse material, completion of
+partial records), record-driven ``NsfvClassifier.classify_batch`` (must
+be verdict-identical to the scalar path, including OCR-band edges), the
+abuse filter's per-digest hashing, and the memory structure of a
+pipeline run: pixels dropped at crawl ingest, one render per crawled
+image object, and one NSFW scorer shared by every stage.
 """
 
 from datetime import datetime
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.abuse_filter as abuse_filter_module
-from repro.core import AbuseFilter
+import repro.media.render as render_module
+import repro.vision.cache as cache_module
+from repro import build_world, pipeline_for_world
+from repro.core import AbuseFilter, Quarantine
 from repro.core.nsfv import NsfvClassifier, NsfvVerdict
+from repro.core.provenance import ProvenanceAnalyzer
 from repro.media import ImageKind, SyntheticImage, sample_latent
 from repro.vision import (
     AbuseSeverity,
+    Featurizer,
     HashListService,
+    NsfwScorer,
     VisionCache,
     VisionCacheStats,
-    hash_batch,
-    robust_hash,
 )
 from repro.web import LinkRecord, Url
-from repro.web.crawler import CrawledImage, content_digest
+from repro.web.crawler import CrawledImage, Crawler, content_digest
+from repro.web.payload_faults import CorruptImage
 
 T0 = datetime(2016, 1, 1)
 
-
-# ---------------------------------------------------------------------------
-# VisionCache unit behaviour
-# ---------------------------------------------------------------------------
-
-class TestVisionCache:
-    def test_get_or_compute_memoises(self):
-        cache = VisionCache()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 42
-
-        assert cache.get_or_compute("d1", "hash", compute) == 42
-        assert cache.get_or_compute("d1", "hash", compute) == 42
-        assert len(calls) == 1
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-        assert stats.hit_rate == 0.5
-
-    def test_fields_are_independent(self):
-        cache = VisionCache()
-        cache.put("d1", "hash", 7)
-        assert cache.get("d1", "hash") == 7
-        assert cache.get("d1", "nsfw") is None  # same digest, other field
-        cache.put("d1", "nsfw", 0.5)
-        assert cache.get("d1", "nsfw") == 0.5
-
-    def test_unknown_field_rejected(self):
-        cache = VisionCache()
-        with pytest.raises(ValueError):
-            cache.put("d1", "bogus", 1)
-        with pytest.raises(ValueError):
-            cache.get("d1", "bogus")
-
-    def test_lru_eviction(self):
-        cache = VisionCache(max_entries=2)
-        cache.put("a", "hash", 1)
-        cache.put("b", "hash", 2)
-        assert cache.get("a", "hash") == 1  # refresh a → b is now LRU
-        cache.put("c", "hash", 3)
-        assert "b" not in cache
-        assert cache.get("a", "hash") == 1
-        assert cache.get("c", "hash") == 3
-        assert cache.stats().evictions == 1
-        assert len(cache) == 2
-
-    def test_eviction_drops_all_fields_together(self):
-        cache = VisionCache(max_entries=1)
-        cache.put("a", "hash", 1)
-        cache.put("a", "nsfw", 0.2)
-        cache.put("b", "hash", 2)
-        assert cache.get("a", "hash") is None
-        assert cache.get("a", "nsfw") is None
-
-    def test_max_entries_validation(self):
-        with pytest.raises(ValueError):
-            VisionCache(max_entries=0)
-
-    def test_clear_preserves_counters(self):
-        cache = VisionCache()
-        cache.put("a", "hash", 1)
-        cache.get("a", "hash")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats().hits == 1
-
-    def test_stats_summary_renders(self):
-        stats = VisionCacheStats(hits=3, misses=1, evictions=0, n_entries=2)
-        text = stats.summary()
-        assert "hits=3" in text and "75.0%" in text
-
-    def test_hashes_for_batches_and_dedupes(self):
-        cache = VisionCache()
-        cache.put("warm", "hash", 99)
-        batch_calls = []
-
-        def compute_batch(rasters):
-            batch_calls.append(list(rasters))
-            return [int(r) * 10 for r in rasters]
-
-        keyed = [
-            ("warm", lambda: 0),   # hit: raster fn must not run
-            ("x", lambda: 1),
-            ("x", lambda: 1),      # within-batch duplicate
-            ("y", lambda: 2),
-        ]
-        out = cache.hashes_for(keyed, compute_batch)
-        assert out == [99, 10, 10, 20]
-        # One batch call with only the two distinct missing rasters.
-        assert batch_calls == [[1, 2]]
-        # Second call is now fully cached.
-        assert cache.hashes_for(keyed, compute_batch) == [99, 10, 10, 20]
-        assert len(batch_calls) == 1
-
-    def test_hashes_for_empty(self):
-        assert VisionCache().hashes_for([], lambda r: []) == []
-
-
-# ---------------------------------------------------------------------------
-# Cache-aware NSFV classification
-# ---------------------------------------------------------------------------
 
 class CountingScorer:
     """NSFW 'scorer' returning a canned score per raster id."""
@@ -162,6 +66,81 @@ def _tagged_raster(tag: int) -> np.ndarray:
     return pixels
 
 
+def _tagged(tag: int, digest=None):
+    """A crawled-image stand-in: a digest plus a tagged raster."""
+    return SimpleNamespace(
+        digest=digest if digest is not None else f"d{tag}",
+        image=SimpleNamespace(pixels=_tagged_raster(tag)),
+    )
+
+
+class _RenderCounter:
+    """Counts ``render_latent`` calls while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = render_module.render_latent
+
+        def counting(latent):
+            self.calls += 1
+            return real(latent)
+
+        monkeypatch.setattr(render_module, "render_latent", counting)
+
+
+# ---------------------------------------------------------------------------
+# Featurizer unit behaviour
+# ---------------------------------------------------------------------------
+
+class TestVisionCache:
+    def test_get_or_compute_memoises(self):
+        # Featurizer.features gets a digest's record or computes it once.
+        scorer = CountingScorer({1: 0.4})
+        features = Featurizer(scorer=scorer)
+        item = _tagged(1)
+        first = features.features(item.digest, item.image)
+        assert features.features(item.digest, item.image) is first
+        assert scorer.calls == 1
+        assert set(first) == {"hash", "nsfw"} and first["nsfw"] == 0.4
+        stats = features.cache.stats()
+        assert (stats.hits, stats.misses, stats.n_entries) == (1, 1, 1)
+        assert stats.hit_rate == 0.5
+
+    def test_abuse_matched_record_holds_hash_only(self, rng):
+        bad = SyntheticImage(1, sample_latent(rng, ImageKind.MODEL_NUDE, is_underage=True))
+        service = HashListService()
+        service.add_known_image(bad.pixels, AbuseSeverity.CATEGORY_B, victim_age=10)
+        scorer = CountingScorer({})
+        features = Featurizer(hashlist=service, scorer=scorer)
+        record = features.features("bad", bad)
+        assert set(record) == {"hash"}
+        assert scorer.calls == 0
+        # A complete abuse record is served without re-rendering.
+        bad.drop_pixels()
+        assert features.features("bad", bad) is record
+        assert bad._pixels is None
+
+    def test_fields_are_independent(self):
+        # A record persisted before NSFW scores moved to ingest holds
+        # only the hash: the first stage that needs the score fills that
+        # field from the pixels and leaves the stored hash alone.
+        cache = VisionCache()
+        cache["d1"] = {"hash": 5}
+        features = Featurizer(cache, scorer=CountingScorer({1: 0.2}))
+        record = features.features("d1", _tagged(1).image)
+        assert record == {"hash": 5, "nsfw": 0.2}
+        assert cache.misses == 1
+
+    def test_stats_summary_renders(self):
+        stats = VisionCacheStats(hits=3, misses=1, n_entries=2)
+        text = stats.summary()
+        assert "hits=3" in text and "75.0%" in text
+
+
+# ---------------------------------------------------------------------------
+# Record-driven NSFV classification
+# ---------------------------------------------------------------------------
+
 class TestClassifyBatchCache:
     # Scores straddling every Algorithm 1 band and its edges.
     BAND_SCORES = [0.0, 0.009, 0.01, 0.02, 0.049, 0.05, 0.15, 0.30, 0.31, 1.0]
@@ -179,23 +158,15 @@ class TestClassifyBatchCache:
         clf_cached = NsfvClassifier(
             scorer=CountingScorer(scores), ocr=CountingOcr(words)
         )
-        rasters = [_tagged_raster(t) for t in tags]
-        expected = [clf_scalar.classify(r) for r in rasters]
-        got = clf_cached.classify_batch(
-            rasters, digests=[f"d{t}" for t in tags], cache=VisionCache()
-        )
+        expected = [clf_scalar.classify(_tagged_raster(t)) for t in tags]
+        got = clf_cached.classify_batch([_tagged(t) for t in tags])
         assert got == expected
 
     def test_ocr_only_runs_in_ambiguous_band(self):
         words = [15] * 10
         ocr = CountingOcr(words)
         clf = NsfvClassifier(scorer=CountingScorer(self.BAND_SCORES), ocr=ocr)
-        tags = list(range(10))
-        clf.classify_batch(
-            [_tagged_raster(t) for t in tags],
-            digests=[f"d{t}" for t in tags],
-            cache=VisionCache(),
-        )
+        clf.classify_batch([_tagged(t) for t in range(10)])
         # Ambiguous band is 0.01 <= s <= 0.30 (strict comparisons on both
         # clear-cut sides): scores 0.01, 0.02, 0.049, 0.05, 0.15, 0.30.
         assert ocr.calls == 6
@@ -204,27 +175,24 @@ class TestClassifyBatchCache:
         scorer = CountingScorer({1: 0.2})
         ocr = CountingOcr({1: 30})
         clf = NsfvClassifier(scorer=scorer, ocr=ocr)
-        rasters = [_tagged_raster(1)] * 4
-        cache = VisionCache()
-        verdicts = clf.classify_batch(rasters, digests=["same"] * 4, cache=cache)
+        items = [_tagged(1, digest="same") for _ in range(4)]
+        features = Featurizer(scorer=scorer)
+        verdicts = clf.classify_batch(items, features)
         assert scorer.calls == 1 and ocr.calls == 1
         assert len(verdicts) == 4
         assert all(v == verdicts[0] for v in verdicts)
-        # A later batch over the same digests is served from cache.
-        clf.classify_batch(rasters[:1], digests=["same"], cache=cache)
+        assert features.cache["same"]["ocr"] == 30
+        # A later batch over the same digest is served from its record.
+        clf.classify_batch(items[:1], features)
         assert scorer.calls == 1 and ocr.calls == 1
 
     def test_without_cache_falls_back_to_scalar(self):
         scorer = CountingScorer({1: 0.2})
         clf = NsfvClassifier(scorer=scorer, ocr=CountingOcr({1: 5}))
-        out = clf.classify_batch([_tagged_raster(1)] * 2)
+        # Without a featuriser the classifier scores with its own scorer.
+        out = clf.classify_batch([_tagged(1, digest="a"), _tagged(1, digest="b")])
         assert scorer.calls == 2
         assert out == [NsfvVerdict(False, 0.2, 5)] * 2
-
-    def test_misaligned_digests_rejected(self):
-        clf = NsfvClassifier()
-        with pytest.raises(ValueError):
-            clf.classify_batch([_tagged_raster(1)], digests=["a", "b"])
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +232,13 @@ class TestAbuseFilterDedupe:
     def test_each_digest_hashed_once(self, images, monkeypatch):
         bad, clean = images
         calls = []
+        real_hash = cache_module.robust_hash
 
-        def counting_hash_batch(rasters):
-            calls.append(len(rasters))
-            return hash_batch(rasters)
+        def counting_hash(pixels):
+            calls.append(1)
+            return real_hash(pixels)
 
-        monkeypatch.setattr(abuse_filter_module, "hash_batch", counting_hash_batch)
+        monkeypatch.setattr(cache_module, "robust_hash", counting_hash)
         # Three crawled copies of `bad` (same digest), two of `clean`.
         crawled = [
             _crawled(bad, thread_id=1),
@@ -279,8 +248,8 @@ class TestAbuseFilterDedupe:
             _crawled(clean, thread_id=5),
         ]
         result = AbuseFilter(self._service(bad)).sweep(crawled)
-        # One batch over the two distinct digests only.
-        assert calls == [2]
+        # One hash per distinct digest only.
+        assert len(calls) == 2
         # Result semantics unchanged by deduplication:
         assert result.n_matched_images == 1
         assert result.matched_digests == {crawled[0].digest}
@@ -292,14 +261,15 @@ class TestAbuseFilterDedupe:
 
     def test_cache_shares_hashes_across_sweeps(self, images):
         bad, clean = images
-        cache = VisionCache()
         service = self._service(bad)
-        first = AbuseFilter(service, cache=cache).sweep([_crawled(clean)])
+        features = Featurizer(hashlist=service)
+        cache = features.cache
+        first = AbuseFilter(service, features=features).sweep([_crawled(clean)])
         assert first.n_matched_images == 0
         before = cache.stats()
         assert before.misses >= 1
-        # Second sweep over the same digest: pure cache hits, no recompute.
-        AbuseFilter(service, cache=cache).sweep([_crawled(clean)])
+        # Second sweep over the same digest: pure record hits, no recompute.
+        AbuseFilter(service, features=features).sweep([_crawled(clean)])
         after = cache.stats()
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
@@ -309,7 +279,130 @@ class TestAbuseFilterDedupe:
         crawled_a = [_crawled(bad), _crawled(clean), _crawled(bad)]
         crawled_b = [_crawled(bad), _crawled(clean), _crawled(bad)]
         plain = AbuseFilter(self._service(bad)).sweep(crawled_a)
-        cached = AbuseFilter(self._service(bad), cache=VisionCache()).sweep(crawled_b)
+        service = self._service(bad)
+        cached = AbuseFilter(
+            service, features=Featurizer(hashlist=service)
+        ).sweep(crawled_b)
         assert plain.n_matched_images == cached.n_matched_images
         assert plain.matched_digests == cached.matched_digests
         assert plain.affected_thread_ids == cached.affected_thread_ids
+
+
+# ---------------------------------------------------------------------------
+# Memory structure of a pipeline run
+# ---------------------------------------------------------------------------
+
+def _link(path="/x"):
+    return LinkRecord(url=Url("imgur.com", path), thread_id=1, posted_at=T0)
+
+
+@pytest.fixture(scope="module")
+def small_world():
+    return build_world(seed=3, scale=0.006, underage_rate=0.30, hashlist_rate=0.5)
+
+
+@pytest.fixture(scope="module")
+def counted_run(small_world):
+    """A cold run that counts renders and inspects each crawl's result."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        renders = _RenderCounter(monkeypatch)
+        crawled_holding_pixels = {}
+        real_crawl = Crawler.crawl
+
+        def inspecting_crawl(self, links, *args, **kwargs):
+            result = real_crawl(self, links, *args, **kwargs)
+            crawled_holding_pixels[kwargs.get("stage", "url_crawl")] = sum(
+                c.image._pixels is not None for c in result.all_images
+            )
+            return result
+
+        monkeypatch.setattr(Crawler, "crawl", inspecting_crawl)
+        pipeline = pipeline_for_world(small_world)
+        report = pipeline.run(
+            top_oracle=lambda t: small_world.forums.thread_types.get(t) == "top",
+            proof_oracle=small_world.forums.proof_truth.get,
+            annotate_n=200,
+        )
+    return report, pipeline.vision_cache, renders.calls, crawled_holding_pixels
+
+
+class TestMemoryStructure:
+    def test_no_crawled_image_holds_pixels_after_url_crawl(self, counted_run):
+        report, _, _, holding = counted_run
+        assert report.crawl.all_images
+        assert holding["url_crawl"] == 0
+
+    def test_renders_bounded_by_image_objects_plus_ocr_band(self, counted_run):
+        report, _, renders, _ = counted_run
+        objects = {id(c.image) for c in report.crawl.all_images}
+        clf = NsfvClassifier()
+        ocr_band = {
+            c.digest
+            for c, v in report.preview_verdicts
+            if clf.sfv_threshold <= v.nsfw_score <= clf.nsfv_threshold
+        }
+        # The §5 earnings crawl is not featurised at ingest; each of its
+        # downloads renders at most once more.
+        assert renders <= len(objects) + len(ocr_band) + report.earnings.n_downloaded
+
+    def test_abuse_matched_digest_never_scored(self, counted_run):
+        report, cache, _, _ = counted_run
+        assert report.abuse.matched_digests, "world should contain abuse matches"
+        for digest in report.abuse.matched_digests:
+            assert "nsfw" not in cache[digest]
+
+    def test_drop_pixels_keeps_digest_and_repeat_ingest_renders_nothing(
+        self, rng, monkeypatch
+    ):
+        image = SyntheticImage(1, sample_latent(rng, ImageKind.MODEL_NUDE))
+        crawler = Crawler(None, features=Featurizer())
+        quarantine = Quarantine()
+        renders = _RenderCounter(monkeypatch)
+        first = crawler._ingest(_link("/a"), image, quarantine, "url_crawl")
+        assert renders.calls == 1
+        assert image._pixels is None
+        assert image.known_digest == first.digest
+        second = crawler._ingest(_link("/b"), image, quarantine, "url_crawl")
+        assert renders.calls == 1
+        assert second.digest == first.digest
+
+    def test_unknown_poison_digest_still_quarantined_by_abuse_filter(self, rng):
+        base = SyntheticImage(1, sample_latent(rng, ImageKind.MODEL_NUDE))
+        poison = CrawledImage(
+            image=CorruptImage(base, "nan_pixels", noise_seed=1),
+            digest="never-seen",
+            link=_link(),
+        )
+        ledger = Quarantine()
+        result = AbuseFilter(HashListService()).sweep([poison], quarantine=ledger)
+        assert not result.is_clean(poison)
+        assert [(r.stage, r.ref) for r in ledger.records] == [("abuse_filter", "never-seen")]
+
+
+class InvertedScorer(NsfwScorer):
+    """Ranks images in the opposite order to the default scorer."""
+
+    def score(self, pixels):
+        return 1.0 - super().score(pixels)
+
+
+class TestOneScorerPerRun:
+    def test_pack_sampling_sees_the_nsfv_scorer(self, small_world):
+        pipeline = pipeline_for_world(small_world)
+        pipeline.nsfv = NsfvClassifier(scorer=InvertedScorer())
+        report = pipeline.run(
+            top_oracle=lambda t: small_world.forums.thread_types.get(t) == "top",
+            proof_oracle=small_world.forums.proof_truth.get,
+            annotate_n=200,
+        )
+        packs = [c for c in report.crawl.pack_images if report.abuse.is_clean(c)]
+
+        def sampled_with(scorer):
+            analyzer = ProvenanceAnalyzer(
+                small_world.reverse_index, features=Featurizer(scorer=scorer)
+            )
+            return [c.digest for c in analyzer._sample_packs(packs)]
+
+        got = [o.digest for o in report.provenance.pack_outcomes]
+        assert got == sampled_with(InvertedScorer())
+        assert got != sampled_with(NsfwScorer())
