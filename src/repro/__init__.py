@@ -109,8 +109,7 @@ def run_pipeline(
 
     ``workers`` is accepted and ignored: the crawl is always serial
     (DESIGN.md §10).  ``benchmarks/e2e/worker.py`` still passes it; the
-    parameter goes once that benchmark drops its ``threads2`` workload
-    (ROADMAP item 2).
+    parameter goes once that benchmark drops its ``threads2`` workload.
 
     ``vision_cache`` / ``persist`` plug in a persistent store's warm
     memos (see :mod:`repro.store`); both preserve bit-identity of every

@@ -56,7 +56,6 @@ for SIGINT, 143 for SIGTERM).
 from __future__ import annotations
 
 import argparse
-import os
 import time
 from pathlib import Path
 from typing import Optional, Sequence
@@ -453,10 +452,7 @@ def _write_trace_artifacts(args, report, telemetry, log) -> None:
         len(telemetry.tracer.spans()),
         telemetry.tracer.n_events,
     )
-    executor = {"executor": None, "workers": None, "cpu_count": os.cpu_count()}
-    manifest = build_manifest(
-        report, seed=args.seed, config=config, executor=executor
-    )
+    manifest = build_manifest(report, seed=args.seed, config=config)
     manifest_path = write_manifest(manifest_path_for(trace_path), manifest)
     log.info("wrote run manifest %s", manifest_path)
 
@@ -663,14 +659,6 @@ def _fmt_opt(value, fmt: str, missing: str = "-") -> str:
     return missing if value is None else format(value, fmt)
 
 
-def _fmt_executor(run) -> str:
-    """``thread/4``-style executor column for the obs runs table."""
-    workers = run.get("workers")
-    if workers is None:
-        return "-"
-    return f"{run.get('executor') or 'thread'}/{workers}"
-
-
 def _print_span_table(rows, by: str, top_n: int) -> None:
     """The ``repro obs top`` table over aggregate span rows."""
     sort_keys = {
@@ -757,7 +745,7 @@ def _run_obs_command(args, log) -> int:
                 print(f"{'id':>4} {'run':>4} {'epoch':>5} {'wall':>8} "
                       f"{'cpu':>8} {'rss MiB':>8} {'spans':>6} "
                       f"{'records':>8} {'quar':>5} {'prof':>4} "
-                      f"{'exec':>10} {'cpus':>4}  label")
+                      f"{'cpus':>4}  label")
                 for run in runs:
                     rss = run.get("peak_rss_kb")
                     print(
@@ -773,7 +761,6 @@ def _run_obs_command(args, log) -> int:
                         f"{_fmt_opt(run.get('n_records'), '>8'):>8} "
                         f"{_fmt_opt(run.get('n_quarantined'), '>5'):>5} "
                         f"{'yes' if run.get('profiled') else '-':>4} "
-                        f"{_fmt_executor(run):>10} "
                         f"{_fmt_opt(run.get('cpu_count'), '>4'):>4}  "
                         f"{run.get('label') or run.get('source')}"
                     )
@@ -804,13 +791,12 @@ def _run_obs_command(args, log) -> int:
                       f"{len(flagged)} of {len(rows)} quantities changed "
                       f"beyond ±{args.threshold:.0%}")
                 by_id = {r["history_id"]: r for r in store.history_runs()}
-                shapes = [
-                    f"#{hid} {_fmt_executor(by_id[hid])}"
-                    f" on {_fmt_opt(by_id[hid].get('cpu_count'), '>1')} cpu(s)"
+                machines = [
+                    f"#{hid} on {_fmt_opt(by_id[hid].get('cpu_count'), '>1')}"
                     for hid in (args.run_a, args.run_b) if hid in by_id
                 ]
-                if shapes:
-                    print("executors: " + " vs ".join(shapes))
+                if machines:
+                    print("cpus: " + " vs ".join(machines))
                 print(f"{'':>2} {'kind':<9} {'name':<36} {'a':>12} "
                       f"{'b':>12} {'ratio':>7}")
                 for row in rows:

@@ -190,7 +190,7 @@ class EarningsAnalyzer:
             if features is not None
             else Featurizer(hashlist=hashlist, scorer=self._nsfv.scorer)
         )
-        #: Optional :class:`~repro.web.crawler.IngestMemo` + crawl
+        #: Optional :data:`~repro.web.crawler.IngestMemo` + crawl
         #: checkpoint for the §5.1 crawl, see ``repro.store``.
         self._ingest_memo = ingest_memo
         self._checkpoint = checkpoint

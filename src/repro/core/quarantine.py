@@ -48,7 +48,7 @@ from typing import (
     TypeVar,
 )
 
-from ..media.validate import ValidationMemo
+from ..media.validate import ValidationMemo, validate_memoised
 # Unused here; benchmarks/e2e/layers.py wraps this module attribute.
 from ..media.validate import validate_raster  # noqa: F401
 from ..obs.trace import NULL_TRACER
@@ -99,15 +99,15 @@ class Quarantine:
     def __init__(self, tracer=None, validation_memo=None) -> None:
         self.records: List[QuarantineRecord] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: The :class:`~repro.media.validate.ValidationMemo` shared by
+        #: The :data:`~repro.media.validate.ValidationMemo` map shared by
         #: crawler ingest (which records each clean digest) and every
         #: stage boundary that filters rasters through this ledger —
         #: fresh unless a persistent store lends one.  All such
         #: boundaries validate with ``context == digest`` (a pure
         #: per-raster computation), so memoised replay admits
         #: byte-identical records without re-rendering pixels.
-        self.validation_memo = (
-            validation_memo if validation_memo is not None else ValidationMemo()
+        self.validation_memo: ValidationMemo = (
+            validation_memo if validation_memo is not None else {}
         )
 
     # ------------------------------------------------------------------
@@ -171,7 +171,9 @@ class Quarantine:
         survivors: List[T] = []
         for item in items:
             try:
-                self.validation_memo.validate(ref(item), lambda it=item: raster(it))
+                validate_memoised(
+                    self.validation_memo, ref(item), lambda it=item: raster(it)
+                )
             except Exception as exc:
                 self.admit(
                     stage, ref(item), exc, context(item) if context else None

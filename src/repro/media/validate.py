@@ -34,8 +34,7 @@ NonFinitePixelError
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +54,7 @@ __all__ = [
     "WrongShapeError",
     "ensure_color_raster",
     "rebuild_error",
+    "validate_memoised",
     "validate_raster",
 ]
 
@@ -170,7 +170,7 @@ def validate_raster(payload: Any, context: str = "") -> np.ndarray:
 def rebuild_error(error_type: str, message: str) -> Exception:
     """Reconstruct a recorded validation failure as a raisable exception.
 
-    Persistent memos (:class:`ValidationMemo`, the crawler's ingest
+    Persistent memos (:data:`ValidationMemo`, the crawler's ingest
     memo) record failures as ``(error_type, message)`` strings; replay
     needs an exception object whose class *name* and ``str()`` match the
     original exactly, because that is all the quarantine ledger keeps.
@@ -183,81 +183,37 @@ def rebuild_error(error_type: str, message: str) -> Exception:
     return cls(message)
 
 
-class ValidationMemo:
-    """Digest-keyed memo of :func:`validate_raster` outcomes.
+#: Digest-keyed memo of :func:`validate_raster` outcomes:
+#: ``digest -> None`` (clean) or ``digest -> (error_type, message)``.
+#:
+#: Validation is a pure function of the raster, and every stage-level
+#: boundary (abuse filter, NSFV, provenance) validates with ``context =
+#: digest`` — so per digest the outcome *and the error message* are
+#: deterministic, and a run can skip both the raster render and the
+#: re-validation.  Crawler ingest records each digest it validated
+#: clean, so the stage boundaries of the same run re-render nothing
+#: either.
+ValidationMemo = Dict[str, Optional[Tuple[str, str]]]
 
-    Validation is a pure function of the raster, and every stage-level
-    boundary (abuse filter, NSFV, provenance) validates with ``context =
-    digest`` — so per digest the outcome *and the error message* are
-    deterministic, and a run can skip both the raster render and the
-    re-validation.  Crawler ingest records each digest it validated
-    clean, so the stage boundaries of the same run re-render nothing
-    either.  Entries are
-    ``digest -> None`` (clean) or ``digest -> (error_type, message)``.
 
-    Every access holds the memo's lock.
+def validate_memoised(memo: ValidationMemo, digest: str, raster_fn) -> None:
+    """Memoised ``validate_raster(raster_fn(), context=digest)``.
+
+    Raises the (possibly rebuilt) validation error exactly as the
+    unmemoised boundary would; on a memo hit the raster is never
+    materialised.
     """
-
-    def __init__(self) -> None:
-        self._outcomes: Dict[str, Optional[Tuple[str, str]]] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._outcomes)
-
-    def lookup(self, digest: str) -> Tuple[bool, Optional[Tuple[str, str]]]:
-        """``(known, outcome)`` for ``digest``; counts one hit or miss."""
-        with self._lock:
-            if digest in self._outcomes:
-                self.hits += 1
-                return True, self._outcomes[digest]
-            self.misses += 1
-            return False, None
-
-    def record_ok(self, digest: str) -> None:
-        with self._lock:
-            self._outcomes[digest] = None
-
-    def record_error(self, digest: str, error: BaseException) -> None:
-        with self._lock:
-            self._outcomes[digest] = (type(error).__name__, str(error))
-
-    def validate(self, digest: str, raster_fn) -> None:
-        """Memoised ``validate_raster(raster_fn(), context=digest)``.
-
-        Raises the (possibly rebuilt) validation error exactly as the
-        unmemoised boundary would; on a memo hit the raster is never
-        materialised.
-        """
-        known, outcome = self.lookup(digest)
-        if known:
-            if outcome is not None:
-                raise rebuild_error(*outcome)
-            return
-        try:
-            validate_raster(raster_fn(), context=digest)
-        except Exception as exc:
-            self.record_error(digest, exc)
-            raise
-        self.record_ok(digest)
-
-    # -- persistence ----------------------------------------------------
-    def items(self) -> List[Tuple[str, Optional[Tuple[str, str]]]]:
-        """Snapshot as ``(digest, outcome)`` pairs for the store."""
-        with self._lock:
-            return list(self._outcomes.items())
-
-    def preload(
-        self, items: Iterable[Tuple[str, Optional[Tuple[str, str]]]]
-    ) -> None:
-        """Bulk-install persisted outcomes without counting hits/misses."""
-        with self._lock:
-            for digest, outcome in items:
-                self._outcomes[digest] = (
-                    None if outcome is None else (str(outcome[0]), str(outcome[1]))
-                )
+    if digest in memo:
+        outcome = memo[digest]
+        if outcome is not None:
+            raise rebuild_error(*outcome)
+        return
+    try:
+        validate_raster(raster_fn(), context=digest)
+    except Exception as exc:
+        memo[digest] = (type(exc).__name__, str(exc))
+        raise
+    memo[digest] = None
 
 
 def ensure_color_raster(payload: Any, context: str = "") -> np.ndarray:

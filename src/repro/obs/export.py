@@ -26,6 +26,7 @@ across runs of the same seed — property-tested in
 from __future__ import annotations
 
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 TRACE_SCHEMA_VERSION = 1
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 #: The exact top-level key set of a run manifest — the schema-stability
 #: contract asserted by ``tests/test_obs_export.py``.  Extend it
@@ -82,7 +83,7 @@ MANIFEST_KEYS = (
     "quarantine",
     "vision_cache",
     "crawl",
-    "executor",
+    "cpu_count",
 )
 
 
@@ -210,7 +211,6 @@ def build_manifest(
     seed: Optional[int] = None,
     config: Optional[Mapping[str, Any]] = None,
     top_n_spans: int = 10,
-    executor: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """The run manifest of one :class:`~repro.core.pipeline.PipelineReport`.
 
@@ -219,11 +219,10 @@ def build_manifest(
     come from the report's own sections through the common
     ``as_dict()`` snapshot protocol.
 
-    ``executor`` is the crawl-executor shape of the run — a mapping with
-    ``executor``/``workers``/``cpu_count``.  The crawl is always serial,
-    so the first two are ``None``; the block stays so manifests written
-    by earlier versions keep the same keys.  It is environment, not
-    measurement, so :func:`deterministic_manifest_view` drops it.
+    ``cpu_count`` is the recording machine's ``os.cpu_count()``, so
+    manifests from different machines are never compared blind.  It is
+    environment, not measurement, so :func:`deterministic_manifest_view`
+    drops it.
     """
     telemetry = getattr(report, "telemetry", None)
     funnel = telemetry.funnel() if telemetry is not None else []
@@ -273,7 +272,7 @@ def build_manifest(
         "quarantine": quarantine.as_dict() if quarantine is not None else None,
         "vision_cache": cache_stats.as_dict() if cache_stats is not None else None,
         "crawl": crawl.stats.as_dict() if crawl is not None else None,
-        "executor": dict(executor) if executor is not None else None,
+        "cpu_count": os.cpu_count(),
     }
 
 
@@ -287,7 +286,7 @@ def write_manifest(path: Union[str, Path], manifest: Mapping[str, Any]) -> Path:
 def deterministic_manifest_view(manifest: Mapping[str, Any]) -> Dict[str, Any]:
     """The manifest minus every timing-bearing field.
 
-    Drops ``created_unix``, ``versions`` and ``executor`` (environment,
+    Drops ``created_unix``, ``versions`` and ``cpu_count`` (environment,
     not measurement), ``slowest_spans``/``n_spans``/``n_events``
     (present only when tracing is on), per-stage ``elapsed_seconds``
     and every ``*_seconds`` metric.  Two runs of one seed must agree on the
@@ -296,7 +295,7 @@ def deterministic_manifest_view(manifest: Mapping[str, Any]) -> Dict[str, Any]:
     view = dict(manifest)
     for key in (
         "created_unix", "versions", "slowest_spans", "n_spans", "n_events",
-        "executor",
+        "cpu_count",
     ):
         view.pop(key, None)
     view["stages"] = [

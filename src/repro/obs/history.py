@@ -52,12 +52,6 @@ class HistorySummary:
     n_records: Optional[int] = None
     n_quarantined: Optional[int] = None
     profiled: bool = False
-    #: Crawl executor shape of the run.  The crawl is always serial now,
-    #: so new runs record ``None``; rows from earlier versions may hold
-    #: ``"thread"``/``"process"`` and a worker count, which
-    #: ``repro obs runs|diff`` still display.
-    executor: Optional[str] = None
-    workers: Optional[int] = None
     #: ``os.cpu_count()`` of the recording machine, so runs on different
     #: machines are never compared blind.
     cpu_count: Optional[int] = None

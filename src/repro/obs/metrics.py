@@ -20,14 +20,12 @@ DESIGN.md §9):
 * labels are few and low-cardinality (``stage=``, ``status=``,
   ``error=``) — this is a per-run registry, not a TSDB.
 
-The registry is thread-safe for metric creation; individual updates are
-plain attribute arithmetic (safe under the GIL for the pipeline's
-current single-writer stages).
+The registry has one writer, the pipeline's main thread; it takes no
+lock.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -164,7 +162,6 @@ class MetricsRegistry:
     """Get-or-create registry of labelled metrics for one run."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._metrics: Dict[Tuple[str, LabelsKey], Any] = {}
         self._kinds: Dict[str, str] = {}
 
@@ -173,19 +170,18 @@ class MetricsRegistry:
         if not name:
             raise ValueError("metric name must be non-empty")
         key = (name, _labels_key(labels))
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = factory()
-                registered_kind = self._kinds.setdefault(name, metric.kind)
-                if registered_kind != metric.kind:
-                    raise ValueError(
-                        f"metric {name!r} already registered as {registered_kind}, "
-                        f"not {metric.kind}"
-                    )
-                self._metrics[key] = metric
-            elif metric.kind != factory().kind:  # pragma: no cover - defensive
-                raise ValueError(f"metric {name!r} kind conflict")
+        metric = self._metrics.get(key)
+        if metric is None:
+            metric = factory()
+            registered_kind = self._kinds.setdefault(name, metric.kind)
+            if registered_kind != metric.kind:
+                raise ValueError(
+                    f"metric {name!r} already registered as {registered_kind}, "
+                    f"not {metric.kind}"
+                )
+            self._metrics[key] = metric
+        elif metric.kind != factory().kind:  # pragma: no cover - defensive
+            raise ValueError(f"metric {name!r} kind conflict")
         return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -204,13 +200,11 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
+        return len(self._metrics)
 
     def snapshot(self) -> List[dict]:
         """Every metric as a JSON-ready dict, deterministically sorted."""
-        with self._lock:
-            items = sorted(self._metrics.items(), key=lambda kv: kv[0])
+        items = sorted(self._metrics.items(), key=lambda kv: kv[0])
         return [
             {
                 "name": name,

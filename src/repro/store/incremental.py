@@ -6,8 +6,8 @@ the records newer than the store's watermark (epochs nest, so the append
 is a pure delta), reloads the corpus through the store's canonical
 cursors, and executes the full pipeline with every persisted memo warm —
 the digest-keyed :class:`~repro.vision.cache.VisionCache`, the
-:class:`~repro.media.validate.ValidationMemo`, the per-stage crawl
-:class:`~repro.web.crawler.IngestMemo` and the world perceptual-hash
+:data:`~repro.media.validate.ValidationMemo`, the per-stage crawl
+:data:`~repro.web.crawler.IngestMemo` and the world perceptual-hash
 memo.
 
 The headline invariant (DESIGN.md §12, property-tested): an incremental
@@ -54,7 +54,7 @@ class PersistSession:
     """
 
     cache: VisionCache = field(default_factory=VisionCache)
-    validation_memo: ValidationMemo = field(default_factory=ValidationMemo)
+    validation_memo: ValidationMemo = field(default_factory=dict)
     ingest_memos: Dict[str, IngestMemo] = field(default_factory=dict)
     #: Entry counts as loaded from the store; memo entries are pure and
     #: immutable (they only accumulate), so an unchanged count at save
@@ -63,15 +63,15 @@ class PersistSession:
     _loaded_sizes: Dict[str, int] = field(default_factory=dict)
 
     def ingest_memo(self, stage: str) -> IngestMemo:
-        return self.ingest_memos.setdefault(stage, IngestMemo())
+        return self.ingest_memos.setdefault(stage, {})
 
     def _sizes(self) -> Dict[str, int]:
         sizes = {
             "vision_cache": sum(len(record) for record in self.cache.values()),
-            "validation_memo": len(self.validation_memo.items()),
+            "validation_memo": len(self.validation_memo),
         }
         for stage, memo in self.ingest_memos.items():
-            sizes[f"ingest:{stage}"] = len(memo.items())
+            sizes[f"ingest:{stage}"] = len(memo)
         return sizes
 
     @classmethod

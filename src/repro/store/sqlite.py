@@ -8,8 +8,8 @@ One :class:`RunStore` file persists the full funnel across runs:
   cutoff) up to which the corpus has been generated and measured;
 * the warm-path memos that make delta runs cheap: the digest-keyed
   :class:`~repro.vision.cache.VisionCache`, the per-payload crawl
-  :class:`~repro.web.crawler.IngestMemo`, the
-  :class:`~repro.media.validate.ValidationMemo`, the world perceptual-
+  :data:`~repro.web.crawler.IngestMemo`, the
+  :data:`~repro.media.validate.ValidationMemo`, the world perceptual-
   hash memo, and per-stage :class:`~repro.web.checkpoint.CrawlCheckpoint`
   snapshots;
 * run history — one row per pipeline run with its digest, funnel and
@@ -668,7 +668,6 @@ class RunStore:
         return len(grouped)
 
     def save_validation_memo(self, memo) -> int:
-        items = memo.items()
         self._executemany(
             "INSERT OR REPLACE INTO validation_memo "
             "(digest, ok, error_type, message) VALUES (?, ?, ?, ?)",
@@ -679,24 +678,23 @@ class RunStore:
                     None if outcome is None else outcome[0],
                     None if outcome is None else outcome[1],
                 )
-                for digest, outcome in items
+                for digest, outcome in memo.items()
             ),
         )
         self.commit()
-        return len(items)
+        return len(memo)
 
     def load_validation_memo(self, memo) -> int:
         rows = self._execute(
             "SELECT digest, ok, error_type, message FROM validation_memo"
         ).fetchall()
-        memo.preload(
-            (digest, None if ok else (error_type, message))
+        memo.update(
+            (digest, None if ok else (str(error_type), str(message)))
             for digest, ok, error_type, message in rows
         )
         return len(rows)
 
     def save_ingest_memo(self, stage: str, memo) -> int:
-        items = memo.items()
         self._executemany(
             "INSERT OR REPLACE INTO ingest_memo "
             "(stage, url, pack_id, member_index, ok, digest, error_type, message) "
@@ -712,11 +710,11 @@ class RunStore:
                     outcome[1] if outcome[0] == "err" else None,
                     outcome[2] if outcome[0] == "err" else None,
                 )
-                for key, outcome in items
+                for key, outcome in memo.items()
             ),
         )
         self.commit()
-        return len(items)
+        return len(memo)
 
     def load_ingest_memo(self, stage: str, memo) -> int:
         rows = self._execute(
@@ -740,7 +738,7 @@ class RunStore:
                 entries.append((key, ("ok", digest)))
             else:
                 entries.append((key, ("err", error_type or "", message or "")))
-        memo.preload(entries)
+        memo.update(entries)
         return len(entries)
 
     def save_world_hashes(self, hashes: Dict[int, int]) -> int:
@@ -933,9 +931,8 @@ class RunStore:
             "INSERT INTO history_runs "
             "(run_id, source, label, created_unix, seed, epoch, "
             " wall_seconds, cpu_seconds, peak_rss_kb, n_spans, n_events, "
-            " n_records, n_quarantined, profiled, executor, workers, "
-            " cpu_count) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            " n_records, n_quarantined, profiled, cpu_count) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 run_id,
                 summary.source,
@@ -951,9 +948,7 @@ class RunStore:
                 summary.n_records,
                 summary.n_quarantined,
                 int(bool(summary.profiled)),
-                getattr(summary, "executor", None),
-                getattr(summary, "workers", None),
-                getattr(summary, "cpu_count", None),
+                summary.cpu_count,
             ),
         )
         history_id = int(cursor.lastrowid)
@@ -1021,8 +1016,7 @@ class RunStore:
         rows = self._execute(
             "SELECT history_id, run_id, source, label, created_unix, seed, "
             "epoch, wall_seconds, cpu_seconds, peak_rss_kb, n_spans, "
-            "n_events, n_records, n_quarantined, profiled, executor, "
-            "workers, cpu_count "
+            "n_events, n_records, n_quarantined, profiled, cpu_count "
             "FROM history_runs ORDER BY history_id"
         ).fetchall()
         funnels: Dict[int, List[Dict[str, Any]]] = {}
@@ -1050,9 +1044,7 @@ class RunStore:
                 "n_records": None if r[12] is None else int(r[12]),
                 "n_quarantined": None if r[13] is None else int(r[13]),
                 "profiled": bool(r[14]),
-                "executor": r[15],
-                "workers": None if r[16] is None else int(r[16]),
-                "cpu_count": None if r[17] is None else int(r[17]),
+                "cpu_count": None if r[15] is None else int(r[15]),
                 "funnel": funnels.get(int(r[0]), []),
             }
             for r in rows

@@ -45,15 +45,12 @@ from datetime import datetime
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
-
-import threading
 
 from ..chaos.sites import kill_point
 from ..media.image import SyntheticImage
@@ -87,59 +84,18 @@ __all__ = [
 IngestKey = Tuple[str, Optional[int], Optional[int]]
 
 
-class IngestMemo:
-    """Persistent memo of per-payload ingest outcomes.
-
-    The crawler's :meth:`Crawler._ingest` boundary renders each payload,
-    validates it and digests its bytes — the dominant cost of a crawl.
-    All three are pure functions of ``(url, pack_id, member_index)`` for
-    a fixed world seed (payload corruption is injected per-URL by pure
-    hashes, and validation messages at ingest use the URL as context),
-    so a warm run can replay the recorded outcome: clean payloads get
-    their digest back without touching pixels, poisoned ones re-admit a
-    byte-identical quarantine record.
-
-    Entries are ``key -> ("ok", digest)`` or ``key -> ("err",
-    error_type, message)``.  Every access holds the memo's lock.
-    """
-
-    def __init__(self) -> None:
-        self._outcomes: Dict[IngestKey, Tuple[str, ...]] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._outcomes)
-
-    def lookup(self, key: IngestKey) -> Optional[Tuple[str, ...]]:
-        with self._lock:
-            outcome = self._outcomes.get(key)
-            if outcome is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return outcome
-
-    def record_ok(self, key: IngestKey, digest: str) -> None:
-        with self._lock:
-            self._outcomes[key] = ("ok", digest)
-
-    def record_error(self, key: IngestKey, error: BaseException) -> None:
-        with self._lock:
-            self._outcomes[key] = ("err", type(error).__name__, str(error))
-
-    # -- persistence ----------------------------------------------------
-    def items(self) -> List[Tuple[IngestKey, Tuple[str, ...]]]:
-        with self._lock:
-            return list(self._outcomes.items())
-
-    def preload(
-        self, items: Iterable[Tuple[IngestKey, Tuple[str, ...]]]
-    ) -> None:
-        with self._lock:
-            for key, outcome in items:
-                self._outcomes[tuple(key)] = tuple(outcome)  # type: ignore[index]
+#: Persistent memo of per-payload ingest outcomes:
+#: ``key -> ("ok", digest)`` or ``key -> ("err", error_type, message)``.
+#:
+#: The crawler's :meth:`Crawler._ingest` boundary renders each payload,
+#: validates it and digests its bytes — the dominant cost of a crawl.
+#: All three are pure functions of ``(url, pack_id, member_index)`` for
+#: a fixed world seed (payload corruption is injected per-URL by pure
+#: hashes, and validation messages at ingest use the URL as context),
+#: so a warm run can replay the recorded outcome: clean payloads get
+#: their digest back without touching pixels, poisoned ones re-admit a
+#: byte-identical quarantine record.
+IngestMemo = Dict[IngestKey, Tuple[str, ...]]
 
 
 def content_digest(image: SyntheticImage) -> str:
@@ -458,7 +414,7 @@ class Crawler:
         self._jitter_seed = jitter_seed
         self._validate_payloads = validate_payloads
         #: Optional persistent memo of per-payload ingest outcomes; a
-        #: hit skips the render/validate/digest work (see IngestMemo).
+        #: hit skips the render/validate/digest work (see :data:`IngestMemo`).
         self._ingest_memo = ingest_memo
         self._features = features if validate_payloads else None
 
@@ -809,7 +765,7 @@ class Crawler:
         memo = self._ingest_memo if self._validate_payloads else None
         if memo is not None:
             key: IngestKey = (url_str, pack_id, member_index)
-            outcome = memo.lookup(key)
+            outcome = memo.get(key)
             if outcome is not None:
                 if outcome[0] == "ok":
                     # Replay: the digest is memoised, so the raster is
@@ -831,8 +787,8 @@ class Crawler:
             # shape and dtype the digest covers.
             digest = image.known_digest
             known_clean = (
-                digest is not None
-                and quarantine.validation_memo.lookup(digest) == (True, None)
+                digest in quarantine.validation_memo
+                and quarantine.validation_memo[digest] is None
             )
             if not known_clean:
                 if self._validate_payloads:
@@ -845,15 +801,15 @@ class Crawler:
                 pack_id=pack_id,
             )
             if self._features is not None:
-                quarantine.validation_memo.record_ok(digest)
+                quarantine.validation_memo[digest] = None
                 self._features.features(digest, image)
                 image.drop_pixels()
             if memo is not None:
-                memo.record_ok(key, digest)
+                memo[key] = ("ok", digest)
             return crawled
         except Exception as exc:
             if memo is not None:
-                memo.record_error(key, exc)
+                memo[key] = ("err", type(exc).__name__, str(exc))
             quarantine.admit(stage, url_str, exc, context)
             return None
 

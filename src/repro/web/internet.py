@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import string
-import threading
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Dict, Iterator, List, Optional, Union
@@ -172,15 +171,10 @@ class SimulatedInternet:
         self._dynamic_services: Dict[str, HostingService] = {}
         self._fault_injector = fault_injector
         self._payload_injector = payload_injector
-        # Lifetime fetch accounting (telemetry).  Cumulative over the
-        # internet's lifetime; per-run consumers (the pipeline's metric
-        # mirror) difference ``n_fetch_calls`` around their run.  The
-        # lock keeps the counters exact under concurrent fetches (fetch
-        # itself is read-only beyond them).
-        self._accounting_lock = threading.Lock()
+        # Lifetime fetch count (telemetry); per-run consumers (the
+        # pipeline's metric mirror) difference ``n_fetch_calls`` around
+        # their run.  Fetch is read-only beyond this counter.
         self._n_fetch_calls = 0
-        self._n_injected_faults = 0
-        self._fetches_by_host: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -333,19 +327,12 @@ class SimulatedInternet:
         self, key: str, parsed: Optional[Url], attempt: int
     ) -> FetchResult:
         """One fetch without redirect following (see :meth:`fetch`)."""
-        with self._accounting_lock:
-            self._n_fetch_calls += 1
-            if parsed is not None:
-                self._fetches_by_host[parsed.host] = (
-                    self._fetches_by_host.get(parsed.host, 0) + 1
-                )
+        self._n_fetch_calls += 1
         # Transient faults fire before the registry lookup: a timeout
         # reveals nothing about whether the link is alive.
         if self._fault_injector is not None and parsed is not None:
             fault = self._fault_injector.sample(parsed.host, key, attempt)
             if fault is not None:
-                with self._accounting_lock:
-                    self._n_injected_faults += 1
                 return FetchResult(
                     url=parsed, status=fault.status, retry_after=fault.retry_after
                 )
@@ -431,24 +418,10 @@ class SimulatedInternet:
     def n_hosted(self) -> int:
         return len(self._hosted)
 
-    # -- fetch accounting (telemetry) ----------------------------------
     @property
     def n_fetch_calls(self) -> int:
         """Lifetime :meth:`fetch` invocations (retries included)."""
         return self._n_fetch_calls
-
-    def fetch_stats(self) -> dict:
-        """Snapshot-protocol view of the lifetime fetch accounting."""
-        return {
-            "n_fetch_calls": self._n_fetch_calls,
-            "n_injected_faults": self._n_injected_faults,
-            "n_hosts_fetched": len(self._fetches_by_host),
-            "top_hosts": dict(
-                sorted(
-                    self._fetches_by_host.items(), key=lambda kv: (-kv[1], kv[0])
-                )[:10]
-            ),
-        }
 
     def region_of(self, domain: str) -> Optional[str]:
         """Hosting region of an origin domain (for §4.3 IWF statistics)."""

@@ -29,7 +29,6 @@ host population), ``hostile`` (a heavily poisoned one).
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple, Union
 
@@ -265,10 +264,8 @@ class PayloadFaultInjector:
         #: the quarantine-count invariant.
         self.n_injected = 0
         self.by_kind: Dict[str, int] = {}
-        # Injection *decisions* are pure functions of (seed, url) so the
-        # injector is logically stateless, but the event counters are
-        # shared mutable state, guarded for concurrent fetches.
-        self._count_lock = threading.Lock()
+        # Injection *decisions* are pure functions of (seed, url); these
+        # event counters are the injector's only mutable state.
 
     # ------------------------------------------------------------------
     def decide(self, host: str, url: str, *extra: str) -> Optional[str]:
@@ -316,9 +313,8 @@ class PayloadFaultInjector:
     def _wrap(
         self, image: SyntheticImage, kind: str, url: str, *extra: str
     ) -> CorruptImage:
-        with self._count_lock:
-            self.n_injected += 1
-            self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        self.n_injected += 1
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
         return CorruptImage(
             image, kind, stable_noise_seed(self.seed, url, "payload-noise", *extra)
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -132,22 +133,16 @@ class TestManifest:
         versions = self._manifest()["versions"]
         assert set(versions) >= {"python", "numpy", "scipy", "repro"}
 
-    def test_executor_block_recorded(self):
-        tele = RunTelemetry(tracer=_sample_tracer())
-        shape = {"executor": "thread", "workers": 4, "cpu_count": 8}
-        manifest = build_manifest(
-            _FakeReport(tele), seed=7, config={}, executor=shape
-        )
-        assert manifest["executor"] == shape
+    def test_cpu_count_recorded(self):
+        manifest = self._manifest()
+        assert manifest["cpu_count"] == os.cpu_count()
         assert tuple(manifest.keys()) == MANIFEST_KEYS
-        # Serial runs still carry the key, holding None.
-        assert self._manifest()["executor"] is None
 
     def test_deterministic_view_strips_timing(self):
         manifest = self._manifest()
         view = deterministic_manifest_view(manifest)
         for absent in ("created_unix", "versions", "slowest_spans",
-                       "n_spans", "n_events", "executor"):
+                       "n_spans", "n_events", "cpu_count"):
             assert absent not in view
         names = [m["name"] for m in view["metrics"]]
         assert "pipeline.stage_seconds" not in names

@@ -155,12 +155,19 @@ class TestStoreRoundTrip:
         # Earlier versions recorded parallel crawls as executor/workers.
         path = tmp_path / "s.sqlite"
         with RunStore(path) as store:
-            record_history(store, _summary(executor="thread", workers=2))
-            record_history(store, _summary())
+            store._execute(
+                "INSERT INTO history_runs (source, created_unix, n_spans, "
+                "n_events, profiled, executor, workers, cpu_count) "
+                "VALUES ('run', 0.0, 0, 0, 0, 'thread', 2, 2)"
+            )
+            store.commit()
+            record_history(store, _summary(cpu_count=4))
         assert main(["obs", "runs", "--store", str(path)]) == 0
-        assert "thread/2" in capsys.readouterr().out
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        # (history id, cpus column) per listed row.
+        assert [(row[0], row[-2]) for row in rows] == [("1", "2"), ("2", "4")]
         assert main(["obs", "diff", "1", "2", "--store", str(path)]) == 0
-        assert "#1 thread/2" in capsys.readouterr().out
+        assert "cpus: #1 on 2 vs #2 on 4" in capsys.readouterr().out
 
     def test_legacy_bench_results_store_still_works(self, tmp_path, capsys):
         # Earlier versions kept ingested bench results in a bench_results

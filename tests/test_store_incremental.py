@@ -14,7 +14,7 @@ exactly what a single cold run over the whole union produces:
 The matrix deliberately crosses the store path with the failure
 machinery of earlier PRs: fault profiles (transport chaos), payload
 profiles (corrupt rasters → quarantine), drift profiles (adversarial
-evasion), and crawl worker counts (sharded executor).
+evasion).
 """
 
 import pytest
@@ -173,7 +173,7 @@ class TestPersistSession:
         run_incremental(path, epoch=3, **WORLD_KW)
         with RunStore(path) as store:
             session = PersistSession.load(store)
-            session.validation_memo.record_ok("brand-new-digest")
+            session.validation_memo["brand-new-digest"] = None
             session.save(store)
             row = store._execute(
                 "SELECT ok FROM validation_memo WHERE digest='brand-new-digest'"

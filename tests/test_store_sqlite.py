@@ -13,7 +13,6 @@ from datetime import datetime, timedelta
 import pytest
 
 from repro.forum import Actor, Board, Forum, ForumDataset, Post, Thread
-from repro.media.validate import ValidationMemo
 from repro.store import (
     RunStore,
     StoreConfigError,
@@ -23,7 +22,6 @@ from repro.store import (
 )
 from repro.synth.world import WorldConfig
 from repro.vision.cache import VisionCache
-from repro.web.crawler import IngestMemo
 
 T0 = datetime(2014, 6, 15, 12, 30)
 
@@ -194,50 +192,43 @@ class TestMemoPersistence:
         assert warm == {"d1": {"hash": 12345, "nsfw": 0.25}, "d2": {"hash": 777}}
 
     def test_validation_memo_round_trip(self, store):
-        memo = ValidationMemo()
-        memo.record_ok("clean")
-        memo.preload([("poison", ("TruncatedRasterError", "raster truncated"))])
+        memo = {
+            "clean": None,
+            "poison": ("TruncatedRasterError", "raster truncated"),
+        }
         store.save_validation_memo(memo)
-        warm = ValidationMemo()
+        warm = {}
         store.load_validation_memo(warm)
-        assert warm.lookup("clean") == (True, None)
-        assert warm.lookup("poison") == (
-            True,
-            ("TruncatedRasterError", "raster truncated"),
-        )
+        assert warm == memo
 
     def test_ingest_memo_round_trip_with_null_keys(self, store):
-        memo = IngestMemo()
-        memo.record_ok(("http://x/a", 1, 0), "digest-a")
-        memo.record_ok(("http://x/b", None, None), "digest-b")
-        memo.record_error(("http://x/c", 2, 1), ValueError("boom"))
+        memo = {
+            ("http://x/a", 1, 0): ("ok", "digest-a"),
+            ("http://x/b", None, None): ("ok", "digest-b"),
+            ("http://x/c", 2, 1): ("err", "ValueError", "boom"),
+        }
         store.save_ingest_memo("url_crawl", memo)
-        warm = IngestMemo()
+        warm = {}
         store.load_ingest_memo("url_crawl", warm)
-        assert warm.lookup(("http://x/b", None, None)) == ("ok", "digest-b")
-        err = warm.lookup(("http://x/c", 2, 1))
+        assert warm[("http://x/b", None, None)] == ("ok", "digest-b")
+        err = warm[("http://x/c", 2, 1)]
         assert err[0] == "err" and err[1] == "ValueError"
 
     def test_ingest_memo_stages_are_namespaced(self, store):
-        memo = IngestMemo()
-        memo.record_ok(("http://x/a", None, None), "d")
-        store.save_ingest_memo("url_crawl", memo)
-        other = IngestMemo()
-        assert store.load_ingest_memo("earnings", other) == 0
+        store.save_ingest_memo("url_crawl", {("http://x/a", None, None): ("ok", "d")})
+        assert store.load_ingest_memo("earnings", {}) == 0
 
     def test_ok_row_without_digest_is_corruption(self, tmp_path):
         path = tmp_path / "memo.sqlite"
         with RunStore(path) as s:
-            memo = IngestMemo()
-            memo.record_ok(("http://x/a", None, None), "d")
-            s.save_ingest_memo("url_crawl", memo)
+            s.save_ingest_memo("url_crawl", {("http://x/a", None, None): ("ok", "d")})
         conn = sqlite3.connect(str(path))
         conn.execute("UPDATE ingest_memo SET digest=NULL")
         conn.commit()
         conn.close()
         with RunStore(path) as s:
             with pytest.raises(StoreCorruptionError, match="no digest"):
-                s.load_ingest_memo("url_crawl", IngestMemo())
+                s.load_ingest_memo("url_crawl", {})
 
     def test_world_hashes_round_trip(self, store):
         hashes = {1: 2**63 + 5, 2: 42}  # exceeds sqlite signed-int range
