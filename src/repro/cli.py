@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", type=Path, nargs="?", const=Path("crawl.checkpoint.json"),
         default=None, metavar="CHECKPOINT",
         help="checkpoint the crawl to this file and resume from it if it "
-             "exists (default path: crawl.checkpoint.json)",
+             "exists (default path: crawl.checkpoint.json; not with --store, "
+             "whose epochs are atomic)",
     )
     p_run.add_argument(
         "--lenient", action="store_true",
@@ -374,11 +375,9 @@ def _resilience_summary(report) -> str:
     lines = ["-- crawl resilience --"]
     if report.crawl is not None:
         stats = report.crawl.stats
-        lines.append(
-            f"retries: {stats.n_retries}  giveups: {stats.n_giveups}  "
-            f"breaker skips: {stats.n_breaker_skips}  "
-            f"transient faults: {stats.n_transient_faults}"
-        )
+        # Retries, giveups and breaker skips print in the telemetry
+        # block's "crawl:" line.
+        lines.append(f"transient faults: {stats.n_transient_faults}")
         if report.crawl.attempt_logs:
             lines.append(f"links that needed the retry machinery: "
                          f"{len(report.crawl.attempt_logs)}")
@@ -605,8 +604,6 @@ def _run_store_command(args, log) -> int:
         result.run_id, result.history_id, result.rows_added,
         result.store_size_bytes / (1024 * 1024),
     )
-    for line in telemetry.summary_lines():
-        log.info("%s", line)
     _print_run_report(report, log)
     _print_profile(telemetry)
     if args.trace_out is not None:
@@ -886,6 +883,10 @@ def _dispatch(args, log) -> int:
     drift_profile = getattr(args, "drift_profile", None)
 
     if getattr(args, "store", None) is not None:
+        if getattr(args, "resume", None) is not None:
+            raise SystemExit(
+                "--resume cannot be used with --store (see 'repro run --help')"
+            )
         return _run_store_command(args, log)
     if getattr(args, "epoch", None) is not None:
         raise SystemExit("--epoch requires --store (see 'repro run --help')")
@@ -933,8 +934,6 @@ def _dispatch(args, log) -> int:
     finally:
         _stop_profile(telemetry)
     log.info("pipeline done [%.1fs]", time.perf_counter() - start)
-    for line in telemetry.summary_lines():
-        log.info("%s", line)
 
     if args.command == "run":
         _print_run_report(report, log)

@@ -103,7 +103,8 @@ class AbuseFilter:
         matter how many crawled copies carry it.
 
         When a ``quarantine`` ledger is supplied, every representative
-        raster crosses a validation boundary before hashing: poison that
+        without a feature record crosses a validation boundary before
+        hashing (a record means ingest validated the digest): poison that
         somehow bypassed crawler ingest is admitted to the ledger under
         ``"abuse_filter"`` and its digest excluded from the sweep (and,
         via :meth:`AbuseFilterResult.is_clean`, from every later stage)
@@ -127,6 +128,7 @@ class AbuseFilter:
                 ref=lambda d: d,
                 raster=lambda d: representatives[d].image.pixels,
                 context=lambda d: {"link_kind": representatives[d].link.link_kind},
+                known=self._features.cache,
             )
             quarantined_digests = set(digests) - set(survivors)
             digests = survivors

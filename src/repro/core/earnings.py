@@ -173,7 +173,6 @@ class EarningsAnalyzer:
         quarantine: Optional[Quarantine] = None,
         features: Optional[Featurizer] = None,
         ingest_memo=None,
-        checkpoint=None,
     ):
         self._dataset = dataset
         self._internet = internet
@@ -182,18 +181,17 @@ class EarningsAnalyzer:
         self._nsfv = nsfv if nsfv is not None else NsfvClassifier()
         self._rates = rates if rates is not None else HistoricalRates()
         self._quarantine = quarantine
-        #: The run's feature records: hashes and NSFW scores are read
-        #: from them by digest, so a warm run (the persistent-store delta
-        #: path) never renders proof rasters.
+        #: The run's feature records: the §5.1 crawl featurises each
+        #: proof image at ingest and drops its pixels, and the safety
+        #: checks below read hashes and NSFW scores by digest.
         self._features = (
             features
             if features is not None
             else Featurizer(hashlist=hashlist, scorer=self._nsfv.scorer)
         )
-        #: Optional :data:`~repro.web.crawler.IngestMemo` + crawl
-        #: checkpoint for the §5.1 crawl, see ``repro.store``.
+        #: Optional :data:`~repro.web.crawler.IngestMemo` for the §5.1
+        #: crawl, see ``repro.store``.
         self._ingest_memo = ingest_memo
-        self._checkpoint = checkpoint
 
     # ------------------------------------------------------------------
     def analyze(self, selection: Optional[Sequence[Thread]] = None) -> EarningsResult:
@@ -202,16 +200,13 @@ class EarningsAnalyzer:
         earning_threads = self._earnings_threads(threads)
         posts_with_links, links = self._collect_links(threads, earning_threads)
 
-        crawler = Crawler(self._internet, ingest_memo=self._ingest_memo)
+        crawler = Crawler(
+            self._internet, ingest_memo=self._ingest_memo, features=self._features
+        )
         # Corrupt payloads are excised at the crawler's ingest boundary
         # (into the shared ledger when one is attached, a private one
         # otherwise) — never into the safety loop below.
-        crawl = crawler.crawl(
-            links,
-            checkpoint=self._checkpoint,
-            quarantine=self._quarantine,
-            stage="earnings",
-        )
+        crawl = crawler.crawl(links, quarantine=self._quarantine, stage="earnings")
         downloaded = crawl.preview_images  # image-sharing links only
 
         n_abuse = 0
@@ -227,9 +222,11 @@ class EarningsAnalyzer:
                 if match.matched:
                     n_abuse += 1
                     seen_abuse_digests.add(crawled.digest)
-                    crawled.image.drop_pixels()
                     continue
                 verdict = self._nsfv.classify_batch([crawled], self._features)[0]
+                # An image in Algorithm 1's ambiguous band re-rendered
+                # for OCR; delete it again.
+                crawled.image.drop_pixels()
             except Exception as exc:
                 # Defence in depth behind the ingest boundary: a record
                 # that still manages to poison the safety checks is
@@ -243,7 +240,6 @@ class EarningsAnalyzer:
                 continue
             if verdict.nsfv:
                 n_indecent += 1
-                crawled.image.drop_pixels()
                 continue
             safe.append(crawled)
 

@@ -102,10 +102,6 @@ class BlacklistIntervention:
         self._array = None
         return added
 
-    def add_hash(self, image_hash: int) -> None:
-        self._hashes.append(image_hash)
-        self._array = None
-
     @property
     def size(self) -> int:
         return len(self._hashes)

@@ -77,6 +77,12 @@ __all__ = ["EwhoringPipeline", "PipelineReport"]
 TopOracleFn = Callable[[int], bool]
 ProofOracleFn = Callable[[int], Optional[ProofPlan]]
 
+#: Share of the annotated TOP sample the classifier trains on (§4.1).
+TRAIN_FRACTION = 0.8
+#: Minimum eWhoring posts for an actor to enter the currency-exchange
+#: table (§5.2).
+MIN_CE_POSTS = 50
+
 
 @dataclass
 class PipelineReport:
@@ -223,8 +229,6 @@ class EwhoringPipeline:
         top_oracle: TopOracleFn,
         proof_oracle: ProofOracleFn,
         annotate_n: int = 1000,
-        train_fraction: float = 0.8,
-        min_ce_posts: int = 50,
         key_actor_top_n: int = 50,
         strict: bool = True,
         checkpoint: Optional[Union[str, Path, CrawlCheckpoint]] = None,
@@ -249,23 +253,19 @@ class EwhoringPipeline:
 
         ``persist`` is a warm-memo bundle (duck-typed as
         :class:`~repro.store.incremental.PersistSession`) carrying the
-        digest-keyed validation memo and per-stage crawl ingest memos a
-        persistent store loaded from earlier epochs.  Memos only skip
-        recomputation of pure per-record functions (render / validate /
-        digest), so every measured quantity — and the measurement view —
-        is bit-identical with or without them; a warm run merely does
-        less work (see DESIGN.md §12).
+        per-stage crawl ingest memos a persistent store loaded from
+        earlier epochs (its feature records arrive as ``vision_cache``).
+        Memos only skip recomputation of pure per-record functions
+        (render / validate / digest / featurise), so every measured
+        quantity — and the measurement view — is bit-identical with or
+        without them; a warm run merely does less work (see DESIGN.md
+        §12).
         """
         tele = telemetry if telemetry is not None else RunTelemetry()
         runner = StageRunner(strict=strict, hooks=stage_hooks, telemetry=tele)
         #: One ledger per run: every stage's record-level boundary admits
-        #: poison records here, and the report carries it out.  With a
-        #: persist session its validation memo replays known-poison
-        #: digests without re-rendering their rasters.
-        quarantine = Quarantine(
-            tracer=tele.tracer,
-            validation_memo=persist.validation_memo if persist is not None else None,
-        )
+        #: poison records here, and the report carries it out.
+        quarantine = Quarantine(tracer=tele.tracer)
         #: One featuriser per run: crawler ingest records each distinct
         #: image's hash and NSFW score (scored by the NSFV stage's own
         #: scorer) and drops its pixels; every later stage reads records.
@@ -273,8 +273,8 @@ class EwhoringPipeline:
         with tele.tracer.span("pipeline.run", seed=self.seed, strict=strict):
             report = self._run_stages(
                 runner, tele, quarantine, features,
-                top_oracle, proof_oracle, annotate_n, train_fraction,
-                min_ce_posts, key_actor_top_n, checkpoint, persist,
+                top_oracle, proof_oracle, annotate_n,
+                key_actor_top_n, checkpoint, persist,
             )
         return report
 
@@ -288,8 +288,6 @@ class EwhoringPipeline:
         top_oracle: TopOracleFn,
         proof_oracle: ProofOracleFn,
         annotate_n: int,
-        train_fraction: float,
-        min_ce_posts: int,
         key_actor_top_n: int,
         checkpoint: Optional[Union[str, Path, CrawlCheckpoint]],
         persist: Optional[object] = None,
@@ -306,7 +304,7 @@ class EwhoringPipeline:
                 evaluation, n_annotated, n_annotated_tops = None, 0, 0
             else:
                 classifier, evaluation, n_annotated, n_annotated_tops = (
-                    self._train_classifier(selection, top_oracle, annotate_n, train_fraction)
+                    self._train_classifier(selection, top_oracle, annotate_n)
                 )
             tops, stats = classifier.extract_tops(self.dataset, selection)
             # Exposed for repro.drift: the fitted model of this run is
@@ -391,6 +389,7 @@ class EwhoringPipeline:
                 clean_previews,
                 ref=lambda c: c.digest,
                 raster=lambda c: c.image.pixels,
+                known=features.cache,
             )
             verdicts = self.nsfv.classify_batch(previews, features, tracer=tele.tracer)
             preview_verdicts = list(zip(previews, verdicts))
@@ -443,7 +442,7 @@ class EwhoringPipeline:
                 ),
             ).analyze(selection)
             ce_table = currency_exchange_table(
-                self.dataset, min_ewhoring_posts=min_ce_posts, selection=selection
+                self.dataset, min_ewhoring_posts=MIN_CE_POSTS, selection=selection
             )
             return earnings, ce_table
 
@@ -598,7 +597,6 @@ class EwhoringPipeline:
         selection: Sequence[Thread],
         top_oracle: TopOracleFn,
         annotate_n: int,
-        train_fraction: float,
     ) -> Tuple[HybridTopClassifier, TopEvaluation, int, int]:
         """Annotate a sample (§4.1: 1 000 threads), train, evaluate."""
         rng = np.random.default_rng(self.seed)
@@ -614,7 +612,7 @@ class EwhoringPipeline:
             )
         split = train_test_split(
             n_sample,
-            train_fraction=train_fraction,
+            train_fraction=TRAIN_FRACTION,
             seed=self.seed,
             stratify_labels=[int(l) for l in labels],
         )

@@ -158,6 +158,7 @@ class ProvenanceAnalyzer:
                 ref=lambda c: c.digest,
                 raster=lambda c: c.image.pixels,
                 context=lambda c: {"group": "packs", "pack_id": c.pack_id},
+                known=self._features.cache,
             )
             preview_images = quarantine.filter_rasters(
                 "provenance",
@@ -165,6 +166,7 @@ class ProvenanceAnalyzer:
                 ref=lambda c: c.digest,
                 raster=lambda c: c.image.pixels,
                 context=lambda c: {"group": "previews"},
+                known=self._features.cache,
             )
         sampled = self._sample_packs(pack_images)
         pack_outcomes = self._query_all(sampled, quarantine, "packs")

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    Container,
     Dict,
     Iterator,
     List,
@@ -48,9 +49,7 @@ from typing import (
     TypeVar,
 )
 
-from ..media.validate import ValidationMemo, validate_memoised
-# Unused here; benchmarks/e2e/layers.py wraps this module attribute.
-from ..media.validate import validate_raster  # noqa: F401
+from ..media.validate import validate_raster
 from ..obs.trace import NULL_TRACER
 
 __all__ = ["Quarantine", "QuarantineRecord"]
@@ -96,19 +95,9 @@ class Quarantine:
     default is the shared no-op recorder.
     """
 
-    def __init__(self, tracer=None, validation_memo=None) -> None:
+    def __init__(self, tracer=None) -> None:
         self.records: List[QuarantineRecord] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: The :data:`~repro.media.validate.ValidationMemo` map shared by
-        #: crawler ingest (which records each clean digest) and every
-        #: stage boundary that filters rasters through this ledger —
-        #: fresh unless a persistent store lends one.  All such
-        #: boundaries validate with ``context == digest`` (a pure
-        #: per-raster computation), so memoised replay admits
-        #: byte-identical records without re-rendering pixels.
-        self.validation_memo: ValidationMemo = (
-            validation_memo if validation_memo is not None else {}
-        )
 
     # ------------------------------------------------------------------
     # Admission
@@ -159,25 +148,28 @@ class Quarantine:
         ref: Callable[[T], str],
         raster: Callable[[T], Any],
         context: Optional[Callable[[T], Mapping[str, Any]]] = None,
+        known: Container[str] = (),
     ) -> List[T]:
         """Validation boundary over a record sequence, order-preserving.
 
-        Each item whose digest the validation memo does not know has
+        ``known`` holds the digests with a feature record (the run's
+        :class:`~repro.vision.cache.VisionCache`): crawler ingest
+        records a digest only after validating it clean, so such an item
+        passes without its raster being touched.  Every other item has
         its raster materialised and passed through
-        :func:`~repro.media.validate.validate_raster`; items whose
-        payload access *or* validation fails are admitted to the ledger
-        and dropped, the rest are returned in their original order.
+        :func:`~repro.media.validate.validate_raster` with its digest as
+        context; items whose payload access *or* validation fails are
+        admitted to the ledger and dropped, the rest are returned in
+        their original order.
         """
         survivors: List[T] = []
         for item in items:
+            digest = ref(item)
             try:
-                validate_memoised(
-                    self.validation_memo, ref(item), lambda it=item: raster(it)
-                )
+                if digest not in known:
+                    validate_raster(raster(item), context=digest)
             except Exception as exc:
-                self.admit(
-                    stage, ref(item), exc, context(item) if context else None
-                )
+                self.admit(stage, digest, exc, context(item) if context else None)
                 continue
             survivors.append(item)
         return survivors

@@ -122,7 +122,7 @@ def render_telemetry(report: PipelineReport) -> str:
     if tele is None:
         return "telemetry: not recorded"
     lines: List[str] = render_funnel(tele.funnel()).splitlines()
-    lines.extend(tele.summary_lines()[1:])  # funnel already tabulated above
+    lines.append(tele.summary_line())
     cache = report.vision_cache_stats
     if cache is not None:
         lines.append(f"vision cache: {cache.summary()}")

@@ -73,18 +73,6 @@ class DefenseConfig:
             hash_radius_sweep=True,
         )
 
-    @property
-    def any_enabled(self) -> bool:
-        return any(
-            (
-                self.retrain_classifier,
-                self.author_watchlist,
-                self.refresh_whitelist,
-                self.deobfuscate_links,
-                self.hash_radius_sweep,
-            )
-        )
-
     def as_dict(self) -> dict:
         return {
             "retrain_classifier": self.retrain_classifier,

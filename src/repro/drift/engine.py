@@ -117,19 +117,6 @@ class DriftLedger:
     #: true-TOP thread ids that migrated, → mode ("move" | "slang").
     migrated_threads: Dict[int, str] = field(default_factory=dict)
 
-    def live_truth_image_ids(self, internet: SimulatedInternet) -> Set[int]:
-        """Image ids of TOP-referenced content that is alive right now.
-
-        This is the stage-2 ground truth: what a perfect crawler that
-        reads every post and defeats every obfuscation could download.
-        """
-        live: Set[int] = set()
-        for ref in self.refs.values():
-            hosted = internet.hosted(ref.target_url)
-            if hosted is not None and hosted.status is FetchStatus.OK:
-                live.update(ref.image_ids)
-        return live
-
     def totals(self) -> dict:
         """Summed per-epoch counters (deterministic snapshot material)."""
         total = EpochCounters(epoch=self.epoch)

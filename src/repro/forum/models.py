@@ -9,7 +9,7 @@ so they can be hashed, stored and serialised without surprises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
@@ -114,8 +114,3 @@ class Post:
     def is_initial(self) -> bool:
         """True when this post opened its thread."""
         return self.position == 0
-
-
-def with_content(post: Post, content: str) -> Post:
-    """Return a copy of ``post`` with replaced content (posts are frozen)."""
-    return replace(post, content=content)

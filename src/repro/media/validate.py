@@ -34,7 +34,7 @@ NonFinitePixelError
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any
 
 import numpy as np
 
@@ -49,12 +49,10 @@ __all__ = [
     "NonFinitePixelError",
     "TruncatedRasterError",
     "UnexpectedResourceError",
-    "ValidationMemo",
     "WrongDtypeError",
     "WrongShapeError",
     "ensure_color_raster",
     "rebuild_error",
-    "validate_memoised",
     "validate_raster",
 ]
 
@@ -170,10 +168,11 @@ def validate_raster(payload: Any, context: str = "") -> np.ndarray:
 def rebuild_error(error_type: str, message: str) -> Exception:
     """Reconstruct a recorded validation failure as a raisable exception.
 
-    Persistent memos (:data:`ValidationMemo`, the crawler's ingest
-    memo) record failures as ``(error_type, message)`` strings; replay
-    needs an exception object whose class *name* and ``str()`` match the
-    original exactly, because that is all the quarantine ledger keeps.
+    The crawler's persistent ingest memo (:data:`~repro.web.crawler.
+    IngestMemo`) records failures as ``(error_type, message)`` strings;
+    replay needs an exception object whose class *name* and ``str()``
+    match the original exactly, because that is all the quarantine
+    ledger keeps.
     Known taxonomy classes are reused; unknown names get a synthesised
     ``Exception`` subclass of the same name.
     """
@@ -181,39 +180,6 @@ def rebuild_error(error_type: str, message: str) -> Exception:
     if not (isinstance(cls, type) and issubclass(cls, Exception)):
         cls = type(error_type, (Exception,), {})
     return cls(message)
-
-
-#: Digest-keyed memo of :func:`validate_raster` outcomes:
-#: ``digest -> None`` (clean) or ``digest -> (error_type, message)``.
-#:
-#: Validation is a pure function of the raster, and every stage-level
-#: boundary (abuse filter, NSFV, provenance) validates with ``context =
-#: digest`` — so per digest the outcome *and the error message* are
-#: deterministic, and a run can skip both the raster render and the
-#: re-validation.  Crawler ingest records each digest it validated
-#: clean, so the stage boundaries of the same run re-render nothing
-#: either.
-ValidationMemo = Dict[str, Optional[Tuple[str, str]]]
-
-
-def validate_memoised(memo: ValidationMemo, digest: str, raster_fn) -> None:
-    """Memoised ``validate_raster(raster_fn(), context=digest)``.
-
-    Raises the (possibly rebuilt) validation error exactly as the
-    unmemoised boundary would; on a memo hit the raster is never
-    materialised.
-    """
-    if digest in memo:
-        outcome = memo[digest]
-        if outcome is not None:
-            raise rebuild_error(*outcome)
-        return
-    try:
-        validate_raster(raster_fn(), context=digest)
-    except Exception as exc:
-        memo[digest] = (type(exc).__name__, str(exc))
-        raise
-    memo[digest] = None
 
 
 def ensure_color_raster(payload: Any, context: str = "") -> np.ndarray:

@@ -155,22 +155,11 @@ class RunTelemetry:
         ]
         return snapshot
 
-    def summary_lines(self) -> List[str]:
-        """Short human-readable rendering for the CLI footer."""
-        lines = []
-        rendered = ", ".join(
-            f"{row['stage']}={row['count'] if row['count'] is not None else '-'}"
-            for row in self._funnel
+    def summary_line(self) -> str:
+        """One-line metrics/tracing footer for the CLI telemetry block."""
+        return f"metrics: {len(self.metrics)} recorded; tracing " + (
+            f"on ({len(self.tracer.spans())} spans, "
+            f"{getattr(self.tracer, 'n_events', 0)} events)"
+            if self.tracing_enabled
+            else "off"
         )
-        if rendered:
-            lines.append(f"funnel: {rendered}")
-        lines.append(
-            f"metrics: {len(self.metrics)} recorded; tracing "
-            + (
-                f"on ({len(self.tracer.spans())} spans, "
-                f"{getattr(self.tracer, 'n_events', 0)} events)"
-                if self.tracing_enabled
-                else "off"
-            )
-        )
-        return lines

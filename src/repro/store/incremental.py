@@ -5,8 +5,8 @@
 the records newer than the store's watermark (epochs nest, so the append
 is a pure delta), reloads the corpus through the store's canonical
 cursors, and executes the full pipeline with every persisted memo warm —
-the digest-keyed :class:`~repro.vision.cache.VisionCache`, the
-:data:`~repro.media.validate.ValidationMemo`, the per-stage crawl
+the digest-keyed :class:`~repro.vision.cache.VisionCache` (a digest with
+a record was validated clean at ingest), the per-stage crawl
 :data:`~repro.web.crawler.IngestMemo` and the world perceptual-hash
 memo.
 
@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..chaos.sites import kill_point
-from ..media.validate import ValidationMemo
 from ..obs import RunTelemetry
 from ..synth.world import WorldConfig, build_world
 from ..vision.cache import VisionCache
@@ -54,7 +53,6 @@ class PersistSession:
     """
 
     cache: VisionCache = field(default_factory=VisionCache)
-    validation_memo: ValidationMemo = field(default_factory=dict)
     ingest_memos: Dict[str, IngestMemo] = field(default_factory=dict)
     #: Entry counts as loaded from the store; memo entries are pure and
     #: immutable (they only accumulate), so an unchanged count at save
@@ -66,10 +64,7 @@ class PersistSession:
         return self.ingest_memos.setdefault(stage, {})
 
     def _sizes(self) -> Dict[str, int]:
-        sizes = {
-            "vision_cache": sum(len(record) for record in self.cache.values()),
-            "validation_memo": len(self.validation_memo),
-        }
+        sizes = {"vision_cache": sum(len(record) for record in self.cache.values())}
         for stage, memo in self.ingest_memos.items():
             sizes[f"ingest:{stage}"] = len(memo)
         return sizes
@@ -78,7 +73,6 @@ class PersistSession:
     def load(cls, store: RunStore) -> "PersistSession":
         session = cls()
         store.load_vision_cache(session.cache)
-        store.load_validation_memo(session.validation_memo)
         for stage in _INGEST_STAGES:
             store.load_ingest_memo(stage, session.ingest_memo(stage))
         session._loaded_sizes = session._sizes()
@@ -89,8 +83,6 @@ class PersistSession:
         loaded = self._loaded_sizes
         if sizes["vision_cache"] != loaded.get("vision_cache"):
             store.save_vision_cache(self.cache)
-        if sizes["validation_memo"] != loaded.get("validation_memo"):
-            store.save_validation_memo(self.validation_memo)
         for stage, memo in sorted(self.ingest_memos.items()):
             if sizes[f"ingest:{stage}"] != loaded.get(f"ingest:{stage}"):
                 store.save_ingest_memo(stage, memo)

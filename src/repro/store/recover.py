@@ -63,7 +63,6 @@ _SALVAGE_TABLES = (
     "quarantine",
     "images",
     "vision_cache",
-    "validation_memo",
     "ingest_memo",
     "world_hashes",
     "blobs",

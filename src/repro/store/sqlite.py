@@ -8,10 +8,8 @@ One :class:`RunStore` file persists the full funnel across runs:
   cutoff) up to which the corpus has been generated and measured;
 * the warm-path memos that make delta runs cheap: the digest-keyed
   :class:`~repro.vision.cache.VisionCache`, the per-payload crawl
-  :data:`~repro.web.crawler.IngestMemo`, the
-  :data:`~repro.media.validate.ValidationMemo`, the world perceptual-
-  hash memo, and per-stage :class:`~repro.web.checkpoint.CrawlCheckpoint`
-  snapshots;
+  :data:`~repro.web.crawler.IngestMemo` and the world perceptual-hash
+  memo;
 * run history — one row per pipeline run with its digest, funnel and
   quarantine ledger, plus persisted longitudinal aggregates as JSON
   blobs.
@@ -141,12 +139,6 @@ CREATE TABLE IF NOT EXISTS vision_cache (
     field TEXT NOT NULL,
     value TEXT NOT NULL,
     PRIMARY KEY (digest, field)
-);
-CREATE TABLE IF NOT EXISTS validation_memo (
-    digest TEXT PRIMARY KEY,
-    ok INTEGER NOT NULL,
-    error_type TEXT,
-    message TEXT
 );
 CREATE TABLE IF NOT EXISTS ingest_memo (
     stage TEXT NOT NULL,
@@ -352,11 +344,6 @@ class RunStore:
             self._conn.commit()
         except sqlite3.Error as exc:
             raise StoreCorruptionError(f"{self.path}: {exc}") from exc
-
-    @property
-    def in_transaction(self) -> bool:
-        """True inside an open :meth:`transaction` block."""
-        return self._txn_depth > 0
 
     @contextmanager
     def transaction(self) -> Iterator["RunStore"]:
@@ -667,33 +654,6 @@ class RunStore:
             cache.setdefault(digest, {}).update(record)
         return len(grouped)
 
-    def save_validation_memo(self, memo) -> int:
-        self._executemany(
-            "INSERT OR REPLACE INTO validation_memo "
-            "(digest, ok, error_type, message) VALUES (?, ?, ?, ?)",
-            (
-                (
-                    digest,
-                    int(outcome is None),
-                    None if outcome is None else outcome[0],
-                    None if outcome is None else outcome[1],
-                )
-                for digest, outcome in memo.items()
-            ),
-        )
-        self.commit()
-        return len(memo)
-
-    def load_validation_memo(self, memo) -> int:
-        rows = self._execute(
-            "SELECT digest, ok, error_type, message FROM validation_memo"
-        ).fetchall()
-        memo.update(
-            (digest, None if ok else (str(error_type), str(message)))
-            for digest, ok, error_type, message in rows
-        )
-        return len(rows)
-
     def save_ingest_memo(self, stage: str, memo) -> int:
         self._executemany(
             "INSERT OR REPLACE INTO ingest_memo "
@@ -765,40 +725,6 @@ class RunStore:
     # ------------------------------------------------------------------
     # Checkpoints and aggregate blobs
     # ------------------------------------------------------------------
-    def save_checkpoint(self, stage: str, checkpoint) -> None:
-        payload = {
-            "completed": checkpoint.completed,
-            "stats": checkpoint.stats,
-            "breakers": checkpoint.breakers,
-            "clock": checkpoint.clock,
-            "budget_spent": checkpoint.budget_spent,
-            "domain_clocks": checkpoint.domain_clocks,
-        }
-        self.save_blob("checkpoint", stage, payload)
-
-    def load_checkpoint(self, stage: str):
-        from ..web.checkpoint import CrawlCheckpoint
-
-        payload = self.load_blob("checkpoint", stage)
-        if payload is None:
-            return CrawlCheckpoint()
-        try:
-            return CrawlCheckpoint(
-                completed=dict(payload["completed"]),
-                stats=payload.get("stats"),
-                breakers=payload.get("breakers"),
-                clock=float(payload.get("clock", 0.0)),
-                budget_spent=int(payload.get("budget_spent", 0)),
-                domain_clocks={
-                    str(d): float(t)
-                    for d, t in payload.get("domain_clocks", {}).items()
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StoreCorruptionError(
-                f"{self.path}: checkpoint blob for {stage!r} is malformed: {exc}"
-            ) from exc
-
     def save_blob(self, kind: str, key: str, payload: Any) -> None:
         try:
             encoded = json.dumps(payload, sort_keys=True)

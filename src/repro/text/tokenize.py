@@ -9,7 +9,7 @@ compensates with statistical features, not with heavier NLP.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, List
+from typing import Iterable, List
 
 from .stopwords import STOPWORDS
 
@@ -46,11 +46,3 @@ def tokenize(text: str) -> List[str]:
 def count_question_marks(text: str) -> int:
     """Number of ``?`` characters — a §4.1 statistical feature."""
     return text.count("?")
-
-
-def ngrams(tokens: List[str], n: int) -> Iterator[tuple]:
-    """Yield ``n``-grams over a token list (used by lexicon phrase search)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    for index in range(len(tokens) - n + 1):
-        yield tuple(tokens[index : index + n])

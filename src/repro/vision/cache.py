@@ -14,7 +14,10 @@ drops the pixels.  A record is a plain dict:
 * ``"ocr"``  — the Tesseract-analogue word count, added lazily by the
   NSFV stage for the few images inside Algorithm 1's ambiguous band.
 
-Every later stage reads records instead of pixels.  A digest without a
+Every later stage reads records instead of pixels.  A record is also
+the run's one fact that its digest was validated clean at ingest, so
+the stage boundaries (:meth:`~repro.core.quarantine.Quarantine.
+filter_rasters`) re-validate only digests without one.  A digest without a
 complete record — one replayed by a persisted ingest memo whose store
 predates this layout, or a hand-built test record — is featurised from
 its pixels where a stage first needs it, so old stores still load.

@@ -88,7 +88,3 @@ class WaybackArchive:
         """
         earliest = self.earliest_snapshot(url)
         return earliest is not None and earliest < reference
-
-    @property
-    def n_urls(self) -> int:
-        return len(self._records)

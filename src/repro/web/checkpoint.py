@@ -177,10 +177,6 @@ class CrawlCheckpoint:
             return self.clock
         return 0.0
 
-    def clock_for(self, domain: str) -> float:
-        """The resumed virtual clock for ``domain``."""
-        return self.domain_clocks.get(domain, self.base_clock())
-
     # ------------------------------------------------------------------
     def is_complete(self, key: str) -> bool:
         return key in self.completed

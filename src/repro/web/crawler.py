@@ -388,12 +388,12 @@ class Crawler:
     validation overhead itself (``benchmarks/bench_r3_quarantine.py``).
 
     ``features`` is the run's :class:`~repro.vision.cache.Featurizer`.
-    With it, every clean image is featurised at ingest — its digest
-    recorded clean in the ledger's validation memo, its hash and NSFW
-    score computed once per digest — and its pixels are then dropped
-    (§4.3 hash-then-delete), so a crawl holds no rasters.  It is ignored
-    when ``validate_payloads`` is off: only a validated digest may be
-    recorded clean.
+    With it, every clean image is featurised at ingest — its hash and
+    NSFW score computed once per digest — and its pixels are then
+    dropped (§4.3 hash-then-delete), so a crawl holds no rasters.  A
+    digest's feature record is the run's one fact that it was validated
+    clean, which every later validation boundary trusts; so ``features``
+    is ignored when ``validate_payloads`` is off.
     """
 
     def __init__(
@@ -782,15 +782,12 @@ class Crawler:
                 )
                 return None
         try:
-            # A repeat download of an object already validated clean
-            # renders nothing: validation is a pure function of the bytes,
-            # shape and dtype the digest covers.
+            # A repeat download of an object whose digest already has a
+            # feature record (so was validated clean) renders nothing:
+            # validation is a pure function of the bytes, shape and dtype
+            # the digest covers.
             digest = image.known_digest
-            known_clean = (
-                digest in quarantine.validation_memo
-                and quarantine.validation_memo[digest] is None
-            )
-            if not known_clean:
+            if self._features is None or digest not in self._features.cache:
                 if self._validate_payloads:
                     validate_raster(image.pixels, context=url_str)
                 digest = image.content_digest
@@ -801,7 +798,6 @@ class Crawler:
                 pack_id=pack_id,
             )
             if self._features is not None:
-                quarantine.validation_memo[digest] = None
                 self._features.features(digest, image)
                 image.drop_pixels()
             if memo is not None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Protocol
+from typing import Dict, Mapping, Optional
 
 from .internet import FetchStatus
 
@@ -154,12 +154,6 @@ def fault_profile(name: str) -> FaultProfile:
     except KeyError:
         known = ", ".join(sorted(FAULT_PROFILES))
         raise ValueError(f"unknown fault profile {name!r} (known: {known})") from None
-
-
-class FaultInjectorProtocol(Protocol):  # pragma: no cover - typing aid
-    """Anything that can decide whether a fetch attempt faults."""
-
-    def sample(self, host: str, url: str, attempt: int) -> Optional[TransientFault]: ...
 
 
 class FaultInjector:

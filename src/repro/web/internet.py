@@ -415,10 +415,6 @@ class SimulatedInternet:
         ]
 
     @property
-    def n_hosted(self) -> int:
-        return len(self._hosted)
-
-    @property
     def n_fetch_calls(self) -> int:
         """Lifetime :meth:`fetch` invocations (retries included)."""
         return self._n_fetch_calls

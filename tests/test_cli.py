@@ -59,6 +59,12 @@ class TestParser:
         args = build_parser().parse_args(["run", "--lenient"])
         assert args.lenient is True
 
+    def test_resume_with_store_is_refused(self, tmp_path):
+        store, ckpt = tmp_path / "store.sqlite", tmp_path / "crawl.json"
+        with pytest.raises(SystemExit, match="--resume cannot be used with --store"):
+            main(["run", *CLI_WORLD, "--store", str(store), "--resume", str(ckpt)])
+        assert not store.exists() and not ckpt.exists()
+
 
 class TestRenderers:
     def test_table1_totals_line(self, report):
@@ -114,7 +120,8 @@ class TestCommands:
         assert code == 0
         output = capsys.readouterr().out
         assert "-- crawl resilience --" in output
-        assert "retries:" in output
+        assert "transient faults:" in output
+        assert re.search(r"^crawl: \d+ links, \d+ retries, ", output, re.M)
         assert ckpt.exists()
         # a second run resumes from the completed checkpoint and succeeds
         code = main(
@@ -141,7 +148,8 @@ class TestCommands:
         if payload_profile is not None:
             argv += ["--payload-profile", payload_profile]
         assert main(argv) == 0
-        output = capsys.readouterr().out
+        captured = capsys.readouterr()
+        output = captured.out
         # ``== name ==`` (digest) or ``-- name --`` (resilience summary).
         headers = [
             line for line in output.splitlines()
@@ -156,6 +164,13 @@ class TestCommands:
         assert "-- telemetry --" not in headers
         assert output.count("records quarantined") == int(quarantined)
         assert output.count("vision cache:") == 1
+        # Each fact once across the report and the log: the funnel is the
+        # telemetry block's table, the crawl counters its "crawl:" line.
+        everything = output + captured.err
+        assert everything.count("metrics: ") == 1
+        assert "funnel: " not in everything
+        assert everything.count(" giveups") == 1
+        assert everything.count("breaker skips") == 1
 
     def test_tables_writes_files(self, tmp_path, capsys):
         out = tmp_path / "tables"

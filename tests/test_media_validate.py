@@ -16,7 +16,6 @@ from repro.media.validate import (
     WrongDtypeError,
     WrongShapeError,
     ensure_color_raster,
-    validate_memoised,
     validate_raster,
 )
 
@@ -111,50 +110,6 @@ class TestValidateRaster:
 
     def test_float32_accepted(self):
         assert validate_raster(good_raster().astype(np.float32)) is not None
-
-
-def never_called():
-    raise AssertionError("a memo hit must not materialise the raster")
-
-
-def raise_pixels_gone():
-    raise RuntimeError("pixels gone")
-
-
-class TestValidateMemoised:
-    def test_clean_hit_never_renders(self):
-        memo = {"d": None}
-        validate_memoised(memo, "d", never_called)
-        assert memo == {"d": None}
-
-    def test_memoised_error_reraised(self):
-        memo = {"d": ("TruncatedRasterError", "raster truncated")}
-        with pytest.raises(TruncatedRasterError) as info:
-            validate_memoised(memo, "d", never_called)
-        assert str(info.value) == "raster truncated"
-
-    @pytest.mark.parametrize(
-        "raster_fn, error_type",
-        [
-            (lambda: np.full((16, 16, 3), np.nan), "NonFinitePixelError"),
-            (raise_pixels_gone, "RuntimeError"),
-        ],
-    )
-    def test_failure_recorded_then_reraised(self, raster_fn, error_type):
-        memo = {}
-        with pytest.raises(Exception) as first:
-            validate_memoised(memo, "d", raster_fn)
-        assert type(first.value).__name__ == error_type
-        assert memo == {"d": (error_type, str(first.value))}
-        with pytest.raises(Exception) as replay:
-            validate_memoised(memo, "d", never_called)
-        assert type(replay.value).__name__ == error_type
-        assert str(replay.value) == str(first.value)
-
-    def test_clean_miss_records_none(self):
-        memo = {}
-        validate_memoised(memo, "d", good_raster)
-        assert memo == {"d": None}
 
 
 class TestEnsureColorRaster:

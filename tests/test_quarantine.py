@@ -102,6 +102,28 @@ class TestFilterRasters:
         )
         assert ledger.records[0].context == {"group": "packs"}
 
+    def test_digest_with_a_record_never_materialises_its_raster(self):
+        ledger = Quarantine()
+        survivors = ledger.filter_rasters(  # a raster access would raise
+            "nsfv", ["d1"], ref=str, raster=lambda item: 1 / 0, known={"d1": {}}
+        )
+        assert survivors == ["d1"] and len(ledger) == 0
+
+    def test_unknown_poison_digest_is_validated_and_admitted(self):
+        ledger = Quarantine()
+        survivors = ledger.filter_rasters(
+            "abuse_filter",
+            ["d1", "d2"],
+            ref=str,
+            raster=lambda item: poison(),
+            known={"d1": {"hash": 7}},
+        )
+        assert survivors == ["d1"]
+        [record] = ledger.records
+        assert (record.stage, record.ref) == ("abuse_filter", "d2")
+        assert record.error_type == "NonFinitePixelError"
+        assert record.message.endswith("[d2]")
+
 
 class TestAccounting:
     def ledger(self):

@@ -173,9 +173,10 @@ class TestPersistSession:
         run_incremental(path, epoch=3, **WORLD_KW)
         with RunStore(path) as store:
             session = PersistSession.load(store)
-            session.validation_memo["brand-new-digest"] = None
+            session.cache["brand-new-digest"] = {"hash": 12345}
             session.save(store)
             row = store._execute(
-                "SELECT ok FROM validation_memo WHERE digest='brand-new-digest'"
+                "SELECT value FROM vision_cache "
+                "WHERE digest='brand-new-digest' AND field='hash'"
             ).fetchone()
-        assert row is not None and row[0] == 1
+        assert row is not None and row[0] == "12345"

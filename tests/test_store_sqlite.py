@@ -191,16 +191,6 @@ class TestMemoPersistence:
         assert store.load_vision_cache(warm) == 2
         assert warm == {"d1": {"hash": 12345, "nsfw": 0.25}, "d2": {"hash": 777}}
 
-    def test_validation_memo_round_trip(self, store):
-        memo = {
-            "clean": None,
-            "poison": ("TruncatedRasterError", "raster truncated"),
-        }
-        store.save_validation_memo(memo)
-        warm = {}
-        store.load_validation_memo(warm)
-        assert warm == memo
-
     def test_ingest_memo_round_trip_with_null_keys(self, store):
         memo = {
             ("http://x/a", 1, 0): ("ok", "digest-a"),

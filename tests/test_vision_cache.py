@@ -307,13 +307,16 @@ def counted_run(small_world):
     with pytest.MonkeyPatch.context() as monkeypatch:
         renders = _RenderCounter(monkeypatch)
         crawled_holding_pixels = {}
+        crawled_images = {}
         real_crawl = Crawler.crawl
 
         def inspecting_crawl(self, links, *args, **kwargs):
             result = real_crawl(self, links, *args, **kwargs)
-            crawled_holding_pixels[kwargs.get("stage", "url_crawl")] = sum(
+            stage = kwargs.get("stage", "url_crawl")
+            crawled_holding_pixels[stage] = sum(
                 c.image._pixels is not None for c in result.all_images
             )
+            crawled_images[stage] = result.all_images
             return result
 
         monkeypatch.setattr(Crawler, "crawl", inspecting_crawl)
@@ -323,30 +326,39 @@ def counted_run(small_world):
             proof_oracle=small_world.forums.proof_truth.get,
             annotate_n=200,
         )
-    return report, pipeline.vision_cache, renders.calls, crawled_holding_pixels
+    return (
+        report, pipeline.vision_cache, renders.calls, crawled_holding_pixels,
+        crawled_images,
+    )
 
 
 class TestMemoryStructure:
     def test_no_crawled_image_holds_pixels_after_url_crawl(self, counted_run):
-        report, _, _, holding = counted_run
+        report, _, _, holding, _ = counted_run
         assert report.crawl.all_images
         assert holding["url_crawl"] == 0
 
+    def test_earnings_crawl_leaves_records_and_no_pixels(self, counted_run):
+        report, cache, _, holding, crawled = counted_run
+        proofs = crawled["earnings"]
+        assert proofs and len(proofs) == report.earnings.n_downloaded
+        assert holding["earnings"] == 0
+        assert all(c.digest in cache for c in proofs)
+
     def test_renders_bounded_by_image_objects_plus_ocr_band(self, counted_run):
-        report, _, renders, _ = counted_run
-        objects = {id(c.image) for c in report.crawl.all_images}
+        report, cache, renders, _, crawled = counted_run
+        images = [c for stage in crawled.values() for c in stage]
         clf = NsfvClassifier()
+        # Both crawls featurise at ingest; only Algorithm 1's ambiguous
+        # band re-renders a raster, for OCR.
         ocr_band = {
-            c.digest
-            for c, v in report.preview_verdicts
-            if clf.sfv_threshold <= v.nsfw_score <= clf.nsfv_threshold
+            c.digest for c in images
+            if clf.sfv_threshold <= cache[c.digest].get("nsfw", -1) <= clf.nsfv_threshold
         }
-        # The §5 earnings crawl is not featurised at ingest; each of its
-        # downloads renders at most once more.
-        assert renders <= len(objects) + len(ocr_band) + report.earnings.n_downloaded
+        assert renders <= len({id(c.image) for c in images}) + len(ocr_band)
 
     def test_abuse_matched_digest_never_scored(self, counted_run):
-        report, cache, _, _ = counted_run
+        report, cache, _, _, _ = counted_run
         assert report.abuse.matched_digests, "world should contain abuse matches"
         for digest in report.abuse.matched_digests:
             assert "nsfw" not in cache[digest]
