@@ -443,6 +443,7 @@ def _write_trace_artifacts(args, report, telemetry, log) -> None:
         "config": config,
         "funnel": telemetry.funnel(),
         "stages": [outcome.as_dict() for outcome in report.stage_outcomes],
+        "metrics": telemetry.deterministic_snapshot()["metrics"],
     }
     trace_path = write_trace(args.trace_out, telemetry.tracer.spans(), meta)
     log.info(

@@ -524,11 +524,11 @@ class EwhoringPipeline:
         The funnel is the paper's headline table: per-stage attrition
         counts, in pipeline order, ``None`` for sections a lenient run
         lost.  The per-subsystem statistics objects (crawl/retry
-        counters, vision cache, quarantine ledger, internet fetch
-        accounting) are mirrored into the registry once, at run end —
-        no per-record metric updates on any hot path.  Everything here
-        except ``*_seconds`` metrics is a pure function of the world
-        seed (the determinism contract of DESIGN.md §9).
+        counters, quarantine ledger) are mirrored into ``tele.metrics``
+        and the work accounting (vision cache, internet fetch calls)
+        into ``tele.work`` once, at run end — no per-record metric
+        updates on any hot path.  Everything here is a pure function of
+        the world seed (the determinism contract of DESIGN.md §9).
         """
         crawl = report.crawl
         provenance = report.provenance
@@ -577,17 +577,20 @@ class EwhoringPipeline:
                 metrics.gauge("crawl.breaker_domains").set(
                     crawl.breaker_summary["n_domains"]
                 )
-        cache_stats = report.vision_cache_stats
-        if cache_stats is not None:
-            metrics.gauge("vision_cache.hits").set(cache_stats.hits)
-            metrics.gauge("vision_cache.misses").set(cache_stats.misses)
-            metrics.gauge("vision_cache.entries").set(cache_stats.n_entries)
         if report.quarantine is not None:
             for stage, count in sorted(report.quarantine.by_stage().items()):
                 metrics.gauge("quarantine.records_by_stage", stage=stage).set(count)
             for error, count in sorted(report.quarantine.by_error().items()):
                 metrics.gauge("quarantine.records_by_error", error=error).set(count)
-        metrics.gauge("internet.fetch_calls").set(
+
+        # Work accounting: effort a memo-warm run may skip.
+        work = tele.work
+        cache_stats = report.vision_cache_stats
+        if cache_stats is not None:
+            work.gauge("vision_cache.hits").set(cache_stats.hits)
+            work.gauge("vision_cache.misses").set(cache_stats.misses)
+            work.gauge("vision_cache.entries").set(cache_stats.n_entries)
+        work.gauge("internet.fetch_calls").set(
             self.internet.n_fetch_calls - fetch_calls_start
         )
 

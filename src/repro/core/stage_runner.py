@@ -21,10 +21,11 @@ stage's boundary.
 
 Every boundary is also a telemetry boundary (DESIGN.md §9): the stage
 executes inside a ``stage.<name>`` span of the run's tracer, its elapsed
-time feeds the ``pipeline.stage_seconds{stage=…}`` histogram and its
-verdict the ``pipeline.stage_runs{stage=…,status=…}`` counter.  With the
-default no-op telemetry all of this costs two dict constructions per
-*stage* — nothing on any per-record path.
+time is kept in :attr:`StageOutcome.elapsed` (the manifest's ``stages``
+table) and its verdict feeds the ``pipeline.stage_runs{stage=…,status=…}``
+counter.  Wall time never enters a metrics registry, whose counts are
+seed-determined.  With the default no-op telemetry all of this costs two
+dict constructions per *stage* — nothing on any per-record path.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ class StageRunner:
     """Runs named stages inside recorded error boundaries.
 
     ``telemetry`` (a :class:`~repro.obs.RunTelemetry`) supplies the span
-    recorder and metric registry; omitted, a fresh no-op-traced registry
-    is created so callers never branch on "is telemetry on".
+    recorder and the measured-metrics registry; omitted, a fresh
+    no-op-traced one is created so callers never branch on "is telemetry
+    on".
     """
 
     def __init__(
@@ -193,7 +195,6 @@ class StageRunner:
                 metrics.counter(
                     "pipeline.stage_runs", stage=stage, status="failed"
                 ).inc()
-                metrics.histogram("pipeline.stage_seconds", stage=stage).observe(elapsed)
                 # Non-``Exception`` errors (KeyboardInterrupt, SystemExit, a
                 # hook raising GeneratorExit...) are *recorded* for the
                 # post-mortem but always re-raised: lenient mode degrades on
@@ -206,7 +207,6 @@ class StageRunner:
             span.set(outcome="ok")
             self.outcomes.append(StageOutcome(stage=stage, status="ok", elapsed=elapsed))
         metrics.counter("pipeline.stage_runs", stage=stage, status="ok").inc()
-        metrics.histogram("pipeline.stage_seconds", stage=stage).observe(elapsed)
         return value, True
 
     # ------------------------------------------------------------------

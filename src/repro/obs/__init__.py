@@ -5,9 +5,10 @@ object rides through a pipeline run and collects
 
 * a hierarchical span trace (:mod:`repro.obs.trace`) — stages, per-link
   fetches, retry/breaker/quarantine events, batched vision kernels;
-* a metrics registry (:mod:`repro.obs.metrics`) — the Figure-1 funnel
-  gauges plus the crawl/retry/cache/quarantine counters that PRs 1–3
-  kept in private stats objects;
+* two metrics registries (:mod:`repro.obs.metrics`) — ``metrics``, the
+  measured quantities (the Figure-1 funnel gauges plus the crawl, retry
+  and quarantine counts), and ``work``, the effort a memo-warm run may
+  skip (vision-cache tallies, store rows, simulated fetch calls);
 
 and :mod:`repro.obs.export` turns both into the JSONL trace file and
 run-manifest JSON behind ``repro run --trace-out`` / ``repro trace``.
@@ -24,23 +25,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from .log import JsonLogFormatter, get_logger, setup_logging
-from .metrics import (
-    Counter,
-    DEFAULT_SECONDS_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    is_runtime_metric,
-    is_timing_metric,
-)
+from .metrics import Counter, Gauge, MetricsRegistry
 from .profile import ProfilingTracer, aggregate_spans, rss_peak_kb
 from .trace import NULL_TRACER, NullTracer, Span, SpanEvent, Tracer
 
 __all__ = [
     "Counter",
-    "DEFAULT_SECONDS_BUCKETS",
     "Gauge",
-    "Histogram",
     "HistorySummary",
     "JsonLogFormatter",
     "MetricsRegistry",
@@ -53,8 +44,6 @@ __all__ = [
     "Tracer",
     "aggregate_spans",
     "get_logger",
-    "is_runtime_metric",
-    "is_timing_metric",
     "record_history",
     "rss_peak_kb",
     "setup_logging",
@@ -75,20 +64,24 @@ def __getattr__(name: str):
 
 
 class RunTelemetry:
-    """One run's tracer + metrics registry + stage funnel.
+    """One run's tracer + metrics registries + stage funnel.
 
-    Created per :meth:`EwhoringPipeline.run` (a fresh registry each run;
+    Created per :meth:`EwhoringPipeline.run` (fresh registries each run;
     the tracer defaults to the shared no-op recorder) and carried out on
     :attr:`PipelineReport.telemetry`, where the exporters pick it up.
+
+    Both registries hold only seed-determined counts.  :attr:`metrics`
+    holds what the run *measures*; :attr:`work` holds what the run
+    *did* to get there — a memo-warm incremental run legitimately does
+    less work than a cold one while measuring the same world.  A caller
+    records a metric in the registry whose contract it belongs to, so
+    no name rule has to sort them afterwards.
     """
 
-    def __init__(
-        self,
-        tracer: Optional[Any] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, tracer: Optional[Any] = None) -> None:
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
+        self.work = MetricsRegistry()
         self._funnel: List[Dict[str, Any]] = []
 
     # ------------------------------------------------------------------
@@ -113,51 +106,33 @@ class RunTelemetry:
         return [dict(row) for row in self._funnel]
 
     # ------------------------------------------------------------------
-    def as_dict(self) -> dict:
-        """Snapshot-protocol view (funnel + metrics + span counts)."""
-        return {
-            "funnel": self.funnel(),
-            "metrics": self.metrics.snapshot(),
-            "tracing_enabled": self.tracing_enabled,
-            "n_spans": len(self.tracer.spans()),
-            "n_events": getattr(self.tracer, "n_events", 0),
-        }
-
     def deterministic_snapshot(self) -> dict:
-        """Funnel + non-timing metrics: identical across same-seed runs."""
+        """Funnel + every metric of both registries, sorted by name and
+        labels: identical across same-seed runs."""
         return {
             "funnel": self.funnel(),
-            "metrics": self.metrics.deterministic_snapshot(),
+            "metrics": sorted(
+                self.metrics.snapshot() + self.work.snapshot(),
+                key=lambda m: (m["name"], tuple(m["labels"].items())),
+            ),
         }
-
-    #: Metric name prefixes that count *work performed*, not quantities
-    #: measured: cache hit/miss tallies, store row/byte gauges, simulated
-    #: network accounting.  A memo-warm incremental run legitimately does
-    #: less work than a cold one while measuring the same world, so these
-    #: are outside the bit-identity contract of :meth:`measurement_view`.
-    WORK_METRIC_PREFIXES = ("vision_cache.", "store.", "internet.")
 
     def measurement_view(self) -> dict:
         """The run's *measured quantities*: the incremental-≡-cold contract.
 
-        Funnel plus deterministic metrics, minus the work-accounting
-        gauges (:data:`WORK_METRIC_PREFIXES`).  Two runs that observe the
-        same world must produce equal measurement views regardless of how
-        much memoised work each skipped — this is the headline invariant
-        of the persistent store (DESIGN.md §12), property-tested across
+        Funnel plus the :attr:`metrics` registry; work accounting
+        (:attr:`work`) is left out.  Two runs that observe the same world
+        must produce equal measurement views regardless of how much
+        memoised work each skipped — this is the headline invariant of
+        the persistent store (DESIGN.md §12), property-tested across
         cold vs watermark-delta runs.
         """
-        snapshot = self.deterministic_snapshot()
-        snapshot["metrics"] = [
-            metric
-            for metric in snapshot["metrics"]
-            if not metric["name"].startswith(self.WORK_METRIC_PREFIXES)
-        ]
-        return snapshot
+        return {"funnel": self.funnel(), "metrics": self.metrics.snapshot()}
 
     def summary_line(self) -> str:
         """One-line metrics/tracing footer for the CLI telemetry block."""
-        return f"metrics: {len(self.metrics)} recorded; tracing " + (
+        n_metrics = len(self.metrics) + len(self.work)
+        return f"metrics: {n_metrics} recorded; tracing " + (
             f"on ({len(self.tracer.spans())} spans, "
             f"{getattr(self.tracer, 'n_events', 0)} events)"
             if self.tracing_enabled

@@ -18,7 +18,7 @@ Three artifacts leave a run:
 
 Determinism contract: :func:`deterministic_manifest_view` strips every
 timing-bearing field (creation stamp, span durations and counts, stage
-elapsed times, ``*_seconds`` metrics); what remains must be identical
+elapsed times); what remains must be identical
 across runs of the same seed — property-tested in
 ``tests/test_obs_pipeline.py``.
 """
@@ -43,7 +43,6 @@ from typing import (
 )
 
 from ..atomicio import atomic_write_text
-from .metrics import is_runtime_metric
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -226,23 +225,16 @@ def build_manifest(
     """
     telemetry = getattr(report, "telemetry", None)
     funnel = telemetry.funnel() if telemetry is not None else []
-    metrics = telemetry.metrics.snapshot() if telemetry is not None else []
+    metrics = (
+        telemetry.deterministic_snapshot()["metrics"] if telemetry is not None else []
+    )
     spans = telemetry.tracer.spans() if telemetry is not None else []
     n_events = telemetry.tracer.n_events if telemetry is not None else 0
 
     slowest = sorted(spans, key=lambda s: s.duration, reverse=True)[
         : max(0, top_n_spans)
     ]
-    stages = [
-        {
-            "stage": outcome.stage,
-            "status": outcome.status,
-            "elapsed_seconds": outcome.elapsed,
-            "skipped_due_to": outcome.skipped_due_to,
-            "root_cause": outcome.root_cause,
-        }
-        for outcome in getattr(report, "stage_outcomes", [])
-    ]
+    stages = [outcome.as_dict() for outcome in getattr(report, "stage_outcomes", [])]
 
     quarantine = getattr(report, "quarantine", None)
     cache_stats = getattr(report, "vision_cache_stats", None)
@@ -288,9 +280,10 @@ def deterministic_manifest_view(manifest: Mapping[str, Any]) -> Dict[str, Any]:
 
     Drops ``created_unix``, ``versions`` and ``cpu_count`` (environment,
     not measurement), ``slowest_spans``/``n_spans``/``n_events``
-    (present only when tracing is on), per-stage ``elapsed_seconds``
-    and every ``*_seconds`` metric.  Two runs of one seed must agree on the
-    result exactly — with tracing on, off, or mixed.
+    (present only when tracing is on) and per-stage ``elapsed_seconds``.
+    Every metric is seed-determined, so the metric list stays whole.  Two
+    runs of one seed must agree on the result exactly — with tracing on,
+    off, or mixed.
     """
     view = dict(manifest)
     for key in (
@@ -301,9 +294,6 @@ def deterministic_manifest_view(manifest: Mapping[str, Any]) -> Dict[str, Any]:
     view["stages"] = [
         {k: v for k, v in stage.items() if k != "elapsed_seconds"}
         for stage in manifest.get("stages", [])
-    ]
-    view["metrics"] = [
-        m for m in manifest.get("metrics", []) if not is_runtime_metric(m["name"])
     ]
     return view
 

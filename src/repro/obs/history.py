@@ -57,19 +57,13 @@ class HistorySummary:
     cpu_count: Optional[int] = None
     #: :func:`~repro.obs.profile.aggregate_spans` rows.
     spans: List[Dict[str, Any]] = field(default_factory=list)
-    #: Deterministic metric snapshot
-    #: (:meth:`~repro.obs.metrics.MetricsRegistry.deterministic_snapshot`).
+    #: Every metric of the run, measured and work accounting
+    #: (:meth:`~repro.obs.RunTelemetry.deterministic_snapshot`).
     metrics: List[Dict[str, Any]] = field(default_factory=list)
     #: Figure-1 funnel rows, in pipeline order.
     funnel: List[Dict[str, Any]] = field(default_factory=list)
     #: Profiler resource samples ``{"t", "rss_kb", "cpu_seconds"}``.
     samples: List[Dict[str, float]] = field(default_factory=list)
-
-    def funnel_count(self, stage: str) -> Optional[int]:
-        for row in self.funnel:
-            if row.get("stage") == stage:
-                return row.get("count")
-        return None
 
 
 def _funnel_lookup(funnel: List[Dict[str, Any]], stage: str) -> Optional[int]:

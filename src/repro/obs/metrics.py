@@ -1,24 +1,24 @@
-"""A process-local metrics registry: named counters, gauges, histograms.
+"""A process-local metrics registry: named counters and gauges.
 
-PRs 1–3 each grew a private statistics object — ``CrawlStats`` retry
-counters, :class:`~repro.vision.cache.VisionCacheStats`, the
-:class:`~repro.core.quarantine.Quarantine` ledger,
-:class:`~repro.core.stage_runner.StageOutcome` wall times.  The registry
-gives them one uniform home: every quantity is a named metric with
-optional labels, snapshot-able into the run manifest (see
-:mod:`repro.obs.export`) as one sorted, JSON-ready list.
+The crawl, the vision cache and the quarantine ledger each keep a
+private statistics object — ``CrawlStats`` retry counters,
+:class:`~repro.vision.cache.VisionCacheStats`, the
+:class:`~repro.core.quarantine.Quarantine` ledger.  The registry gives
+them one uniform home: every quantity is a named metric with optional
+labels, snapshot-able into the run manifest (see :mod:`repro.obs.export`)
+as one sorted, JSON-ready list.
 
-Naming convention (enforced only by discipline, documented in
-DESIGN.md §9):
+Every metric in a registry is a pure function of the run's seed and
+inputs; wall times and resource readings live in spans and stage
+outcomes, never here.  Which contract a metric belongs to is decided by
+the registry it is recorded in (:class:`~repro.obs.RunTelemetry` keeps
+one for measured quantities and one for work accounting), not by its
+name.
 
-* dotted lower-case names, subsystem first — ``crawl.retries``,
-  ``vision_cache.hits``, ``pipeline.stage_seconds``;
-* **timing metrics end in ``_seconds``** — they are the only metrics
-  allowed to differ between two runs of the same seed, and
-  :meth:`MetricsRegistry.deterministic_snapshot` excludes exactly them
-  (this is what makes telemetry itself property-testable);
-* labels are few and low-cardinality (``stage=``, ``status=``,
-  ``error=``) — this is a per-run registry, not a TSDB.
+Naming convention (documented in DESIGN.md §9): dotted lower-case
+names, subsystem first — ``crawl.retries``, ``vision_cache.hits``;
+labels are few and low-cardinality (``stage=``, ``status=``,
+``error=``) — this is a per-run registry, not a TSDB.
 
 The registry has one writer, the pipeline's main thread; it takes no
 lock.
@@ -26,47 +26,15 @@ lock.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 __all__ = [
     "Counter",
-    "DEFAULT_SECONDS_BUCKETS",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "is_runtime_metric",
-    "is_timing_metric",
 ]
 
 LabelsKey = Tuple[Tuple[str, str], ...]
-
-#: Default histogram buckets for ``*_seconds`` observations: upper bounds
-#: in seconds, spanning sub-millisecond kernels to minutes-long stages.
-DEFAULT_SECONDS_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0,
-)
-
-
-def is_timing_metric(name: str) -> bool:
-    """True for metrics that carry wall-time (excluded from determinism)."""
-    return name.endswith("_seconds") or name.endswith(".seconds")
-
-
-#: Name prefixes reserved for runtime-only metrics.  ``profile.`` is the
-#: resource-profiler namespace (:mod:`repro.obs.profile`): CPU seconds,
-#: RSS, allocation deltas — environment measurements by definition, so
-#: the whole prefix is excluded from deterministic views wholesale.
-_RUNTIME_PREFIXES = ("profile.",)
-
-
-def is_runtime_metric(name: str) -> bool:
-    """True for metrics excluded from deterministic views.
-
-    Covers :func:`is_timing_metric` (``*_seconds``) plus the reserved
-    ``profile.`` namespace of the resource profiler.
-    """
-    return is_timing_metric(name) or name.startswith(_RUNTIME_PREFIXES)
 
 
 def _labels_key(labels: Mapping[str, Any]) -> LabelsKey:
@@ -110,54 +78,6 @@ class Gauge:
         return {"value": self.value}
 
 
-class Histogram:
-    """Bucketed observations with sum/count/min/max.
-
-    ``buckets`` are inclusive upper bounds; an implicit ``+Inf`` bucket
-    catches the rest.  ``bucket_counts[i]`` counts observations ``v``
-    with ``buckets[i-1] < v <= buckets[i]`` (non-cumulative).
-    """
-
-    kind = "histogram"
-    __slots__ = ("buckets", "bucket_counts", "count", "total", "vmin", "vmax")
-
-    def __init__(self, buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError("bucket bounds must be strictly increasing")
-        self.buckets = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)  # +Inf overflow last
-        self.count = 0
-        self.total = 0.0
-        self.vmin: Optional[float] = None
-        self.vmax: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.bucket_counts[bisect_left(self.buckets, value)] += 1
-        self.count += 1
-        self.total += value
-        self.vmin = value if self.vmin is None else min(self.vmin, value)
-        self.vmax = value if self.vmax is None else max(self.vmax, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "buckets": list(self.buckets),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "sum": self.total,
-            "min": self.vmin,
-            "max": self.vmax,
-            "mean": self.mean,
-        }
-
-
 class MetricsRegistry:
     """Get-or-create registry of labelled metrics for one run."""
 
@@ -190,14 +110,6 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._get_or_create(name, labels, Gauge)
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-        **labels: Any,
-    ) -> Histogram:
-        return self._get_or_create(name, labels, lambda: Histogram(buckets))
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._metrics)
@@ -214,14 +126,6 @@ class MetricsRegistry:
             }
             for (name, labels), metric in items
         ]
-
-    def deterministic_snapshot(self) -> List[dict]:
-        """The snapshot minus runtime metrics (timing + profiler).
-
-        Two runs over the same seed must agree on this view exactly;
-        the property tests of ``tests/test_obs_pipeline.py``.
-        """
-        return [m for m in self.snapshot() if not is_runtime_metric(m["name"])]
 
     def as_dict(self) -> dict:
         """Snapshot-protocol alias used by the exporters."""

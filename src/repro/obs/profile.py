@@ -24,12 +24,10 @@ Zero-cost-when-disabled is structural, not a fast path: profiling lives
 entirely in this subclass, so a run without a :class:`ProfilingTracer`
 executes not one added instruction (the NULL_TRACER discipline of
 DESIGN.md §9; gated by ``benchmarks/bench_o1_telemetry.py``).
-Determinism: every attribute is namespaced ``profile.`` and every
-``profile.*`` *metric* name is a runtime metric
-(:func:`~repro.obs.metrics.is_runtime_metric`), so deterministic
-snapshots, ``measurement_view()`` and run digests are bit-identical
-with profiling on, off or mixed — property-tested in
-``tests/test_obs_profile.py``.
+Determinism: every reading is a span attribute namespaced ``profile.``
+and none is ever recorded as a metric, so deterministic snapshots,
+``measurement_view()`` and run digests are bit-identical with profiling
+on, off or mixed — property-tested in ``tests/test_obs_profile.py``.
 """
 
 from __future__ import annotations

@@ -201,8 +201,8 @@ def run_incremental(
                 world.dataset = run_store.read_dataset()
             counts = run_store.row_counts()
             for table, count in sorted(counts.items()):
-                tele.metrics.gauge(f"store.rows.{table}").set(count)
-            tele.metrics.gauge("store.rows_added").set(rows_added)
+                tele.work.gauge(f"store.rows.{table}").set(count)
+            tele.work.gauge("store.rows_added").set(rows_added)
 
             # ---- run the pipeline with every persisted memo warm -----
             with tele.tracer.span("store.read", what="memos"):
@@ -263,7 +263,7 @@ def run_incremental(
             history_id = record_history(run_store, summary, run_id=run_id)
             kill_point("store.history.recorded")
         size = run_store.size_bytes()
-        tele.metrics.gauge("store.size_bytes").set(size)
+        tele.work.gauge("store.size_bytes").set(size)
 
         return IncrementalResult(
             report=report,

@@ -178,9 +178,6 @@ class CrawlCheckpoint:
         return 0.0
 
     # ------------------------------------------------------------------
-    def is_complete(self, key: str) -> bool:
-        return key in self.completed
-
     def outcome(self, key: str) -> Optional[dict]:
         return self.completed.get(key)
 

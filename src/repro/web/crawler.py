@@ -381,19 +381,17 @@ class Crawler:
     ``breaker_threshold``/``breaker_cooldown`` configure the per-domain
     circuit breakers.
 
-    ``validate_payloads`` applies :func:`~repro.media.validate.
-    validate_raster` to every downloaded raster at the ingest boundary;
-    payloads failing the contract are excised into the quarantine ledger
-    instead of entering the measurement.  Disable it only to measure the
-    validation overhead itself (``benchmarks/bench_r3_quarantine.py``).
+    Every downloaded raster passes :func:`~repro.media.validate.
+    validate_raster` at the ingest boundary; payloads failing the
+    contract are excised into the quarantine ledger instead of entering
+    the measurement.
 
     ``features`` is the run's :class:`~repro.vision.cache.Featurizer`.
     With it, every clean image is featurised at ingest — its hash and
     NSFW score computed once per digest — and its pixels are then
     dropped (§4.3 hash-then-delete), so a crawl holds no rasters.  A
     digest's feature record is the run's one fact that it was validated
-    clean, which every later validation boundary trusts; so ``features``
-    is ignored when ``validate_payloads`` is off.
+    clean, which every later validation boundary trusts.
     """
 
     def __init__(
@@ -403,7 +401,6 @@ class Crawler:
         breaker_threshold: int = 5,
         breaker_cooldown: float = 60.0,
         jitter_seed: int = 0,
-        validate_payloads: bool = True,
         ingest_memo: Optional[IngestMemo] = None,
         features: Optional["Featurizer"] = None,
     ):
@@ -412,11 +409,10 @@ class Crawler:
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown
         self._jitter_seed = jitter_seed
-        self._validate_payloads = validate_payloads
         #: Optional persistent memo of per-payload ingest outcomes; a
         #: hit skips the render/validate/digest work (see :data:`IngestMemo`).
         self._ingest_memo = ingest_memo
-        self._features = features if validate_payloads else None
+        self._features = features
 
     # ------------------------------------------------------------------
     def crawl(
@@ -488,7 +484,7 @@ class Crawler:
                 occurrences[url_str] = occurrence + 1
                 key = link_key(url_str, occurrence) if ckpt is not None else ""
 
-                entry = ckpt.completed.get(key) if ckpt is not None else None
+                entry = ckpt.outcome(key) if ckpt is not None else None
                 if entry is not None:
                     tracer.event("crawl.replay", domain=host, status=entry["status"])
                     log = self._replay(
@@ -520,13 +516,12 @@ class Crawler:
                     attempt_logs.append(log)
                 if ckpt is None:
                     continue
-                new_entry: dict = {
-                    "status": final_status.value,
-                    "attempt": int(final_attempt),
-                }
-                if log is not None:
-                    new_entry["log"] = log.to_dict()
-                ckpt.completed[key] = new_entry
+                ckpt.mark(
+                    key,
+                    final_status.value,
+                    final_attempt,
+                    log=log.to_dict() if log is not None else None,
+                )
                 since_save += 1
                 # The expensive stats/breaker serialization happens only
                 # at save points, not on every link.
@@ -762,7 +757,7 @@ class Crawler:
             context["pack_id"] = pack_id
         if member_index is not None:
             context["member_index"] = member_index
-        memo = self._ingest_memo if self._validate_payloads else None
+        memo = self._ingest_memo
         if memo is not None:
             key: IngestKey = (url_str, pack_id, member_index)
             outcome = memo.get(key)
@@ -788,8 +783,7 @@ class Crawler:
             # the digest covers.
             digest = image.known_digest
             if self._features is None or digest not in self._features.cache:
-                if self._validate_payloads:
-                    validate_raster(image.pixels, context=url_str)
+                validate_raster(image.pixels, context=url_str)
                 digest = image.content_digest
             crawled = CrawledImage(
                 image=image,

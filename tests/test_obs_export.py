@@ -103,7 +103,7 @@ class TestManifest:
         tele.funnel_row("threads_selected", 100)
         tele.funnel_row("tops_extracted", 10)
         tele.metrics.counter("crawl.retries").inc(3)
-        tele.metrics.histogram("pipeline.stage_seconds", stage="x").observe(0.5)
+        tele.work.gauge("vision_cache.hits").set(2)
         return build_manifest(_FakeReport(tele), seed=7, config={"scale": 0.01})
 
     def test_schema_stability(self):
@@ -124,7 +124,9 @@ class TestManifest:
         manifest = self._manifest()
         assert manifest["funnel"][0] == {"stage": "threads_selected", "count": 100}
         names = [m["name"] for m in manifest["metrics"]]
-        assert "crawl.retries" in names
+        # Both registries: measured metrics and work accounting.
+        assert names == ["crawl.retries", "funnel.threads_selected",
+                         "funnel.tops_extracted", "vision_cache.hits"]
         assert manifest["n_spans"] == 3
         assert manifest["n_events"] == 1
         assert len(manifest["slowest_spans"]) == 3
@@ -144,9 +146,8 @@ class TestManifest:
         for absent in ("created_unix", "versions", "slowest_spans",
                        "n_spans", "n_events", "cpu_count"):
             assert absent not in view
-        names = [m["name"] for m in view["metrics"]]
-        assert "pipeline.stage_seconds" not in names
-        assert "crawl.retries" in names
+        # Every metric is seed-determined: the view keeps them all.
+        assert view["metrics"] == manifest["metrics"]
         for stage in view["stages"]:
             assert "elapsed_seconds" not in stage
 

@@ -70,7 +70,7 @@ class TestSummarizeRun:
         assert summary.n_events == 1
         assert summary.n_records == 40
         assert summary.n_quarantined == 2
-        assert summary.funnel_count("threads_selected") == 10
+        assert {"stage": "threads_selected", "count": 10} in summary.funnel
         assert {r["name"] for r in summary.spans} == {
             "pipeline.run",
             "stage.crawl",
@@ -447,6 +447,10 @@ class TestObsCli:
         ) == 0
         assert main(["obs", "runs", "--store", str(store_path)]) == 0
         assert "from-trace" in capsys.readouterr().out
+        with RunStore(store_path) as store:
+            (row,) = [r for r in store.history_runs() if r["label"] == "from-trace"]
+            names = {m["name"] for m in store.history_metrics(row["history_id"])}
+        assert "crawl.links" in names
 
     def test_profiled_store_run_measurement_matches_plain(self, tmp_path):
         plain = run_incremental(

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    is_timing_metric,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 
 class TestCounter:
@@ -33,42 +26,6 @@ class TestGauge:
         g.set(10)
         g.inc(-3)
         assert g.value == 7
-
-
-class TestHistogram:
-    def test_bucketing(self):
-        h = Histogram(buckets=(1.0, 2.0, 5.0))
-        for v in (0.5, 1.0, 1.5, 2.0, 4.9, 100.0):
-            h.observe(v)
-        # inclusive upper bounds; last slot is the +Inf overflow
-        assert h.bucket_counts == [2, 2, 1, 1]
-        assert h.count == 6
-        assert h.vmin == 0.5
-        assert h.vmax == 100.0
-        assert h.mean == pytest.approx(sum((0.5, 1.0, 1.5, 2.0, 4.9, 100.0)) / 6)
-
-    def test_as_dict_shape(self):
-        h = Histogram(buckets=(1.0,))
-        h.observe(0.2)
-        d = h.as_dict()
-        assert d["buckets"] == [1.0]
-        assert d["bucket_counts"] == [1, 0]
-        assert d["count"] == 1
-        assert d["sum"] == pytest.approx(0.2)
-
-    def test_empty_histogram(self):
-        h = Histogram()
-        assert h.mean == 0.0
-        assert h.vmin is None and h.vmax is None
-        assert len(h.bucket_counts) == len(DEFAULT_SECONDS_BUCKETS) + 1
-
-    def test_rejects_bad_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram(buckets=())
-        with pytest.raises(ValueError):
-            Histogram(buckets=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(buckets=(1.0, 1.0))
 
 
 class TestRegistry:
@@ -109,35 +66,14 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.gauge("b.gauge").set(1)
         reg.counter("a.counter").inc()
-        reg.histogram("c.hist_seconds").observe(0.01)
+        reg.counter("c.counter", stage="x").inc()
         snap = reg.snapshot()
-        assert [m["name"] for m in snap] == ["a.counter", "b.gauge", "c.hist_seconds"]
+        assert [m["name"] for m in snap] == ["a.counter", "b.gauge", "c.counter"]
         json.dumps(snap)  # must be JSON-serialisable as-is
         assert len(reg) == 3
-
-    def test_deterministic_snapshot_excludes_timing(self):
-        reg = MetricsRegistry()
-        reg.counter("crawl.retries").inc()
-        reg.histogram("pipeline.stage_seconds", stage="x").observe(0.5)
-        names = [m["name"] for m in reg.deterministic_snapshot()]
-        assert names == ["crawl.retries"]
 
     def test_as_dict_alias(self):
         reg = MetricsRegistry()
         reg.counter("one").inc()
         assert reg.as_dict() == {"metrics": reg.snapshot()}
 
-
-class TestTimingConvention:
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("pipeline.stage_seconds", True),
-            ("crawl.fetch.seconds", True),
-            ("crawl.retries", False),
-            ("funnel.unique_files", False),
-            ("seconds_of_fame", False),
-        ],
-    )
-    def test_is_timing_metric(self, name, expected):
-        assert is_timing_metric(name) is expected

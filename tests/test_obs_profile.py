@@ -5,8 +5,8 @@ Covers the two contracts that make ``--profile`` safe to ship:
 * **observer purity** — a profiled run's crawl digest, quarantine
   ledger and ``measurement_view()`` are bit-identical to an unprofiled
   run of the same seed, across worker counts and fault/payload
-  profiles, because every ``profile.*`` attribute is a runtime metric
-  excluded from the deterministic views;
+  profiles, because every profiler reading is a ``profile.*`` span
+  attribute and never a metric;
 * **aggregation correctness** — :func:`aggregate_spans` computes
   self-time (duration minus direct children), cpu/rss/alloc roll-ups
   and error counts from plain span dicts, streamed or in-memory.
@@ -24,7 +24,6 @@ from repro.obs import (
     RunTelemetry,
     Tracer,
     aggregate_spans,
-    is_runtime_metric,
 )
 from repro.obs.profile import (
     ALLOC_SPAN_PREFIXES,
@@ -93,9 +92,8 @@ class TestProfilingTracer:
         assert attrs["profile.cpu_seconds"] >= 0.0
         assert attrs["profile.rss_peak_kb"] > 0
         assert "profile.rss_growth_kb" in attrs
-        for key in attrs:
-            if key.startswith(PROFILE_ATTR_PREFIX):
-                assert is_runtime_metric(key)
+        # The span was opened bare: every attribute is the profiler's.
+        assert all(key.startswith(PROFILE_ATTR_PREFIX) for key in attrs)
 
     def test_alloc_attr_only_on_alloc_prefixes(self):
         tracer = _profiler(allocations=True)
@@ -231,15 +229,6 @@ class TestObserverPurity:
             tele_traced.deterministic_snapshot()
             == tele_prof.deterministic_snapshot()
         )
-
-    def test_profile_attrs_are_runtime_metrics(self):
-        for name in (
-            "profile.cpu_seconds",
-            "profile.rss_peak_kb",
-            "profile.alloc_kb",
-            "profile.sample_rss_kb",
-        ):
-            assert is_runtime_metric(name)
 
     def test_measurement_view_contains_no_profile_keys(self):
         _, tele = _run(_small_world(), tracer=_profiler())

@@ -7,9 +7,9 @@ exactly what a single cold run over the whole union produces:
 * the same crawl digest (:meth:`CrawlResult.digest`),
 * the same quarantine ledger, record for record,
 * the same measurement view
-  (:meth:`~repro.obs.RunTelemetry.measurement_view` — the deterministic
-  snapshot minus cache/store work metrics, which legitimately differ
-  between warm and cold runs).
+  (:meth:`~repro.obs.RunTelemetry.measurement_view` — the funnel and
+  measured metrics, without the work-accounting registry, whose
+  cache/store counts legitimately differ between warm and cold runs).
 
 The matrix deliberately crosses the store path with the failure
 machinery of earlier PRs: fault profiles (transport chaos), payload
@@ -100,6 +100,21 @@ class TestIncrementalEqualsCold:
             if metric["name"] == "vision_cache.hits"
         ]
         assert hits and hits[0] > 0
+
+    def test_work_accounting_stays_out_of_the_measurement_view(self, tmp_path):
+        path = tmp_path / "work.sqlite"
+        run_incremental(path, epoch=2, **WORLD_KW)
+        tele = run_incremental(path, epoch=3, **WORLD_KW).report.telemetry
+        measured = [m["name"] for m in tele.measurement_view()["metrics"]]
+        assert measured
+        assert not [
+            name
+            for name in measured
+            if name.startswith(("vision_cache.", "store.", "internet."))
+        ]
+        every = [m["name"] for m in tele.deterministic_snapshot()["metrics"]]
+        assert "vision_cache.hits" in every
+        assert set(measured) < set(every)
 
 
 class TestStoreRefusals:

@@ -177,8 +177,8 @@ class TestResumeEquivalence:
         assert result.stats.n_links == len(links)
         # the duplicated URLs appear under two distinct occurrence keys
         url0 = str(links[0].url)
-        assert ckpt.is_complete(link_key(url0, 0))
-        assert ckpt.is_complete(link_key(url0, 1))
+        assert ckpt.outcome(link_key(url0, 0)) is not None
+        assert ckpt.outcome(link_key(url0, 1)) is not None
 
 
 class TestCheckpointMechanics:
