@@ -62,6 +62,8 @@ def pipeline_for_world(
     ``vision_cache`` supplies a pre-warmed
     :class:`~repro.vision.cache.VisionCache` (a persistent store's
     digest-keyed memo); ``None`` creates a fresh per-pipeline cache.
+    Each run adds copies of the feature records the world build computed
+    (``world.image_features``) to that cache.
     """
     return EwhoringPipeline(
         dataset=world.dataset,
@@ -75,6 +77,7 @@ def pipeline_for_world(
         link_extractor=link_extractor,
         pretrained_classifier=pretrained_classifier,
         vision_cache=vision_cache,
+        image_features=world.image_features,
     )
 
 

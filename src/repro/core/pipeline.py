@@ -191,6 +191,7 @@ class EwhoringPipeline:
             Callable[[ForumDataset, Sequence[Thread]], LinkExtraction]
         ] = None,
         pretrained_classifier: Optional[HybridTopClassifier] = None,
+        image_features: Optional[Featurizer] = None,
     ):
         self.dataset = dataset
         self.internet = internet
@@ -206,6 +207,9 @@ class EwhoringPipeline:
         self.seed = seed
         #: Digest → feature-record map the stages read (DESIGN.md §7).
         self.vision_cache = vision_cache if vision_cache is not None else VisionCache()
+        #: The world build's featuriser; each run adopts copies of its
+        #: records (see :meth:`Featurizer.adopt`).
+        self.image_features = image_features
         # Adversarial-drift injection points (defaults reproduce the
         # paper's static methodology bit-for-bit; repro.drift overrides
         # them to model adaptive defenses):
@@ -269,7 +273,11 @@ class EwhoringPipeline:
         #: One featuriser per run: crawler ingest records each distinct
         #: image's hash and NSFW score (scored by the NSFV stage's own
         #: scorer) and drops its pixels; every later stage reads records.
+        #: It starts from copies of the records the world build computed
+        #: for the images it rendered, when those were scored the same way.
         features = Featurizer(self.vision_cache, self.hashlist, self.nsfv.scorer)
+        if self.image_features is not None:
+            features.adopt(self.image_features)
         with tele.tracer.span("pipeline.run", seed=self.seed, strict=strict):
             report = self._run_stages(
                 runner, tele, quarantine, features,

@@ -314,13 +314,17 @@ def _attach_copy_plans(
             n_copies = _sample_copy_count(rng, model.popularity)
             domain_indices = rng.choice(n_sites, size=n_copies, p=zipf_weights)
             span_days = max((world_end - circulating.first_published).days, 1)
-            for domain_index in domain_indices:
-                # Re-hosting happens continuously while the image stays in
-                # circulation; a uniform spread (rather than a front-loaded
-                # one) matches Table 5's seen-before rates, where a large
-                # minority of matches were only crawled after the forum post.
-                lag = float(rng.uniform(0.0, span_days))
-                published = circulating.first_published + timedelta(days=min(lag, span_days))
+            # Re-hosting happens continuously while the image stays in
+            # circulation; a uniform spread (rather than a front-loaded
+            # one) matches Table 5's seen-before rates, where a large
+            # minority of matches were only crawled after the forum post.
+            # One block draw gives the same values, and leaves the same
+            # stream, as one scalar draw per copy.
+            lags = rng.uniform(0.0, span_days, size=n_copies)
+            for domain_index, lag in zip(domain_indices, lags):
+                published = circulating.first_published + timedelta(
+                    days=min(float(lag), span_days)
+                )
                 circulating.copies.append(
                     OriginCopy(
                         domain=sites[int(domain_index)].domain,

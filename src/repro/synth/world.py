@@ -6,7 +6,8 @@
 2. forums — datasets, packs, previews, proofs, CE boards (forum_gen);
 3. web intelligence — the reverse-search index, Wayback archive and
    abuse hashlist, built by hashing the circulating images that actually
-   entered circulation through packs/previews.
+   entered circulation through packs/previews.  Each image it renders is
+   featurised there too (hash, NSFW score), once, and its pixels dropped.
 
 The returned :class:`World` carries both the *observable* artefacts the
 pipeline is allowed to touch (dataset, internet, services) and the
@@ -18,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Set
 
 from .._rng import SeedSequenceTree
 from ..forum.dataset import ForumDataset
-from ..media.image import ImageKind
+from ..media.image import ImageKind, SyntheticImage
+from ..media.validate import CorruptPayloadError, validate_raster
+from ..vision.cache import Featurizer
 from ..vision.photodna import (
     AbuseSeverity,
     HashListEntry,
@@ -153,6 +154,11 @@ class World:
     forums: GeneratedForums
     #: domain → ground-truth category (for the domain classifiers).
     domain_categories: Dict[str, str] = field(default_factory=dict)
+    #: The build's featuriser: the feature record (DESIGN.md §7) of each
+    #: image the build rendered, by content digest.  Every run starts
+    #: from copies of them (:meth:`~repro.vision.cache.Featurizer.adopt`),
+    #: so its crawl does not render those images again.
+    image_features: Featurizer = field(default_factory=Featurizer)
     #: Content-tracking ledger from the drift engine (set when the config
     #: names a drift profile, even at epoch 0 / ``none`` — the ledger is
     #: then pure bookkeeping over an unmutated world).
@@ -176,10 +182,11 @@ def build_world(
 
     ``world_hashes`` is an optional ``image_id -> perceptual hash`` memo
     (plain ints) consulted and filled while building the web
-    intelligence: hashing circulating images dominates build time, and
-    the hash of an image is a pure function of the world seed, so a
-    persistent store can carry it across runs.  The memo changes no rng
-    draw and no value — bit-identity is unaffected.
+    intelligence.  An image whose hash it holds is not rendered at all
+    (rendering is the build's largest cost), and the hash of an image
+    is a pure function of the world seed, so a persistent store can
+    carry it across runs.  The memo changes no rng draw and no value —
+    bit-identity is unaffected.
     """
     if config is None:
         config = WorldConfig(**overrides)
@@ -233,9 +240,10 @@ def build_world(
     forums = generator.generate()
 
     # ----------------------------------------------------- web intelligence
+    image_features = Featurizer(hashlist=hashlist)
     _build_web_intelligence(
         tree, supply, forums, reverse_index, archive, hashlist,
-        world_hashes=world_hashes,
+        image_features, world_hashes=world_hashes,
     )
 
     world = World(
@@ -248,6 +256,7 @@ def build_world(
         supply=supply,
         forums=forums,
         domain_categories=domain_categories,
+        image_features=image_features,
     )
 
     # ------------------------------------------------------------- drift
@@ -360,18 +369,12 @@ def _circulating_in_use(supply: SupplySide, forums: GeneratedForums) -> List[Cir
     for pack in forums.packs.values():
         for image in pack.images:
             used_ids.add(image.image_id)
-    in_use: List[CirculatingImage] = []
-    for model in supply.models:
-        for circulating in model.pool:
-            image_id = circulating.image.image_id
-            if image_id in used_ids or circulating.in_hashlist:
-                in_use.append(circulating)
-            else:
-                # Evasion packs carry children with fresh ids; map back via
-                # the shared visual seed is unnecessary — mirrored copies
-                # intentionally do not match, so skipping is sound.
-                continue
-    return in_use
+    return [
+        circulating
+        for model in supply.models
+        for circulating in model.pool
+        if circulating.image.image_id in used_ids or circulating.in_hashlist
+    ]
 
 
 def _build_web_intelligence(
@@ -381,6 +384,7 @@ def _build_web_intelligence(
     reverse_index: ReverseImageIndex,
     archive: WaybackArchive,
     hashlist: HashListService,
+    features: Featurizer,
     world_hashes: Optional[Dict[int, int]] = None,
 ) -> None:
     rng = tree.rng("webintel")
@@ -401,50 +405,75 @@ def _build_web_intelligence(
             verified_model_ids.add(model_id)
             victim_ages[model_id] = 17 if len(verified_model_ids) == 1 else 8
 
-    for circulating in in_use:
-        image_id = circulating.image.image_id
-        memoised = None if world_hashes is None else world_hashes.get(image_id)
+    # Hash every image before the rng loop below, hashlist images first,
+    # so the hashlist is complete before any image is NSFW-scored and no
+    # abuse image is ever scored.  No rng draw happens here.
+    base_hashes: List[int] = [0] * len(in_use)
+    listed_first = sorted(range(len(in_use)), key=lambda i: not in_use[i].in_hashlist)
+    for i in listed_first:
+        circulating = in_use[i]
+        image = circulating.image
+        memoised = None if world_hashes is None else world_hashes.get(image.image_id)
         if memoised is None:
-            # Rendering + hashing here dominates world-build time; the
-            # hash is a pure function of the world seed, so persistent
-            # runs memoise it by image id (no rng draw is involved, so
-            # the memo cannot perturb any stream below).
-            base_hash = robust_hash(circulating.image.pixels)
+            base_hashes[i] = robust_hash(image.pixels)
             if world_hashes is not None:
-                world_hashes[image_id] = int(base_hash)
+                world_hashes[image.image_id] = base_hashes[i]
         else:
-            base_hash = int(memoised)
-        circulating.image.drop_pixels()
-        fill_copy_hashes(rng, circulating, base_hash)
-
-        if circulating.indexed:
-            for copy in circulating.copies:
-                url = f"https://{copy.domain}{copy.url_path}"
-                crawl_lag = float(rng.exponential(700.0))
-                crawl_date = copy.published_at + timedelta(days=crawl_lag)
-                crawl_date = min(crawl_date, _CRAWL_HORIZON)
-                reverse_index.index_hash(
-                    copy.copy_hash,
-                    IndexedCopy(
-                        url=url,
-                        domain=copy.domain,
-                        crawl_date=crawl_date,
-                        backlink=f"https://{copy.domain}/",
-                    ),
-                )
-                archive.observe_publication(url, copy.published_at)
-
+            base_hashes[i] = int(memoised)
         if circulating.in_hashlist:
-            model_id = circulating.image.latent.model_id
+            model_id = image.latent.model_id
             actionable = model_id in verified_model_ids
             hashlist.add_entry(
                 HashListEntry(
-                    entry_hash=base_hash,
-                    severity=_severity_for(circulating.image.kind),
+                    entry_hash=base_hashes[i],
+                    severity=_severity_for(image.kind),
                     victim_age=victim_ages.get(model_id) if actionable else None,
                     actionable=actionable,
                 )
             )
+        if memoised is None:
+            _featurise(image, base_hashes[i], features)
+
+    for circulating, base_hash in zip(in_use, base_hashes):
+        fill_copy_hashes(rng, circulating, base_hash)
+        if not circulating.indexed:
+            continue
+        # One block draw gives the same values, and leaves the same
+        # stream, as one scalar draw per copy.
+        crawl_lags = rng.exponential(700.0, size=len(circulating.copies))
+        for copy, crawl_lag in zip(circulating.copies, crawl_lags):
+            url = f"https://{copy.domain}{copy.url_path}"
+            crawl_date = copy.published_at + timedelta(days=float(crawl_lag))
+            crawl_date = min(crawl_date, _CRAWL_HORIZON)
+            reverse_index.index_hash(
+                copy.copy_hash,
+                IndexedCopy(
+                    url=url,
+                    domain=copy.domain,
+                    crawl_date=crawl_date,
+                    backlink=f"https://{copy.domain}/",
+                ),
+            )
+            archive.observe_publication(url, copy.published_at)
+
+
+def _featurise(image: SyntheticImage, base_hash: int, features: Featurizer) -> None:
+    """Record ``image``'s features while its pixels are live, then drop them.
+
+    §4.3 hash-then-delete, done once per rendered image: the raster is
+    validated and digested, and its record takes the hash the build
+    computed; ``features`` adds the NSFW score unless its hashlist
+    matches that hash.  An image failing validation gets no record, so
+    a crawl validates (and quarantines) it as it would any download.
+    """
+    try:
+        validate_raster(image.pixels)
+    except CorruptPayloadError:
+        pass
+    else:
+        features.cache.setdefault(image.content_digest, {"hash": base_hash})
+        features.features(image.content_digest, image)
+    image.drop_pixels()
 
 
 def _severity_for(kind: ImageKind) -> AbuseSeverity:

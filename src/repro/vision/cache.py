@@ -121,6 +121,28 @@ class Featurizer:
             record["nsfw"] = self.scorer.score(pixels)
         return record
 
+    def adopt(self, other: "Featurizer") -> None:
+        """Start from copies of ``other``'s records, if it scores as this one does.
+
+        The world build featurises every image it renders; a run adopts
+        those records so its crawl renders none of them again.  Nothing
+        is taken when ``other``'s scorer differs from this run's, since
+        its scores would not be this run's.  A digest this cache already
+        holds keeps its record, and a copied score is dropped where this
+        run's hashlist matches the hash, so this cache never holds the
+        score of an abuse image.
+        """
+        if other.scorer != self.scorer:
+            return
+        new = {d: dict(r) for d, r in other.cache.items() if d not in self.cache}
+        scored = [record for record in new.values() if "nsfw" in record]
+        if self.hashlist is not None and scored:
+            matches = self.hashlist.match_hashes([int(r["hash"]) for r in scored])
+            for record, match in zip(scored, matches):
+                if match.matched:
+                    del record["nsfw"]
+        self.cache.update(new)
+
     def ocr_words(self, digest: str, image, ocr) -> int:
         """``digest``'s OCR word count, computed by ``ocr`` on first use."""
         record = self.cache.setdefault(digest, {})

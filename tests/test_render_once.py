@@ -1,0 +1,99 @@
+"""Each world image is rendered once per run.
+
+The world build renders every circulating image in use to hash it, and
+featurises it there (DESIGN.md §7): validated, digested, hashed and
+NSFW-scored while its pixels are live, then dropped.  A run adopts
+copies of those records, so its crawl renders none of those image
+objects again.  These tests count renders per image object at seed 11,
+scale 0.02 (the golden world), and check that adopting the records
+leaves runs repeatable and the quarantine ledger whole.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from repro import build_world, run_pipeline
+from repro.media import SyntheticImage
+from repro.synth import WorldConfig
+from repro.vision import VisionCache
+
+SEED = 11
+SCALE = 0.02
+
+
+@pytest.fixture(scope="module")
+def counted():
+    """Build the world and run it twice, counting renders per object."""
+    renders = {"build": Counter(), "run": Counter()}
+    phase = ["build"]
+    real = SyntheticImage.pixels
+
+    def counting(image):
+        if image._pixels is None:
+            renders[phase[0]][id(image)] += 1
+        return real.fget(image)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(SyntheticImage, "pixels", property(counting))
+        world = build_world(WorldConfig(seed=SEED, scale=SCALE))
+        phase[0] = "run"
+        cache = VisionCache()
+        first = run_pipeline(world, vision_cache=cache)
+    second = run_pipeline(world)
+    return world, renders, first, cache, second
+
+
+def test_build_renders_each_image_once(counted):
+    _, renders, _, _, _ = counted
+    assert renders["build"]
+    assert set(renders["build"].values()) == {1}
+
+
+def test_run_renders_no_object_the_build_rendered(counted):
+    _, renders, _, _, _ = counted
+    # The world keeps every image object it rendered alive, so ids
+    # cannot be reused between the two phases.
+    again = set(renders["build"]) & set(renders["run"])
+    assert not again, f"{len(again)} build-rendered objects rendered again"
+
+
+def test_run_records_equal_build_records(counted):
+    world, _, report, run, _ = counted
+    built = world.image_features.cache
+    shared = {c.digest for c in report.crawl.all_images} & set(built)
+    assert shared, "the crawl should meet build-rendered images"
+    for digest in shared:
+        record = {k: v for k, v in run[digest].items() if k != "ocr"}
+        assert record == built[digest]
+
+
+def test_two_runs_on_one_world_have_equal_snapshots(counted):
+    _, _, first, _, second = counted
+    assert first.crawl.digest() == second.crawl.digest()
+    assert (
+        first.telemetry.deterministic_snapshot()
+        == second.telemetry.deterministic_snapshot()
+    )
+
+
+def test_runs_do_not_write_into_the_world_records(counted):
+    world, _, _, run, _ = counted
+    built = world.image_features.cache
+    # OCR words are added lazily, to the run's copies only.
+    assert any("ocr" in run[d] for d in built if d in run)
+    assert not any("ocr" in r for r in built.values())
+
+
+@pytest.mark.slow
+def test_hostile_payloads_all_quarantined():
+    world = build_world(
+        WorldConfig(seed=SEED, scale=SCALE, payload_profile="hostile")
+    )
+    report = run_pipeline(world)
+    injected = world.internet.payload_injector.n_injected
+    assert injected > 0
+    assert report.n_quarantined == injected
+    assert not report.degraded

@@ -83,6 +83,29 @@ class TestForumSpecs:
         assert with_board == ["Hackforums"]
 
 
+class TestBlockDraws:
+    """World synthesis draws per-copy lags in blocks instead of one scalar
+    call per copy; on NumPy's ``Generator`` both give the same values and
+    leave the generator in the same state, which keeps every later draw
+    and the golden outputs unchanged."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_uniform_block_equals_scalar_draws(self, n):
+        scalar, block = np.random.default_rng(11), np.random.default_rng(11)
+        expected = [float(scalar.uniform(0.0, 1234)) for _ in range(n)]
+        got = block.uniform(0.0, 1234, size=n)
+        assert [float(x) for x in got] == expected
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+    def test_exponential_block_equals_scalar_draws(self, n):
+        scalar, block = np.random.default_rng(11), np.random.default_rng(11)
+        expected = [float(scalar.exponential(700.0)) for _ in range(n)]
+        got = block.exponential(700.0, size=n)
+        assert [float(x) for x in got] == expected
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+
 class TestWorld:
     def test_reproducible(self):
         a = build_world(seed=3, scale=0.005, with_other_activity=False)

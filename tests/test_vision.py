@@ -77,6 +77,47 @@ class TestNsfw:
         assert scorer(pixels) == scorer.score(pixels)
 
 
+def _score_with_sum_labels(scorer, pixels):
+    """The score as first written: default structure, ``sum_labels`` sizes."""
+    from scipy import ndimage
+
+    mask = skin_mask(pixels)
+    total = mask.size
+    coverage = float(mask.sum()) / total
+    largest = 0.0
+    if coverage > 0.0:
+        labels, n_components = ndimage.label(mask)
+        sizes = ndimage.sum_labels(mask, labels, index=range(1, n_components + 1))
+        largest = float(np.max(sizes)) / total
+    effective = 0.8 * coverage + 0.4 * largest
+    return float(1.0 / (1.0 + np.exp(-scorer.gain * (effective - scorer.midpoint))))
+
+
+class TestNsfwLargestComponent:
+    def test_scores_equal_the_sum_labels_formula(self, rng):
+        scorer = NsfwScorer()
+        rasters = [
+            render(kind, rng, 1 if kind.is_model else None)
+            for kind in ImageKind
+            for _ in range(6)
+        ]
+        # Zero-skin rasters, one skin pixel, and diagonal-only speckle
+        # (4-connectivity keeps each pixel its own component).
+        rasters.append(np.zeros((16, 16, 3)))
+        blue = np.zeros((16, 16, 3))
+        blue[..., 2] = 0.9
+        rasters.append(blue)
+        one = np.zeros((16, 16, 3))
+        one[3, 4] = (0.86, 0.62, 0.50)
+        rasters.append(one)
+        speckle = np.zeros((16, 16, 3))
+        speckle[::2, ::2] = speckle[1::2, 1::2] = (0.86, 0.62, 0.50)
+        rasters.append(speckle)
+        assert any(not skin_mask(r).any() for r in rasters)
+        for pixels in rasters:
+            assert scorer.score(pixels) == _score_with_sum_labels(scorer, pixels)
+
+
 class TestOcr:
     def test_counts_words_in_screenshots(self, rng):
         for _ in range(5):

@@ -26,6 +26,7 @@ from repro.media import ImageKind, SyntheticImage, sample_latent
 from repro.vision import (
     AbuseSeverity,
     Featurizer,
+    HashListEntry,
     HashListService,
     NsfwScorer,
     VisionCache,
@@ -130,6 +131,41 @@ class TestVisionCache:
         record = features.features("d1", _tagged(1).image)
         assert record == {"hash": 5, "nsfw": 0.2}
         assert cache.misses == 1
+
+    def test_adopt_copies_records_scored_the_same_way(self):
+        built = Featurizer()
+        built.cache["d1"] = {"hash": 5, "nsfw": 0.2}
+        run = Featurizer()
+        run.adopt(built)
+        assert run.cache == {"d1": {"hash": 5, "nsfw": 0.2}}
+        run.cache["d1"]["ocr"] = 3
+        assert built.cache["d1"] == {"hash": 5, "nsfw": 0.2}
+
+    def test_adopt_takes_nothing_from_another_scorer(self):
+        built = Featurizer(scorer=NsfwScorer(gain=9.0))
+        built.cache["d1"] = {"hash": 5, "nsfw": 0.2}
+        run = Featurizer()
+        run.adopt(built)
+        assert run.cache == {}
+
+    def test_adopt_keeps_held_records_and_drops_scores_the_hashlist_matches(self):
+        service = HashListService(radius=0)
+        service.add_entry(HashListEntry(entry_hash=7, severity=AbuseSeverity.CATEGORY_B))
+        built = Featurizer()
+        built.cache.update(
+            held={"hash": 1, "nsfw": 0.9},
+            listed={"hash": 7, "nsfw": 0.5},
+            clean={"hash": 8, "nsfw": 0.1},
+        )
+        cache = VisionCache()
+        cache["held"] = {"hash": 1, "nsfw": 0.3}
+        run = Featurizer(cache, hashlist=service)
+        run.adopt(built)
+        assert cache == {
+            "held": {"hash": 1, "nsfw": 0.3},
+            "listed": {"hash": 7},
+            "clean": {"hash": 8, "nsfw": 0.1},
+        }
 
     def test_stats_summary_renders(self):
         stats = VisionCacheStats(hits=3, misses=1, n_entries=2)
@@ -362,6 +398,16 @@ class TestMemoryStructure:
         assert report.abuse.matched_digests, "world should contain abuse matches"
         for digest in report.abuse.matched_digests:
             assert "nsfw" not in cache[digest]
+
+    def test_no_hashlist_matched_record_has_a_score(self, small_world, counted_run):
+        _, cache, _, _, _ = counted_run
+        hashlist = small_world.hashlist
+        for records in (small_world.image_features.cache, cache):
+            matched = [
+                r for r in records.values() if hashlist.match_hash(r["hash"]).matched
+            ]
+            assert matched, "world should contain hashlist matches"
+            assert not any("nsfw" in r for r in matched)
 
     def test_drop_pixels_keeps_digest_and_repeat_ingest_renders_nothing(
         self, rng, monkeypatch
