@@ -19,8 +19,8 @@ Six subcommands:
 * ``repro obs``    — cross-run observability over the history tables a
   store-backed run records (DESIGN.md §14): ``runs`` (history table),
   ``top`` (hottest spans by self-time/CPU/RSS), ``diff`` (deltas
-  between two runs), ``regressions`` (SLO gate with a typed non-zero
-  exit for CI), ``ingest-trace`` (fold a trace file into the history).
+  between two runs), ``ingest-trace`` (fold a trace file into the
+  history).
 
 Examples::
 
@@ -41,7 +41,6 @@ Examples::
     repro obs runs --store store.sqlite               # wall/CPU/RSS/funnel per run
     repro obs top --store store.sqlite --by cpu       # hottest spans of the latest run
     repro obs diff 1 2 --store store.sqlite           # metric/funnel deltas
-    repro obs regressions --store store.sqlite --slo slo.json   # CI gate (exit 5)
 
 Progress goes through :mod:`repro.obs.log` (structured ``logging`` on
 stderr, JSON with ``--log-json``); measurement output stays on stdout.
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs = sub.add_parser(
         "obs",
         help="cross-run observability: query the run history a store "
-             "accumulates, profile hot spans, gate regressions",
+             "accumulates, profile hot spans",
     )
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
 
@@ -320,25 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_diff.add_argument(
         "--threshold", type=float, default=0.10, metavar="F",
         help="relative change flagged as notable (default 0.10)",
-    )
-
-    p_obs_reg = obs_sub.add_parser(
-        "regressions",
-        help="check the latest run against a baseline via a SLO spec; "
-             "exit 5 on any violation (CI gate)",
-    )
-    add_store_arg(p_obs_reg)
-    p_obs_reg.add_argument(
-        "--slo", type=Path, default=None, metavar="SPEC",
-        help="JSON SLO spec (default: built-in conservative bounds)",
-    )
-    p_obs_reg.add_argument(
-        "--baseline", type=int, default=None, metavar="ID",
-        help="baseline history id (default: the first recorded run)",
-    )
-    p_obs_reg.add_argument(
-        "--latest", type=int, default=None, metavar="ID",
-        help="candidate history id (default: the most recent run)",
     )
 
     p_obs_trace = obs_sub.add_parser(
@@ -686,19 +666,12 @@ def _print_span_table(rows, by: str, top_n: int) -> None:
 
 
 def _run_obs_command(args, log) -> int:
-    """``repro obs runs|top|diff|regressions|ingest-trace``.
+    """``repro obs runs|top|diff|ingest-trace``.
 
     Exit codes: 0 ok; 2 usage/value error; 3 corrupt store; 4 config
-    mismatch; :data:`~repro.obs.regress.EXIT_REGRESSION` (5) when the
-    SLO gate trips — distinct so CI can tell "regressed" from "broken".
+    mismatch.
     """
-    from .obs.history import record_history, summarize_trace
-    from .obs.regress import (
-        EXIT_REGRESSION,
-        check_regressions,
-        diff_histories,
-        load_slo,
-    )
+    from .obs.history import diff_histories, record_history, summarize_trace
     from .store import (
         EXIT_CONFIG,
         EXIT_CORRUPT,
@@ -809,19 +782,6 @@ def _run_obs_command(args, log) -> int:
                         f"{_fmt_opt(ratio, '7.3f'):>7}"
                     )
                 return 0
-
-            if cmd == "regressions":
-                slo = load_slo(args.slo) if args.slo is not None else None
-                report = check_regressions(
-                    store, slo,
-                    baseline_id=args.baseline, latest_id=args.latest,
-                )
-                print("\n".join(report.summary_lines()))
-                if report.ok:
-                    print("no regressions")
-                    return 0
-                print(f"{len(report.violations)} regression(s) detected")
-                return EXIT_REGRESSION
 
             # ingest-trace
             summary = summarize_trace(args.path, label=args.label)

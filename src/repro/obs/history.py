@@ -13,8 +13,11 @@ the crash-consistency guarantees of DESIGN.md §13 unchanged: a crash
 mid-insert leaves the previous watermark and no partial history row
 (covered by the kill matrix via the ``store.history.recorded`` site).
 
-``repro obs runs`` / ``top`` / ``diff`` / ``regressions`` query these
-tables — see :mod:`repro.obs.regress` for the SLO layer.
+``repro obs runs`` / ``top`` / ``diff`` query these tables;
+:func:`diff_histories` computes the ``diff`` rows.  The history is for
+looking at runs, not for gating them: the seed-determined work a run
+does is pinned by the golden file (``tests/golden/``), and cross-commit
+timing is the end-to-end benchmark's job.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from .profile import aggregate_spans, rss_peak_kb
 
 __all__ = [
     "HistorySummary",
+    "diff_histories",
     "record_history",
     "summarize_run",
     "summarize_trace",
@@ -242,3 +246,86 @@ def record_history(
     """
     with store.transaction():
         return store.save_history(summary, run_id=run_id)
+
+
+# ----------------------------------------------------------------------
+def _funnel_map(run: Mapping[str, Any]) -> Dict[str, int]:
+    return {
+        str(row["stage"]): int(row["count"])
+        for row in run.get("funnel", [])
+        if row.get("count") is not None
+    }
+
+
+def _gauge_map(metrics: List[Dict[str, Any]]) -> Dict[str, float]:
+    """Unlabelled gauge values by name (the diff's metric rows)."""
+    gauges: Dict[str, float] = {}
+    for metric in metrics:
+        if metric.get("kind") == "gauge" and not metric.get("labels"):
+            gauges[str(metric["name"])] = float(metric.get("value", 0.0))
+    return gauges
+
+
+def diff_histories(
+    store: Any,
+    id_a: int,
+    id_b: int,
+    threshold: float = 0.10,
+) -> List[Dict[str, Any]]:
+    """Metric/funnel/resource deltas between two history rows.
+
+    Returns rows ``{kind, name, a, b, delta, ratio, flagged}`` —
+    ``flagged`` when the relative change exceeds ``threshold`` (or a
+    value appears/disappears).  The CLI prints flagged rows first.
+    """
+    runs = {run["history_id"]: run for run in store.history_runs()}
+    for history_id in (id_a, id_b):
+        if history_id not in runs:
+            raise ValueError(f"history #{history_id} not found")
+    run_a, run_b = runs[id_a], runs[id_b]
+
+    rows: List[Dict[str, Any]] = []
+
+    def add(kind: str, name: str, a: Optional[float], b: Optional[float]) -> None:
+        if a is None and b is None:
+            return
+        delta = None if a is None or b is None else b - a
+        ratio = (
+            None
+            if a is None or b is None or a == 0
+            else b / a
+        )
+        flagged = (
+            a is None
+            or b is None
+            or (ratio is not None and abs(ratio - 1.0) > threshold)
+            or (ratio is None and delta not in (None, 0))
+        )
+        rows.append(
+            {
+                "kind": kind, "name": name, "a": a, "b": b,
+                "delta": delta, "ratio": ratio, "flagged": bool(flagged),
+            }
+        )
+
+    for key, kind in (
+        ("wall_seconds", "resource"),
+        ("cpu_seconds", "resource"),
+        ("peak_rss_kb", "resource"),
+        ("n_quarantined", "resource"),
+    ):
+        add(kind, key, run_a.get(key), run_b.get(key))
+
+    funnel_a, funnel_b = _funnel_map(run_a), _funnel_map(run_b)
+    for stage in sorted(set(funnel_a) | set(funnel_b)):
+        add("funnel", stage, funnel_a.get(stage), funnel_b.get(stage))
+
+    gauges_a = _gauge_map(store.history_metrics(id_a))
+    gauges_b = _gauge_map(store.history_metrics(id_b))
+    for name in sorted(set(gauges_a) | set(gauges_b)):
+        if name.startswith("funnel."):
+            continue  # already covered by the funnel rows above
+        add("metric", name, gauges_a.get(name), gauges_b.get(name))
+
+    rows.sort(key=lambda r: (not r["flagged"], r["kind"], r["name"]))
+    return rows

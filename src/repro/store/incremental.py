@@ -28,13 +28,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Any, Dict, Optional, Set, Tuple, Union
 
 from ..chaos.sites import kill_point
 from ..obs import RunTelemetry
 from ..synth.world import WorldConfig, build_world
 from ..vision.cache import VisionCache
-from ..web.crawler import IngestMemo
+from ..web.crawler import IngestKey, IngestMemo
 from .errors import StoreConfigError
 from .sqlite import RunStore
 
@@ -54,38 +54,47 @@ class PersistSession:
 
     cache: VisionCache = field(default_factory=VisionCache)
     ingest_memos: Dict[str, IngestMemo] = field(default_factory=dict)
-    #: Entry counts as loaded from the store; memo entries are pure and
-    #: immutable (they only accumulate), so an unchanged count at save
-    #: time means the store already holds everything and the write is
-    #: skipped — a steady-state delta run re-persists almost nothing.
-    _loaded_sizes: Dict[str, int] = field(default_factory=dict)
+    #: What the store already holds, as loaded: ``(digest, field)``
+    #: pairs of the vision cache and ingest keys per stage.  Memo
+    #: entries are pure and only accumulate, so :meth:`save` writes
+    #: just the entries outside these sets.
+    _stored_fields: Set[Tuple[str, str]] = field(default_factory=set)
+    _stored_keys: Dict[str, Set[IngestKey]] = field(default_factory=dict)
 
     def ingest_memo(self, stage: str) -> IngestMemo:
         return self.ingest_memos.setdefault(stage, {})
-
-    def _sizes(self) -> Dict[str, int]:
-        sizes = {"vision_cache": sum(len(record) for record in self.cache.values())}
-        for stage, memo in self.ingest_memos.items():
-            sizes[f"ingest:{stage}"] = len(memo)
-        return sizes
 
     @classmethod
     def load(cls, store: RunStore) -> "PersistSession":
         session = cls()
         store.load_vision_cache(session.cache)
+        session._stored_fields = {
+            (digest, fld) for digest, record in session.cache.items() for fld in record
+        }
         for stage in _INGEST_STAGES:
-            store.load_ingest_memo(stage, session.ingest_memo(stage))
-        session._loaded_sizes = session._sizes()
+            memo = session.ingest_memo(stage)
+            store.load_ingest_memo(stage, memo)
+            session._stored_keys[stage] = set(memo)
         return session
 
-    def save(self, store: RunStore) -> None:
-        sizes = self._sizes()
-        loaded = self._loaded_sizes
-        if sizes["vision_cache"] != loaded.get("vision_cache"):
-            store.save_vision_cache(self.cache)
+    def save(self, store: RunStore) -> int:
+        """Write the memo entries the store lacks; return the rows written."""
+        stored = self._stored_fields
+        new_fields: Dict[str, Dict[str, Any]] = {}
+        for digest, record in self.cache.items():
+            for fld, value in record.items():
+                if (digest, fld) not in stored:
+                    new_fields.setdefault(digest, {})[fld] = value
+        rows = sum(len(record) for record in new_fields.values())
+        if new_fields:
+            store.save_vision_cache(new_fields)
         for stage, memo in sorted(self.ingest_memos.items()):
-            if sizes[f"ingest:{stage}"] != loaded.get(f"ingest:{stage}"):
-                store.save_ingest_memo(stage, memo)
+            known = self._stored_keys.get(stage, set())
+            new_entries = {key: out for key, out in memo.items() if key not in known}
+            if new_entries:
+                store.save_ingest_memo(stage, new_entries)
+                rows += len(new_entries)
+        return rows
 
 
 @dataclass
@@ -227,7 +236,8 @@ def run_incremental(
             )
             measurement = tele.measurement_view()
             with tele.tracer.span("store.write", what="run_results"):
-                session.save(run_store)
+                memo_rows = session.save(run_store)
+                tele.work.gauge("store.memo_rows_written").set(memo_rows)
                 kill_point("store.memos.saved")
                 if crawl is not None:
                     run_store.record_images(effective_epoch, crawl.all_images)
@@ -263,7 +273,6 @@ def run_incremental(
             history_id = record_history(run_store, summary, run_id=run_id)
             kill_point("store.history.recorded")
         size = run_store.size_bytes()
-        tele.work.gauge("store.size_bytes").set(size)
 
         return IncrementalResult(
             report=report,

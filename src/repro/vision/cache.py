@@ -107,18 +107,22 @@ class Featurizer:
         self.scorer = scorer if scorer is not None else NsfwScorer()
 
     def features(self, digest: str, image) -> Dict[str, Any]:
-        """``digest``'s record, completed from ``image.pixels`` if needed."""
-        record = self.cache.get(digest)
-        if record is not None and self._complete(record):
+        """``digest``'s record, completed from ``image.pixels`` if needed.
+
+        The hashlist is consulted at most once per request.
+        """
+        record = self.cache.setdefault(digest, {})
+        image_hash = record.get("hash")
+        if image_hash is not None and ("nsfw" in record or self._matched(image_hash)):
             self.cache.hits += 1
             return record
         self.cache.misses += 1
-        record = self.cache.setdefault(digest, {})
         pixels = image.pixels
-        if "hash" not in record:
-            record["hash"] = robust_hash(pixels)
-        if "nsfw" not in record and not self._matched(record["hash"]):
-            record["nsfw"] = self.scorer.score(pixels)
+        if image_hash is None:
+            image_hash = record["hash"] = robust_hash(pixels)
+            if "nsfw" in record or self._matched(image_hash):
+                return record
+        record["nsfw"] = self.scorer.score(pixels)
         return record
 
     def adopt(self, other: "Featurizer") -> None:
@@ -149,9 +153,6 @@ class Featurizer:
         if "ocr" not in record:
             record["ocr"] = ocr.word_count(image.pixels)
         return int(record["ocr"])
-
-    def _complete(self, record: Dict[str, Any]) -> bool:
-        return "hash" in record and ("nsfw" in record or self._matched(record["hash"]))
 
     def _matched(self, image_hash: int) -> bool:
         return self.hashlist is not None and self.hashlist.match_hash(int(image_hash)).matched

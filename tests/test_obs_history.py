@@ -1,13 +1,12 @@
-"""Persisted run history + regression gate tests (DESIGN.md §14).
+"""Persisted run history tests (DESIGN.md §14).
 
 Covers ``repro.obs.history`` (summaries, store round-trip, the
-run_incremental linkage), ``repro.obs.regress`` (SLO validation,
-violations, diffs) and the ``repro obs`` CLI exit-code contract.
+run_incremental linkage, diffs) and the ``repro obs`` CLI exit-code
+contract.
 """
 
 from __future__ import annotations
 
-import json
 import sqlite3
 
 import pytest
@@ -17,16 +16,10 @@ from repro.obs import ProfilingTracer, RunTelemetry, Tracer
 from repro.obs.export import write_trace
 from repro.obs.history import (
     HistorySummary,
+    diff_histories,
     record_history,
     summarize_run,
     summarize_trace,
-)
-from repro.obs.regress import (
-    DEFAULT_SLO,
-    EXIT_REGRESSION,
-    check_regressions,
-    diff_histories,
-    load_slo,
 )
 from repro.store import RunStore, run_incremental
 
@@ -238,33 +231,8 @@ class TestStoreRoundTrip:
             assert "store.read" in names
 
 
-class TestLoadSlo:
-    def test_defaults_pass_validation(self):
-        assert load_slo(DEFAULT_SLO) == DEFAULT_SLO
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            load_slo({"wall_ratio_typo": 2.0})
-
-    def test_non_positive_ratio_rejected(self):
-        with pytest.raises(ValueError, match="must be > 0"):
-            load_slo({"wall_seconds_max_ratio": 0})
-
-    def test_floors_coerced_to_float(self):
-        spec = load_slo({"funnel_floors": {"images_downloaded": 5}})
-        assert spec["funnel_floors"]["images_downloaded"] == 5.0
-
-    def test_doc_keys_tolerated(self):
-        assert load_slo({"description": "hi"}) == {}
-
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "slo.json"
-        path.write_text(json.dumps({"funnel_min_ratio": 0.8}))
-        assert load_slo(path) == {"funnel_min_ratio": 0.8}
-
-
 class _FakeStore:
-    """Duck-typed store: just the two methods check_regressions uses."""
+    """Duck-typed store: just the two methods diff_histories uses."""
 
     def __init__(self, runs, metrics=None):
         self._runs = runs
@@ -289,69 +257,6 @@ def _run_row(history_id, wall=1.0, rss=1000, images=40, **extra):
     }
     row.update(extra)
     return row
-
-
-class TestCheckRegressions:
-    def test_clean_pair_passes(self):
-        store = _FakeStore([_run_row(1), _run_row(2, wall=1.1)])
-        report = check_regressions(store)
-        assert report.ok
-        assert report.checks
-
-    def test_wall_time_regression_detected(self):
-        store = _FakeStore([_run_row(1, wall=1.0), _run_row(2, wall=4.0)])
-        report = check_regressions(store)
-        assert not report.ok
-        assert [v.check for v in report.violations] == ["wall_time"]
-        joined = "\n".join(report.summary_lines())
-        assert "REGRESSION [wall_time]" in joined
-        assert "!!  wall_time" in joined
-        assert "ok  wall_time" not in joined
-
-    def test_funnel_recall_regression_detected(self):
-        store = _FakeStore([_run_row(1, images=100), _run_row(2, images=50)])
-        report = check_regressions(store)
-        assert [v.check for v in report.violations] == (
-            ["funnel[images_downloaded]"]
-        )
-
-    def test_missing_funnel_stage_is_a_violation(self):
-        latest = _run_row(2)
-        latest["funnel"] = []
-        store = _FakeStore([_run_row(1), latest])
-        report = check_regressions(store)
-        assert not report.ok
-
-    def test_metric_floor(self):
-        store = _FakeStore(
-            [_run_row(1), _run_row(2)],
-            metrics={
-                2: [{"name": "nsfv.rate", "kind": "gauge", "labels": {},
-                     "value": 0.1}]
-            },
-        )
-        report = check_regressions(store, {"metric_floors": {"nsfv.rate": 0.2}})
-        assert [v.check for v in report.violations] == (
-            ["metric_floor[nsfv.rate]"]
-        )
-
-    def test_explicit_baseline_latest(self):
-        store = _FakeStore([_run_row(1, wall=4.0), _run_row(2, wall=1.0)])
-        report = check_regressions(store, baseline_id=2, latest_id=1)
-        assert not report.ok
-
-    def test_empty_history_raises(self):
-        with pytest.raises(ValueError, match="no run history"):
-            check_regressions(_FakeStore([]))
-
-    def test_single_row_raises(self):
-        with pytest.raises(ValueError, match="single history row"):
-            check_regressions(_FakeStore([_run_row(1)]))
-
-    def test_unknown_id_raises(self):
-        store = _FakeStore([_run_row(1), _run_row(2)])
-        with pytest.raises(ValueError, match="not found"):
-            check_regressions(store, baseline_id=99)
 
 
 class TestDiffHistories:
@@ -400,34 +305,6 @@ class TestObsCli:
             ["obs", "diff", "1", "2", "--store", str(store_path)]
         ) == 0
         assert "history #1 -> #2" in capsys.readouterr().out
-
-    def test_regressions_clean(self, store_path, capsys):
-        code = main(
-            ["obs", "regressions", "--store", str(store_path),
-             "--slo", "slo.json"]
-        )
-        assert code == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_regressions_injected_failure_exits_5(
-        self, store_path, tmp_path, capsys
-    ):
-        slo = tmp_path / "slo.json"
-        slo.write_text(json.dumps({"funnel_floors": {"images_downloaded": 1e9}}))
-        code = main(
-            ["obs", "regressions", "--store", str(store_path),
-             "--slo", str(slo)]
-        )
-        assert code == EXIT_REGRESSION == 5
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_regressions_bad_slo_exits_2(self, store_path, tmp_path):
-        slo = tmp_path / "bad.json"
-        slo.write_text(json.dumps({"nope": 1}))
-        assert main(
-            ["obs", "regressions", "--store", str(store_path),
-             "--slo", str(slo)]
-        ) == 2
 
     def test_top_without_store_or_trace_exits_2(self):
         assert main(["obs", "top"]) == 2

@@ -177,7 +177,7 @@ class TestPersistSession:
             before = store._execute(
                 "SELECT COUNT(*) FROM vision_cache"
             ).fetchone()[0]
-            session.save(store)  # nothing grew: every write skipped
+            assert session.save(store) == 0  # nothing grew: every write skipped
             after = store._execute(
                 "SELECT COUNT(*) FROM vision_cache"
             ).fetchone()[0]
@@ -189,7 +189,7 @@ class TestPersistSession:
         with RunStore(path) as store:
             session = PersistSession.load(store)
             session.cache["brand-new-digest"] = {"hash": 12345}
-            session.save(store)
+            assert session.save(store) == 1  # the new row, and only it
             row = store._execute(
                 "SELECT value FROM vision_cache "
                 "WHERE digest='brand-new-digest' AND field='hash'"
