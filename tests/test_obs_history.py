@@ -259,6 +259,64 @@ def _run_row(history_id, wall=1.0, rss=1000, images=40, **extra):
     return row
 
 
+def _flagged(store, id_a=1, id_b=2):
+    return [r["name"] for r in diff_histories(store, id_a, id_b) if r["flagged"]]
+
+
+class TestCheckRegressions:
+    """Regression checks between two history rows, as ``repro obs diff``
+    makes them: a regression is a flagged row of ``diff_histories``."""
+
+    def test_clean_pair_passes(self):
+        store = _FakeStore([_run_row(1), _run_row(2, wall=1.05)])
+        assert diff_histories(store, 1, 2) and _flagged(store) == []
+
+    def test_wall_time_regression_detected(self):
+        store = _FakeStore([_run_row(1, wall=1.0), _run_row(2, wall=4.0)])
+        assert _flagged(store) == ["wall_seconds"]
+
+    def test_funnel_recall_regression_detected(self):
+        store = _FakeStore([_run_row(1, images=100), _run_row(2, images=50)])
+        row = diff_histories(store, 1, 2)[0]
+        assert (row["kind"], row["name"], row["flagged"]) == (
+            "funnel", "images_downloaded", True
+        )
+        assert (row["delta"], row["ratio"]) == (-50, 0.5)
+
+    def test_missing_funnel_stage_is_a_violation(self):
+        latest = _run_row(2)
+        latest["funnel"] = []
+        row = diff_histories(_FakeStore([_run_row(1), latest]), 1, 2)[0]
+        assert (row["name"], row["a"], row["b"]) == ("images_downloaded", 40, None)
+        assert row["flagged"]
+
+    def test_metric_floor(self):
+        gauge = {"name": "nsfv.rate", "kind": "gauge", "labels": {}}
+        store = _FakeStore(
+            [_run_row(1), _run_row(2)],
+            metrics={1: [dict(gauge, value=0.2)], 2: [dict(gauge, value=0.1)]},
+        )
+        assert _flagged(store) == ["nsfv.rate"]
+
+    def test_explicit_baseline_latest(self):
+        store = _FakeStore([_run_row(1, wall=4.0), _run_row(2, wall=1.0)])
+        row = diff_histories(store, 2, 1)[0]
+        assert (row["name"], row["a"], row["b"]) == ("wall_seconds", 1.0, 4.0)
+
+    def test_empty_history_raises(self):
+        with pytest.raises(ValueError, match="history #1 not found"):
+            diff_histories(_FakeStore([]), 1, 2)
+
+    def test_single_row_raises(self):
+        with pytest.raises(ValueError, match="history #2 not found"):
+            diff_histories(_FakeStore([_run_row(1)]), 1, 2)
+
+    def test_unknown_id_raises(self):
+        store = _FakeStore([_run_row(1), _run_row(2)])
+        with pytest.raises(ValueError, match="history #99 not found"):
+            diff_histories(store, 99, 2)
+
+
 class TestDiffHistories:
     def test_flags_large_changes(self):
         store = _FakeStore(
@@ -305,6 +363,13 @@ class TestObsCli:
             ["obs", "diff", "1", "2", "--store", str(store_path)]
         ) == 0
         assert "history #1 -> #2" in capsys.readouterr().out
+
+    def test_regressions_clean(self, store_path):
+        # Epoch funnels are cumulative, so no stage falls from #1 to #2.
+        with RunStore(store_path) as store:
+            rows = diff_histories(store, 1, 2)
+        funnel = [r for r in rows if r["kind"] == "funnel"]
+        assert funnel and all(r["b"] >= r["a"] for r in funnel)
 
     def test_top_without_store_or_trace_exits_2(self):
         assert main(["obs", "top"]) == 2
