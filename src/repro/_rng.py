@@ -13,7 +13,22 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["SeedSequenceTree", "derive_seed", "rng_from"]
+__all__ = ["SeedSequenceTree", "derive_seed", "path_digest", "rng_from"]
+
+
+def path_digest(seed: int, *parts: str) -> bytes:
+    """SHA-256 of ``str(seed)`` followed by each part after a ``\\x1f``.
+
+    The one hash behind every order-independent draw in the package:
+    :func:`derive_seed`, the fault and payload-corruption decisions and
+    drift's minted URLs each take their own slice of these 32 bytes.
+    """
+    digest = hashlib.sha256()
+    digest.update(str(int(seed)).encode("ascii"))
+    for part in parts:
+        digest.update(b"\x1f")
+        digest.update(part.encode("utf-8"))
+    return digest.digest()
 
 
 def derive_seed(root_seed: int, *path: str) -> int:
@@ -28,12 +43,7 @@ def derive_seed(root_seed: int, *path: str) -> int:
     >>> derive_seed(7, "forum") != derive_seed(8, "forum")
     True
     """
-    digest = hashlib.sha256()
-    digest.update(str(int(root_seed)).encode("ascii"))
-    for part in path:
-        digest.update(b"\x1f")
-        digest.update(part.encode("utf-8"))
-    return int.from_bytes(digest.digest()[:8], "big")
+    return int.from_bytes(path_digest(root_seed, *path)[:8], "big")
 
 
 def rng_from(root_seed: int, *path: str) -> np.random.Generator:

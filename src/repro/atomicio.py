@@ -1,6 +1,6 @@
 """Atomic, durable file writes for every on-disk artifact.
 
-Checkpoints, JSONL datasets, traces, manifests and benchmark results
+Checkpoints, JSONL datasets, traces and benchmark results
 all leave the process through this module: content is written to a
 sibling temp file, flushed and ``fsync``\\ ed, then renamed over the
 target with ``os.replace`` (atomic on POSIX within one filesystem), and

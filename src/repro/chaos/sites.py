@@ -47,7 +47,7 @@ KILL_SITES = (
     # after a periodic mid-crawl checkpoint save has hit disk.
     "crawl.checkpoint.saved",
     # Atomic artifact writes (repro.atomicio): the torn-write windows of
-    # any checkpoint/trace/manifest/JSONL/bench artifact — the temp file
+    # any checkpoint/trace/JSONL/bench artifact — the temp file
     # is fully written but the target not yet replaced, and just after
     # the rename.
     "artifact.tmp_written",
@@ -58,7 +58,7 @@ KILL_SITES = (
     "store.memos.saved",
     "store.run.recorded",
     # After the run's telemetry-history insert (span summaries, metric
-    # snapshot, funnel, profile samples) — still inside the uncommitted
+    # snapshot, funnel) — still inside the uncommitted
     # epoch transaction, so dying here must lose the history row too.
     "store.history.recorded",
     # The commit edge itself: dying one instant before the COMMIT must

@@ -5,9 +5,9 @@ Six subcommands:
 * ``repro build``  — generate a synthetic world and save its forum
   dataset as JSONL;
 * ``repro run``    — generate a world, run the full pipeline, print the
-  measurement digest (optionally writing each table to a directory and
-  a span trace + run manifest via ``--trace-out``);
-* ``repro tables`` — like ``run``, but only writes the table files;
+  measurement digest (optionally writing each table to a directory
+  with ``--out`` and a span trace via ``--trace-out``, whose header is
+  the run manifest);
 * ``repro drift``  — the adversarial-drift decay experiment: per-stage
   recall/precision by epoch, defenses off vs on;
 * ``repro trace``  — render a previously written trace file as a
@@ -25,7 +25,7 @@ Six subcommands:
 Examples::
 
     repro run --seed 7 --scale 0.02
-    repro run --trace-out trace.jsonl            # + trace.manifest.json
+    repro run --trace-out trace.jsonl            # spans under a run-manifest header
     repro run --profile --store store.sqlite     # resource-profiled run, history persisted
     repro trace trace.jsonl
     repro --log-level debug --log-json run --seed 7
@@ -35,7 +35,7 @@ Examples::
     repro run --drift-profile aggressive --drift-epoch 2   # measure a drifted world
     repro drift --profile hostile --epochs 2 --out drift.json
     repro build --seed 11 --scale 0.05 --out world.jsonl
-    repro tables --seed 11 --scale 0.05 --out results/
+    repro run --seed 11 --scale 0.05 --out results/   # + the table files
     repro store verify store.sqlite                   # post-crash health probe
     repro store repair store.sqlite                   # salvage committed epochs
     repro obs runs --store store.sqlite               # wall/CPU/RSS/funnel per run
@@ -63,14 +63,7 @@ from . import build_world, run_pipeline
 from .atomicio import atomic_write_text
 from .chaos import SignalInterrupt, graceful_signals, install_from_env
 from .obs import RunTelemetry, Tracer, get_logger, setup_logging
-from .obs.export import (
-    build_manifest,
-    manifest_path_for,
-    read_trace,
-    render_trace,
-    write_manifest,
-    write_trace,
-)
+from .obs.export import build_manifest, read_trace, render_trace, write_trace
 from .drift.profiles import DRIFT_PROFILES
 from .web.faults import FAULT_PROFILES
 from .web.payload_faults import PAYLOAD_PROFILES
@@ -131,16 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write table files into this directory")
     p_run.add_argument(
         "--trace-out", type=Path, default=None, metavar="TRACE",
-        help="enable span tracing and write the JSONL trace here, plus "
-             "the run manifest next to it (<stem>.manifest.json); view "
-             "the trace with 'repro trace TRACE'",
+        help="enable span tracing and write the JSONL trace here, its "
+             "header line the run manifest; view it with "
+             "'repro trace TRACE'",
     )
     p_run.add_argument(
         "--profile", action="store_true",
         help="enable the resource profiler: per-span CPU time and peak "
-             "RSS on every span, plus a background RSS sampler; "
-             "measurement output stays bit-identical (profile data is "
-             "outside the determinism contract)",
+             "RSS on every span; measurement output stays bit-identical "
+             "(profile data is outside the determinism contract)",
     )
     p_run.add_argument(
         "--profile-alloc", action="store_true",
@@ -197,11 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of equal-population observation epochs the world's "
              "timeline is divided into (default 1)",
     )
-
-    p_tables = sub.add_parser("tables", help="run the measurement and write table files")
-    add_world_args(p_tables)
-    p_tables.add_argument("--annotate", type=int, default=1000)
-    p_tables.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_drift = sub.add_parser(
         "drift",
@@ -407,34 +394,26 @@ def _print_run_report(report, log) -> None:
     print(render_telemetry(report))
 
 
-def _write_trace_artifacts(args, report, telemetry, log) -> None:
-    """Write the trace JSONL + run manifest for a traced ``run``."""
+def _write_trace(args, report, telemetry, log) -> None:
+    """Write a traced ``run``'s JSONL trace, the run manifest its header."""
     config = {
         "scale": args.scale,
         "annotate": args.annotate,
         "fault_profile": args.fault_profile,
         "payload_profile": args.payload_profile,
-        "drift_profile": getattr(args, "drift_profile", None),
-        "drift_epoch": getattr(args, "drift_epoch", 0),
+        "drift_profile": args.drift_profile,
+        "drift_epoch": args.drift_epoch,
         "lenient": bool(args.lenient),
     }
-    meta = {
-        "seed": args.seed,
-        "config": config,
-        "funnel": telemetry.funnel(),
-        "stages": [outcome.as_dict() for outcome in report.stage_outcomes],
-        "metrics": telemetry.deterministic_snapshot()["metrics"],
-    }
-    trace_path = write_trace(args.trace_out, telemetry.tracer.spans(), meta)
+    spans = telemetry.tracer.spans()
+    trace_path = write_trace(
+        args.trace_out, spans,
+        meta=build_manifest(report, seed=args.seed, config=config),
+    )
     log.info(
         "wrote trace %s (%d spans, %d events)",
-        trace_path,
-        len(telemetry.tracer.spans()),
-        telemetry.tracer.n_events,
+        trace_path, len(spans), telemetry.tracer.n_events,
     )
-    manifest = build_manifest(report, seed=args.seed, config=config)
-    manifest_path = write_manifest(manifest_path_for(trace_path), manifest)
-    log.info("wrote run manifest %s", manifest_path)
 
 
 def _make_run_telemetry(args) -> RunTelemetry:
@@ -444,21 +423,19 @@ def _make_run_telemetry(args) -> RunTelemetry:
     ``--profile-alloc`` was passed (tracing implied), a plain
     :class:`Tracer` for ``--trace-out``, else the zero-cost default.
     """
-    if getattr(args, "profile", False) or getattr(args, "profile_alloc", False):
+    if args.profile or args.profile_alloc:
         from .obs import ProfilingTracer
 
-        tracer = ProfilingTracer(
-            allocations=bool(getattr(args, "profile_alloc", False))
-        )
+        tracer = ProfilingTracer(allocations=args.profile_alloc)
         tracer.start()
         return RunTelemetry(tracer=tracer)
-    if getattr(args, "trace_out", None) is not None:
+    if args.trace_out is not None:
         return RunTelemetry(tracer=Tracer())
     return RunTelemetry()
 
 
 def _stop_profile(telemetry) -> None:
-    """Stop a profiling tracer's sampler/tracemalloc (no-op otherwise)."""
+    """Release a profiling tracer's tracemalloc (no-op otherwise)."""
     if getattr(telemetry.tracer, "profiled", False):
         telemetry.tracer.stop()
 
@@ -471,22 +448,10 @@ def _print_profile(telemetry, top_n: int = 8) -> None:
     from .obs import aggregate_spans
     from .obs.profile import rss_peak_kb
 
-    rows = aggregate_spans([s.as_dict() for s in tracer.spans()])
     print("-- profile --")
-    print(f"peak RSS: {rss_peak_kb() / 1024:.1f} MiB, "
-          f"{len(tracer.samples())} resource samples")
-    header = (f"{'span':<28} {'count':>7} {'self':>9} {'total':>9} "
-              f"{'cpu':>9} {'rss MiB':>8}")
-    print(header)
-    for row in rows[:top_n]:
-        cpu = row.get("cpu_seconds")
-        rss = row.get("rss_peak_kb")
-        print(
-            f"{row['name'][:28]:<28} {row['count']:>7} "
-            f"{row['self_seconds']:>8.2f}s {row['total_seconds']:>8.2f}s "
-            f"{(f'{cpu:8.2f}s' if cpu is not None else '       -')} "
-            f"{(f'{rss / 1024:8.1f}' if rss is not None else '       -')}"
-        )
+    print(f"peak RSS: {rss_peak_kb() / 1024:.1f} MiB")
+    rows = aggregate_spans([s.as_dict() for s in tracer.spans()])
+    _print_span_table(rows, "self", top_n)
 
 
 def _run_drift_command(args, log) -> int:
@@ -588,7 +553,7 @@ def _run_store_command(args, log) -> int:
     _print_run_report(report, log)
     _print_profile(telemetry)
     if args.trace_out is not None:
-        _write_trace_artifacts(args, report, telemetry, log)
+        _write_trace(args, report, telemetry, log)
     if args.out is not None and not report.degraded:
         for path in _write_tables(report, args.out):
             log.info("wrote %s", path)
@@ -880,7 +845,6 @@ def _dispatch(args, log) -> int:
         print(f"wrote {n_records} records to {args.out}")
         return 0
 
-    trace_out = getattr(args, "trace_out", None)
     telemetry = _make_run_telemetry(args)
     log.info("running pipeline", extra={"tracing": telemetry.tracing_enabled})
     start = time.perf_counter()
@@ -888,27 +852,21 @@ def _dispatch(args, log) -> int:
         report = run_pipeline(
             world,
             annotate_n=args.annotate,
-            strict=not getattr(args, "lenient", False),
-            checkpoint=getattr(args, "resume", None),
+            strict=not args.lenient,
+            checkpoint=args.resume,
             telemetry=telemetry,
         )
     finally:
         _stop_profile(telemetry)
     log.info("pipeline done [%.1fs]", time.perf_counter() - start)
 
-    if args.command == "run":
-        _print_run_report(report, log)
-        _print_profile(telemetry)
-        if trace_out is not None:
-            _write_trace_artifacts(args, report, telemetry, log)
-        if args.out is not None and not report.degraded:
-            for path in _write_tables(report, args.out):
-                log.info("wrote %s", path)
-        return 0
-
-    # tables
-    for path in _write_tables(report, args.out):
-        print(f"wrote {path}")
+    _print_run_report(report, log)
+    _print_profile(telemetry)
+    if args.trace_out is not None:
+        _write_trace(args, report, telemetry, log)
+    if args.out is not None and not report.degraded:
+        for path in _write_tables(report, args.out):
+            log.info("wrote %s", path)
     return 0
 
 

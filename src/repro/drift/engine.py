@@ -19,10 +19,10 @@ the decay being measured.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+from .._rng import path_digest
 from ..media.image import SyntheticImage
 from ..media.pack import Pack
 from ..media.transforms import STACKED_EVASION_TRANSFORMS
@@ -161,12 +161,7 @@ def _slang_heading(seed: int, epoch: int, thread_id: int) -> str:
 # ----------------------------------------------------------------------
 
 def _mint_path(seed: int, *parts: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(str(int(seed)).encode("ascii"))
-    for part in parts:
-        digest.update(b"\x1f")
-        digest.update(part.encode("utf-8"))
-    return digest.hexdigest()[:10]
+    return path_digest(seed, *parts).hex()[:10]
 
 
 def _mint_unique_url(

@@ -10,8 +10,9 @@ object rides through a pipeline run and collects
   and quarantine counts), and ``work``, the effort a memo-warm run may
   skip (vision-cache tallies, store rows, simulated fetch calls);
 
-and :mod:`repro.obs.export` turns both into the JSONL trace file and
-run-manifest JSON behind ``repro run --trace-out`` / ``repro trace``.
+and :mod:`repro.obs.export` turns both into the JSONL trace file behind
+``repro run --trace-out`` / ``repro trace``, whose header is the run
+manifest.
 :mod:`repro.obs.log` supplies the structured CLI logging.
 
 Tracing is zero-cost when disabled: the default recorder is

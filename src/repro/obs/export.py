@@ -1,26 +1,24 @@
-"""Structured telemetry sinks: JSONL traces, run manifests, renderers.
+"""Structured telemetry sinks: the JSONL trace file and its renderers.
 
-Three artifacts leave a run:
+A traced run leaves one artifact, the **trace file** (``repro run
+--trace-out t.jsonl``) — JSON Lines: one ``meta`` header line, then one
+line per finished span (events inlined), sorted by start offset.  The
+header is the run's provenance record, :func:`build_manifest`: seed,
+config, component versions, the Figure-1 stage funnel, per-stage
+outcomes, the full metric snapshot and the quarantine/vision-cache/crawl
+statistic snapshots.  What the span lines already say (span and event
+counts, the slowest spans) is not repeated in the header, so the file is
+self-describing: ``repro trace t.jsonl`` renders a flame summary and the
+funnel without the world or the report.
 
-* the **trace file** (``repro run --trace-out t.jsonl``) — JSON Lines:
-  one ``meta`` header line, then one line per finished span (events
-  inlined), sorted by start offset.  Fully self-describing: the header
-  carries the funnel and stage table so ``repro trace t.jsonl`` can
-  render a flame summary without the world or the report;
-* the **run manifest** (``t.manifest.json`` next to the trace) — the
-  auditable provenance record of every derived number: seed, config,
-  component versions, the Figure-1 stage funnel, per-stage outcomes,
-  the full metric snapshot, the top-N slowest spans, and the
-  quarantine/vision-cache/crawl statistic snapshots;
-* **renderers** — :func:`render_trace` / :func:`render_funnel` turn a
-  read-back trace into the per-stage flame summary and funnel table the
-  ``repro trace`` subcommand prints.
+:func:`render_trace` / :func:`render_funnel` turn a read-back trace into
+the per-stage flame summary and funnel table the ``repro trace``
+subcommand prints.
 
 Determinism contract: :func:`deterministic_manifest_view` strips every
-timing-bearing field (creation stamp, span durations and counts, stage
-elapsed times); what remains must be identical
-across runs of the same seed — property-tested in
-``tests/test_obs_pipeline.py``.
+environment- and timing-bearing header field (creation stamp, versions,
+CPU count, stage elapsed times); what remains must be identical across
+runs of the same seed — property-tested in ``tests/test_obs_pipeline.py``.
 """
 
 from __future__ import annotations
@@ -45,30 +43,26 @@ from typing import (
 from ..atomicio import atomic_write_text
 
 __all__ = [
-    "MANIFEST_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "build_manifest",
     "deterministic_manifest_view",
     "iter_trace",
-    "manifest_path_for",
     "read_trace",
     "render_funnel",
     "render_trace",
-    "write_manifest",
     "write_trace",
 ]
 
-TRACE_SCHEMA_VERSION = 1
-MANIFEST_SCHEMA_VERSION = 2
+#: Version 2: the header carries the whole run manifest.  A version-1
+#: header held only the seed, config, funnel, stages and metrics; every
+#: reader here treats a missing header field as unknown.
+TRACE_SCHEMA_VERSION = 2
 
 #: The exact top-level key set of a run manifest — the schema-stability
 #: contract asserted by ``tests/test_obs_export.py``.  Extend it
-#: deliberately (and bump :data:`MANIFEST_SCHEMA_VERSION` on breaking
+#: deliberately (and bump :data:`TRACE_SCHEMA_VERSION` on breaking
 #: changes), never accidentally.
 MANIFEST_KEYS = (
-    "schema_version",
-    "kind",
-    "created_unix",
     "seed",
     "config",
     "versions",
@@ -76,9 +70,6 @@ MANIFEST_KEYS = (
     "funnel",
     "stages",
     "metrics",
-    "slowest_spans",
-    "n_spans",
-    "n_events",
     "quarantine",
     "vision_cache",
     "crawl",
@@ -98,17 +89,18 @@ def write_trace(
 
     ``spans`` may be :class:`~repro.obs.trace.Span` objects or already
     dict-shaped records (anything with ``as_dict``/mapping semantics).
+    ``meta`` (for a run, :func:`build_manifest`) fills the header; the
+    line's ``type``, ``kind`` and ``schema_version`` are this writer's
+    and a caller cannot overwrite them.
     """
     path = Path(path)
     header: Dict[str, Any] = {
+        "created_unix": time.time(),
+        **(meta or {}),
         "type": "meta",
         "kind": "repro.trace",
         "schema_version": TRACE_SCHEMA_VERSION,
-        "created_unix": time.time(),
     }
-    if meta:
-        header.update(dict(meta))
-        header["type"] = "meta"  # callers cannot overwrite the line type
     lines = [json.dumps(header, sort_keys=True, default=str)]
     for span in spans:
         record = span.as_dict() if hasattr(span, "as_dict") else dict(span)
@@ -182,12 +174,6 @@ def read_trace(
     return meta, spans
 
 
-def manifest_path_for(trace_path: Union[str, Path]) -> Path:
-    """The run-manifest path conventionally paired with a trace file."""
-    trace_path = Path(trace_path)
-    return trace_path.with_name(trace_path.stem + ".manifest.json")
-
-
 # ----------------------------------------------------------------------
 # Run manifest
 # ----------------------------------------------------------------------
@@ -209,9 +195,9 @@ def build_manifest(
     report: Any,
     seed: Optional[int] = None,
     config: Optional[Mapping[str, Any]] = None,
-    top_n_spans: int = 10,
 ) -> Dict[str, Any]:
-    """The run manifest of one :class:`~repro.core.pipeline.PipelineReport`.
+    """The run manifest of one :class:`~repro.core.pipeline.PipelineReport`:
+    the header :func:`write_trace` puts above the run's spans.
 
     ``report.telemetry`` supplies the funnel and metric snapshot; the
     stage table, quarantine ledger, vision-cache and crawl statistics
@@ -228,12 +214,6 @@ def build_manifest(
     metrics = (
         telemetry.deterministic_snapshot()["metrics"] if telemetry is not None else []
     )
-    spans = telemetry.tracer.spans() if telemetry is not None else []
-    n_events = telemetry.tracer.n_events if telemetry is not None else 0
-
-    slowest = sorted(spans, key=lambda s: s.duration, reverse=True)[
-        : max(0, top_n_spans)
-    ]
     stages = [outcome.as_dict() for outcome in getattr(report, "stage_outcomes", [])]
 
     quarantine = getattr(report, "quarantine", None)
@@ -241,9 +221,6 @@ def build_manifest(
     crawl = getattr(report, "crawl", None)
 
     return {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "kind": "repro.run_manifest",
-        "created_unix": time.time(),
         "seed": seed,
         "config": dict(config) if config is not None else None,
         "versions": _versions(),
@@ -251,16 +228,6 @@ def build_manifest(
         "funnel": funnel,
         "stages": stages,
         "metrics": metrics,
-        "slowest_spans": [
-            {
-                "name": span.name,
-                "duration_seconds": span.duration,
-                "attrs": dict(span.attributes),
-            }
-            for span in slowest
-        ],
-        "n_spans": len(spans),
-        "n_events": n_events,
         "quarantine": quarantine.as_dict() if quarantine is not None else None,
         "vision_cache": cache_stats.as_dict() if cache_stats is not None else None,
         "crawl": crawl.stats.as_dict() if crawl is not None else None,
@@ -268,28 +235,17 @@ def build_manifest(
     }
 
 
-def write_manifest(path: Union[str, Path], manifest: Mapping[str, Any]) -> Path:
-    return atomic_write_text(
-        Path(path),
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",
-    )
-
-
 def deterministic_manifest_view(manifest: Mapping[str, Any]) -> Dict[str, Any]:
-    """The manifest minus every timing-bearing field.
+    """The manifest (or a trace header) minus every timing-bearing field.
 
     Drops ``created_unix``, ``versions`` and ``cpu_count`` (environment,
-    not measurement), ``slowest_spans``/``n_spans``/``n_events``
-    (present only when tracing is on) and per-stage ``elapsed_seconds``.
-    Every metric is seed-determined, so the metric list stays whole.  Two
-    runs of one seed must agree on the result exactly — with tracing on,
-    off, or mixed.
+    not measurement) and per-stage ``elapsed_seconds``.  Every metric is
+    seed-determined, so the metric list stays whole.  Two runs of one
+    seed must agree on the result exactly — with tracing on, off, or
+    mixed.
     """
     view = dict(manifest)
-    for key in (
-        "created_unix", "versions", "slowest_spans", "n_spans", "n_events",
-        "cpu_count",
-    ):
+    for key in ("created_unix", "versions", "cpu_count"):
         view.pop(key, None)
     view["stages"] = [
         {k: v for k, v in stage.items() if k != "elapsed_seconds"}

@@ -1,11 +1,13 @@
 """Cross-run telemetry history: summarise a run, persist it in the store.
 
 The telemetry of DESIGN.md §9 evaporates at process exit; this module
-condenses one run's :class:`~repro.obs.RunTelemetry` (or a previously
-written trace file) into a :class:`HistorySummary` — headline resource
-figures, per-span-name aggregates, the deterministic metric snapshot,
-the funnel and any profiler samples — and writes it into the run-store
-history tables (:meth:`repro.store.sqlite.RunStore.save_history`).
+condenses one run into a :class:`HistorySummary` — headline resource
+figures, per-span-name aggregates, the deterministic metric snapshot
+and the funnel — and writes it into the run-store history tables
+(:meth:`repro.store.sqlite.RunStore.save_history`).  A live
+:class:`~repro.obs.RunTelemetry` (:func:`summarize_run`) and a written
+trace file (:func:`summarize_trace`) go through one fold over the same
+record shape: a ``meta`` header dict followed by span dicts.
 
 :func:`repro.store.run_incremental` records a summary inside the same
 atomic epoch transaction as every other write, so run history inherits
@@ -22,11 +24,12 @@ timing is the end-to-end benchmark's job.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from .profile import aggregate_spans, rss_peak_kb
 
@@ -66,8 +69,6 @@ class HistorySummary:
     metrics: List[Dict[str, Any]] = field(default_factory=list)
     #: Figure-1 funnel rows, in pipeline order.
     funnel: List[Dict[str, Any]] = field(default_factory=list)
-    #: Profiler resource samples ``{"t", "rss_kb", "cpu_seconds"}``.
-    samples: List[Dict[str, float]] = field(default_factory=list)
 
 
 def _funnel_lookup(funnel: List[Dict[str, Any]], stage: str) -> Optional[int]:
@@ -75,6 +76,76 @@ def _funnel_lookup(funnel: List[Dict[str, Any]], stage: str) -> Optional[int]:
         if row.get("stage") == stage:
             return row.get("count")
     return None
+
+
+#: The span attributes the fold keeps (what :func:`aggregate_spans` rolls up).
+_PROFILE_KEYS = ("profile.cpu_seconds", "profile.rss_peak_kb", "profile.alloc_kb")
+
+
+def _fold(records: Iterable[Mapping[str, Any]], source: str) -> HistorySummary:
+    """Condense a ``meta`` header and span records into a summary.
+
+    Streaming: each span's heavy payload (attribute dicts, inlined
+    events) is cut to one slim row as it passes, so a trace file is
+    never materialised.  A header field the writer did not record (an
+    older trace has no ``cpu_count``) stays ``None``.
+    """
+    meta: Mapping[str, Any] = {}
+    slim: List[Dict[str, Any]] = []
+    n_events = 0
+    profiled = False
+    wall = 0.0
+    for record in records:
+        if record.get("type") == "meta":
+            meta = record
+            continue
+        n_events += len(record.get("events") or ())
+        duration = float(record.get("duration") or 0.0)
+        wall = max(wall, duration)
+        attrs = record.get("attrs") or {}
+        if "profile.cpu_seconds" in attrs:
+            profiled = True
+        slim.append(
+            {
+                "id": record.get("id"),
+                "parent": record.get("parent"),
+                "name": record.get("name", "?"),
+                "duration": duration,
+                "status": record.get("status"),
+                "attrs": {key: attrs[key] for key in _PROFILE_KEYS if key in attrs},
+            }
+        )
+    span_rows = aggregate_spans(slim)
+
+    cpu_seconds: Optional[float] = None
+    if profiled:
+        cpu_seconds = sum(
+            float(row["cpu_seconds"]) for row in span_rows
+            if row.get("cpu_seconds") is not None
+        )
+    rss_values = [
+        int(row["rss_peak_kb"]) for row in span_rows
+        if row.get("rss_peak_kb") is not None
+    ]
+    funnel = list(meta.get("funnel") or [])
+    return HistorySummary(
+        source=source,
+        created_unix=float(meta.get("created_unix") or 0.0),
+        seed=meta.get("seed"),
+        epoch=meta.get("epoch"),
+        wall_seconds=wall or None,
+        cpu_seconds=cpu_seconds,
+        peak_rss_kb=max(rss_values) if rss_values else None,
+        n_spans=len(slim),
+        n_events=n_events,
+        n_records=_funnel_lookup(funnel, "images_downloaded"),
+        n_quarantined=_funnel_lookup(funnel, "quarantined_records"),
+        profiled=profiled,
+        cpu_count=meta.get("cpu_count"),
+        spans=span_rows,
+        metrics=list(meta.get("metrics") or []),
+        funnel=funnel,
+    )
 
 
 def summarize_run(
@@ -90,45 +161,24 @@ def summarize_run(
 
     Works for any tracer: with tracing off the span aggregates are
     empty but funnel and deterministic metrics are still recorded —
-    history is useful long before anyone turns the profiler on.
+    history is useful long before anyone turns the profiler on.  The
+    run's own wall time and the process peak RSS replace what the spans
+    alone would say.
     """
-    tracer = telemetry.tracer
-    span_records = [s.as_dict() for s in tracer.spans()]
-    span_rows = aggregate_spans(span_records)
-    profiled = bool(getattr(tracer, "profiled", False))
-
-    cpu_seconds: Optional[float] = None
-    if profiled:
-        total = 0.0
-        seen = False
-        for row in span_rows:
-            if row.get("cpu_seconds") is not None:
-                total += float(row["cpu_seconds"])
-                seen = True
-        if seen:
-            cpu_seconds = total
-
-    funnel = telemetry.funnel()
-    summary = HistorySummary(
-        source="run",
-        label=label,
-        created_unix=time.time() if created_unix is None else created_unix,
-        seed=seed,
-        epoch=epoch,
-        wall_seconds=wall_seconds,
-        cpu_seconds=cpu_seconds,
-        peak_rss_kb=rss_peak_kb() or None,
-        n_spans=len(span_records),
-        n_events=int(getattr(tracer, "n_events", 0)),
-        n_records=_funnel_lookup(funnel, "images_downloaded"),
-        n_quarantined=_funnel_lookup(funnel, "quarantined_records"),
-        profiled=profiled,
-        cpu_count=os.cpu_count(),
-        spans=span_rows,
-        metrics=telemetry.deterministic_snapshot()["metrics"],
-        funnel=funnel,
-        samples=list(getattr(tracer, "samples", list)() or []),
-    )
+    header = {
+        "type": "meta",
+        "created_unix": time.time() if created_unix is None else created_unix,
+        "seed": seed,
+        "epoch": epoch,
+        "funnel": telemetry.funnel(),
+        "metrics": telemetry.deterministic_snapshot()["metrics"],
+        "cpu_count": os.cpu_count(),
+    }
+    spans = (span.as_dict() for span in telemetry.tracer.spans())
+    summary = _fold(itertools.chain([header], spans), source="run")
+    summary.label = label
+    summary.wall_seconds = wall_seconds
+    summary.peak_rss_kb = rss_peak_kb() or None
     return summary
 
 
@@ -146,91 +196,11 @@ def summarize_trace(
     """
     from .export import iter_trace
 
-    path = Path(path)
-    meta: Dict[str, Any] = {}
-    # Streaming fold: the heavy per-record payloads (attribute dicts,
-    # inlined events) are reduced to one slim row per span as the file
-    # streams past — the full JSONL is never materialised.
-    slim: List[Dict[str, Any]] = []
-    samples: List[Dict[str, float]] = []
-    n_events = 0
-    profiled = False
-    wall = 0.0
-
-    for record in iter_trace(path, strict=False):
-        if record.get("type") == "meta":
-            meta = record
-            continue
-        n_events += len(record.get("events") or ())
-        duration = float(record.get("duration") or 0.0)
-        wall = max(wall, duration)
-        attrs = record.get("attrs") or {}
-        if "profile.cpu_seconds" in attrs:
-            profiled = True
-        if record.get("name") == "profile.sample":
-            samples.append(
-                {
-                    "t": float(record.get("t_start") or 0.0),
-                    "rss_kb": float(attrs.get("profile.sample_rss_kb") or 0.0),
-                    "cpu_seconds": float(
-                        attrs.get("profile.sample_cpu_seconds") or 0.0
-                    ),
-                }
-            )
-        slim.append(
-            {
-                "id": record.get("id"),
-                "parent": record.get("parent"),
-                "name": record.get("name", "?"),
-                "duration": duration,
-                "status": record.get("status"),
-                "attrs": {
-                    key: attrs[key]
-                    for key in (
-                        "profile.cpu_seconds",
-                        "profile.rss_peak_kb",
-                        "profile.alloc_kb",
-                    )
-                    if key in attrs
-                },
-            }
-        )
-    span_rows = aggregate_spans(slim)
-
-    cpu_seconds: Optional[float] = None
-    if profiled:
-        cpu_seconds = sum(
-            float(row["cpu_seconds"]) for row in span_rows
-            if row.get("cpu_seconds") is not None
-        )
-    rss_values = [
-        int(row["rss_peak_kb"]) for row in span_rows
-        if row.get("rss_peak_kb") is not None
-    ]
-    funnel = list(meta.get("funnel") or [])
-    return HistorySummary(
-        source="trace",
-        label=label if label is not None else str(path),
-        created_unix=(
-            float(meta.get("created_unix") or 0.0)
-            if created_unix is None
-            else created_unix
-        ),
-        seed=meta.get("seed"),
-        epoch=meta.get("epoch"),
-        wall_seconds=wall or None,
-        cpu_seconds=cpu_seconds,
-        peak_rss_kb=max(rss_values) if rss_values else None,
-        n_spans=len(slim),
-        n_events=n_events,
-        n_records=_funnel_lookup(funnel, "images_downloaded"),
-        n_quarantined=_funnel_lookup(funnel, "quarantined_records"),
-        profiled=profiled,
-        spans=span_rows,
-        metrics=list(meta.get("metrics") or []),
-        funnel=funnel,
-        samples=samples,
-    )
+    summary = _fold(iter_trace(path, strict=False), source="trace")
+    summary.label = label if label is not None else str(path)
+    if created_unix is not None:
+        summary.created_unix = created_unix
+    return summary
 
 
 def record_history(

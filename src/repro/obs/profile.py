@@ -15,10 +15,9 @@ with resource attributes under the reserved ``profile.`` namespace:
   spans (``pipeline.*`` / ``stage.*`` / ``store.*``) — per-fetch
   tracemalloc reads would dominate the thing being measured.
 
-A background :class:`_ResourceSampler` thread (``start()``/``stop()``)
-additionally records periodic ``(t, rss_kb, cpu_seconds)`` samples —
-persisted into the run-history tables (:mod:`repro.obs.history`) and
-surfaced as root ``profile.sample`` spans in the trace.
+``start()``/``stop()`` arm and release ``tracemalloc`` and nothing
+else: the profiler starts no thread, so a profiled trace holds exactly
+the spans the run opened.
 
 Zero-cost-when-disabled is structural, not a fast path: profiling lives
 entirely in this subclass, so a run without a :class:`ProfilingTracer`
@@ -32,7 +31,6 @@ on, off or mixed — property-tested in ``tests/test_obs_profile.py``.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,7 +41,6 @@ __all__ = [
     "PROFILE_ATTR_PREFIX",
     "ProfilingTracer",
     "aggregate_spans",
-    "rss_current_kb",
     "rss_peak_kb",
 ]
 
@@ -62,7 +59,7 @@ ALLOC_SPAN_PREFIXES = ("pipeline.", "stage.", "store.")
 # RSS readers (stdlib only: resource.getrusage, /proc fallback)
 # ----------------------------------------------------------------------
 def _proc_status_kb(field: str) -> Optional[int]:
-    """Read a ``kB`` field (``VmHWM``/``VmRSS``) from /proc/self/status."""
+    """Read a ``kB`` field (e.g. ``VmHWM``) from /proc/self/status."""
     try:
         with open("/proc/self/status", "r", encoding="ascii") as fh:
             for line in fh:
@@ -93,80 +90,40 @@ def rss_peak_kb() -> int:
     return _proc_status_kb("VmHWM:") or 0
 
 
-def rss_current_kb() -> int:
-    """Current resident set size in KiB (falls back to the peak)."""
-    current = _proc_status_kb("VmRSS:")
-    if current is not None:
-        return current
-    return rss_peak_kb()
-
-
 # ----------------------------------------------------------------------
 # The profiling tracer
 # ----------------------------------------------------------------------
-class _ResourceSampler(threading.Thread):
-    """Daemon thread appending periodic resource samples to the tracer."""
-
-    def __init__(self, tracer: "ProfilingTracer", interval: float):
-        super().__init__(name="repro-profile-sampler", daemon=True)
-        self._tracer = tracer
-        self._interval = interval
-        self._stop_event = threading.Event()
-
-    def stop(self) -> None:
-        self._stop_event.set()
-        self.join(timeout=5.0)
-
-    def run(self) -> None:  # pragma: no cover - timing-dependent thread body
-        while not self._stop_event.wait(self._interval):
-            self._tracer._record_sample()
-
-
 class ProfilingTracer(Tracer):
     """A recording tracer that also profiles CPU, RSS and allocations.
 
     Drop-in for :class:`Tracer` wherever one is accepted (``repro run
     --profile``); call :meth:`start`/:meth:`stop` around the run to arm
-    allocation tracking and the background resource sampler.  Safe to
-    use without ``start()`` — per-span CPU/RSS attributes are always on.
+    allocation tracking.  Safe to use without ``start()`` — per-span
+    CPU/RSS attributes are always on.
     """
 
     profiled = True
 
-    def __init__(
-        self,
-        allocations: bool = False,
-        sample_interval: float = 0.05,
-    ) -> None:
+    def __init__(self, allocations: bool = False) -> None:
         super().__init__()
         self.allocations = bool(allocations)
-        self.sample_interval = float(sample_interval)
         #: span_id -> (cpu_start, rss_peak_at_open, alloc_start or None).
-        #: Distinct keys per span; GIL-atomic dict ops need no lock.
         self._open_profiles: Dict[int, Tuple[float, int, Optional[int]]] = {}
-        self._samples: List[Dict[str, float]] = []
-        self._sampler: Optional[_ResourceSampler] = None
         self._owns_tracemalloc = False
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "ProfilingTracer":
-        """Arm allocation tracking and the background resource sampler."""
+        """Arm allocation tracking when it was requested."""
         if self.allocations:
             import tracemalloc
 
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
                 self._owns_tracemalloc = True
-        if self.sample_interval > 0 and self._sampler is None:
-            self._sampler = _ResourceSampler(self, self.sample_interval)
-            self._sampler.start()
         return self
 
     def stop(self) -> None:
-        """Stop the sampler and release tracemalloc (idempotent)."""
-        if self._sampler is not None:
-            self._sampler.stop()
-            self._sampler = None
+        """Release tracemalloc if :meth:`start` armed it (idempotent)."""
         if self._owns_tracemalloc:
             import tracemalloc
 
@@ -211,27 +168,6 @@ class ProfilingTracer(Tracer):
                         tracemalloc.get_traced_memory()[0] - alloc_start
                     ) / 1024.0
         super()._close(span)
-
-    # -- samples --------------------------------------------------------
-    def _record_sample(self) -> None:
-        sample = {
-            "t": self._now(),
-            "rss_kb": float(rss_current_kb()),
-            "cpu_seconds": time.process_time(),
-        }
-        self._samples.append(sample)
-        # Mirror the sample into the trace itself: a zero-length root
-        # span (the sampler thread has an empty ancestry stack), so a
-        # plain trace file carries the RSS timeline too.
-        with self.span("profile.sample", **{
-            "profile.sample_rss_kb": sample["rss_kb"],
-            "profile.sample_cpu_seconds": sample["cpu_seconds"],
-        }):
-            pass
-
-    def samples(self) -> List[Dict[str, float]]:
-        """Recorded ``(t, rss_kb, cpu_seconds)`` samples, in order."""
-        return list(self._samples)
 
 
 # ----------------------------------------------------------------------

@@ -256,7 +256,7 @@ def run_incremental(
                 )
 
             # ---- telemetry history (DESIGN.md §14) -------------------
-            # Condensed span/metric/funnel/profile history rides in the
+            # Condensed span/metric/funnel history rides in the
             # SAME transaction: a crash inside this insert (the kill
             # matrix fires store.history.recorded) rolls the whole
             # epoch back to the previous watermark — run history can

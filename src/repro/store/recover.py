@@ -70,7 +70,6 @@ _SALVAGE_TABLES = (
     "history_spans",
     "history_metrics",
     "history_funnel",
-    "profile_samples",
 )
 
 #: Sidecar suffixes of a SQLite database in WAL mode.
@@ -413,10 +412,7 @@ def _trim_to_consistent(path: Path, report: RepairReport) -> None:
             )
             # History detail rows whose owning summary row was lost are
             # unreferenceable; drop them so the salvage stays coherent.
-            for detail in (
-                "history_spans", "history_metrics",
-                "history_funnel", "profile_samples",
-            ):
+            for detail in ("history_spans", "history_metrics", "history_funnel"):
                 store._execute(
                     f"DELETE FROM {detail} WHERE history_id NOT IN "
                     f"(SELECT history_id FROM history_runs)"

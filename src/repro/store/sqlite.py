@@ -209,14 +209,6 @@ CREATE TABLE IF NOT EXISTS history_funnel (
     count INTEGER,
     PRIMARY KEY (history_id, seq)
 );
-CREATE TABLE IF NOT EXISTS profile_samples (
-    history_id INTEGER NOT NULL,
-    seq INTEGER NOT NULL,
-    t REAL NOT NULL,
-    rss_kb REAL NOT NULL,
-    cpu_seconds REAL NOT NULL,
-    PRIMARY KEY (history_id, seq)
-);
 """
 
 #: ``pack_id``/``member_index`` are part of the ingest-memo primary key,
@@ -843,7 +835,7 @@ class RunStore:
 
     # ------------------------------------------------------------------
     # Telemetry history (DESIGN.md §14): span summaries, deterministic
-    # metric snapshots, funnel rows, profile samples.
+    # metric snapshots, funnel rows.
     # ------------------------------------------------------------------
     def save_history(self, summary, run_id: Optional[int] = None) -> int:
         """Persist one :class:`~repro.obs.history.HistorySummary`.
@@ -920,18 +912,6 @@ class RunStore:
             (
                 (history_id, seq, row.get("stage", "?"), row.get("count"))
                 for seq, row in enumerate(summary.funnel)
-            ),
-        )
-        self._executemany(
-            "INSERT INTO profile_samples "
-            "(history_id, seq, t, rss_kb, cpu_seconds) VALUES (?, ?, ?, ?, ?)",
-            (
-                (
-                    history_id, seq, float(sample.get("t", 0.0)),
-                    float(sample.get("rss_kb", 0.0)),
-                    float(sample.get("cpu_seconds", 0.0)),
-                )
-                for seq, sample in enumerate(summary.samples)
             ),
         )
         self.commit()
@@ -1020,18 +1000,6 @@ class RunStore:
             raise StoreCorruptionError(
                 f"{self.path}: history metric payload is not JSON: {exc}"
             ) from exc
-
-    def profile_samples(self, history_id: int) -> List[Dict[str, float]]:
-        """One history row's resource samples, in capture order."""
-        rows = self._execute(
-            "SELECT t, rss_kb, cpu_seconds FROM profile_samples "
-            "WHERE history_id=? ORDER BY seq",
-            (int(history_id),),
-        ).fetchall()
-        return [
-            {"t": float(r[0]), "rss_kb": float(r[1]), "cpu_seconds": float(r[2])}
-            for r in rows
-        ]
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

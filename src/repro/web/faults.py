@@ -29,10 +29,10 @@ benchmarks that need exact failure schedules rather than rates.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from .._rng import path_digest
 from .internet import FetchStatus
 
 __all__ = [
@@ -60,12 +60,7 @@ def stable_uniform(seed: int, *parts: str) -> float:
     >>> 0.0 <= stable_uniform(7, "anything") < 1.0
     True
     """
-    digest = hashlib.sha256()
-    digest.update(str(int(seed)).encode("ascii"))
-    for part in parts:
-        digest.update(b"\x1f")
-        digest.update(part.encode("utf-8"))
-    return int.from_bytes(digest.digest()[:8], "big") / _TWO_64
+    return int.from_bytes(path_digest(seed, *parts)[:8], "big") / _TWO_64
 
 
 @dataclass(frozen=True, slots=True)

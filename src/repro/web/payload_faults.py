@@ -28,12 +28,12 @@ host population), ``hostile`` (a heavily poisoned one).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from .._rng import path_digest
 from ..media.image import SyntheticImage
 from ..media.pack import Pack
 from .faults import stable_uniform
@@ -84,12 +84,7 @@ def stable_noise_seed(seed: int, *parts: str) -> int:
     so it is seeded from the same hash family as
     :func:`repro.web.faults.stable_uniform`.
     """
-    digest = hashlib.sha256()
-    digest.update(str(int(seed)).encode("ascii"))
-    for part in parts:
-        digest.update(b"\x1f")
-        digest.update(part.encode("utf-8"))
-    return int.from_bytes(digest.digest()[8:16], "big")
+    return int.from_bytes(path_digest(seed, *parts)[8:16], "big")
 
 
 def corrupt_raster(

@@ -6,6 +6,7 @@ they are session-scoped; tests must treat them as read-only.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -52,3 +53,24 @@ def report(world):
 def rng():
     """A fresh deterministic generator for unit tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def v1_trace(tmp_path):
+    """A profiled trace as schema version 1 wrote it: its header holds
+    only the seed, funnel, stage table and metrics (no ``cpu_count``)."""
+    header = {
+        "type": "meta", "kind": "repro.trace", "schema_version": 1, "seed": 3,
+        "funnel": [{"stage": "images_downloaded", "count": 94}],
+        "stages": [{"stage": "url_crawl", "status": "ok", "elapsed_seconds": 0.5}],
+        "metrics": [{"name": "crawl.links", "kind": "counter", "value": 27}],
+    }
+    spans = [
+        {"type": "span", "id": i, "parent": i - 1 or None, "name": name,
+         "duration": 1.0 / i, "status": "ok", "events": [{"name": "e"}] * (i - 1),
+         "attrs": {"profile.cpu_seconds": 0.4, "profile.rss_peak_kb": 80444}}
+        for i, name in ((1, "pipeline.run"), (2, "stage.url_crawl"))
+    ]
+    path = tmp_path / "v1.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *spans]))
+    return path

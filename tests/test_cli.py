@@ -174,7 +174,7 @@ class TestCommands:
 
     def test_tables_writes_files(self, tmp_path, capsys):
         out = tmp_path / "tables"
-        code = main(["tables", *CLI_WORLD, "--annotate", "200", "--out", str(out)])
+        code = main(["run", *CLI_WORLD, "--annotate", "200", "--out", str(out)])
         assert code == 0
         names = {p.name for p in out.iterdir()}
         assert {"table1_forums.txt", "digest.txt"} <= names

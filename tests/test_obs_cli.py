@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.cli import main
-from repro.obs.export import manifest_path_for, read_trace
+from repro.obs.export import MANIFEST_KEYS, TRACE_SCHEMA_VERSION, read_trace
 
 #: Tiny world so each CLI invocation stays fast.
 CLI_WORLD = ["--seed", "3", "--scale", "0.006"]
@@ -14,30 +14,21 @@ CLI_WORLD = ["--seed", "3", "--scale", "0.006"]
 class TestTraceOut:
     def test_run_writes_trace_and_manifest(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
-        code = main(
-            ["run", *CLI_WORLD, "--annotate", "200", "--trace-out", str(trace)]
+        assert main(["run", *CLI_WORLD, "--annotate", "200",
+                     "--trace-out", str(trace)]) == 0
+        # One file: the trace's header line is the run manifest.
+        assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
+        header, *spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert set(header) == {*MANIFEST_KEYS, "type", "kind", "schema_version",
+                               "created_unix"}
+        assert (header["type"], header["kind"], header["schema_version"]) == (
+            "meta", "repro.trace", TRACE_SCHEMA_VERSION
         )
-        assert code == 0
-        assert trace.exists()
-        manifest_path = manifest_path_for(trace)
-        assert manifest_path.exists()
-
-        # every line is a JSON object; first is the meta header
-        lines = trace.read_text().strip().splitlines()
-        records = [json.loads(line) for line in lines]
-        assert records[0]["type"] == "meta"
-        assert records[0]["seed"] == 3
-        assert all(r["type"] == "span" for r in records[1:])
-        assert len(records) > 5  # root + stages + fetches at least
-
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["kind"] == "repro.run_manifest"
-        assert manifest["seed"] == 3
-        # the manifest funnel equals the trace meta funnel
-        assert manifest["funnel"] == records[0]["funnel"]
-        funnel = {row["stage"]: row["count"] for row in manifest["funnel"]}
-        assert funnel["threads_selected"] > 0
-        assert funnel["unique_files"] > 0
+        assert header["seed"] == 3 and header["config"]["scale"] == 0.006
+        assert len(spans) > 4  # root + stages + fetches at least
+        assert all(r["type"] == "span" for r in spans)
+        funnel = {row["stage"]: row["count"] for row in header["funnel"]}
+        assert funnel["threads_selected"] > 0 and funnel["unique_files"] > 0
 
     def test_trace_meta_is_self_describing(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
@@ -47,18 +38,19 @@ class TestTraceOut:
         assert meta["stages"], "meta must embed the stage table"
         assert {s["name"] for s in spans} >= {"pipeline.run", "stage.url_crawl"}
 
-    def test_trace_subcommand_renders(self, tmp_path, capsys):
+    def test_trace_subcommand_renders(self, tmp_path, capsys, v1_trace):
         trace = tmp_path / "run.jsonl"
         main(["run", *CLI_WORLD, "--annotate", "200", "--trace-out", str(trace)])
         capsys.readouterr()  # drop the run output
-        code = main(["trace", str(trace)])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "-- flame summary --" in output
-        assert "pipeline.run" in output
-        assert "stage.url_crawl" in output
-        assert "-- funnel --" in output
-        assert "seed=3" in output
+        for path in (trace, v1_trace):
+            code = main(["trace", str(path)])
+            assert code == 0
+            output = capsys.readouterr().out
+            assert "-- flame summary --" in output
+            assert "pipeline.run" in output
+            assert "stage.url_crawl" in output
+            assert "-- funnel --" in output
+            assert "seed=3" in output
 
     def test_run_without_trace_out_writes_nothing(self, tmp_path, capsys):
         code = main(["run", *CLI_WORLD, "--annotate", "200"])

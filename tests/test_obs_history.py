@@ -7,13 +7,15 @@ contract.
 
 from __future__ import annotations
 
+import os
 import sqlite3
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main
 from repro.obs import ProfilingTracer, RunTelemetry, Tracer
-from repro.obs.export import write_trace
+from repro.obs.export import build_manifest, write_trace
 from repro.obs.history import (
     HistorySummary,
     diff_histories,
@@ -28,7 +30,7 @@ CLI_WORLD = ["--seed", "3", "--scale", "0.006"]
 
 
 def _telemetry(profiled: bool = False) -> RunTelemetry:
-    tracer = ProfilingTracer(sample_interval=0.0) if profiled else Tracer()
+    tracer = ProfilingTracer() if profiled else Tracer()
     tele = RunTelemetry(tracer=tracer)
     with tracer.span("pipeline.run"):
         with tracer.span("stage.crawl"):
@@ -89,19 +91,14 @@ class TestSummarizeTrace:
         tele = _telemetry(profiled=True)
         tele.tracer.stop()
         path = write_trace(
-            tmp_path / "t.jsonl",
-            tele.tracer.spans(),
-            meta={
-                "seed": 3,
-                "funnel": tele.funnel(),
-                "metrics": tele.deterministic_snapshot()["metrics"],
-            },
+            tmp_path / "t.jsonl", tele.tracer.spans(),
+            meta=build_manifest(SimpleNamespace(telemetry=tele), seed=3),
         )
         from_run = summarize_run(tele, seed=3)
         from_trace = summarize_trace(path)
-        assert from_trace.source == "trace"
-        assert from_trace.seed == 3
+        assert (from_trace.source, from_trace.seed) == ("trace", 3)
         assert from_trace.profiled
+        assert from_trace.cpu_count == from_run.cpu_count == os.cpu_count()
         assert from_trace.n_spans == from_run.n_spans
         assert from_trace.funnel == from_run.funnel
         assert from_trace.metrics == from_run.metrics
@@ -164,7 +161,8 @@ class TestStoreRoundTrip:
 
     def test_legacy_bench_results_store_still_works(self, tmp_path, capsys):
         # Earlier versions kept ingested bench results in a bench_results
-        # table; stores that hold one must still verify, repair and list.
+        # table and profiler samples in a profile_samples table; stores
+        # that hold them must still verify, repair and list.
         path = tmp_path / "s.sqlite"
         run_incremental(path, epoch=1, annotate_n=200, **WORLD)
         conn = sqlite3.connect(path)
@@ -176,6 +174,12 @@ class TestStoreRoundTrip:
         conn.execute(
             "INSERT INTO bench_results VALUES ('BENCH_telemetry', 5.0, '{}')"
         )
+        conn.execute(
+            "CREATE TABLE profile_samples (history_id INTEGER NOT NULL, "
+            "seq INTEGER NOT NULL, t REAL NOT NULL, rss_kb REAL NOT NULL, "
+            "cpu_seconds REAL NOT NULL, PRIMARY KEY (history_id, seq))"
+        )
+        conn.execute("INSERT INTO profile_samples VALUES (1, 0, 0.1, 8e4, 0.2)")
         conn.commit()
         conn.close()
         assert main(["store", "verify", str(path)]) == 0
@@ -374,31 +378,35 @@ class TestObsCli:
     def test_top_without_store_or_trace_exits_2(self):
         assert main(["obs", "top"]) == 2
 
-    def test_ingest_trace_then_top_trace(self, store_path, tmp_path, capsys):
+    def test_ingest_trace_then_top_trace(
+        self, store_path, tmp_path, capsys, v1_trace
+    ):
         trace = tmp_path / "t.jsonl"
         assert main(
             ["run", *CLI_WORLD, "--annotate", "200",
              "--trace-out", str(trace), "--profile"]
         ) == 0
         capsys.readouterr()
-        assert main(["obs", "top", "--trace", str(trace)]) == 0
-        assert "profiled" in capsys.readouterr().out
-        assert main(
-            ["obs", "ingest-trace", str(trace), "--store", str(store_path),
-             "--label", "from-trace"]
-        ) == 0
-        assert main(["obs", "runs", "--store", str(store_path)]) == 0
-        assert "from-trace" in capsys.readouterr().out
-        with RunStore(store_path) as store:
-            (row,) = [r for r in store.history_runs() if r["label"] == "from-trace"]
-            names = {m["name"] for m in store.history_metrics(row["history_id"])}
-        assert "crawl.links" in names
+        for path, label in ((trace, "from-trace"), (v1_trace, "from-v1")):
+            assert main(["obs", "top", "--trace", str(path)]) == 0
+            assert "profiled" in capsys.readouterr().out
+            assert main(
+                ["obs", "ingest-trace", str(path), "--store", str(store_path),
+                 "--label", label]
+            ) == 0
+            assert main(["obs", "runs", "--store", str(store_path)]) == 0
+            assert label in capsys.readouterr().out
+            with RunStore(store_path) as store:
+                (row,) = [r for r in store.history_runs() if r["label"] == label]
+                names = {m["name"] for m in store.history_metrics(row["history_id"])}
+            assert "crawl.links" in names
+        assert (row["seed"], row["cpu_count"], row["n_events"]) == (3, None, 1)
 
     def test_profiled_store_run_measurement_matches_plain(self, tmp_path):
         plain = run_incremental(
             tmp_path / "a.sqlite", epoch=1, annotate_n=200, **WORLD
         )
-        profiler = ProfilingTracer(allocations=True, sample_interval=0.0)
+        profiler = ProfilingTracer(allocations=True)
         profiler.start()
         try:
             profiled = run_incremental(
@@ -409,3 +417,13 @@ class TestObsCli:
             profiler.stop()
         assert plain.measurement == profiled.measurement
         assert plain.crawl_digest == profiled.crawl_digest
+
+    def test_ingested_trace_carries_cpu_count(self, store_path, tmp_path):
+        tele = _telemetry()
+        trace = write_trace(tmp_path / "t.jsonl", tele.tracer.spans(), meta=(
+            build_manifest(SimpleNamespace(telemetry=tele), seed=3)))
+        assert main(["obs", "ingest-trace", str(trace), "--store",
+                     str(store_path), "--label", "cpus"]) == 0
+        with RunStore(store_path) as store:
+            (row,) = [r for r in store.history_runs() if r["label"] == "cpus"]
+        assert row["cpu_count"] == os.cpu_count()

@@ -1,4 +1,4 @@
-"""Sampling profiler tests (repro.obs.profile, DESIGN.md §14).
+"""Resource profiler tests (repro.obs.profile, DESIGN.md §14).
 
 Covers the two contracts that make ``--profile`` safe to ship:
 
@@ -14,7 +14,7 @@ Covers the two contracts that make ``--profile`` safe to ship:
 
 from __future__ import annotations
 
-import time
+import threading
 
 import pytest
 
@@ -28,7 +28,6 @@ from repro.obs import (
 from repro.obs.profile import (
     ALLOC_SPAN_PREFIXES,
     PROFILE_ATTR_PREFIX,
-    rss_current_kb,
     rss_peak_kb,
 )
 
@@ -58,21 +57,12 @@ def _run(world, tracer=None):
 
 
 def _profiler(**kwargs):
-    kwargs.setdefault("sample_interval", 0.0)  # no sampler thread: exact spans
-    tracer = ProfilingTracer(**kwargs)
-    tracer.start()
-    return tracer
+    return ProfilingTracer(**kwargs).start()
 
 
 class TestRssHelpers:
     def test_peak_positive_on_linux(self):
         assert rss_peak_kb() > 0
-
-    def test_current_positive_and_at_most_peak(self):
-        current = rss_current_kb()
-        assert current > 0
-        # VmHWM is the high-water mark of VmRSS.
-        assert current <= rss_peak_kb() * 1.01 + 1024
 
 
 class TestProfilingTracer:
@@ -114,20 +104,6 @@ class TestProfilingTracer:
         tracer.stop()
         (span,) = tracer.spans()
         assert "profile.alloc_kb" not in span.attributes
-
-    def test_sampler_emits_samples_and_sample_spans(self):
-        tracer = ProfilingTracer(sample_interval=0.005)
-        tracer.start()
-        try:
-            with tracer.span("stage.sleepy"):
-                time.sleep(0.08)
-        finally:
-            tracer.stop()
-        samples = tracer.samples()
-        assert len(samples) >= 2
-        assert all(s["rss_kb"] > 0 for s in samples)
-        sample_spans = [s for s in tracer.spans() if s.name == "profile.sample"]
-        assert len(sample_spans) == len(samples)
 
     def test_stop_is_idempotent(self):
         tracer = _profiler()
@@ -221,9 +197,20 @@ class TestObserverPurity:
             [r.to_dict() for r in report_prof.quarantine.records]
         )
 
+    def test_profiler_starts_no_thread(self):
+        before = threading.active_count()
+        tracer = ProfilingTracer(allocations=True).start()
+        run_pipeline(_small_world(), annotate_n=SMALL_ANNOTATE,
+                     telemetry=RunTelemetry(tracer=tracer))
+        during = threading.active_count()
+        tracer.stop()
+        assert during == before
+
     def test_mixed_with_plain_tracer(self):
         _, tele_traced = _run(_small_world(), tracer=Tracer())
         _, tele_prof = _run(_small_world(), tracer=_profiler())
+        # Same spans: the profiler adds attributes, never spans.
+        assert len(tele_traced.tracer.spans()) == len(tele_prof.tracer.spans())
         assert tele_traced.measurement_view() == tele_prof.measurement_view()
         assert (
             tele_traced.deterministic_snapshot()
