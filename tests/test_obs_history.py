@@ -160,9 +160,8 @@ class TestStoreRoundTrip:
         assert "cpus: #1 on 2 vs #2 on 4" in capsys.readouterr().out
 
     def test_legacy_bench_results_store_still_works(self, tmp_path, capsys):
-        # Earlier versions kept ingested bench results in a bench_results
-        # table and profiler samples in a profile_samples table; stores
-        # that hold them must still verify, repair and list.
+        # Earlier versions kept bench_results and profile_samples tables;
+        # stores that hold them must still verify, repair and list.
         path = tmp_path / "s.sqlite"
         run_incremental(path, epoch=1, annotate_n=200, **WORLD)
         conn = sqlite3.connect(path)
@@ -420,8 +419,10 @@ class TestObsCli:
 
     def test_ingested_trace_carries_cpu_count(self, store_path, tmp_path):
         tele = _telemetry()
-        trace = write_trace(tmp_path / "t.jsonl", tele.tracer.spans(), meta=(
-            build_manifest(SimpleNamespace(telemetry=tele), seed=3)))
+        trace = write_trace(
+            tmp_path / "t.jsonl", tele.tracer.spans(),
+            meta=build_manifest(SimpleNamespace(telemetry=tele), seed=3),
+        )
         assert main(["obs", "ingest-trace", str(trace), "--store",
                      str(store_path), "--label", "cpus"]) == 0
         with RunStore(store_path) as store:
