@@ -55,6 +55,8 @@ for SIGINT, 143 for SIGTERM).
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
@@ -785,6 +787,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             exc, exc.exit_code,
         )
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro trace t.jsonl | head``).
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def _dispatch(args, log) -> int:

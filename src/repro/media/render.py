@@ -11,6 +11,8 @@ pixels* so that the vision substrate has something real to detect:
   the perceptual hash keys on.
 
 Rendering is pure: the same latent always yields bit-identical pixels.
+Each latent seeds its own generator, so an image renders the same at
+world build and at crawl time, whatever was rendered before it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from typing import Tuple
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # np.clip's ufunc, minus its Python dispatch
 
 from .image import ImageKind, ImageLatent
 
@@ -43,7 +46,7 @@ def skin_tone_for_model(model_id: int | None) -> np.ndarray:
     if model_id is not None:
         tone_rng = np.random.default_rng(model_id * 2654435761 % (2**32))
         jitter = tone_rng.uniform(-0.08, 0.08, size=3)
-        tone = np.clip(tone + jitter, 0.0, 1.0)
+        tone = _clip(tone + jitter, 0.0, 1.0)
     tone.setflags(write=False)
     return tone
 
@@ -85,9 +88,12 @@ def _render_base(latent: ImageLatent, rng: np.random.Generator) -> np.ndarray:
     if latent.word_count > 0:
         _paint_words(pixels, latent, rng)
 
-    # Per-image identity texture: low-amplitude seeded noise everywhere.
-    pixels += rng.normal(0.0, 0.015, size=pixels.shape)
-    return np.clip(pixels, 0.0, 1.0, out=pixels)
+    # Per-image identity texture: low-amplitude seeded noise everywhere,
+    # drawn in float32 (the precision the raster is returned in).
+    noise = rng.standard_normal(pixels.shape, dtype=np.float32)
+    noise *= np.float32(0.015)
+    pixels += noise
+    return _clip(pixels, 0.0, 1.0, out=pixels)
 
 
 def _screenshot_background(kind: ImageKind, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,53 +141,70 @@ def _landscape_background(size: int, rng: np.random.Generator) -> np.ndarray:
     ground = np.array([0.80, 0.66, 0.48]) if sandy else np.array([0.30, 0.55, 0.25])
     if horizon < size:
         shades = rng.uniform(0.9, 1.05, size=size - horizon)[:, None, None]
-        pixels[horizon:, :, :] = np.clip(ground[None, None, :] * shades, 0.0, 1.0)
+        pixels[horizon:, :, :] = _clip(ground[None, None, :] * shades, 0.0, 1.0)
     return pixels
 
 
 def _game_background(size: int, rng: np.random.Generator) -> np.ndarray:
-    pixels = np.zeros((size, size, 3), dtype=np.float64)
-    # HUD-style saturated rectangles.
-    n_blocks = int(rng.integers(6, 14))
+    # HUD-style saturated rectangles over a flat fill.
+    pixels = np.empty((size, size, 3), dtype=np.float64)
     pixels[:, :, :] = rng.uniform(0.1, 0.35, size=3)
-    for _ in range(n_blocks):
-        top = int(rng.integers(0, size - 8))
-        left = int(rng.integers(0, size - 8))
-        height = int(rng.integers(4, size // 2))
-        width = int(rng.integers(4, size // 2))
-        colour = _mostly_cool(rng, rng.uniform(0.2, 1.0, size=3), warm_rate=0.12)
+    n_blocks = int(rng.integers(6, 14))
+    rects = _rectangles(rng, n_blocks, size, margin=8)
+    colours = _mostly_cool(rng, rng.uniform(0.2, 1.0, size=(n_blocks, 3)), warm_rate=0.12)
+    for (top, left, height, width), colour in zip(rects, colours):
         pixels[top : top + height, left : left + width, :] = colour
     return pixels
 
 
-def _mostly_cool(rng: np.random.Generator, colour: np.ndarray, warm_rate: float) -> np.ndarray:
+def _rectangles(rng: np.random.Generator, n: int, size: int, margin: int) -> list:
+    """``n`` rectangles as ``[top, left, height, width]`` rows, in one draw.
+
+    Top and left fall in ``[0, size - margin)``, height and width in
+    ``[4, size // 2)``.
+    """
+    spans = (size - margin, size - margin, size // 2 - 4, size // 2 - 4)
+    return (rng.random((n, 4)) * spans + (0, 0, 4, 4)).astype(np.int64).tolist()
+
+
+def _mostly_cool(rng: np.random.Generator, colours: np.ndarray, warm_rate: float) -> np.ndarray:
     """Re-order channels so skin-like warm colours stay a minority.
 
     Game HUDs, UI chrome and interior decor are predominantly cool or
     saturated primaries; only a small fraction of incidental colours fall
     into the skin-tone cone (keeping the §4.4 hard-to-classify cases rare
-    but present).
+    but present).  ``colours`` is ``(n, 3)``; a warm row keeps its order
+    with probability ``warm_rate``, else is sorted ascending in place
+    (blue-dominant, never skin-like).
     """
-    r, g, b = colour
-    is_warm = r > g > b and (r - b) > 0.12
-    if is_warm and rng.random() > warm_rate:
-        return np.sort(colour)  # ascending → blue-dominant, never skin-like
-    return colour
+    for row, roll in zip(colours, rng.random(len(colours)).tolist()):
+        r, g, b = row.tolist()
+        if r > g > b and r - b > 0.12 and roll > warm_rate:
+            row.sort()
+    return colours
+
+
+@functools.lru_cache(maxsize=8)
+def _photo_gradient(size: int) -> np.ndarray:
+    """The soft vertical-plus-horizontal shading of a photo background."""
+    gradient = np.linspace(-0.08, 0.08, size)[:, None] + np.linspace(-0.05, 0.05, size)
+    gradient.setflags(write=False)
+    return gradient
 
 
 def _photo_background(size: int, rng: np.random.Generator) -> np.ndarray:
     # Muted indoor/outdoor photographic background with soft gradients.
-    base = _mostly_cool(rng, rng.uniform(0.25, 0.65, size=3), warm_rate=0.18)
-    vertical = np.linspace(-0.08, 0.08, size)[:, None, None]
-    horizontal = np.linspace(-0.05, 0.05, size)[None, :, None]
-    pixels = np.clip(base[None, None, :] + vertical + horizontal, 0.0, 1.0)
+    # The base is within [0.25, 0.65], so base plus gradient needs no clip.
+    base = _mostly_cool(rng, rng.uniform(0.25, 0.65, size=(1, 3)), warm_rate=0.18)[0]
+    pixels = np.empty((size, size, 3), dtype=np.float64)
+    # Added one channel plane at a time: NumPy's inner loop then runs
+    # along a row instead of across three channels.
+    np.add(_photo_gradient(size), base[:, None, None], out=pixels.transpose(2, 0, 1))
     # A few soft furniture/scenery rectangles.
-    for _ in range(int(rng.integers(2, 6))):
-        top = int(rng.integers(0, size - 6))
-        left = int(rng.integers(0, size - 6))
-        height = int(rng.integers(4, size // 2))
-        width = int(rng.integers(4, size // 2))
-        colour = np.clip(base + rng.uniform(-0.2, 0.2, size=3), 0.0, 1.0)
+    n_rects = int(rng.integers(2, 6))
+    rects = _rectangles(rng, n_rects, size, margin=6)
+    colours = _clip(base + rng.uniform(-0.2, 0.2, size=(n_rects, 3)), 0.0, 1.0)
+    for (top, left, height, width), colour in zip(rects, colours):
         pixels[top : top + height, left : left + width, :] = colour
     return pixels
 
@@ -200,25 +223,18 @@ _SKIN_HIGH = np.array([1.0, 2.5, 0.8, 0.8, np.pi])
 def _paint_skin(pixels: np.ndarray, latent: ImageLatent, rng: np.random.Generator) -> None:
     """Add elliptical skin-tone blobs until coverage reaches the target.
 
-    Bit-identical, in pixels and in RNG stream consumption, to drawing
-    each attempt's five parameters with scalar ``rng.uniform`` calls and
-    testing every blob on the full grid (``_paint_skin_reference`` in
-    ``tests/test_media.py``), at a fraction of the cost:
+    The first blob, the dominant body, is centred uniformly in the
+    central box (0.2–0.8 of each side).  Every later blob is centred on
+    an uncovered pixel of that box, chosen uniformly, or of the whole
+    grid once the box is full, so each one covers at least its centre
+    and no attempt is wasted on skin already painted.  Each blob's area
+    is sized from the coverage still missing, so the attempts are
+    sequential; model latents reach their target in about six.
 
-    * the parameters of all 64 attempts come from one ``rng.random`` call,
-      mapped as ``low + (high - low) * u``, which is exactly what
-      ``Generator.uniform`` computes.  The loop usually stops early, so
-      afterwards the generator is rewound and re-advanced by exactly the
-      draws the loop used, leaving the stream where the scalar calls
-      would have left it;
-    * the scalar geometry runs on Python floats (``math.sqrt`` and
-      ``math.floor`` are exact, like NumPy's); ``cos``/``sin`` stay NumPy
-      ufuncs, called once for all 64 angles, because NumPy's SIMD
-      kernels may differ from libm's in the last ulp;
-    * each blob is rasterised on its bounding box only, skipped when that
-      box is already fully covered (it cannot add coverage), and the
-      coverage count grows by the newly covered pixels instead of
-      rescanning the grid.
+    The parameters of all attempts come from one ``rng.random`` block,
+    whatever the number used, and each blob is rasterised on its
+    bounding box only.  ``_paint_skin_reference`` in
+    ``tests/test_media.py`` is the same painter on the full grid.
     """
     size = latent.size
     tone = skin_tone_for_model(latent.model_id)
@@ -227,25 +243,36 @@ def _paint_skin(pixels: np.ndarray, latent: ImageLatent, rng: np.random.Generato
     covered = np.zeros((size, size), dtype=bool)
     n_covered = 0
     axis = np.arange(size, dtype=np.float64)
+    lo, hi = math.ceil(0.2 * size), math.ceil(0.8 * size)
+    box = covered[lo:hi, lo:hi]
 
-    state = rng.bit_generator.state
-    params = _SKIN_LOW + (_SKIN_HIGH - _SKIN_LOW) * rng.random((_SKIN_ATTEMPTS, 5))
-    draws = zip(params.tolist(), np.cos(params[:, 4]).tolist(), np.sin(params[:, 4]).tolist())
-
-    # Start with one dominant body blob, then add limbs until coverage.
-    attempts = 0
-    for (area_scale, aspect, centre_r, centre_c, _), cos_a, sin_a in draws:
+    uniforms = rng.random((_SKIN_ATTEMPTS, 5))
+    params = _SKIN_LOW + (_SKIN_HIGH - _SKIN_LOW) * uniforms
+    draws = zip(
+        params.tolist(),
+        uniforms[:, 2].tolist(),
+        np.cos(params[:, 4]).tolist(),
+        np.sin(params[:, 4]).tolist(),
+    )
+    for (area_scale, aspect, centre_r, centre_c, _), pick, cos_a, sin_a in draws:
         coverage = n_covered / total_pixels
         if coverage >= target:
             break
-        attempts += 1
-        remaining = target - coverage
+        if n_covered:
+            # Centre on an uncovered pixel, of the central box while it
+            # has one.
+            free, origin, width = np.flatnonzero(~box), lo, hi - lo
+            if not free.size:
+                free, origin, width = np.flatnonzero(~covered), 0, size
+            row, col = divmod(int(free[int(pick * free.size)]), width)
+            centre_r, centre_c = float(origin + row), float(origin + col)
+        else:
+            centre_r *= size
+            centre_c *= size
         # Blob area proportional to what is still missing.
-        area = max(remaining * total_pixels * area_scale, 9.0)
+        area = max((target - coverage) * total_pixels * area_scale, 9.0)
         semi_minor = max(math.sqrt(area / (math.pi * aspect)), 1.5)
         semi_major = semi_minor * aspect
-        centre_r *= size
-        centre_c *= size
         # Axis-aligned bounding box of the rotated ellipse (+1px guard
         # against float fuzz at the rim).
         half_r = math.sqrt((semi_major * cos_a) ** 2 + (semi_minor * sin_a) ** 2) + 1.0
@@ -254,28 +281,26 @@ def _paint_skin(pixels: np.ndarray, latent: ImageLatent, rng: np.random.Generato
         r1 = min(math.ceil(centre_r + half_r) + 1, size)
         c0 = max(math.floor(centre_c - half_c), 0)
         c1 = min(math.ceil(centre_c + half_c) + 1, size)
-        if r0 >= r1 or c0 >= c1:
-            continue
+        # The rotated ellipse as a quadratic form in the offsets from its
+        # centre: a*dr² + b*dr*dc + c*dc² <= 1.
+        inv_major = 1.0 / (semi_major * semi_major)
+        inv_minor = 1.0 / (semi_minor * semi_minor)
+        a = cos_a * cos_a * inv_major + sin_a * sin_a * inv_minor
+        b = 2.0 * cos_a * sin_a * (inv_major - inv_minor)
+        c = sin_a * sin_a * inv_major + cos_a * cos_a * inv_minor
+        dr = axis[r0:r1] - centre_r
+        dc = axis[c0:c1] - centre_c
         window = covered[r0:r1, c0:c1]
         inside = np.count_nonzero(window)
-        if inside == window.size:
-            continue
-        dr = (axis[r0:r1] - centre_r)[:, None]
-        dc = (axis[c0:c1] - centre_c)[None, :]
-        rot_r = dr * cos_a + dc * sin_a
-        rot_c = -dr * sin_a + dc * cos_a
-        window |= (rot_r / semi_major) ** 2 + (rot_c / semi_minor) ** 2 <= 1.0
+        form = (a * dr * dr)[:, None] + (b * dr)[:, None] * dc
+        form += c * dc * dc
+        window |= form <= 1.0
         n_covered += np.count_nonzero(window) - inside
-
-    # Rewind, then re-draw exactly the parameters the loop consumed.
-    rng.bit_generator.state = state
-    rng.random(5 * attempts)
 
     # Shade only the covered pixels; a (3, n) product keeps NumPy's inner
     # loops long instead of three elements wide.
-    shading = rng.uniform(0.92, 1.05, size=(size, size))[covered]
-    blob = tone[:, None] * shading
-    np.clip(blob, 0.0, 1.0, out=blob)
+    blob = tone[:, None] * rng.uniform(0.92, 1.05, size=n_covered)
+    _clip(blob, 0.0, 1.0, out=blob)
     pixels[covered] = blob.T
 
 

@@ -117,11 +117,14 @@ def _fold(records: Iterable[Mapping[str, Any]], source: str) -> HistorySummary:
         )
     span_rows = aggregate_spans(slim)
 
+    # A span's CPU time includes its children's, so only roots add up.
     cpu_seconds: Optional[float] = None
     if profiled:
+        ids = {record["id"] for record in slim}
         cpu_seconds = sum(
-            float(row["cpu_seconds"]) for row in span_rows
-            if row.get("cpu_seconds") is not None
+            float(record["attrs"].get("profile.cpu_seconds") or 0.0)
+            for record in slim
+            if record["parent"] is None or record["parent"] not in ids
         )
     rss_values = [
         int(row["rss_peak_kb"]) for row in span_rows

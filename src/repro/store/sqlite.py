@@ -379,23 +379,26 @@ class RunStore:
     def bind_config(self, config) -> None:
         """Bind the store to a world config, or verify an existing binding.
 
-        First call stores the fingerprint; later calls require an exact
-        match (:class:`StoreConfigError` otherwise).  The *persisted*
+        First call stores the fingerprint and the world-stream version
+        (:data:`~repro.synth.world.WORLD_STREAM_VERSION`); later calls
+        require an exact match of both (:class:`StoreConfigError`
+        otherwise).  The *persisted*
         copy is re-validated through ``WorldConfig(**payload)`` before
         comparison — its eager ``__post_init__`` re-checks every profile
         name, so a tampered store cannot smuggle an invalid
         ``drift_profile``/``payload_profile`` string into a run.
         """
-        from ..synth.world import WorldConfig
+        from ..synth.world import WORLD_STREAM_VERSION, WorldConfig
 
         fingerprint = config_fingerprint(config)
         row = self._execute(
             "SELECT value FROM meta WHERE key='config_fingerprint'"
         ).fetchone()
         if row is None:
-            self._execute(
-                "INSERT INTO meta (key, value) VALUES ('config_fingerprint', ?)",
-                (fingerprint,),
+            self._executemany(
+                "INSERT INTO meta (key, value) VALUES (?, ?)",
+                [("config_fingerprint", fingerprint),
+                 ("world_stream", str(WORLD_STREAM_VERSION))],
             )
             self.commit()
             return
@@ -412,6 +415,17 @@ class RunStore:
                 f"{self.path}: store is bound to a different world "
                 f"configuration; refusing to mix runs.\n"
                 f"  stored:    {stored}\n  requested: {fingerprint}"
+            )
+        # A store bound before the version was recorded holds stream 1.
+        row = self._execute("SELECT value FROM meta WHERE key='world_stream'").fetchone()
+        stream = int(row[0]) if row is not None else 1
+        if stream != WORLD_STREAM_VERSION:
+            raise StoreConfigError(
+                f"{self.path}: store holds a world synthesised by stream "
+                f"version {stream}, and this build synthesises version "
+                f"{WORLD_STREAM_VERSION}; the same config is another world "
+                f"now, so its hashes and corpus cannot be mixed in. Start "
+                f"a new store."
             )
 
     # ------------------------------------------------------------------

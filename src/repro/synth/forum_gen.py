@@ -40,6 +40,8 @@ __all__ = ["ForumSpec", "FORUM_SPECS", "ForumWorldGenerator", "GeneratedForums",
 #: Dataset time bounds (§3: 11/2008 – 03/2019).
 DATASET_START = datetime(2008, 4, 1)
 DATASET_END = datetime(2019, 3, 31)
+_DATASET_START_US = np.datetime64(DATASET_START, "us")
+_MICROSECOND = timedelta(microseconds=1)
 
 #: Fraction of TOPs whose opener contains extractable links (§4.2: 774 of
 #: 4 137 = 18.7%); the rest gate the link behind replies or payment.
@@ -98,7 +100,7 @@ class IdAllocator:
         return next(self._counter)
 
     def take(self, n: int) -> List[int]:
-        return [next(self._counter) for _ in range(n)]
+        return list(itertools.islice(self._counter, n))
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +259,11 @@ class ForumWorldGenerator:
         self._model_weights = 1.0 / ranks**0.8
         self._model_weights /= self._model_weights.sum()
 
-        # Outputs
-        self.dataset = ForumDataset()
+        # Outputs.  Records are collected in emission order and loaded
+        # into the dataset in one bulk pass at the end.
+        self._records: Dict[str, list] = {
+            "forums": [], "boards": [], "actors": [], "threads": [], "posts": [],
+        }
         self.actors: Dict[int, GenActor] = {}
         self.thread_types: Dict[int, str] = {}
         self.packs: Dict[int, Pack] = {}
@@ -278,7 +283,7 @@ class ForumWorldGenerator:
         for spec in FORUM_SPECS:
             self._generate_forum(spec)
         return GeneratedForums(
-            dataset=self.dataset,
+            dataset=ForumDataset.from_sorted_records(**self._records),
             actors=self.actors,
             thread_types=self.thread_types,
             packs=self.packs,
@@ -304,7 +309,7 @@ class ForumWorldGenerator:
             has_ewhoring_board=spec.has_ewhoring_board,
             bans_ewhoring=spec.bans_ewhoring,
         )
-        self.dataset.add_forum(forum)
+        self._records["forums"].append(forum)
         boards = self._make_boards(spec, forum_id)
 
         n_actors = self._scaled(spec.n_actors, minimum=8)
@@ -354,7 +359,7 @@ class ForumWorldGenerator:
                 category=category,
                 **flags,
             )
-            self.dataset.add_board(board)
+            self._records["boards"].append(board)
             boards[key] = board
 
         for category in INTEREST_CATEGORIES:
@@ -750,21 +755,24 @@ class ForumWorldGenerator:
                 author_ids = author_ids[: self._MAX_REPLIES]
             rng.shuffle(author_ids)  # type: ignore[arg-type]
             stamps = _reply_schedule(rng, plan.created_at, len(author_ids))
+            n = len(stamps)
             pool = T.TOP_REPLY_BODIES if plan.thread_type == "top" else T.REPLY_BODIES
-            replies: List[ReplyPlan] = []
-            for reply_index, (author_id, stamp) in enumerate(zip(author_ids, stamps)):
-                quote: Optional[int] = None
-                if reply_index > 0 and rng.random() < 0.25:
-                    quote = int(rng.integers(0, reply_index + 1))
-                replies.append(
-                    ReplyPlan(
-                        author_id=author_id,
-                        created_at=stamp,
-                        content=T.choose(rng, pool),
-                        quote_position=quote,
-                    )
+            # A quarter of the replies after the first quote an earlier
+            # post (positions 0..index), drawn for the thread at once.
+            quoting, picks = rng.random((2, n))
+            quotes = (picks * np.arange(1, n + 1)).astype(np.int64).tolist()
+            plan.replies = [
+                ReplyPlan(
+                    author_id=author_id,
+                    created_at=stamp,
+                    content=content,
+                    quote_position=quote if index and roll < 0.25 else None,
                 )
-            plan.replies = replies
+                for index, (author_id, stamp, content, roll, quote) in enumerate(
+                    zip(author_ids, stamps, T.choose_many(rng, pool, n),
+                        quoting.tolist(), quotes)
+                )
+            ]
 
     def _set_ewhoring_windows(
         self, gen_actors: List[GenActor], plans: List[ThreadPlan]
@@ -916,13 +924,14 @@ class ForumWorldGenerator:
     ) -> List[ThreadPlan]:
         rng = self.rng
         board = boards["ce"]
-        users = [a for a in gen_actors if a.profile.uses_currency_exchange]
         joint = self._CE_JOINT
         weights = np.array([w for _, _, w in joint], dtype=np.float64)
         weights /= weights.sum()
 
         plans: List[ThreadPlan] = []
-        for actor in users:
+        for author_index, actor in enumerate(gen_actors):
+            if not actor.profile.uses_currency_exchange:
+                continue
             start = actor.first_ewhoring or DATASET_START
             end = min(
                 (actor.last_ewhoring or DATASET_END)
@@ -947,16 +956,18 @@ class ForumWorldGenerator:
                     is_ewhoring=False,
                 )
                 n_replies = int(rng.poisson(1.2))
-                stamps = _reply_schedule(rng, created_at, n_replies)
-                others = [a for a in gen_actors if a.actor_id != actor.actor_id]
-                plan.replies = [
-                    ReplyPlan(
-                        author_id=others[int(rng.integers(0, len(others)))].actor_id,
-                        created_at=stamp,
-                        content=T.choose(rng, T.REPLY_BODIES),
+                for stamp in _reply_schedule(rng, created_at, n_replies):
+                    # Anyone but the author: an index among the others,
+                    # stepped over the author's own position.
+                    other = int(rng.integers(0, len(gen_actors) - 1))
+                    other += other >= author_index
+                    plan.replies.append(
+                        ReplyPlan(
+                            author_id=gen_actors[other].actor_id,
+                            created_at=stamp,
+                            content=T.choose(rng, T.REPLY_BODIES),
+                        )
                     )
-                    for stamp in stamps
-                ]
                 plans.append(plan)
                 self.ce_thread_ids.append(plan.thread_id)
                 self.thread_types[plan.thread_id] = "ce"
@@ -988,12 +999,15 @@ class ForumWorldGenerator:
         forum_start: datetime,
     ) -> List[ThreadPlan]:
         rng = self.rng
-        # Collect per-category dated posts for every actor, then pack them
-        # into threads of ~8 posts per category.
-        category_posts: Dict[str, List[Tuple[datetime, int]]] = {
-            c: [] for c in INTEREST_CATEGORIES
-        }
+        # Date every actor's posts on other boards and pick each one's
+        # category, in one block draw per actor and phase, then pack each
+        # category's posts, in date order, into threads of ~8 posts.
+        # Dates are microseconds since DATASET_START until the packing.
+        categories: List[np.ndarray] = []
+        stamps: List[np.ndarray] = []
+        authors: List[np.ndarray] = []
         phase_split = (("before", 0.30), ("during", 0.45), ("after", 0.25))
+        floor = DATASET_START - timedelta(days=365)
         for actor in gen_actors:
             profile = actor.profile
             if profile.other_posts <= 0:
@@ -1010,46 +1024,54 @@ class ForumWorldGenerator:
                 if n_phase == 0:
                     continue
                 lo, hi = windows[phase]
-                lo = max(lo, DATASET_START - timedelta(days=365))
+                lo = max(lo, floor)
                 hi = min(max(hi, lo + timedelta(days=1)), DATASET_END)
-                span = (hi - lo).total_seconds()
-                mix = np.asarray(profile.interests[phase])
-                choices = rng.choice(len(INTEREST_CATEGORIES), size=n_phase, p=mix)
-                offsets = rng.random(n_phase)
-                for cat_index, offset in zip(choices, offsets):
-                    when = lo + timedelta(seconds=float(offset) * span)
-                    category_posts[INTEREST_CATEGORIES[int(cat_index)]].append(
-                        (when, actor.actor_id)
-                    )
+                cdf = np.cumsum(profile.interests[phase])
+                picks, offsets = rng.random((2, n_phase))
+                categories.append(np.searchsorted(cdf / cdf[-1], picks, side="right"))
+                stamps.append(
+                    (lo - DATASET_START) // _MICROSECOND
+                    + (offsets * ((hi - lo) // _MICROSECOND)).astype(np.int64)
+                )
+                authors.append(np.full(n_phase, actor.actor_id))
+        if not categories:
+            return []
+        category_of = np.concatenate(categories)
+        stamp_of = np.concatenate(stamps)
+        author_of = np.concatenate(authors)
 
         plans: List[ThreadPlan] = []
-        for category, posts in category_posts.items():
-            if not posts:
+        chunk = 8
+        for cat_index, category in enumerate(INTEREST_CATEGORIES):
+            (posts,) = np.nonzero(category_of == cat_index)
+            if not len(posts):
                 continue
-            posts.sort(key=lambda pair: pair[0])
+            posts = posts[np.argsort(stamp_of[posts], kind="stable")]
+            dates = (_DATASET_START_US + stamp_of[posts].astype("timedelta64[us]")).tolist()
+            post_authors = author_of[posts].tolist()
             board = boards[category]
-            chunk = 8
+            # Every post's body (openers included) in one draw.
+            bodies = T.choose_many(rng, T.OTHER_BOARD_BODIES, len(posts))
             for start in range(0, len(posts), chunk):
-                group = posts[start : start + chunk]
-                when, author_id = group[0]
+                stop = start + chunk
                 plan = ThreadPlan(
                     thread_id=self.ids.next(),
                     forum_id=forum_id,
                     board_id=board.board_id,
                     thread_type="other",
                     heading=T.render_template(rng, T.choose(rng, T.OTHER_BOARD_HEADINGS)),
-                    author_id=author_id,
-                    created_at=when,
-                    opener=T.choose(rng, T.OTHER_BOARD_BODIES),
+                    author_id=post_authors[start],
+                    created_at=dates[start],
+                    opener=bodies[start],
                     is_ewhoring=False,
                 )
                 plan.replies = [
-                    ReplyPlan(
-                        author_id=reply_author,
-                        created_at=reply_when,
-                        content=T.choose(rng, T.OTHER_BOARD_BODIES),
+                    ReplyPlan(author_id=author_id, created_at=when, content=body)
+                    for author_id, when, body in zip(
+                        post_authors[start + 1 : stop],
+                        dates[start + 1 : stop],
+                        bodies[start + 1 : stop],
                     )
-                    for reply_when, reply_author in group[1:]
                 ]
                 plans.append(plan)
                 self.thread_types[plan.thread_id] = "other"
@@ -1063,7 +1085,7 @@ class ForumWorldGenerator:
             first = actor.first_ewhoring or forum_start
             registered = first - timedelta(days=actor.profile.days_before + 1.0)
             registered = max(registered, DATASET_START - timedelta(days=730))
-            self.dataset.add_actor(
+            self._records["actors"].append(
                 Actor(
                     actor_id=actor.actor_id,
                     forum_id=actor.forum_id,
@@ -1074,7 +1096,7 @@ class ForumWorldGenerator:
             self.actors[actor.actor_id] = actor
 
     def _emit_thread(self, plan: ThreadPlan) -> None:
-        self.dataset.add_thread(
+        self._records["threads"].append(
             Thread(
                 thread_id=plan.thread_id,
                 board_id=plan.board_id,
@@ -1084,10 +1106,12 @@ class ForumWorldGenerator:
                 created_at=plan.created_at,
             )
         )
-        opener_id = self.ids.next()
-        self.dataset.add_post(
+        replies = sorted(plan.replies, key=lambda r: r.created_at)
+        post_ids = self.ids.take(len(replies) + 1)
+        posts = self._records["posts"]
+        posts.append(
             Post(
-                post_id=opener_id,
+                post_id=post_ids[0],
                 thread_id=plan.thread_id,
                 author_id=plan.author_id,
                 created_at=plan.created_at,
@@ -1095,22 +1119,18 @@ class ForumWorldGenerator:
                 position=0,
             )
         )
-        replies = sorted(plan.replies, key=lambda r: r.created_at)
-        position_to_id: Dict[int, int] = {0: opener_id}
         for position, reply in enumerate(replies, start=1):
-            post_id = self.ids.next()
-            quoted_id: Optional[int] = None
-            if reply.quote_position is not None:
-                quoted_id = position_to_id.get(min(reply.quote_position, position - 1))
-            self.dataset.add_post(
+            quote = reply.quote_position
+            posts.append(
                 Post(
-                    post_id=post_id,
+                    post_id=post_ids[position],
                     thread_id=plan.thread_id,
                     author_id=reply.author_id,
                     created_at=reply.created_at,
                     content=reply.content,
                     position=position,
-                    quoted_post_id=quoted_id,
+                    quoted_post_id=(
+                        None if quote is None else post_ids[min(quote, position - 1)]
+                    ),
                 )
             )
-            position_to_id[position] = post_id

@@ -192,22 +192,7 @@ def _sample_copy_count(rng: np.random.Generator, popularity: float) -> int:
         count = 40.0 * (1.0 + float(rng.pareto(1.1)))
     else:
         count = float(rng.lognormal(mean=2.2, sigma=1.05))
-    return int(np.clip(round(count * popularity), 1, 2500))
-
-
-def _noisy_hash(rng: np.random.Generator, base_hash: int) -> int:
-    """Per-copy hash: the origin hash with 0–3 recompression bit flips.
-
-    Copies are never downloaded by the pipeline, only matched against, so
-    their rasters are not materialised; the flip model reproduces the
-    Hamming perturbation that re-hosting (recompression, thumbnailing)
-    introduces — see DESIGN.md §2.
-    """
-    n_flips = int(rng.integers(0, 4))
-    value = base_hash
-    for _ in range(n_flips):
-        value ^= 1 << int(rng.integers(0, 64))
-    return value
+    return min(max(round(count * popularity), 1), 2500)
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +244,7 @@ def generate_supply_side(
         origin_day = int(rng.uniform(0.0, 0.85) * total_days)
         origin_date = world_start + timedelta(days=origin_day)
         is_underage = bool(rng.random() < underage_rate)
-        popularity = float(np.clip(rng.lognormal(0.0, 0.5), 0.3, 6.0))
+        popularity = min(max(float(rng.lognormal(0.0, 0.5)), 0.3), 6.0)
         model = ModelIdentity(
             model_id=model_id,
             home_domain=home.domain,
@@ -338,13 +323,26 @@ def _attach_copy_plans(
 def fill_copy_hashes(
     rng: np.random.Generator, circulating: CirculatingImage, base_hash: int
 ) -> None:
-    """Assign per-copy hashes derived from the origin image's hash."""
+    """Assign per-copy hashes: the origin hash with 0–3 recompression bit flips.
+
+    Copies are never downloaded by the pipeline, only matched against, so
+    their rasters are not materialised; the flip model reproduces the
+    Hamming perturbation that re-hosting (recompression, thumbnailing)
+    introduces — see DESIGN.md §2.  One draw gives every copy's flip
+    count and three candidate bit positions, of which the first count
+    are flipped (a position drawn twice flips back).
+    """
+    n = len(circulating.copies)
+    draws = rng.integers(0, (4, 64, 64, 64), size=(n, 4)).astype(np.uint64)
+    bits = np.left_shift(np.uint64(1), draws[:, 1:])
+    bits[np.arange(3) >= draws[:, :1]] = 0
+    hashes = np.bitwise_xor.reduce(bits, axis=1) ^ np.uint64(base_hash)
     circulating.copies = [
         OriginCopy(
             domain=copy.domain,
             published_at=copy.published_at,
-            copy_hash=_noisy_hash(rng, base_hash),
+            copy_hash=copy_hash,
             url_path=copy.url_path,
         )
-        for copy in circulating.copies
+        for copy, copy_hash in zip(circulating.copies, hashes.tolist())
     ]

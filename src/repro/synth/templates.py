@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "choose",
+    "choose_many",
     "choose_mixed",
     "corrupt_heading",
     "render_template",
@@ -283,6 +284,11 @@ def choose(rng: np.random.Generator, pool: Sequence[str]) -> str:
     return pool[int(rng.integers(0, len(pool)))]
 
 
+def choose_many(rng: np.random.Generator, pool: Sequence[str], k: int) -> List[str]:
+    """Pick ``k`` templates uniformly, in one draw."""
+    return [pool[i] for i in rng.integers(0, len(pool), size=k).tolist()]
+
+
 def choose_mixed(
     rng: np.random.Generator,
     common: Sequence[str],
@@ -300,6 +306,14 @@ def choose_mixed(
     return choose(rng, common)
 
 
+_SITES = ("Omegle", "Kik", "Snapchat", "Skype", "Tinder", "Chatroulette")
+
+#: ``render_template``'s random defaults, drawn in one call as integers in
+#: ``[low, high)``: name index, n, m, year, site index, amount.
+_DEFAULT_LOW = np.array([0, 10, 1, 2009, 0, 20])
+_DEFAULT_HIGH = np.array([len(GIRL_NAMES), 400, 30, 2020, len(_SITES), 900])
+
+
 def render_template(rng: np.random.Generator, template: str, **extra: str) -> str:
     """Fill a template's placeholders with plausible values.
 
@@ -307,13 +321,14 @@ def render_template(rng: np.random.Generator, template: str, **extra: str) -> st
     URL list).  Unknown placeholders in ``extra`` are ignored by templates
     that do not use them.
     """
+    name, n, m, year, site, amount = rng.integers(_DEFAULT_LOW, _DEFAULT_HIGH).tolist()
     values = {
-        "name": choose(rng, GIRL_NAMES),
-        "n": str(int(rng.integers(10, 400))),
-        "m": str(int(rng.integers(1, 30))),
-        "year": str(int(rng.integers(2009, 2020))),
-        "site": choose(rng, ("Omegle", "Kik", "Snapchat", "Skype", "Tinder", "Chatroulette")),
-        "amount": f"${int(rng.integers(20, 900))}",
+        "name": GIRL_NAMES[name],
+        "n": str(n),
+        "m": str(m),
+        "year": str(year),
+        "site": _SITES[site],
+        "amount": f"${amount}",
         "url": "",
         "previews": "",
         "packlink": "",

@@ -51,12 +51,20 @@ from .models_gen import (
 )
 
 __all__ = [
+    "WORLD_STREAM_VERSION",
     "World",
     "WorldConfig",
     "build_world",
     "epoch_cutoff",
     "slice_dataset_to_epoch",
 ]
+
+#: Version of the random stream world synthesis draws.  One config gives
+#: another world under another version, so a store records the version
+#: its world hashes and corpus came from and refuses a build of another.
+#: Version 2 block-draws the forum, template, copy-hash and background
+#: randomness and centres each later skin blob on uncovered skin.
+WORLD_STREAM_VERSION = 2
 
 #: Latest date the TinEye-analogue could have crawled anything.
 _CRAWL_HORIZON = datetime(2019, 9, 30)

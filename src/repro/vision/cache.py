@@ -105,6 +105,9 @@ class Featurizer:
         self.cache = cache if cache is not None else VisionCache()
         self.hashlist = hashlist
         self.scorer = scorer if scorer is not None else NsfwScorer()
+        #: Scores this featurizer computed, counted by the hashlist state
+        #: (radius, entry count) each was screened against.
+        self._screened: Dict[Any, int] = {}
 
     def features(self, digest: str, image) -> Dict[str, Any]:
         """``digest``'s record, completed from ``image.pixels`` if needed.
@@ -123,6 +126,8 @@ class Featurizer:
             if "nsfw" in record or self._matched(image_hash):
                 return record
         record["nsfw"] = self.scorer.score(pixels)
+        state = self._hashlist_state()
+        self._screened[state] = self._screened.get(state, 0) + 1
         return record
 
     def adopt(self, other: "Featurizer") -> None:
@@ -134,13 +139,19 @@ class Featurizer:
         its scores would not be this run's.  A digest this cache already
         holds keeps its record, and a copied score is dropped where this
         run's hashlist matches the hash, so this cache never holds the
-        score of an abuse image.
+        score of an abuse image.  That check is skipped when ``other``
+        computed every score it holds itself, screening each against this
+        very hashlist at the radius and entry count it has now.
         """
         if other.scorer != self.scorer:
             return
         new = {d: dict(r) for d, r in other.cache.items() if d not in self.cache}
         scored = [record for record in new.values() if "nsfw" in record]
-        if self.hashlist is not None and scored:
+        n_scores = sum("nsfw" in record for record in other.cache.values())
+        screened = other.hashlist is self.hashlist and other._screened == {
+            self._hashlist_state(): n_scores
+        }
+        if self.hashlist is not None and scored and not screened:
             matches = self.hashlist.match_hashes([int(r["hash"]) for r in scored])
             for record, match in zip(scored, matches):
                 if match.matched:
@@ -153,6 +164,11 @@ class Featurizer:
         if "ocr" not in record:
             record["ocr"] = ocr.word_count(image.pixels)
         return int(record["ocr"])
+
+    def _hashlist_state(self):
+        if self.hashlist is None:
+            return None
+        return (self.hashlist.radius, self.hashlist.n_entries)
 
     def _matched(self, image_hash: int) -> bool:
         return self.hashlist is not None and self.hashlist.match_hash(int(image_hash)).matched

@@ -44,6 +44,18 @@ class TestFillCopyHashes:
         for copy in circulating.copies:
             assert 0 <= hamming_distance(copy.copy_hash, base) <= 3
 
+    def test_flips_zero_to_three_bits_per_copy(self, rng):
+        # Every copy of every image sits 0–3 bits from its origin hash,
+        # and each of those distances occurs.
+        supply = generate_supply_side(rng, n_models=3, n_origin_sites=60)
+        flips = []
+        for circulating in supply.circulating_images()[:40]:
+            base = int(rng.integers(0, 2**63)) * 2 + 1
+            fill_copy_hashes(rng, circulating, base)
+            flips.extend(hamming_distance(c.copy_hash, base) for c in circulating.copies)
+        assert len(flips) > 200
+        assert set(flips) == {0, 1, 2, 3}
+
     def test_plan_metadata_preserved(self, rng):
         supply = generate_supply_side(rng, n_models=2, n_origin_sites=60)
         circulating = supply.models[0].pool[0]

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.cli import main
-from repro.obs.export import MANIFEST_KEYS, TRACE_SCHEMA_VERSION, read_trace
+from repro.obs import Tracer
+from repro.obs.export import MANIFEST_KEYS, TRACE_SCHEMA_VERSION, read_trace, write_trace
 
 #: Tiny world so each CLI invocation stays fast.
 CLI_WORLD = ["--seed", "3", "--scale", "0.006"]
@@ -80,3 +86,27 @@ class TestLoggingFlags:
         captured = capsys.readouterr()
         assert "building world" not in captured.err
         assert "== selection" in captured.out  # stdout output unaffected
+
+
+class TestClosedStdout:
+    def test_trace_into_a_reader_that_closes_early(self, tmp_path):
+        """``repro trace t.jsonl | head`` ends quietly: the reader takes
+        one line and closes the pipe while the render is still being
+        written, and no traceback reaches stderr."""
+        tracer = Tracer()
+        with tracer.span("pipeline.run"):
+            for i in range(3000):
+                with tracer.span(f"stage.s{i}"):
+                    pass
+        path = write_trace(tmp_path / "t.jsonl", tracer.spans(), meta={"seed": 3})
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "trace", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

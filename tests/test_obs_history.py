@@ -78,6 +78,24 @@ class TestSummarizeRun:
         assert summary.cpu_seconds is not None and summary.cpu_seconds >= 0
         assert summary.peak_rss_kb > 0
 
+    def test_profiled_cpu_counts_nested_spans_once(self, tmp_path):
+        # Each span's CPU time includes its children's: the run's CPU is
+        # the root's, however deep the nesting, from the run and from
+        # its written trace alike.
+        tracer = ProfilingTracer()
+        tele = RunTelemetry(tracer=tracer)
+        with tracer.span("pipeline.run"):
+            with tracer.span("stage.crawl"):
+                with tracer.span("crawl.fetch"):
+                    sum(range(200_000))
+        tracer.stop()
+        root = next(s for s in tracer.spans() if s.parent_id is None)
+        root_cpu = root.attributes["profile.cpu_seconds"]
+        path = write_trace(tmp_path / "t.jsonl", tracer.spans(),
+                           meta=build_manifest(SimpleNamespace(telemetry=tele)))
+        for summary in (summarize_run(tele), summarize_trace(path)):
+            assert summary.cpu_seconds == pytest.approx(root_cpu)
+
     def test_null_tracer_still_summarises_funnel(self):
         tele = RunTelemetry()
         tele.funnel_row("images_downloaded", 7)

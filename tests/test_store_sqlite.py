@@ -104,6 +104,26 @@ class TestBindConfig:
         with pytest.raises(StoreConfigError):
             store.bind_config(WorldConfig(seed=7, scale=0.01, epoch_total=4))
 
+    @pytest.mark.parametrize("stamp", [None, "1"])
+    def test_store_of_an_older_world_stream_refused(self, tmp_path, stamp):
+        """A store written before the world stream changed holds hashes
+        of another world: stream 1, or no stamp at all (bound before the
+        version was recorded).  Binding it to this build must refuse."""
+        path = tmp_path / "old.sqlite"
+        cfg = WorldConfig(seed=7, scale=0.01)
+        with RunStore(path) as s:
+            s.bind_config(cfg)
+        conn = sqlite3.connect(str(path))
+        if stamp is None:
+            conn.execute("DELETE FROM meta WHERE key='world_stream'")
+        else:
+            conn.execute("UPDATE meta SET value=? WHERE key='world_stream'", (stamp,))
+        conn.commit()
+        conn.close()
+        with RunStore(path) as s:
+            with pytest.raises(StoreConfigError, match="stream version 1"):
+                s.bind_config(cfg)
+
     def test_tampered_persisted_config_fails_revalidation(self, tmp_path):
         path = tmp_path / "tampered.sqlite"
         with RunStore(path) as s:

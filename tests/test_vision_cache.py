@@ -167,6 +167,47 @@ class TestVisionCache:
             "clean": {"hash": 8, "nsfw": 0.1},
         }
 
+    @pytest.mark.parametrize("drift_radius", [None, 2])
+    def test_adopt_rematches_only_when_the_hashlist_moved(self, monkeypatch, drift_radius):
+        """Scores the build screened against the run's own hashlist, at
+        its current radius and entry count, are adopted without a
+        lookup; a radius set after the build (drift's ``set_radius``)
+        forces the re-match, which drops a score that now matches."""
+        service = HashListService(radius=0)
+        service.add_entry(HashListEntry(entry_hash=0, severity=AbuseSeverity.CATEGORY_B))
+        scorer = CountingScorer({1: 0.2})
+        built = Featurizer(hashlist=service, scorer=scorer)
+        built.cache["d1"] = {"hash": 0b11}  # 2 bits from the entry
+        built.features("d1", _tagged(1).image)
+        assert built.cache["d1"] == {"hash": 0b11, "nsfw": 0.2}
+        if drift_radius is not None:
+            service.set_radius(drift_radius)
+
+        lookups = []
+        match_hashes = service.match_hashes
+        monkeypatch.setattr(
+            service, "match_hashes", lambda hashes: lookups.append(hashes) or match_hashes(hashes)
+        )
+        run = Featurizer(hashlist=service, scorer=scorer)
+        run.adopt(built)
+        if drift_radius is None:
+            assert lookups == []
+            assert run.cache == {"d1": {"hash": 0b11, "nsfw": 0.2}}
+        else:
+            assert lookups == [[0b11]]
+            assert run.cache == {"d1": {"hash": 0b11}}
+
+    def test_adopt_rematches_scores_the_source_did_not_compute(self):
+        # A record handed to the build featurizer, not scored by it, may
+        # never have been screened: the run re-matches it.
+        service = HashListService(radius=0)
+        service.add_entry(HashListEntry(entry_hash=7, severity=AbuseSeverity.CATEGORY_B))
+        built = Featurizer(hashlist=service)
+        built.cache["listed"] = {"hash": 7, "nsfw": 0.5}
+        run = Featurizer(hashlist=service)
+        run.adopt(built)
+        assert run.cache == {"listed": {"hash": 7}}
+
     def test_stats_summary_renders(self):
         stats = VisionCacheStats(hits=3, misses=1, n_entries=2)
         text = stats.summary()
