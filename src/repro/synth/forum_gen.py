@@ -1002,13 +1002,12 @@ class ForumWorldGenerator:
         # Date every actor's posts on other boards and pick each one's
         # category, in one block draw per actor and phase, then pack each
         # category's posts, in date order, into threads of ~8 posts.
-        # Dates are microseconds since DATASET_START until the packing.
-        categories: List[np.ndarray] = []
-        stamps: List[np.ndarray] = []
-        authors: List[np.ndarray] = []
+        # Dates are microseconds since DATASET_START, and authors indices
+        # into ``gen_actors``, until the packing.
+        segments = []  # (actor index, category mix, posts, start, span)
         phase_split = (("before", 0.30), ("during", 0.45), ("after", 0.25))
         floor = DATASET_START - timedelta(days=365)
-        for actor in gen_actors:
+        for actor_index, actor in enumerate(gen_actors):
             profile = actor.profile
             if profile.other_posts <= 0:
                 continue
@@ -1026,19 +1025,25 @@ class ForumWorldGenerator:
                 lo, hi = windows[phase]
                 lo = max(lo, floor)
                 hi = min(max(hi, lo + timedelta(days=1)), DATASET_END)
-                cdf = np.cumsum(profile.interests[phase])
-                picks, offsets = rng.random((2, n_phase))
-                categories.append(np.searchsorted(cdf / cdf[-1], picks, side="right"))
-                stamps.append(
-                    (lo - DATASET_START) // _MICROSECOND
-                    + (offsets * ((hi - lo) // _MICROSECOND)).astype(np.int64)
-                )
-                authors.append(np.full(n_phase, actor.actor_id))
-        if not categories:
+                segments.append((
+                    actor_index, profile.interests[phase], n_phase,
+                    (lo - DATASET_START) // _MICROSECOND, (hi - lo) // _MICROSECOND,
+                ))
+        if not segments:
             return []
-        category_of = np.concatenate(categories)
-        stamp_of = np.concatenate(stamps)
-        author_of = np.concatenate(authors)
+        n_posts = sum(segment[2] for segment in segments)
+        category_of = np.empty(n_posts, dtype=np.intp)
+        stamp_of = np.empty(n_posts, dtype=np.int64)
+        author_of = np.empty(n_posts, dtype=np.intp)
+        start = 0
+        for actor_index, mix, n_phase, lo, span in segments:
+            stop = start + n_phase
+            cdf = np.cumsum(mix)
+            picks, offsets = rng.random((2, n_phase))
+            category_of[start:stop] = np.searchsorted(cdf / cdf[-1], picks, side="right")
+            stamp_of[start:stop] = lo + (offsets * span).astype(np.int64)
+            author_of[start:stop] = actor_index
+            start = stop
 
         plans: List[ThreadPlan] = []
         chunk = 8
@@ -1048,7 +1053,8 @@ class ForumWorldGenerator:
                 continue
             posts = posts[np.argsort(stamp_of[posts], kind="stable")]
             dates = (_DATASET_START_US + stamp_of[posts].astype("timedelta64[us]")).tolist()
-            post_authors = author_of[posts].tolist()
+            # Each post refers to its actor's own id object, not a copy.
+            post_authors = [gen_actors[i].actor_id for i in author_of[posts].tolist()]
             board = boards[category]
             # Every post's body (openers included) in one draw.
             bodies = T.choose_many(rng, T.OTHER_BOARD_BODIES, len(posts))

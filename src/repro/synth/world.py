@@ -237,15 +237,15 @@ def build_world(
     # ------------------------------------------------------------- forums
     max_image_id = max(supply.by_image_id, default=0)
     ids = IdAllocator(start=max_image_id + 1)
-    generator = ForumWorldGenerator(
+    # The generator and its record lists are garbage once it returns.
+    forums = ForumWorldGenerator(
         tree.rng("forums"),
         supply=supply,
         internet=internet,
         ids=ids,
         scale=config.scale,
         with_other_activity=config.with_other_activity,
-    )
-    forums = generator.generate()
+    ).generate()
 
     # ----------------------------------------------------- web intelligence
     image_features = Featurizer(hashlist=hashlist)
