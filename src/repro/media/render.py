@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 from numpy._core.umath import clip as _clip  # np.clip's ufunc, minus its Python dispatch
@@ -157,7 +157,7 @@ def _game_background(size: int, rng: np.random.Generator) -> np.ndarray:
     return pixels
 
 
-def _rectangles(rng: np.random.Generator, n: int, size: int, margin: int) -> list:
+def _rectangles(rng: np.random.Generator, n: int, size: int, margin: int) -> List[List[int]]:
     """``n`` rectangles as ``[top, left, height, width]`` rows, in one draw.
 
     Top and left fall in ``[0, size - margin)``, height and width in

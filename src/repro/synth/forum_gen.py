@@ -615,7 +615,7 @@ class ForumWorldGenerator:
 
         model_index = int(rng.choice(len(self.supply.models), p=self._model_weights))
         model = self.supply.models[model_index]
-        n_images = int(np.clip(rng.lognormal(4.31, 0.6), 8, 400))
+        n_images = int(min(max(float(rng.lognormal(4.31, 0.6)), 8.0), 400.0))
         pool = model.pool
         if n_images >= len(pool):
             chosen = list(pool)

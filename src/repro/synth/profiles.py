@@ -205,7 +205,7 @@ def sample_profile(rng: np.random.Generator) -> ActorProfile:
     days_after = float(rng.exponential(_DAYS_AFTER_MEAN[archetype]))
 
     share_mean = _EWHORING_SHARE_MEAN[archetype]
-    share = float(np.clip(rng.normal(share_mean, 0.10), 0.05, 0.95))
+    share = min(max(float(rng.normal(share_mean, 0.10)), 0.05), 0.95)
     other_posts = int(round(posts * (1.0 - share) / share))
 
     interests = {
