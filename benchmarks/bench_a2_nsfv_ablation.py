@@ -23,17 +23,24 @@ SFV_KINDS = [(ImageKind.PROOF_SCREENSHOT, 40), (ImageKind.CHAT_SCREENSHOT, 20),
              (ImageKind.DOCUMENT, 20), (ImageKind.LANDSCAPE, 20),
              (ImageKind.GAME_SCREENSHOT, 10), (ImageKind.MEME, 10)]
 
+#: Draws of the 210-image composition above.  Claim (b) needs an indecent
+#: image scored inside Algorithm 1's 0.01-0.05 band: one draw of 90 NSFV
+#: images holds none at 7 of 100 latent seeds (either renderer), and with
+#: three draws the assertions below held at all of 200.
+DRAWS = 3
+
 
 @pytest.fixture(scope="module")
 def labelled_images():
     rng = np.random.default_rng(777)
     images = []
-    for kind, count in NSFV_KINDS:
-        for i in range(count):
-            images.append((SyntheticImage(0, sample_latent(rng, kind, model_id=i)), True))
-    for kind, count in SFV_KINDS:
-        for _ in range(count):
-            images.append((SyntheticImage(0, sample_latent(rng, kind)), False))
+    for _ in range(DRAWS):
+        for kind, count in NSFV_KINDS:
+            for i in range(count):
+                images.append((SyntheticImage(0, sample_latent(rng, kind, model_id=i)), True))
+        for kind, count in SFV_KINDS:
+            for _ in range(count):
+                images.append((SyntheticImage(0, sample_latent(rng, kind)), False))
     return images
 
 

@@ -337,15 +337,25 @@ class ForumDataset:
     def validate(self) -> None:
         """Re-check referential integrity over the whole dataset.
 
-        Construction already validates incrementally; this is a belt-and-
-        braces sweep for deserialised datasets.
+        ``add_*`` validates incrementally; a bulk load
+        (:meth:`from_sorted_records`) relies on this sweep, so it makes
+        every reference check ``add_*`` makes.
         """
         for board in self._boards.values():
             if board.forum_id not in self._forums:
                 raise DatasetError(f"board {board.board_id} dangling forum")
+        for actor in self._actors.values():
+            if actor.forum_id not in self._forums:
+                raise DatasetError(f"actor {actor.actor_id} dangling forum")
         for thread in self._threads.values():
-            if thread.board_id not in self._boards:
+            board = self._boards.get(thread.board_id)
+            if board is None:
                 raise DatasetError(f"thread {thread.thread_id} dangling board")
+            if board.forum_id != thread.forum_id:
+                raise DatasetError(
+                    f"thread {thread.thread_id} claims forum {thread.forum_id} "
+                    f"but its board belongs to forum {board.forum_id}"
+                )
             if thread.author_id not in self._actors:
                 raise DatasetError(f"thread {thread.thread_id} dangling author")
         for post in self._posts.values():

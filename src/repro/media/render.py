@@ -22,7 +22,6 @@ import math
 from typing import List, Tuple
 
 import numpy as np
-from numpy._core.umath import clip as _clip  # np.clip's ufunc, minus its Python dispatch
 
 from .image import ImageKind, ImageLatent
 
@@ -46,7 +45,7 @@ def skin_tone_for_model(model_id: int | None) -> np.ndarray:
     if model_id is not None:
         tone_rng = np.random.default_rng(model_id * 2654435761 % (2**32))
         jitter = tone_rng.uniform(-0.08, 0.08, size=3)
-        tone = _clip(tone + jitter, 0.0, 1.0)
+        tone = np.clip(tone + jitter, 0.0, 1.0)
     tone.setflags(write=False)
     return tone
 
@@ -93,7 +92,7 @@ def _render_base(latent: ImageLatent, rng: np.random.Generator) -> np.ndarray:
     noise = rng.standard_normal(pixels.shape, dtype=np.float32)
     noise *= np.float32(0.015)
     pixels += noise
-    return _clip(pixels, 0.0, 1.0, out=pixels)
+    return np.clip(pixels, 0.0, 1.0, out=pixels)
 
 
 def _screenshot_background(kind: ImageKind, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -141,7 +140,7 @@ def _landscape_background(size: int, rng: np.random.Generator) -> np.ndarray:
     ground = np.array([0.80, 0.66, 0.48]) if sandy else np.array([0.30, 0.55, 0.25])
     if horizon < size:
         shades = rng.uniform(0.9, 1.05, size=size - horizon)[:, None, None]
-        pixels[horizon:, :, :] = _clip(ground[None, None, :] * shades, 0.0, 1.0)
+        pixels[horizon:, :, :] = np.clip(ground[None, None, :] * shades, 0.0, 1.0)
     return pixels
 
 
@@ -203,7 +202,7 @@ def _photo_background(size: int, rng: np.random.Generator) -> np.ndarray:
     # A few soft furniture/scenery rectangles.
     n_rects = int(rng.integers(2, 6))
     rects = _rectangles(rng, n_rects, size, margin=6)
-    colours = _clip(base + rng.uniform(-0.2, 0.2, size=(n_rects, 3)), 0.0, 1.0)
+    colours = np.clip(base + rng.uniform(-0.2, 0.2, size=(n_rects, 3)), 0.0, 1.0)
     for (top, left, height, width), colour in zip(rects, colours):
         pixels[top : top + height, left : left + width, :] = colour
     return pixels
@@ -300,7 +299,7 @@ def _paint_skin(pixels: np.ndarray, latent: ImageLatent, rng: np.random.Generato
     # Shade only the covered pixels; a (3, n) product keeps NumPy's inner
     # loops long instead of three elements wide.
     blob = tone[:, None] * rng.uniform(0.92, 1.05, size=n_covered)
-    _clip(blob, 0.0, 1.0, out=blob)
+    np.clip(blob, 0.0, 1.0, out=blob)
     pixels[covered] = blob.T
 
 

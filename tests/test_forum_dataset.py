@@ -104,6 +104,18 @@ class TestIntegrity:
     def test_validate_passes_on_consistent(self):
         make_minimal().validate()
 
+    @pytest.mark.parametrize("defect", ["actor_forum", "thread_forum"])
+    def test_bulk_load_checks_what_add_checks(self, defect):
+        forums = [Forum(1, "F"), Forum(2, "G")]
+        boards = [Board(10, 1, "B")]
+        actors = [Actor(100, 3 if defect == "actor_forum" else 1, "a", T0)]
+        # Board 10 belongs to forum 1; a thread under it claiming forum 2
+        # is what add_thread refuses.
+        threads = [Thread(1000, 10, 2 if defect == "thread_forum" else 1, 100, "h", T0)]
+        posts = [Post(5000, 1000, 100, T0, "c", 0)]
+        with pytest.raises(DatasetError):
+            ForumDataset.from_sorted_records(forums, boards, actors, threads, posts)
+
 
 class TestQueries:
     def test_counts(self):

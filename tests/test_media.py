@@ -353,19 +353,6 @@ class TestSkinPainter:
             assert latent.skin_fraction <= coverage
             assert coverage <= latent.skin_fraction + self.MAX_OVERSHOOT, latent
 
-    @given(st.integers(0, 2**31), st.floats(0.01, 0.75))
-    @settings(max_examples=40, deadline=None)
-    def test_painter_is_deterministic_per_latent(self, seed, skin_fraction):
-        from repro.media.render import _paint_skin
-
-        latent = latent_for(seed=seed, skin_fraction=skin_fraction)
-        first, second = (np.zeros((latent.size, latent.size, 3)) for _ in range(2))
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        _paint_skin(first, latent, rng_a)
-        _paint_skin(second, latent, rng_b)
-        assert np.array_equal(first, second)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
     def test_build_and_crawl_renders_agree(self):
         """An image the world build rendered, featurised and dropped
         renders to the same digest again later, in another order and on
