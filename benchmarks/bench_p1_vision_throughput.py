@@ -9,6 +9,10 @@ Writes ``benchmarks/results/BENCH_vision.json`` with images/second for
   the vectorised resize/pack kernels);
 * ``batched``       — :func:`repro.vision.batch.hash_batch` over the
   whole stack;
+* ``nsfw_scalar``   — :meth:`repro.vision.NsfwScorer.score` per image;
+* ``nsfw_block``    — :meth:`repro.vision.NsfwScorer.score_block` over
+  blocks of 64, as the world build scores.  Both score rendered images
+  of every kind, the build's input: uniform noise is all speckle;
 
 plus the VisionCache hit rate of a full pipeline run and the acceptance
 ratio ``batched / seed_scalar`` (target: ≥ 3×).
@@ -26,7 +30,8 @@ import numpy as np
 import pytest
 from scipy import fft as scipy_fft
 
-from repro.vision import hash_batch, robust_hash
+from repro.media import ImageKind, SyntheticImage, sample_latent
+from repro.vision import NsfwScorer, hash_batch, robust_hash
 from repro.vision.batch import prepare_thumbnails
 
 from _common import (
@@ -41,6 +46,7 @@ from _common import (
 N_RASTERS = int(os.environ.get("REPRO_BENCH_VISION_N", "512"))
 REPEATS = int(os.environ.get("REPRO_BENCH_VISION_REPEATS", "3"))
 RASTER_SHAPE = (64, 64, 3)  # the synthetic renderer's native raster size
+SCORE_BLOCK = 64  # images per score_block call, as in the world build
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +106,15 @@ def _best_rate(fn, n_images: int, repeats: int = REPEATS) -> float:
     return n_images / best
 
 
+def _render_rasters(n: int) -> list:
+    rng = np.random.default_rng(BENCH_SEED)
+    kinds = list(ImageKind)
+    return [
+        SyntheticImage(i, sample_latent(rng, kinds[i % len(kinds)], model_id=1)).pixels
+        for i in range(n)
+    ]
+
+
 @pytest.fixture(scope="module")
 def rasters():
     return _make_rasters(N_RASTERS)
@@ -111,10 +126,20 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
     seed_hashes = [_seed_robust_hash(r) for r in sample]
     assert [robust_hash(r) for r in sample] == seed_hashes
     assert [int(h) for h in hash_batch(sample)] == seed_hashes
+    scorer = NsfwScorer()
+    rendered = _render_rasters(len(rasters))
+    for stack in (sample, rendered):
+        assert scorer.score_block(stack) == [scorer.score(r) for r in stack]
+
+    def score_blocks():
+        for start in range(0, len(rendered), SCORE_BLOCK):
+            scorer.score_block(rendered[start : start + SCORE_BLOCK])
 
     seed_rate = _best_rate(lambda: [_seed_robust_hash(r) for r in rasters], len(rasters))
     scalar_rate = _best_rate(lambda: [robust_hash(r) for r in rasters], len(rasters))
     batched_rate = _best_rate(lambda: hash_batch(rasters), len(rasters))
+    nsfw_scalar_rate = _best_rate(lambda: [scorer.score(r) for r in rendered], len(rendered))
+    nsfw_block_rate = _best_rate(score_blocks, len(rendered))
     benchmark.pedantic(lambda: hash_batch(rasters), rounds=1, iterations=1)
 
     cache_stats = bench_report.vision_cache_stats
@@ -131,11 +156,14 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
             "seed_scalar": round(seed_rate, 1),
             "scalar": round(scalar_rate, 1),
             "batched": round(batched_rate, 1),
+            "nsfw_scalar": round(nsfw_scalar_rate, 1),
+            "nsfw_block": round(nsfw_block_rate, 1),
         },
         "speedup": {
             "batched_vs_seed_scalar": round(batched_rate / seed_rate, 2),
             "batched_vs_scalar": round(batched_rate / scalar_rate, 2),
             "scalar_vs_seed_scalar": round(scalar_rate / seed_rate, 2),
+            "nsfw_block_vs_scalar": round(nsfw_block_rate / nsfw_scalar_rate, 2),
         },
         "vision_cache": (
             {
@@ -158,6 +186,9 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
         f"current scalar   : {scalar_rate:,.0f} img/s",
         f"batched          : {batched_rate:,.0f} img/s",
         f"speedup (vs seed): {speed:.2f}× (target ≥ 3×)",
+        f"nsfw per image   : {nsfw_scalar_rate:,.0f} img/s",
+        f"nsfw blocks of {SCORE_BLOCK}: {nsfw_block_rate:,.0f} img/s "
+        f"({nsfw_block_rate / nsfw_scalar_rate:.2f}×)",
         f"vision cache     : "
         + (cache_stats.summary() if cache_stats is not None else "n/a"),
     ]

@@ -741,12 +741,14 @@ def _run_obs_command(args, log) -> int:
                     if not row["flagged"] and flagged:
                         continue  # flagged-only view when anything changed
                     mark = "!" if row["flagged"] else " "
-                    ratio = row.get("ratio")
+                    ratio = _fmt_opt(row.get("ratio"), "7.3f")
+                    if not row["comparable"]:
+                        ratio = "n/c"  # the two rows define it differently
                     print(
                         f"{mark:>2} {row['kind']:<9} {row['name'][:36]:<36} "
                         f"{_fmt_opt(row.get('a'), '>12.6g'):>12} "
                         f"{_fmt_opt(row.get('b'), '>12.6g'):>12} "
-                        f"{_fmt_opt(ratio, '7.3f'):>7}"
+                        f"{ratio:>7}"
                     )
                 return 0
 

@@ -247,9 +247,13 @@ def diff_histories(
 ) -> List[Dict[str, Any]]:
     """Metric/funnel/resource deltas between two history rows.
 
-    Returns rows ``{kind, name, a, b, delta, ratio, flagged}`` —
-    ``flagged`` when the relative change exceeds ``threshold`` (or a
+    Returns rows ``{kind, name, a, b, delta, ratio, flagged, comparable}``
+    — ``flagged`` when the relative change exceeds ``threshold`` (or a
     value appears/disappears).  The CLI prints flagged rows first.
+
+    ``wall_seconds`` means the whole epoch on a store-run row but the
+    longest span on an ingested trace row, so between rows of different
+    ``source`` it is not comparable: no delta, no ratio, no flag.
     """
     runs = {run["history_id"]: run for run in store.history_runs()}
     for history_id in (id_a, id_b):
@@ -259,16 +263,15 @@ def diff_histories(
 
     rows: List[Dict[str, Any]] = []
 
-    def add(kind: str, name: str, a: Optional[float], b: Optional[float]) -> None:
+    def add(
+        kind: str, name: str, a: Optional[float], b: Optional[float],
+        comparable: bool = True,
+    ) -> None:
         if a is None and b is None:
             return
-        delta = None if a is None or b is None else b - a
-        ratio = (
-            None
-            if a is None or b is None or a == 0
-            else b / a
-        )
-        flagged = (
+        delta = None if a is None or b is None or not comparable else b - a
+        ratio = None if delta is None or a == 0 else b / a
+        flagged = comparable and (
             a is None
             or b is None
             or (ratio is not None and abs(ratio - 1.0) > threshold)
@@ -278,16 +281,14 @@ def diff_histories(
             {
                 "kind": kind, "name": name, "a": a, "b": b,
                 "delta": delta, "ratio": ratio, "flagged": bool(flagged),
+                "comparable": comparable,
             }
         )
 
-    for key, kind in (
-        ("wall_seconds", "resource"),
-        ("cpu_seconds", "resource"),
-        ("peak_rss_kb", "resource"),
-        ("n_quarantined", "resource"),
-    ):
-        add(kind, key, run_a.get(key), run_b.get(key))
+    same_source = run_a.get("source") == run_b.get("source")
+    for key in ("wall_seconds", "cpu_seconds", "peak_rss_kb", "n_quarantined"):
+        comparable = same_source or key != "wall_seconds"
+        add("resource", key, run_a.get(key), run_b.get(key), comparable)
 
     funnel_a, funnel_b = _funnel_map(run_a), _funnel_map(run_b)
     for stage in sorted(set(funnel_a) | set(funnel_b)):

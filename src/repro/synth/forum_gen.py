@@ -58,6 +58,9 @@ PACK_RESHARE_RATE = 0.18
 #: (the §4.1 noisy-text limitation; the A4 ablation measures the cost).
 HEADING_CORRUPTION_RATE = 0.08
 
+#: Posts per thread on the other (non-eWhoring) boards.
+_OTHER_THREAD_POSTS = 8
+
 
 @dataclass(frozen=True, slots=True)
 class ForumSpec:
@@ -150,8 +153,6 @@ class ThreadPlan:
     created_at: datetime
     opener: str
     replies: List[ReplyPlan] = field(default_factory=list)
-    is_ewhoring: bool = True
-    pack_ids: Tuple[int, ...] = ()
     #: Relative pull on repliers; reply counts emerge from attractiveness
     #: times the audience active at the thread's date (heavy-tailed).
     attractiveness: float = 1.0
@@ -336,16 +337,17 @@ class ForumWorldGenerator:
 
         # --- currency exchange / other boards ----------------------------
         ce_plans: List[ThreadPlan] = []
-        other_plans: List[ThreadPlan] = []
+        other_activity: list = []
         if spec.has_ewhoring_board:
             ce_plans = self._plan_currency_exchange(forum_id, boards, gen_actors)
         if self.with_other_activity:
-            other_plans = self._plan_other_activity(forum_id, boards, gen_actors, forum_start)
+            other_activity = self._plan_other_activity(boards, gen_actors, forum_start)
 
         # --- emission -----------------------------------------------------
         self._emit_actors(gen_actors, forum_start)
-        for plan in itertools.chain(thread_plans, ce_plans, other_plans):
+        for plan in itertools.chain(thread_plans, ce_plans):
             self._emit_thread(plan)
+        self._emit_other_activity(forum_id, other_activity)
 
     # ------------------------------------------------------------------
     def _make_boards(self, spec: ForumSpec, forum_id: int) -> Dict[str, Board]:
@@ -575,7 +577,6 @@ class ForumWorldGenerator:
         # the rest gate previews and packs behind replies or payment, so
         # nothing is hosted for them.
         with_links = rng.random() < TOP_LINK_RATE
-        pack_ids = [pack.pack_id]
         if with_links:
             preview_urls = self._host_previews(pack, created_at)
             pack_urls = self._host_pack(pack, created_at)
@@ -583,7 +584,6 @@ class ForumWorldGenerator:
             # downloads 1 255 packs from 774 link-bearing threads).
             for _ in range(int(rng.poisson(0.6))):
                 extra = self._obtain_pack(author, created_at)
-                pack_ids.append(extra.pack_id)
                 pack_urls.extend(self._host_pack(extra, created_at))
             opener_template = T.choose(rng, T.TOP_OPENERS)
             opener = T.render_template(
@@ -604,7 +604,6 @@ class ForumWorldGenerator:
             author_id=author.actor_id,
             created_at=created_at,
             opener=opener,
-            pack_ids=tuple(pack_ids),
         )
 
     def _obtain_pack(self, author: GenActor, when: datetime) -> Pack:
@@ -953,7 +952,6 @@ class ForumWorldGenerator:
                     author_id=actor.actor_id,
                     created_at=created_at,
                     opener=T.choose(rng, T.REPLY_BODIES),
-                    is_ewhoring=False,
                 )
                 n_replies = int(rng.poisson(1.2))
                 for stamp in _reply_schedule(rng, created_at, n_replies):
@@ -993,11 +991,13 @@ class ForumWorldGenerator:
     # ------------------------------------------------------------------
     def _plan_other_activity(
         self,
-        forum_id: int,
         boards: Dict[str, Board],
         gen_actors: List[GenActor],
         forum_start: datetime,
-    ) -> List[ThreadPlan]:
+    ) -> list:
+        """Per category ``(board id, [(thread id, heading)], authors, dates,
+        bodies)``, posts in date order, for :meth:`_emit_other_activity`
+        to emit as records with no plan object per thread or post."""
         rng = self.rng
         # Date every actor's posts on other boards and pick each one's
         # category, in one block draw per actor and phase, then pack each
@@ -1045,8 +1045,7 @@ class ForumWorldGenerator:
             author_of[start:stop] = actor_index
             start = stop
 
-        plans: List[ThreadPlan] = []
-        chunk = 8
+        planned = []
         for cat_index, category in enumerate(INTEREST_CATEGORIES):
             (posts,) = np.nonzero(category_of == cat_index)
             if not len(posts):
@@ -1055,33 +1054,27 @@ class ForumWorldGenerator:
             dates = (_DATASET_START_US + stamp_of[posts].astype("timedelta64[us]")).tolist()
             # Each post refers to its actor's own id object, not a copy.
             post_authors = [gen_actors[i].actor_id for i in author_of[posts].tolist()]
-            board = boards[category]
             # Every post's body (openers included) in one draw.
             bodies = T.choose_many(rng, T.OTHER_BOARD_BODIES, len(posts))
-            for start in range(0, len(posts), chunk):
-                stop = start + chunk
-                plan = ThreadPlan(
-                    thread_id=self.ids.next(),
-                    forum_id=forum_id,
-                    board_id=board.board_id,
-                    thread_type="other",
-                    heading=T.render_template(rng, T.choose(rng, T.OTHER_BOARD_HEADINGS)),
-                    author_id=post_authors[start],
-                    created_at=dates[start],
-                    opener=bodies[start],
-                    is_ewhoring=False,
-                )
-                plan.replies = [
-                    ReplyPlan(author_id=author_id, created_at=when, content=body)
-                    for author_id, when, body in zip(
-                        post_authors[start + 1 : stop],
-                        dates[start + 1 : stop],
-                        bodies[start + 1 : stop],
-                    )
-                ]
-                plans.append(plan)
-                self.thread_types[plan.thread_id] = "other"
-        return plans
+            headings = [
+                (self.ids.next(), T.render_template(rng, T.choose(rng, T.OTHER_BOARD_HEADINGS)))
+                for _ in range(0, len(posts), _OTHER_THREAD_POSTS)
+            ]
+            self.thread_types.update((thread_id, "other") for thread_id, _ in headings)
+            planned.append((boards[category].board_id, headings, post_authors, dates, bodies))
+        return planned
+
+    def _emit_other_activity(self, forum_id: int, planned: list) -> None:
+        """Emit planned other-board threads; post ids are one block after every other thread's."""
+        post_ids = iter(self.ids.take(sum(len(p[2]) for p in planned)))
+        threads, posts = self._records["threads"], self._records["posts"]
+        for board_id, headings, authors, dates, bodies in planned:
+            for start, (thread_id, heading) in zip(itertools.count(0, _OTHER_THREAD_POSTS), headings):
+                threads.append(Thread(thread_id, board_id, forum_id, authors[start], heading, dates[start]))
+                stop = start + _OTHER_THREAD_POSTS
+                rows = zip(authors[start:stop], dates[start:stop], bodies[start:stop])
+                for position, (author_id, when, body) in enumerate(rows):
+                    posts.append(Post(next(post_ids), thread_id, author_id, when, body, position))
 
     # ------------------------------------------------------------------
     # Emission

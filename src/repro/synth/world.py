@@ -17,6 +17,7 @@ provenance, underage flags).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Dict, List, Optional, Set
@@ -26,17 +27,18 @@ from ..forum.dataset import ForumDataset
 from ..media.image import ImageKind, SyntheticImage
 from ..media.validate import CorruptPayloadError, validate_raster
 from ..vision.cache import Featurizer
-from ..vision.photodna import (
+from ..vision.photodna import (  # robust_hash: benchmarks/e2e/layers.py wraps it
     AbuseSeverity,
     HashListEntry,
     HashListService,
+    robust_hash,  # noqa: F401
 )
 from ..vision.reverse_search import IndexedCopy, ReverseImageIndex
 from ..web.archive import WaybackArchive
 from ..web.faults import FaultInjector, fault_profile
 from ..web.internet import SimulatedInternet
 from ..web.payload_faults import PayloadFaultInjector, payload_profile
-from ..vision.photodna import robust_hash
+from ..vision.batch import hash_batch
 from .forum_gen import (
     DATASET_END,
     ForumWorldGenerator,
@@ -72,6 +74,9 @@ _CRAWL_HORIZON = datetime(2019, 9, 30)
 #: Full-scale supply-side sizes (see DESIGN.md calibration notes).
 _FULL_MODELS = 900
 _FULL_ORIGIN_SITES = 7000
+
+#: Images the build renders, hashes and scores together (96 KiB each).
+_FEATURE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -195,12 +200,24 @@ def build_world(
     is a pure function of the world seed, so a persistent store can
     carry it across runs.  The memo changes no rng draw and no value —
     bit-identity is unaffected.
+
+    The build makes no reference cycles, so the cyclic garbage collector
+    is paused while it runs (DESIGN.md §7), then set back as it was.
     """
     if config is None:
         config = WorldConfig(**overrides)
     elif overrides:
         raise TypeError("pass either a WorldConfig or keyword overrides, not both")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build(config, world_hashes)
+    finally:
+        if enabled:
+            gc.enable()
 
+
+def _build(config: WorldConfig, world_hashes: Optional[Dict[int, int]]) -> World:
     tree = SeedSequenceTree(config.seed, "world")
     internet = SimulatedInternet(seed=tree.seed("internet"))
     if config.fault_profile is not None:
@@ -415,32 +432,31 @@ def _build_web_intelligence(
 
     # Hash every image before the rng loop below, hashlist images first,
     # so the hashlist is complete before any image is NSFW-scored and no
-    # abuse image is ever scored.  No rng draw happens here.
+    # abuse image is ever scored.  No rng draw happens here.  A block's
+    # entries go in before its images are scored.
     base_hashes: List[int] = [0] * len(in_use)
     listed_first = sorted(range(len(in_use)), key=lambda i: not in_use[i].in_hashlist)
-    for i in listed_first:
-        circulating = in_use[i]
-        image = circulating.image
-        memoised = None if world_hashes is None else world_hashes.get(image.image_id)
-        if memoised is None:
-            base_hashes[i] = robust_hash(image.pixels)
-            if world_hashes is not None:
-                world_hashes[image.image_id] = base_hashes[i]
-        else:
-            base_hashes[i] = int(memoised)
-        if circulating.in_hashlist:
-            model_id = image.latent.model_id
-            actionable = model_id in verified_model_ids
-            hashlist.add_entry(
-                HashListEntry(
-                    entry_hash=base_hashes[i],
-                    severity=_severity_for(image.kind),
-                    victim_age=victim_ages.get(model_id) if actionable else None,
-                    actionable=actionable,
+    memo = {} if world_hashes is None else world_hashes
+    for start in range(0, len(listed_first), _FEATURE_BLOCK):
+        block = listed_first[start : start + _FEATURE_BLOCK]
+        fresh = [in_use[i].image for i in block if memo.get(in_use[i].image.image_id) is None]
+        hashes = hash_batch([image.pixels for image in fresh]).tolist()
+        memo.update((image.image_id, image_hash) for image, image_hash in zip(fresh, hashes))
+        for i in block:
+            image = in_use[i].image
+            base_hashes[i] = int(memo[image.image_id])
+            if in_use[i].in_hashlist:
+                model_id = image.latent.model_id
+                actionable = model_id in verified_model_ids
+                hashlist.add_entry(
+                    HashListEntry(
+                        entry_hash=base_hashes[i],
+                        severity=_severity_for(image.kind),
+                        victim_age=victim_ages.get(model_id) if actionable else None,
+                        actionable=actionable,
+                    )
                 )
-            )
-        if memoised is None:
-            _featurise(image, base_hashes[i], features)
+        _featurise(fresh, hashes, features)
 
     for circulating, base_hash in zip(in_use, base_hashes):
         fill_copy_hashes(rng, circulating, base_hash)
@@ -465,23 +481,27 @@ def _build_web_intelligence(
             archive.observe_publication(url, copy.published_at)
 
 
-def _featurise(image: SyntheticImage, base_hash: int, features: Featurizer) -> None:
-    """Record ``image``'s features while its pixels are live, then drop them.
+def _featurise(images: List[SyntheticImage], hashes: List[int], features: Featurizer) -> None:
+    """Record the features of ``images`` while their pixels are live, then drop them.
 
-    §4.3 hash-then-delete, done once per rendered image: the raster is
+    §4.3 hash-then-delete, done once per rendered image: each raster is
     validated and digested, and its record takes the hash the build
-    computed; ``features`` adds the NSFW score unless its hashlist
-    matches that hash.  An image failing validation gets no record, so
-    a crawl validates (and quarantines) it as it would any download.
+    computed; ``features`` adds the NSFW scores, as one block, of those
+    its hashlist does not match.  An image failing validation gets no
+    record, so a crawl validates (and quarantines) it as it would any
+    download.
     """
-    try:
-        validate_raster(image.pixels)
-    except CorruptPayloadError:
-        pass
-    else:
-        features.cache.setdefault(image.content_digest, {"hash": base_hash})
-        features.features(image.content_digest, image)
-    image.drop_pixels()
+    items = []
+    for image, image_hash in zip(images, hashes):
+        try:
+            validate_raster(image.pixels)
+        except CorruptPayloadError:
+            continue
+        features.cache.setdefault(image.content_digest, {"hash": image_hash})
+        items.append((image.content_digest, image))
+    features.features_block(items)
+    for image in images:
+        image.drop_pixels()
 
 
 def _severity_for(kind: ImageKind) -> AbuseSeverity:

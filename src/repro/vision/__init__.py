@@ -8,7 +8,7 @@ each distinct image's hash / NSFW / OCR record once, into the
 content-addressed :class:`VisionCache` every pipeline stage reads.
 """
 
-from .batch import hash_batch, hash_batch_ints, prepare_thumbnails
+from .batch import hash_batch, prepare_thumbnails
 from .bits import hamming_matrix, pack_bits_rows, popcount
 from .cache import Featurizer, VisionCache, VisionCacheStats
 from .nsfw import NsfwScorer, nsfw_score, skin_mask
@@ -50,7 +50,6 @@ __all__ = [
     "hamming_distance",
     "hamming_matrix",
     "hash_batch",
-    "hash_batch_ints",
     "nsfw_score",
     "ocr_word_count",
     "pack_bits_rows",

@@ -25,7 +25,7 @@ back to a lookup table below NumPy 2.0 (see DESIGN.md §7).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import fft as scipy_fft
@@ -36,14 +36,12 @@ from ..media.validate import (
     NonFinitePixelError,
     WrongShapeError,
 )
-from ..obs.trace import NULL_TRACER
 from .bits import hamming_matrix, pack_bits_rows, popcount
 from .photodna import _HASH_GRID, _resize_axis, _to_grayscale, robust_hash
 
 __all__ = [
     "hamming_matrix",
     "hash_batch",
-    "hash_batch_ints",
     "pack_bits_rows",
     "popcount",
     "prepare_thumbnails",
@@ -158,7 +156,7 @@ def _thumbnails_uniform(
         thumbs[start : start + c] = small
 
 
-def hash_batch(rasters: Sequence[np.ndarray], tracer=None) -> np.ndarray:
+def hash_batch(rasters: Sequence[np.ndarray]) -> np.ndarray:
     """64-bit DCT perceptual hashes of many rasters, as a ``uint64`` array.
 
     Pipeline per image is exactly :func:`robust_hash` — grayscale →
@@ -168,16 +166,9 @@ def hash_batch(rasters: Sequence[np.ndarray], tracer=None) -> np.ndarray:
     packing is a single vectorised shift/sum instead of ``64n`` Python
     loop iterations.
 
-    ``tracer`` (a :class:`~repro.obs.trace.Tracer`-shaped recorder)
-    wraps the kernel in a ``vision.hash_batch`` span carrying the image
-    count.
-
     Returns an empty array for an empty input.  Results are
     bit-identical to ``[robust_hash(r) for r in rasters]``.
     """
-    if tracer is not None and tracer is not NULL_TRACER:
-        with tracer.span("vision.hash_batch", n_images=len(rasters)):
-            return hash_batch(rasters)
     thumbs = prepare_thumbnails(rasters)
     n = thumbs.shape[0]
     if n == 0:
@@ -194,8 +185,3 @@ def hash_batch(rasters: Sequence[np.ndarray], tracer=None) -> np.ndarray:
     blocks[:, 0] = spectra[:, 8, 8]  # drop the DC term (pure brightness)
     medians = np.median(blocks, axis=1, keepdims=True)
     return pack_bits_rows(blocks > medians)
-
-
-def hash_batch_ints(rasters: Sequence[np.ndarray]) -> List[int]:
-    """Like :func:`hash_batch` but returning Python ints (API sugar)."""
-    return [int(h) for h in hash_batch(rasters)]

@@ -26,7 +26,7 @@ its pixels where a stage first needs it, so old stores still load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .nsfw import NsfwScorer
 from .photodna import HashListService, robust_hash
@@ -115,20 +115,31 @@ class Featurizer:
         The hashlist is consulted at most once per request.
         """
         record = self.cache.setdefault(digest, {})
-        image_hash = record.get("hash")
-        if image_hash is not None and ("nsfw" in record or self._matched(image_hash)):
-            self.cache.hits += 1
-            return record
-        self.cache.misses += 1
-        pixels = image.pixels
-        if image_hash is None:
-            image_hash = record["hash"] = robust_hash(pixels)
-            if "nsfw" in record or self._matched(image_hash):
-                return record
-        record["nsfw"] = self.scorer.score(pixels)
-        state = self._hashlist_state()
-        self._screened[state] = self._screened.get(state, 0) + 1
+        if self._needs_score(record, image):
+            record["nsfw"] = self.scorer.score(image.pixels)
+            state = self._hashlist_state()
+            self._screened[state] = self._screened.get(state, 0) + 1
         return record
+
+    def features_block(self, items: Iterable[Tuple[str, Any]]) -> None:
+        """:meth:`features` of each ``(digest, image)`` in order, scored as one block.
+
+        Records, counters and hashlist lookups are those of one call per pair.
+        """
+        scoring: Dict[int, Dict[str, Any]] = {}
+        rasters = []
+        for digest, image in items:
+            record = self.cache.setdefault(digest, {})
+            if id(record) in scoring:
+                self.cache.hits += 1  # one call per pair would find its score
+            elif self._needs_score(record, image):
+                scoring[id(record)] = record
+                rasters.append(image.pixels)
+        for record, score in zip(scoring.values(), self.scorer.score_block(rasters)):
+            record["nsfw"] = score
+        if rasters:
+            state = self._hashlist_state()
+            self._screened[state] = self._screened.get(state, 0) + len(rasters)
 
     def adopt(self, other: "Featurizer") -> None:
         """Start from copies of ``other``'s records, if it scores as this one does.
@@ -164,6 +175,19 @@ class Featurizer:
         if "ocr" not in record:
             record["ocr"] = ocr.word_count(image.pixels)
         return int(record["ocr"])
+
+    def _needs_score(self, record: Dict[str, Any], image) -> bool:
+        """Count a hit or a miss on ``record``, hashing a miss without a hash;
+        true if it needs a score.  The hashlist is consulted at most once."""
+        image_hash = record.get("hash")
+        if image_hash is not None and ("nsfw" in record or self._matched(image_hash)):
+            self.cache.hits += 1
+            return False
+        self.cache.misses += 1
+        if image_hash is None:
+            image_hash = record["hash"] = robust_hash(image.pixels)
+            return not ("nsfw" in record or self._matched(image_hash))
+        return True
 
     def _hashlist_state(self):
         if self.hashlist is None:

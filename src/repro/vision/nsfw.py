@@ -16,6 +16,7 @@ naturally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -39,7 +40,10 @@ def skin_mask(pixels: np.ndarray) -> np.ndarray:
     taxonomy (still a :class:`ValueError`) instead of producing a silent
     garbage score.
     """
-    ensure_color_raster(pixels)
+    return _skin(ensure_color_raster(pixels))
+
+
+def _skin(pixels: np.ndarray) -> np.ndarray:
     red = pixels[..., 0]
     green = pixels[..., 1]
     blue = pixels[..., 2]
@@ -55,6 +59,10 @@ def skin_mask(pixels: np.ndarray) -> np.ndarray:
 
 #: ``ndimage.label``'s default structure for 2-D masks, built once.
 _FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
+
+#: 4-connectivity within each plane of an ``(n, H, W)`` stack only.
+_PLANE_FOUR_CONNECTED = np.zeros((3, 3, 3), dtype=bool)
+_PLANE_FOUR_CONNECTED[1] = _FOUR_CONNECTED
 
 
 @dataclass(frozen=True)
@@ -74,16 +82,43 @@ class NsfwScorer:
     def score(self, pixels: np.ndarray) -> float:
         """NSFW probability in (0, 1) for one image raster."""
         mask = skin_mask(pixels)
-        total = mask.size
-        coverage = float(mask.sum()) / total
-        if coverage > 0.0:
-            # coverage > 0 means at least one component, so the sizes of
+        skin = int(mask.sum())
+        largest = 0
+        if skin:
+            # skin > 0 means at least one component, so the sizes of
             # labels 1.. are never empty.
             labels, _ = ndimage.label(mask, structure=_FOUR_CONNECTED)
-            largest = float(np.bincount(labels.ravel())[1:].max()) / total
-        else:
-            largest = 0.0
-        effective = 0.8 * coverage + 0.4 * largest
+            largest = int(np.bincount(labels.ravel())[1:].max())
+        return self._logistic(skin, largest, mask.size)
+
+    def score_block(self, rasters: Sequence[np.ndarray]) -> List[float]:
+        """:meth:`score` of each raster, labelling all their skin masks at once.
+
+        Labels run in scan order, so each image's components hold the
+        label range after the previous image's.  Mixed shapes or dtypes,
+        or a subclass's own :meth:`score`, take one :meth:`score` per raster.
+        """
+        kinds = {(np.shape(raster), getattr(raster, "dtype", None)) for raster in rasters}
+        if len(kinds) != 1 or type(self).score is not NsfwScorer.score:
+            return [self.score(raster) for raster in rasters]
+        mask = _skin(np.stack([ensure_color_raster(raster) for raster in rasters]))
+        n, total = len(rasters), mask[0].size
+        skin = mask.reshape(n, -1).sum(axis=1).tolist()
+        labels, _ = ndimage.label(mask, structure=_PLANE_FOUR_CONNECTED)
+        sizes = np.bincount(labels[mask])  # skin pixels only: label 0 has none
+        # Highest label up to each image: its own labels follow the last.
+        last = np.maximum.accumulate(labels.reshape(n, -1).max(axis=1)).tolist()
+        scores, first = [], 1
+        for count, stop in zip(skin, last):
+            largest = int(sizes[first : stop + 1].max()) if count else 0
+            scores.append(self._logistic(count, largest, total))
+            first = stop + 1
+        return scores
+
+    def _logistic(self, skin: int, largest: int, total: int) -> float:
+        """The score of ``skin`` pixels, ``largest`` of them in one blob."""
+        coverage = float(skin) / total
+        effective = 0.8 * coverage + 0.4 * (float(largest) / total)
         return float(1.0 / (1.0 + np.exp(-self.gain * (effective - self.midpoint))))
 
     def __call__(self, pixels: np.ndarray) -> float:

@@ -2,15 +2,17 @@
 
 ``tests/golden/seed11_scale0.02.json`` records what ``repro run --seed 11
 --scale 0.02`` produced at the commit it names: the crawl digest, the
-sha256 of the canonical JSON of ``report.telemetry.measurement_view()``
-and the *work budget* (``work``).  Every other invariant in this suite
+sha256 of the canonical JSON of ``report.telemetry.measurement_view()``,
+the sha256 of the generated forum records and the *work budget*
+(``work``).  Every other invariant in this suite
 compares the system with itself; this one compares it with a recorded
 past, so a change that moves a pixel, a crawl record or a measured
 quantity fails here even when it is self-consistent.
 
 The budget holds counts that the seed fixes and no machine moves:
 ``counts`` (renders, kernel calls and hashlist lookups, each split into
-``build_world`` and ``run_pipeline``), ``telemetry`` (the run's ``work``
+``build_world`` and ``run_pipeline``; a block kernel counts each image it
+takes), ``telemetry`` (the run's ``work``
 registry) and ``store_epoch_1``/``_2`` (the ``work`` registry of each
 epoch of a two-epoch store run of the same world).  It is compared
 exactly: more work fails, and less work is a deliberate change too.
@@ -50,13 +52,14 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "seed11_scale0.02.json"
 SEED = 11
 SCALE = 0.02
 
-#: Module functions the budget counts, by defining module.  Several
-#: modules import them by name, so every loaded ``repro`` module that
-#: binds the original is patched.
+#: Module functions the budget counts, by defining module, with the
+#: number of images one call takes.  Several modules import them by
+#: name, so every loaded ``repro`` module that binds the original is
+#: patched.
 COUNTED_FUNCTIONS = (
-    ("repro.media.validate", "validate_raster"),
-    ("repro.vision.photodna", "robust_hash"),
-    ("repro.vision.batch", "hash_batch"),
+    ("repro.media.validate", "validate_raster", None),
+    ("repro.vision.photodna", "robust_hash", None),
+    ("repro.vision.batch", "hash_batch", len),
 )
 
 
@@ -78,15 +81,18 @@ class WorkCounter:
             return render(image)
 
         monkeypatch.setattr(SyntheticImage, "pixels", property(pixels))
-        for module_name, name in COUNTED_FUNCTIONS:
+        for module_name, name, per_call in COUNTED_FUNCTIONS:
             original = getattr(importlib.import_module(module_name), name)
-            counting = self.counting(name, original)
+            counting = self.counting(name, original, per_call)
             for key, module in list(sys.modules.items()):
                 if key.split(".")[0] == "repro" and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting)
         monkeypatch.setattr(
             NsfwScorer, "score", self.counting("nsfw_score", NsfwScorer.score)
         )
+        monkeypatch.setattr(NsfwScorer, "score_block", self.counting(
+            "nsfw_score", NsfwScorer.score_block, lambda scorer, rasters: len(rasters)
+        ))
         monkeypatch.setattr(HashListService, "match_hash", self.counting(
             "hashlist_lookups", HashListService.match_hash
         ))
@@ -102,10 +108,12 @@ class WorkCounter:
     def count(self, name: str, n: int = 1) -> None:
         self.counts[f"{name}.{self.phase}"] += n
 
-    def counting(self, name: str, fn):
+    def counting(self, name: str, fn, per_call=None):
+        """``fn``, counting one ``name`` per call or ``per_call(*args)`` per call."""
+
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            self.count(name)
+            self.count(name, 1 if per_call is None else per_call(*args))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -116,6 +124,16 @@ def view_sha256(report) -> str:
     view = report.telemetry.measurement_view()
     blob = json.dumps(view, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def forum_records_sha256(dataset) -> str:
+    """sha256 over the ``repr`` of every forum record, kind by kind, in id order."""
+    digest = hashlib.sha256()
+    for kind in ("forum", "board", "actor", "thread", "post"):
+        records = getattr(dataset, f"{kind}s")()
+        for record in sorted(records, key=lambda r: getattr(r, f"{kind}_id")):
+            digest.update(repr(record).encode("utf-8") + b"\n")
+    return digest.hexdigest()
 
 
 def work_registry(report) -> dict:
@@ -141,6 +159,7 @@ def current_outputs() -> dict:
     return {
         "crawl_digest": report.crawl.digest(),
         "measurement_view_sha256": view_sha256(report),
+        "forum_records_sha256": forum_records_sha256(world.forums.dataset),
         "work": work,
     }
 
@@ -159,7 +178,8 @@ def outputs() -> dict:
 
 @pytest.mark.slow
 def test_outputs_match_golden(golden, outputs):
-    expected = {key: golden[key] for key in ("crawl_digest", "measurement_view_sha256")}
+    keys = ("crawl_digest", "measurement_view_sha256", "forum_records_sha256")
+    expected = {key: golden[key] for key in keys}
     actual = {key: outputs[key] for key in expected}
     # Rendering goes through NumPy's float64 kernels (np.cos, np.sin), so
     # a NumPy upgrade can move outputs too: the message names both

@@ -296,6 +296,15 @@ class TestCheckRegressions:
         store = _FakeStore([_run_row(1, wall=1.0), _run_row(2, wall=4.0)])
         assert _flagged(store) == ["wall_seconds"]
 
+    def test_wall_time_across_sources_is_not_comparable(self):
+        # A run row's wall time is the whole epoch; a trace row's is its
+        # longest span.  The 7.5x gap is a change of definition.
+        store = _FakeStore([_run_row(1, wall=2.18), _run_row(2, wall=0.29, source="trace")])
+        row = next(r for r in diff_histories(store, 1, 2) if r["name"] == "wall_seconds")
+        assert (row["a"], row["b"], row["delta"], row["ratio"]) == (2.18, 0.29, None, None)
+        assert not row["flagged"] and not row["comparable"]
+        assert _flagged(store) == []
+
     def test_funnel_recall_regression_detected(self):
         store = _FakeStore([_run_row(1, images=100), _run_row(2, images=50)])
         row = diff_histories(store, 1, 2)[0]

@@ -1,11 +1,14 @@
 """Tests for supply-side generation and world construction."""
 
+import gc
 from datetime import datetime
 
 import numpy as np
 import pytest
 
+import repro.synth.world as world_module
 from repro.media import ImageKind
+from repro.media.validate import CorruptPayloadError
 from repro.synth import (
     FORUM_SPECS,
     WorldConfig,
@@ -13,7 +16,7 @@ from repro.synth import (
     generate_supply_side,
 )
 from repro.synth.forum_gen import DATASET_END, DATASET_START
-from repro.vision import robust_hash
+from repro.vision import Featurizer, robust_hash
 
 
 class TestSupplySide:
@@ -183,3 +186,88 @@ class TestWorld:
 
     def test_proof_truth_images_hosted(self, world):
         assert len(world.forums.proof_truth) > 5
+
+
+class TestBlockFeaturisation:
+    """The build renders, hashes and scores its images in blocks; the
+    result must be what one image at a time gave: the same records in
+    the same order, counters, screened counts and hashlist entries."""
+
+    CONFIG = WorldConfig(seed=3, scale=0.006, underage_rate=0.30, hashlist_rate=0.5)
+
+    @staticmethod
+    def _build(monkeypatch, memo, per_image):
+        calls = iter(range(10**9))
+
+        def validate(pixels):
+            # Every seventh rendered raster fails validation.
+            if next(calls) % 7 == 3:
+                raise CorruptPayloadError("injected")
+            return pixels
+
+        with monkeypatch.context() as patch:
+            patch.setattr(world_module, "validate_raster", validate)
+            if per_image:
+                patch.setattr(world_module, "_FEATURE_BLOCK", 1)
+                patch.setattr(world_module, "hash_batch", lambda rasters: np.array(
+                    [robust_hash(r) for r in rasters], dtype=np.uint64
+                ))
+
+                def features_block(featurizer, items):
+                    for digest, image in items:
+                        featurizer.features(digest, image)
+
+                patch.setattr(Featurizer, "features_block", features_block)
+            world = build_world(TestBlockFeaturisation.CONFIG, world_hashes=memo)
+        features = world.image_features
+        return {
+            "records": list(features.cache.items()),
+            "counters": (features.cache.hits, features.cache.misses),
+            "screened": features._screened,
+            "entries": world.hashlist._entries,
+            "memo": list(memo.items()),
+        }
+
+    def test_blocks_match_one_image_at_a_time(self, monkeypatch):
+        full = {}
+        build_world(self.CONFIG, world_hashes=full)
+        # Memoised images are not rendered; their entries keep their place.
+        partial = dict(list(full.items())[::3])
+        blocks = self._build(monkeypatch, dict(partial), per_image=False)
+        reference = self._build(monkeypatch, dict(partial), per_image=True)
+        assert blocks == reference
+        hits, misses = blocks["counters"]
+        assert hits > 0 and misses > 0 and len(blocks["entries"]) > 64
+        assert len(blocks["records"]) < len(full) - len(partial)  # failures
+
+
+class TestGarbageCollectorPause:
+    """``build_world`` pauses the cyclic collector, which is safe only
+    because the build makes no reference cycles."""
+
+    def test_build_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        build_world(seed=11, scale=0.02)
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_callers_setting(self, monkeypatch, enabled):
+        seen = []
+
+        def supply(*args, **kwargs):
+            seen.append(gc.isenabled())
+            raise RuntimeError("build failed")
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            build_world(seed=3, scale=0.005, with_other_activity=False)
+            assert gc.isenabled() is enabled
+            with monkeypatch.context() as patch:
+                patch.setattr(world_module, "generate_supply_side", supply)
+                with pytest.raises(RuntimeError, match="build failed"):
+                    build_world(seed=3, scale=0.005)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]

@@ -118,6 +118,70 @@ class TestNsfwLargestComponent:
             assert scorer.score(pixels) == _score_with_sum_labels(scorer, pixels)
 
 
+SKIN = (0.86, 0.62, 0.50)
+
+
+def _stack(seed, n, height, width, density):
+    """``n`` random rasters, about ``density`` of their pixels skin."""
+    rng = np.random.default_rng(seed)
+    stack = rng.random((n, height, width, 3))
+    stack[rng.random((n, height, width)) < density] = SKIN
+    return list(stack)
+
+
+class TestNsfwScoreBlock:
+    """``score_block`` labels a whole stack at once and must give exactly
+    ``score``'s value for each image."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 6),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+    )
+    def test_equals_score_on_random_stacks(self, seed, n, height, width, density):
+        scorer = NsfwScorer()
+        rasters = _stack(seed, n, height, width, density)
+        assert scorer.score_block(rasters) == [scorer.score(r) for r in rasters]
+
+    def test_skin_across_image_boundaries_does_not_join(self):
+        # Image i's bottom row and image i+1's top row are both skin: in
+        # the stacked volume they are neighbours along the image axis.
+        scorer = NsfwScorer()
+        empty, full = np.zeros((8, 8, 3)), np.tile(np.array(SKIN), (8, 8, 1))
+        bottom, top = np.zeros((8, 8, 3)), np.zeros((8, 8, 3))
+        bottom[-1, :] = SKIN
+        top[0, :3] = SKIN
+        top[4:, 4:] = SKIN  # the larger of two blobs
+        rasters = [empty, bottom, top, full, empty, full, bottom]
+        assert scorer.score_block(rasters) == [scorer.score(r) for r in rasters]
+
+    def test_rendered_images_and_edge_cases(self, rng):
+        scorer = NsfwScorer()
+        rasters = [render(kind, rng, 1 if kind.is_model else None) for kind in ImageKind]
+        assert scorer.score_block(rasters) == [scorer.score(r) for r in rasters]
+        assert scorer.score_block([]) == []
+        mixed = [np.zeros((8, 8, 3)), np.tile(np.array(SKIN), (5, 9, 1))]
+        assert scorer.score_block(mixed) == [scorer.score(r) for r in mixed]
+        # float32 arithmetic differs from float64 near the rule's edges.
+        edge = np.tile(np.array([0.52, 0.49, 0.10]), (4, 4, 1))
+        mixed = [edge, edge.astype(np.float32)]
+        assert skin_mask(mixed[0]).any() != skin_mask(mixed[1]).any()
+        assert scorer.score_block(mixed) == [scorer.score(r) for r in mixed]
+        with pytest.raises(ValueError):
+            scorer.score_block([np.zeros((8, 8, 3)), np.full((8, 8, 3), np.nan)])
+
+    def test_subclass_score_is_kept(self, rng):
+        class Inverted(NsfwScorer):
+            def score(self, pixels):
+                return 1.0 - super().score(pixels)
+
+        rasters = _stack(5, 3, 8, 8, 0.5)
+        assert Inverted().score_block(rasters) == [Inverted().score(r) for r in rasters]
+
+
 class TestOcr:
     def test_counts_words_in_screenshots(self, rng):
         for _ in range(5):

@@ -11,7 +11,6 @@ from repro.vision import (
     hamming_distance,
     hamming_matrix,
     hash_batch,
-    hash_batch_ints,
     pack_bits_rows,
     popcount,
     prepare_thumbnails,
@@ -58,12 +57,12 @@ class TestHashBatchBitIdentity:
     def test_uniform_stack_matches_scalar(self, seed, h, w, c, n):
         # Same-shape rasters exercise the vectorised stacked path.
         rasters = [_raster(seed + i, h, w, c) for i in range(n)]
-        assert hash_batch_ints(rasters) == [robust_hash(r) for r in rasters]
+        assert hash_batch(rasters).tolist() == [robust_hash(r) for r in rasters]
 
     def test_chunked_uniform_stack(self):
         # More rasters than _STACK_CHUNK so the chunk loop runs twice.
         rasters = [_raster(i, 16, 16, 3) for i in range(130)]
-        assert hash_batch_ints(rasters) == [robust_hash(r) for r in rasters]
+        assert hash_batch(rasters).tolist() == [robust_hash(r) for r in rasters]
 
     def test_empty_batch(self):
         out = hash_batch([])

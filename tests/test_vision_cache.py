@@ -31,6 +31,7 @@ from repro.vision import (
     NsfwScorer,
     VisionCache,
     VisionCacheStats,
+    robust_hash,
 )
 from repro.web import LinkRecord, Url
 from repro.web.crawler import CrawledImage, Crawler, content_digest
@@ -131,6 +132,38 @@ class TestVisionCache:
         record = features.features("d1", _tagged(1).image)
         assert record == {"hash": 5, "nsfw": 0.2}
         assert cache.misses == 1
+
+    def test_features_block_equals_features_in_order(self, rng):
+        # Repeated digests (within the block and across calls), a record
+        # without a hash, an abuse match and clean misses.
+        images = [
+            SyntheticImage(i, sample_latent(rng, kind, model_id=1))
+            for i, kind in enumerate([ImageKind.MODEL_NUDE] * 3 + [ImageKind.MODEL_DRESSED] * 2)
+        ]
+        service = HashListService()
+        service.add_known_image(images[1].pixels, AbuseSeverity.CATEGORY_B)
+        items = [(f"d{i}", image) for i, image in enumerate(images)]
+        items = [items[0], items[1], items[0], items[2], items[1], items[2], items[3], items[4]]
+        featurizers = []
+        for block in (True, False):
+            features = Featurizer(hashlist=service)
+            features.cache["d3"] = {"nsfw": 0.5}  # a score without its hash
+            features.features("d0", images[0])
+            for digest, image in items[1:4]:
+                features.cache.setdefault(digest, {"hash": robust_hash(image.pixels)})
+            if block:
+                features.features_block(items)
+            else:
+                for digest, image in items:
+                    features.features(digest, image)
+            featurizers.append(features)
+        blocks, reference = featurizers
+        assert list(blocks.cache.items()) == list(reference.cache.items())
+        assert (blocks.cache.hits, blocks.cache.misses) == (
+            reference.cache.hits, reference.cache.misses
+        ) == (5, 4)
+        assert blocks._screened == reference._screened == {(10, 1): 3}
+        assert "nsfw" not in blocks.cache["d1"]
 
     def test_adopt_copies_records_scored_the_same_way(self):
         built = Featurizer()
