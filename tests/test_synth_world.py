@@ -1,6 +1,7 @@
 """Tests for supply-side generation and world construction."""
 
 import gc
+import itertools
 from datetime import datetime
 
 import numpy as np
@@ -195,9 +196,8 @@ class TestBlockFeaturisation:
 
     CONFIG = WorldConfig(seed=3, scale=0.006, underage_rate=0.30, hashlist_rate=0.5)
 
-    @staticmethod
-    def _build(monkeypatch, memo, per_image):
-        calls = iter(range(10**9))
+    def _build(self, monkeypatch, memo, per_image):
+        calls = itertools.count()
 
         def validate(pixels):
             # Every seventh rendered raster fails validation.
@@ -218,7 +218,7 @@ class TestBlockFeaturisation:
                         featurizer.features(digest, image)
 
                 patch.setattr(Featurizer, "features_block", features_block)
-            world = build_world(TestBlockFeaturisation.CONFIG, world_hashes=memo)
+            world = build_world(self.CONFIG, world_hashes=memo)
         features = world.image_features
         return {
             "records": list(features.cache.items()),
