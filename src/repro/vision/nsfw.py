@@ -81,26 +81,17 @@ class NsfwScorer:
 
     def score(self, pixels: np.ndarray) -> float:
         """NSFW probability in (0, 1) for one image raster."""
-        mask = skin_mask(pixels)
-        skin = int(mask.sum())
-        largest = 0
-        if skin:
-            # skin > 0 means at least one component, so the sizes of
-            # labels 1.. are never empty.
-            labels, _ = ndimage.label(mask, structure=_FOUR_CONNECTED)
-            largest = int(np.bincount(labels.ravel())[1:].max())
-        return self._logistic(skin, largest, mask.size)
+        return self.score_block([pixels])[0]
 
     def score_block(self, rasters: Sequence[np.ndarray]) -> List[float]:
         """:meth:`score` of each raster, labelling all their skin masks at once.
 
-        Labels run in scan order, so each image's components hold the
-        label range after the previous image's.  Mixed shapes or dtypes,
-        or a subclass's own :meth:`score`, take one :meth:`score` per raster.
+        The rasters share one shape and dtype.  Labels run in scan order,
+        so each image's components hold the label range after the
+        previous image's.
         """
-        kinds = {(np.shape(raster), getattr(raster, "dtype", None)) for raster in rasters}
-        if len(kinds) != 1 or type(self).score is not NsfwScorer.score:
-            return [self.score(raster) for raster in rasters]
+        if not rasters:
+            return []
         mask = _skin(np.stack([ensure_color_raster(raster) for raster in rasters]))
         n, total = len(rasters), mask[0].size
         skin = mask.reshape(n, -1).sum(axis=1).tolist()
@@ -111,15 +102,10 @@ class NsfwScorer:
         scores, first = [], 1
         for count, stop in zip(skin, last):
             largest = int(sizes[first : stop + 1].max()) if count else 0
-            scores.append(self._logistic(count, largest, total))
+            effective = 0.8 * (count / total) + 0.4 * (largest / total)
+            scores.append(float(1.0 / (1.0 + np.exp(-self.gain * (effective - self.midpoint)))))
             first = stop + 1
         return scores
-
-    def _logistic(self, skin: int, largest: int, total: int) -> float:
-        """The score of ``skin`` pixels, ``largest`` of them in one blob."""
-        coverage = float(skin) / total
-        effective = 0.8 * coverage + 0.4 * (float(largest) / total)
-        return float(1.0 / (1.0 + np.exp(-self.gain * (effective - self.midpoint))))
 
     def __call__(self, pixels: np.ndarray) -> float:
         return self.score(pixels)

@@ -87,9 +87,7 @@ class WorkCounter:
             for key, module in list(sys.modules.items()):
                 if key.split(".")[0] == "repro" and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting)
-        monkeypatch.setattr(
-            NsfwScorer, "score", self.counting("nsfw_score", NsfwScorer.score)
-        )
+        # ``score`` scores a one-image block, so this counts it too.
         monkeypatch.setattr(NsfwScorer, "score_block", self.counting(
             "nsfw_score", NsfwScorer.score_block, lambda scorer, rasters: len(rasters)
         ))
