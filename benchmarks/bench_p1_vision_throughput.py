@@ -5,8 +5,8 @@ Writes ``benchmarks/results/BENCH_vision.json`` with images/second for
 * ``seed_scalar``   — a faithful copy of the seed implementation of
   :func:`robust_hash` (per-image NumPy calls, per-bit Python packing,
   reduceat-only resize), the pre-batching baseline;
-* ``scalar``        — the current per-image :func:`robust_hash` (shares
-  the vectorised resize/pack kernels);
+* ``one_image``     — :func:`robust_hash` per image: one-image calls of
+  the hash kernel;
 * ``batched``       — :func:`repro.vision.batch.hash_batch` over the
   whole stack;
 * ``nsfw_scalar``   — :meth:`repro.vision.NsfwScorer.score` per image;
@@ -17,8 +17,14 @@ Writes ``benchmarks/results/BENCH_vision.json`` with images/second for
 plus the VisionCache hit rate of a full pipeline run and the acceptance
 ratio ``batched / seed_scalar`` (target: ≥ 3×).
 
+The variants are timed in interleaved rounds: each round runs every
+variant once, in an order that rotates from round to round, so load
+from other processes on a shared machine falls on all of them alike.
+A rate is images over the median round time; the gated ratio is the
+median of the per-round ratios ``seed_scalar time / batched time``.
+
 Env knobs: ``REPRO_BENCH_VISION_N`` (raster count, default 512),
-``REPRO_BENCH_VISION_REPEATS`` (timing repeats, best-of, default 3).
+``REPRO_BENCH_VISION_REPEATS`` (timing rounds, default 9, at least 7).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from _common import (
 
 
 N_RASTERS = int(os.environ.get("REPRO_BENCH_VISION_N", "512"))
-REPEATS = int(os.environ.get("REPRO_BENCH_VISION_REPEATS", "3"))
+ROUNDS = max(7, int(os.environ.get("REPRO_BENCH_VISION_REPEATS", "9")))
 RASTER_SHAPE = (64, 64, 3)  # the synthetic renderer's native raster size
 SCORE_BLOCK = 64  # images per score_block call, as in the world build
 
@@ -96,14 +102,20 @@ def _make_rasters(n: int) -> list:
     return [rng.uniform(0.0, 1.0, size=RASTER_SHAPE) for _ in range(n)]
 
 
-def _best_rate(fn, n_images: int, repeats: int = REPEATS) -> float:
-    """Best-of-``repeats`` throughput in images/second."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return n_images / best
+def _time_rounds(variants: dict, rounds: int = ROUNDS) -> dict:
+    """Wall seconds of each variant per round, interleaved round by round.
+
+    Round ``r`` starts at variant ``r mod len(variants)``, so no variant
+    always runs first (cold) or right after the same neighbour.
+    """
+    names = list(variants)
+    times = {name: [] for name in names}
+    for r in range(rounds):
+        for name in names[r % len(names):] + names[: r % len(names)]:
+            start = time.perf_counter()
+            variants[name]()
+            times[name].append(time.perf_counter() - start)
+    return times
 
 
 def _render_rasters(n: int) -> list:
@@ -135,11 +147,15 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
         for start in range(0, len(rendered), SCORE_BLOCK):
             scorer.score_block(rendered[start : start + SCORE_BLOCK])
 
-    seed_rate = _best_rate(lambda: [_seed_robust_hash(r) for r in rasters], len(rasters))
-    scalar_rate = _best_rate(lambda: [robust_hash(r) for r in rasters], len(rasters))
-    batched_rate = _best_rate(lambda: hash_batch(rasters), len(rasters))
-    nsfw_scalar_rate = _best_rate(lambda: [scorer.score(r) for r in rendered], len(rendered))
-    nsfw_block_rate = _best_rate(score_blocks, len(rendered))
+    times = _time_rounds({
+        "seed_scalar": lambda: [_seed_robust_hash(r) for r in rasters],
+        "one_image": lambda: [robust_hash(r) for r in rasters],
+        "batched": lambda: hash_batch(rasters),
+        "nsfw_scalar": lambda: [scorer.score(r) for r in rendered],
+        "nsfw_block": score_blocks,
+    })
+    rate = {name: len(rasters) / float(np.median(t)) for name, t in times.items()}
+    speed = float(np.median(np.array(times["seed_scalar"]) / np.array(times["batched"])))
     benchmark.pedantic(lambda: hash_batch(rasters), rounds=1, iterations=1)
 
     cache_stats = bench_report.vision_cache_stats
@@ -147,23 +163,17 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
         "config": {
             "n_rasters": len(rasters),
             "raster_shape": list(RASTER_SHAPE),
-            "repeats": REPEATS,
+            "rounds": ROUNDS,
             "seed": BENCH_SEED,
             "pipeline_scale": BENCH_SCALE,
             "numpy": np.__version__,
         },
-        "images_per_second": {
-            "seed_scalar": round(seed_rate, 1),
-            "scalar": round(scalar_rate, 1),
-            "batched": round(batched_rate, 1),
-            "nsfw_scalar": round(nsfw_scalar_rate, 1),
-            "nsfw_block": round(nsfw_block_rate, 1),
-        },
+        "images_per_second": {name: round(r, 1) for name, r in rate.items()},
         "speedup": {
-            "batched_vs_seed_scalar": round(batched_rate / seed_rate, 2),
-            "batched_vs_scalar": round(batched_rate / scalar_rate, 2),
-            "scalar_vs_seed_scalar": round(scalar_rate / seed_rate, 2),
-            "nsfw_block_vs_scalar": round(nsfw_block_rate / nsfw_scalar_rate, 2),
+            "batched_vs_seed_scalar": round(speed, 2),
+            "batched_vs_one_image": round(rate["batched"] / rate["one_image"], 2),
+            "one_image_vs_seed_scalar": round(rate["one_image"] / rate["seed_scalar"], 2),
+            "nsfw_block_vs_scalar": round(rate["nsfw_block"] / rate["nsfw_scalar"], 2),
         },
         "vision_cache": (
             {
@@ -178,17 +188,16 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
     }
     write_result_json("BENCH_vision", payload)
 
-    speed = payload["speedup"]["batched_vs_seed_scalar"]
     lines = [
         "P1 — vision throughput " + scale_note(),
-        f"rasters          : {len(rasters)} × {RASTER_SHAPE}",
-        f"seed scalar loop : {seed_rate:,.0f} img/s",
-        f"current scalar   : {scalar_rate:,.0f} img/s",
-        f"batched          : {batched_rate:,.0f} img/s",
-        f"speedup (vs seed): {speed:.2f}× (target ≥ 3×)",
-        f"nsfw per image   : {nsfw_scalar_rate:,.0f} img/s",
-        f"nsfw blocks of {SCORE_BLOCK}: {nsfw_block_rate:,.0f} img/s "
-        f"({nsfw_block_rate / nsfw_scalar_rate:.2f}×)",
+        f"rasters          : {len(rasters)} × {RASTER_SHAPE}, {ROUNDS} interleaved rounds",
+        f"seed scalar loop : {rate['seed_scalar']:,.0f} img/s",
+        f"one-image calls  : {rate['one_image']:,.0f} img/s",
+        f"batched          : {rate['batched']:,.0f} img/s",
+        f"speedup (vs seed): {speed:.2f}× median per-round ratio (target ≥ 3×)",
+        f"nsfw per image   : {rate['nsfw_scalar']:,.0f} img/s",
+        f"nsfw blocks of {SCORE_BLOCK}: {rate['nsfw_block']:,.0f} img/s "
+        f"({rate['nsfw_block'] / rate['nsfw_scalar']:.2f}×)",
         f"vision cache     : "
         + (cache_stats.summary() if cache_stats is not None else "n/a"),
     ]
@@ -199,7 +208,7 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
 
 
 def test_p1_thumbnails_bit_identical(rasters):
-    """The batched thumbnail path must equal the scalar resize exactly."""
+    """The batched thumbnail path must equal the seed resize exactly."""
     thumbs = prepare_thumbnails(rasters[:64])
     for raster, thumb in zip(rasters[:64], thumbs):
         expected = _seed_block_mean_resize(raster.mean(axis=2), _HASH_GRID)

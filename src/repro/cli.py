@@ -3,7 +3,8 @@
 Six subcommands:
 
 * ``repro build``  — generate a synthetic world and save its forum
-  dataset as JSONL;
+  dataset as a SQLite run store (the corpus tables ``run --store``
+  persists; check it with ``repro store verify``);
 * ``repro run``    — generate a world, run the full pipeline, print the
   measurement digest (optionally writing each table to a directory
   with ``--out`` and a span trace via ``--trace-out``, whose header is
@@ -34,7 +35,7 @@ Examples::
     repro run --payload-profile hostile               # corrupt payloads, quarantined per record
     repro run --drift-profile aggressive --drift-epoch 2   # measure a drifted world
     repro drift --profile hostile --epochs 2 --out drift.json
-    repro build --seed 11 --scale 0.05 --out world.jsonl
+    repro build --seed 11 --scale 0.05 --out world.sqlite
     repro run --seed 11 --scale 0.05 --out results/   # + the table files
     repro store verify store.sqlite                   # post-crash health probe
     repro store repair store.sqlite                   # salvage committed epochs
@@ -78,7 +79,6 @@ from .core.report_text import (
     render_table8,
     render_telemetry,
 )
-from .forum.store import save_dataset
 
 __all__ = ["build_parser", "main"]
 
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="generate a world and save the dataset")
     add_world_args(p_build)
-    p_build.add_argument("--out", type=Path, required=True, help="output JSONL path")
+    p_build.add_argument("--out", type=Path, required=True, help="output run-store path")
 
     p_run = sub.add_parser("run", help="run the full measurement and print the digest")
     add_world_args(p_run)
@@ -600,6 +600,35 @@ def _run_store_tool(args, log) -> int:
         return EXIT_CORRUPT
 
 
+def _save_built_world(world, path: Path, log) -> int:
+    """``repro build --out``: the world's corpus into a run store.
+
+    Exit codes as in :func:`_run_store_tool`: a store bound to another
+    world config exits :data:`~repro.store.EXIT_CONFIG`, a damaged one
+    :data:`~repro.store.EXIT_CORRUPT`.
+    """
+    from .store import (
+        EXIT_CONFIG,
+        EXIT_CORRUPT,
+        RunStore,
+        StoreConfigError,
+        StoreCorruptionError,
+    )
+
+    try:
+        with RunStore(path) as store:
+            store.bind_config(world.config)
+            n_records = store.append_dataset(world.dataset)
+    except StoreConfigError as exc:
+        log.error("build failed: %s", exc)
+        return EXIT_CONFIG
+    except StoreCorruptionError as exc:
+        log.error("build failed: %s", exc)
+        return EXIT_CORRUPT
+    print(f"wrote {n_records} records to {path}")
+    return 0
+
+
 def _fmt_opt(value, fmt: str, missing: str = "-") -> str:
     return missing if value is None else format(value, fmt)
 
@@ -850,9 +879,7 @@ def _dispatch(args, log) -> int:
     )
 
     if args.command == "build":
-        n_records = save_dataset(world.dataset, args.out)
-        print(f"wrote {n_records} records to {args.out}")
-        return 0
+        return _save_built_world(world, args.out, log)
 
     telemetry = _make_run_telemetry(args)
     log.info("running pipeline", extra={"tracing": telemetry.tracing_enabled})

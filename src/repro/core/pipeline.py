@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -161,13 +161,6 @@ class PipelineReport:
     def degraded(self) -> bool:
         """True when any stage failed or was skipped."""
         return any(o.status != "ok" for o in self.stage_outcomes)
-
-    def stage_failure(self, stage: str) -> Optional[StageFailure]:
-        """The failure record for ``stage``, or ``None``."""
-        for failure in self.stage_failures:
-            if failure.stage == stage:
-                return failure
-        return None
 
 
 class EwhoringPipeline:

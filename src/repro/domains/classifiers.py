@@ -93,14 +93,6 @@ class DomainClassifier:
         tags = self._draw(rng, choices)
         return DomainVerdict(self.name, domain, tags)
 
-    def classify_many(
-        self, domains: Sequence[str], true_categories: Sequence[Optional[str]]
-    ) -> List[DomainVerdict]:
-        """Vector form of :meth:`classify`."""
-        if len(domains) != len(true_categories):
-            raise ValueError("domains and true_categories must align")
-        return [self.classify(d, c) for d, c in zip(domains, true_categories)]
-
     # ------------------------------------------------------------------
     def _domain_rng(self, domain: str) -> np.random.Generator:
         digest = hashlib.sha256(f"{self.name}|{self.seed}|{domain.lower()}".encode()).digest()

@@ -1,4 +1,4 @@
-"""Underground-forum substrate: data model, storage and queries.
+"""Underground-forum substrate: data model and queries.
 
 This package is the CrimeBB analogue — see DESIGN.md §2 for the
 substitution rationale.
@@ -11,10 +11,7 @@ from .query import (
     ForumSummary,
     ewhoring_threads,
     forum_summaries,
-    threads_with_heading_keywords,
 )
-from .stats import DatasetStats, Distribution, dataset_stats, gini
-from .store import load_dataset, save_dataset
 
 __all__ = [
     "Actor",
@@ -26,13 +23,6 @@ __all__ = [
     "ForumSummary",
     "Post",
     "Thread",
-    "DatasetStats",
-    "Distribution",
-    "dataset_stats",
     "ewhoring_threads",
     "forum_summaries",
-    "gini",
-    "load_dataset",
-    "save_dataset",
-    "threads_with_heading_keywords",
 ]

@@ -327,13 +327,6 @@ class ForumDataset:
         dates = [p.created_at for p in self._posts.values()]
         return min(dates), max(dates)
 
-    def thread_participants(self, thread_id: int) -> List[int]:
-        """Distinct actor ids that posted in a thread, in first-post order."""
-        seen: Dict[int, None] = {}
-        for post in self.posts_in_thread(thread_id):
-            seen.setdefault(post.author_id, None)
-        return list(seen)
-
     def validate(self) -> None:
         """Re-check referential integrity over the whole dataset.
 

@@ -10,7 +10,7 @@ used by Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from .dataset import ForumDataset
 from .models import Thread
@@ -20,29 +20,10 @@ __all__ = [
     "ForumSummary",
     "ewhoring_threads",
     "forum_summaries",
-    "threads_with_heading_keywords",
 ]
 
 #: The two keywords the paper searches for in thread headings (§3).
 EWHORING_HEADING_KEYWORDS: tuple[str, ...] = ("ewhor", "e-whor")
-
-
-def threads_with_heading_keywords(
-    dataset: ForumDataset,
-    keywords: Sequence[str],
-    forum_id: Optional[int] = None,
-) -> List[Thread]:
-    """Return threads whose lowercased heading contains any keyword.
-
-    Comparison is done in lowercase, matching the paper's methodology.
-    """
-    lowered = [k.lower() for k in keywords]
-    hits = []
-    for thread in dataset.threads(forum_id):
-        heading = thread.heading_lower()
-        if any(keyword in heading for keyword in lowered):
-            hits.append(thread)
-    return hits
 
 
 def ewhoring_threads(dataset: ForumDataset, forum_id: Optional[int] = None) -> List[Thread]:

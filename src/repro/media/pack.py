@@ -10,8 +10,8 @@ compiler applied evasion transforms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from .image import ImageKind, SyntheticImage
 
@@ -73,10 +73,3 @@ class Pack:
     def kinds(self) -> List[ImageKind]:
         """Stage sequence of the pack's images."""
         return [image.kind for image in self.images]
-
-    def stage_counts(self) -> dict:
-        """Histogram of encounter stages in the pack."""
-        counts: dict = {}
-        for image in self.images:
-            counts[image.kind] = counts.get(image.kind, 0) + 1
-        return counts

@@ -23,9 +23,7 @@ __all__ = [
     "EVASION_TRANSFORMS",
     "PLATFORM_TRANSFORMS",
     "STACKED_EVASION_TRANSFORMS",
-    "apply_chain",
     "apply_transform",
-    "chain_seed",
     "crop_border",
     "mirror",
     "recompress",
@@ -65,28 +63,6 @@ def apply_transform(name: str, pixels: np.ndarray, seed: int = 0) -> np.ndarray:
         out = fn(as_float, seed)
         return np.clip(np.round(out * 255.0), 0, 255).astype(np.uint8)
     return fn(pixels, seed)
-
-
-def chain_seed(seed: int, step: int) -> int:
-    """The derived seed for step ``step`` of a composition chain.
-
-    A fixed odd multiplier decorrelates consecutive steps so stacking the
-    same transform twice does not reuse its random draws.
-    """
-    return (int(seed) + 0x9E3779B9 * (step + 1)) % 2**32
-
-
-def apply_chain(names, pixels: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Apply an N-deep stack of registered transforms in order.
-
-    Each step runs with its own :func:`chain_seed`-derived seed, so a
-    chain is a pure function of ``(names, pixels, seed)`` and replays
-    bit-identically.
-    """
-    out = pixels
-    for step, name in enumerate(names):
-        out = apply_transform(name, out, chain_seed(seed, step))
-    return out
 
 
 def transform_names() -> list:

@@ -137,12 +137,6 @@ class LinearSVM:
         """Predicted labels in {0, 1}."""
         return (self.decision_function(features) >= 0.0).astype(np.int64)
 
-    def hinge_loss(self, features: np.ndarray, labels: np.ndarray) -> float:
-        """Mean hinge loss of the current model on a labelled set."""
-        signs = self._as_signs(np.asarray(labels))
-        scores = self.decision_function(features)
-        return float(np.mean(np.maximum(0.0, 1.0 - signs * scores)))
-
     # ------------------------------------------------------------------
     @staticmethod
     def _as_signs(labels: np.ndarray) -> np.ndarray:

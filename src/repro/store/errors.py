@@ -6,9 +6,8 @@ boundary is wrapped in one of these classes, so callers can distinguish
 "the file is damaged" from "the file disagrees with the run you asked
 for" without string matching.
 
-This module deliberately imports nothing from :mod:`repro` so both the
-SQLite store and the JSONL :mod:`repro.forum.store` can depend on it
-without cycles.
+This module deliberately imports nothing from :mod:`repro`, so any
+module can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ class StoreError(Exception):
 class StoreCorruptionError(StoreError):
     """The on-disk artifact is damaged or not a store at all.
 
-    Raised for truncated/garbage SQLite files, malformed JSONL lines,
-    missing schema tables and records that fail model validation on
+    Raised for truncated/garbage SQLite files, missing schema tables and records that fail model validation on
     load.  A store that raises this has loaded *nothing* into the run —
     corruption is detected before any record crosses into a pipeline.
     """

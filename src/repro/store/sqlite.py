@@ -2,8 +2,8 @@
 
 One :class:`RunStore` file persists the full funnel across runs:
 
-* the forum corpus (typed tables generalising the JSONL
-  :mod:`repro.forum.store`, with the indexes the store cursors read);
+* the forum corpus (typed tables, with the indexes the store cursors
+  read) — also what ``repro build --out`` writes;
 * per-stage watermarks — the observation epoch (and its post-date
   cutoff) up to which the corpus has been generated and measured;
 * the warm-path memos that make delta runs cheap: the digest-keyed

@@ -11,7 +11,7 @@ content-addressed :class:`VisionCache` every pipeline stage reads.
 from .batch import hash_batch, prepare_thumbnails
 from .bits import hamming_matrix, pack_bits_rows, popcount
 from .cache import Featurizer, VisionCache, VisionCacheStats
-from .nsfw import NsfwScorer, nsfw_score, skin_mask
+from .nsfw import NsfwScorer
 from .ocr import OcrEngine, WordBox, ocr_word_count
 from .photodna import (
     AbuseSeverity,
@@ -50,11 +50,9 @@ __all__ = [
     "hamming_distance",
     "hamming_matrix",
     "hash_batch",
-    "nsfw_score",
     "ocr_word_count",
     "pack_bits_rows",
     "popcount",
     "prepare_thumbnails",
     "robust_hash",
-    "skin_mask",
 ]

@@ -1,26 +1,26 @@
-"""Batched vision engine: hash whole image stacks in one NumPy pass.
+"""The 64-bit DCT perceptual hash: one kernel for one image or many.
 
-The scalar hot path (:func:`repro.vision.photodna.robust_hash`) costs a
-Python-level round trip per image — resize, a tiny 32×32 DCT, a 64-step
-bit-packing loop.  At corpus scale (the paper's §4.2 crawl, or the
-hundreds of millions of items of comparable hash-matching measurement
-studies) those per-call overheads dominate.  This module provides the
-batched equivalents:
+§4.3's PhotoDNA and §4.5's TinEye both rest on robust image hashing;
+this module owns the package's one robust hash.  Per image: grayscale →
+32×32 block-mean resize → 2-D DCT → 8×8 lowest-frequency block with the
+DC term replaced by coefficient (8, 8) → median threshold → MSB-first
+64-bit pack.  The kernel runs on a whole stack at once:
 
 * :func:`prepare_thumbnails` — grayscale + 32×32 block-mean thumbnails
   for a sequence of rasters, with a fully-vectorised fast path when all
   rasters share one shape (chunked to bound memory);
 * :func:`hash_batch` — one ``scipy.fft.dctn`` over the whole thumbnail
-  stack plus vectorised median-threshold bit packing.  **Bit-identical**
-  to mapping :func:`robust_hash` over the same rasters (property-tested
-  in ``tests/test_vision_batch.py``);
+  stack plus vectorised median-threshold bit packing, returning a
+  ``uint64`` array;
+* :func:`repro.vision.photodna.robust_hash` is the one-image case of the
+  same kernel, so both raise the typed corrupt-payload taxonomy
+  (:mod:`repro.media.validate`) on the same inputs;
 * :func:`popcount` / :func:`hamming_matrix` — re-exported uint64 bit
   kernels (see :mod:`repro.vision.bits`) behind the many-vs-many
-  matching paths of :class:`~repro.vision.photodna.HashListService` and
-  :class:`~repro.vision.reverse_search.ReverseImageIndex`.
+  matching paths of :class:`~repro.vision.photodna.HashListService`.
 
-All functions work on any NumPy ≥ 1.24; ``popcount`` transparently falls
-back to a lookup table below NumPy 2.0 (see DESIGN.md §7).
+The resize helpers are shared with the aHash/dHash alternatives in
+:mod:`repro.vision.hashes`.  See DESIGN.md §7.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from ..media.validate import (
     WrongShapeError,
 )
 from .bits import hamming_matrix, pack_bits_rows, popcount
-from .photodna import _HASH_GRID, _resize_axis, _to_grayscale, robust_hash
 
 __all__ = [
     "hamming_matrix",
@@ -46,6 +45,64 @@ __all__ = [
     "popcount",
     "prepare_thumbnails",
 ]
+
+_HASH_GRID = 32
+
+
+def _to_grayscale(pixels: np.ndarray) -> np.ndarray:
+    if pixels.ndim == 3:
+        return pixels.mean(axis=2)
+    return pixels
+
+
+def _resize_axis(values: np.ndarray, target: int, axis: int) -> np.ndarray:
+    """Resize one axis to ``target`` samples.
+
+    Axes at least ``target`` long are block-averaged (area
+    interpolation) with ``np.add.reduceat``; shorter axes are upsampled
+    by nearest-neighbour.  Works on arrays of any rank, so a whole
+    ``(n, h, w)`` stack resizes with two calls.
+    """
+    length = values.shape[axis]
+    if length < target:
+        # Upsample the short axis by nearest-neighbour.
+        idx = np.clip((np.arange(target) * length / target).astype(int), 0, length - 1)
+        return np.take(values, idx, axis=axis).astype(np.float64, copy=False)
+    if length % target == 0:
+        # Evenly divisible: reshape + small-axis sum (contiguous, far
+        # faster than reduceat, and bit-identical for these tiny block
+        # sizes where NumPy's reduction is sequential).
+        k = length // target
+        shaped = values.reshape(
+            values.shape[:axis] + (target, k) + values.shape[axis + 1 :]
+        )
+        if k == 2 and shaped.ndim <= 26:
+            # Axis halving: einsum's contraction avoids NumPy's slow
+            # small-axis reduction loop.  A k=2 sum is a single IEEE
+            # add (commutative, exact), so this is exactly
+            # ``shaped.sum(...)``.
+            letters = "abcdefghijklmnopqrstuvwxyz"[: shaped.ndim]
+            out = letters[: axis + 1] + letters[axis + 2 :]
+            return np.einsum(f"{letters}->{out}", shaped) / float(k)
+        return shaped.sum(axis=axis + 1, dtype=np.float64) / float(k)
+    edges = np.linspace(0, length, target + 1).astype(int)
+    counts = np.diff(edges).astype(np.float64)
+    sums = np.add.reduceat(values, edges[:-1], axis=axis)
+    shape = [1] * values.ndim
+    shape[axis] = target
+    return sums / counts.reshape(shape)
+
+
+def _block_mean_resize(gray: np.ndarray, target: int) -> np.ndarray:
+    """Resize to target×target by block averaging (area interpolation).
+
+    Each axis is handled independently: a 4×1000 raster still
+    area-averages its long axis while only the 4-row axis is
+    nearest-neighbour upsampled, keeping hashes stable under extreme
+    aspect ratios.
+    """
+    return _resize_axis(_resize_axis(gray, target, axis=0), target, axis=1)
+
 
 #: Same-shape rasters are stacked and resized in chunks of this many
 #: images, bounding the transient full-resolution stack memory and
@@ -78,19 +135,13 @@ def _guard_raster(raster, index: int) -> None:
         raise EmptyPayloadError(f"batch item {index} is an empty raster")
 
 
-def _thumbnail(raster: np.ndarray) -> np.ndarray:
-    """One grayscale ``grid×grid`` thumbnail (scalar-path identical)."""
-    gray = _to_grayscale(np.asarray(raster, dtype=np.float64))
-    return _resize_axis(_resize_axis(gray, _HASH_GRID, axis=0), _HASH_GRID, axis=1)
-
-
 def prepare_thumbnails(rasters: Sequence[np.ndarray]) -> np.ndarray:
     """Grayscale 32×32 thumbnails of ``rasters`` as an ``(n, 32, 32)`` stack.
 
     When every raster shares one shape the whole chunk is grayscaled and
     block-mean resized with two ``reduceat`` calls instead of ``2n``;
     mixed-shape batches fall back to per-image resizing.  Both paths
-    produce floats identical to the scalar pipeline.
+    produce identical floats.
     """
     items = rasters if isinstance(rasters, list) else list(rasters)
     n = len(items)
@@ -107,7 +158,8 @@ def prepare_thumbnails(rasters: Sequence[np.ndarray]) -> np.ndarray:
         _thumbnails_uniform(items, first_shape, thumbs)
         return thumbs
     for i, raster in enumerate(items):
-        thumbs[i] = _thumbnail(raster)
+        gray = _to_grayscale(np.asarray(raster, dtype=np.float64))
+        thumbs[i] = _block_mean_resize(gray, _HASH_GRID)
     return thumbs
 
 
@@ -123,7 +175,7 @@ def _thumbnails_uniform(
     cache-warm, so the grayscale step becomes sequential whole-plane
     adds — the identical per-element operation order of
     ``pixels.mean(axis=2)`` (sum left-to-right, one divide), hence
-    bit-identical to the scalar path.  Resizing then runs on the whole
+    bit-identical to the per-image path.  Resizing then runs on the whole
     chunk with two :func:`_resize_axis` calls instead of ``2·chunk``.
     """
     n = len(items)
@@ -159,15 +211,18 @@ def _thumbnails_uniform(
 def hash_batch(rasters: Sequence[np.ndarray]) -> np.ndarray:
     """64-bit DCT perceptual hashes of many rasters, as a ``uint64`` array.
 
-    Pipeline per image is exactly :func:`robust_hash` — grayscale →
-    32×32 block-mean resize → 2-D DCT → 8×8 low-frequency block with the
-    DC term replaced → median threshold → MSB-first 64-bit pack — but
-    the DCT runs once over the whole ``(n, 32, 32)`` stack and the bit
-    packing is a single vectorised shift/sum instead of ``64n`` Python
-    loop iterations.
+    The DCT runs once over the whole ``(n, 32, 32)`` thumbnail stack and
+    the bit packing is one vectorised shift/sum.  Returns an empty array
+    for an empty input.
+    """
+    return _hash_rasters(rasters)
 
-    Returns an empty array for an empty input.  Results are
-    bit-identical to ``[robust_hash(r) for r in rasters]``.
+
+def _hash_rasters(rasters: Sequence[np.ndarray]) -> np.ndarray:
+    """The hash kernel behind :func:`hash_batch` and ``robust_hash``.
+
+    ``robust_hash`` calls this and not :func:`hash_batch`, so a wrapper
+    around the public name counts block calls only.
     """
     thumbs = prepare_thumbnails(rasters)
     n = thumbs.shape[0]

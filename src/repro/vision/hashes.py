@@ -1,10 +1,10 @@
 """Alternative perceptual hashes (aHash, dHash) beside the DCT hash.
 
 §4.3's PhotoDNA and §4.5's TinEye both rest on *robust* image hashing.
-The package's primary hash is the DCT perceptual hash in
-:mod:`repro.vision.photodna`; this module adds the two classic cheaper
-alternatives so their robustness/evasion trade-offs can be measured
-(the A5 ablation):
+The package's primary hash is the DCT perceptual hash of
+:mod:`repro.vision.batch` (``robust_hash`` for one image); this module
+adds the two classic cheaper alternatives so their robustness/evasion
+trade-offs can be measured (the A5 ablation):
 
 * **average hash** (aHash) — threshold an 8×8 block-mean thumbnail at
   its mean;
@@ -22,7 +22,8 @@ from typing import Callable, Dict
 import numpy as np
 
 from .bits import pack_bits_rows
-from .photodna import _block_mean_resize, _to_grayscale, robust_hash
+from .batch import _block_mean_resize, _to_grayscale
+from .photodna import robust_hash
 
 __all__ = ["HASH_FUNCTIONS", "average_hash", "difference_hash"]
 

@@ -23,27 +23,17 @@ from scipy import ndimage
 
 from ..media.validate import ensure_color_raster
 
-__all__ = ["NsfwScorer", "nsfw_score", "skin_mask"]
+__all__ = ["NsfwScorer"]
 
 
-def skin_mask(pixels: np.ndarray) -> np.ndarray:
-    """Boolean mask of skin-tone pixels.
+def _skin(pixels: np.ndarray) -> np.ndarray:
+    """Boolean mask of skin-tone pixels, element by element.
 
     Chromatic rule: warm colours with red > green > blue, a sufficient
     red–blue gap and mid-to-high brightness.  This is the classic
     rule-based skin detector family; it has the same known failure modes
     (sand, wood, beige walls) as the originals.
-
-    Defensive kernel contract: the raster passes through
-    :func:`~repro.media.validate.ensure_color_raster`, so decoys, wrong
-    ranks and NaN/Inf poison fail loudly with the typed corrupt-payload
-    taxonomy (still a :class:`ValueError`) instead of producing a silent
-    garbage score.
     """
-    return _skin(ensure_color_raster(pixels))
-
-
-def _skin(pixels: np.ndarray) -> np.ndarray:
     red = pixels[..., 0]
     green = pixels[..., 1]
     blue = pixels[..., 2]
@@ -86,13 +76,13 @@ class NsfwScorer:
     def score_block(self, rasters: Sequence[np.ndarray]) -> List[float]:
         """:meth:`score` of each raster, labelling all their skin masks at once.
 
-        The rasters share one shape and dtype.  Labels run in scan order,
+        The rasters share one shape.  Labels run in scan order,
         so each image's components hold the label range after the
         previous image's.
         """
         if not rasters:
             return []
-        mask = _skin(np.stack([ensure_color_raster(raster) for raster in rasters]))
+        mask = np.stack([_skin(ensure_color_raster(raster)) for raster in rasters])
         n, total = len(rasters), mask[0].size
         skin = mask.reshape(n, -1).sum(axis=1).tolist()
         labels, _ = ndimage.label(mask, structure=_PLANE_FOUR_CONNECTED)
@@ -109,11 +99,3 @@ class NsfwScorer:
 
     def __call__(self, pixels: np.ndarray) -> float:
         return self.score(pixels)
-
-
-_DEFAULT_SCORER = NsfwScorer()
-
-
-def nsfw_score(pixels: np.ndarray) -> float:
-    """Score with the default calibration (module-level convenience)."""
-    return _DEFAULT_SCORER.score(pixels)

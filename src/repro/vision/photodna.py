@@ -13,21 +13,20 @@ matches to the IWF and deletes them.  This module provides:
 * :class:`ReportLog` — the IWF-reporting analogue recording actioned
   URLs, severity grades and hosting metadata.
 
-No image classified as matching is ever re-exposed: the service's match
-API consumes pixels and returns only the verdict and grading.
+No image classified as matching is ever re-exposed: the service matches
+hashes and returns only the verdict and grading.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import fft as scipy_fft
 
-from ..media.validate import NonFinitePixelError
-from .bits import pack_bits_rows, popcount
+from .batch import _hash_rasters
+from .bits import popcount
 
 __all__ = [
     "AbuseSeverity",
@@ -40,86 +39,19 @@ __all__ = [
     "robust_hash",
 ]
 
-_HASH_GRID = 32
 _HASH_BITS = 64
 
 
-def _to_grayscale(pixels: np.ndarray) -> np.ndarray:
-    if pixels.ndim == 3:
-        return pixels.mean(axis=2)
-    return pixels
-
-
-def _resize_axis(values: np.ndarray, target: int, axis: int) -> np.ndarray:
-    """Resize one axis to ``target`` samples.
-
-    Axes at least ``target`` long are block-averaged (area
-    interpolation) with ``np.add.reduceat``; shorter axes are upsampled
-    by nearest-neighbour.  Works on arrays of any rank, so the batched
-    engine can resize a whole ``(n, h, w)`` stack with two calls.
-    """
-    length = values.shape[axis]
-    if length < target:
-        # Upsample the short axis by nearest-neighbour.
-        idx = np.clip((np.arange(target) * length / target).astype(int), 0, length - 1)
-        return np.take(values, idx, axis=axis).astype(np.float64, copy=False)
-    if length % target == 0:
-        # Evenly divisible: reshape + small-axis sum (contiguous, far
-        # faster than reduceat, and bit-identical for these tiny block
-        # sizes where NumPy's reduction is sequential).
-        k = length // target
-        shaped = values.reshape(
-            values.shape[:axis] + (target, k) + values.shape[axis + 1 :]
-        )
-        if k == 2 and shaped.ndim <= 26:
-            # Axis halving: einsum's contraction avoids NumPy's slow
-            # small-axis reduction loop.  A k=2 sum is a single IEEE
-            # add (commutative, exact), so this is exactly
-            # ``shaped.sum(...)``.
-            letters = "abcdefghijklmnopqrstuvwxyz"[: shaped.ndim]
-            out = letters[: axis + 1] + letters[axis + 2 :]
-            return np.einsum(f"{letters}->{out}", shaped) / float(k)
-        return shaped.sum(axis=axis + 1, dtype=np.float64) / float(k)
-    edges = np.linspace(0, length, target + 1).astype(int)
-    counts = np.diff(edges).astype(np.float64)
-    sums = np.add.reduceat(values, edges[:-1], axis=axis)
-    shape = [1] * values.ndim
-    shape[axis] = target
-    return sums / counts.reshape(shape)
-
-
-def _block_mean_resize(gray: np.ndarray, target: int) -> np.ndarray:
-    """Resize to target×target by block averaging (area interpolation).
-
-    Implemented with ``np.add.reduceat`` over row/column bins so hashing
-    stays cheap even when the index covers tens of thousands of images.
-    Each axis is handled independently: a 4×1000 raster still
-    area-averages its long axis while only the 4-row axis is
-    nearest-neighbour upsampled, keeping hashes stable under extreme
-    aspect ratios.
-    """
-    return _resize_axis(_resize_axis(gray, target, axis=0), target, axis=1)
-
-
 def robust_hash(pixels: np.ndarray) -> int:
-    """64-bit DCT perceptual hash of an image raster.
+    """64-bit DCT perceptual hash of one image raster.
 
-    Pipeline: grayscale → 32×32 block-mean resize → 2-D DCT → keep the
-    8×8 lowest-frequency block (minus the DC term, replaced by the next
-    coefficient) → threshold at the median → pack 64 bits.
+    The one-image case of the hash kernel in :mod:`repro.vision.batch`:
+    grayscale → 32×32 block-mean resize → 2-D DCT → keep the 8×8
+    lowest-frequency block (minus the DC term, replaced by coefficient
+    (8, 8)) → threshold at the median → pack 64 bits.  Bad input raises
+    the typed :class:`~repro.media.validate.CorruptPayloadError` family.
     """
-    gray = _to_grayscale(np.asarray(pixels, dtype=np.float64))
-    small = _block_mean_resize(gray, _HASH_GRID)
-    if not bool(np.isfinite(small).all()):
-        raise NonFinitePixelError(
-            "raster produced a non-finite hash thumbnail (NaN/Inf pixels)"
-        )
-    spectrum = scipy_fft.dctn(small, norm="ortho")
-    block = spectrum[:8, :8].copy().ravel()
-    block[0] = spectrum[8, 8]  # drop the DC term (pure brightness)
-    median = np.median(block)
-    bits = block > median
-    return int(pack_bits_rows(bits[None, :])[0])
+    return int(_hash_rasters([pixels])[0])
 
 
 def hamming_distance(hash_a: int, hash_b: int) -> int:
@@ -317,10 +249,6 @@ class HashListService:
                 else:
                     results.append(MatchResult(matched=False, distance=int(dist)))
         return results
-
-    def match(self, pixels: np.ndarray) -> MatchResult:
-        """Hash ``pixels`` and match against the list."""
-        return self.match_hash(robust_hash(pixels))
 
     # ------------------------------------------------------------------
     def _hashes(self) -> np.ndarray:

@@ -5,21 +5,20 @@ built over every image published on the simulated internet: each indexed
 copy stores its URL, domain, backlink and crawl date — exactly the fields
 the paper extracts from TinEye reports.
 
-Matching uses the :func:`~repro.vision.photodna.robust_hash` perceptual
-hash with a Hamming-radius tolerance, so recompressed and lightly cropped
+Matching compares :func:`~repro.vision.photodna.robust_hash` perceptual
+hashes with a Hamming-radius tolerance, so recompressed and lightly cropped
 copies match while mirrored copies (the documented evasion) do not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bits import hamming_matrix, popcount
-from .photodna import robust_hash
+from .bits import popcount
 
 __all__ = ["IndexedCopy", "ReverseImageIndex", "ReverseMatch", "ReverseSearchReport"]
 
@@ -66,12 +65,6 @@ class ReverseSearchReport:
             seen.setdefault(match.copy.domain, None)
         return list(seen)
 
-    def earliest_crawl(self) -> Optional[datetime]:
-        """Earliest crawl date across matches (for seen-before analysis)."""
-        if not self.matches:
-            return None
-        return min(match.copy.crawl_date for match in self.matches)
-
 
 class ReverseImageIndex:
     """Perceptual-hash index answering reverse image searches.
@@ -102,12 +95,6 @@ class ReverseImageIndex:
         self._copies.append(copy)
         self._hash_array = None
 
-    def index_pixels(self, pixels: np.ndarray, copy: IndexedCopy) -> int:
-        """Hash ``pixels`` and index the copy; returns the hash."""
-        image_hash = robust_hash(pixels)
-        self.index_hash(image_hash, copy)
-        return image_hash
-
     @property
     def n_indexed(self) -> int:
         return len(self._hashes)
@@ -120,36 +107,6 @@ class ReverseImageIndex:
         hashes = self._array()
         distances = popcount(hashes ^ np.uint64(query_hash))
         return self._report_from_distances(query_hash, distances, max_results)
-
-    def search_hashes(
-        self,
-        query_hashes: Sequence[int],
-        max_results: Optional[int] = None,
-        chunk_size: int = 1024,
-    ) -> List[ReverseSearchReport]:
-        """Batched reverse search: one report per query hash.
-
-        Equivalent to ``[self.search_hash(h) for h in query_hashes]``
-        but computes whole query×index Hamming blocks at once
-        (``chunk_size`` rows per block bounds the matrix memory).
-        """
-        queries = np.asarray(list(query_hashes), dtype=np.uint64)
-        if queries.size == 0:
-            return []
-        if not self._hashes:
-            return [
-                ReverseSearchReport(query_hash=int(q), matches=()) for q in queries
-            ]
-        hashes = self._array()
-        reports: List[ReverseSearchReport] = []
-        for start in range(0, queries.size, chunk_size):
-            block = queries[start : start + chunk_size]
-            distances = hamming_matrix(block, hashes)
-            for row, query in enumerate(block):
-                reports.append(
-                    self._report_from_distances(int(query), distances[row], max_results)
-                )
-        return reports
 
     def _report_from_distances(
         self,
@@ -183,10 +140,6 @@ class ReverseImageIndex:
             for i in order
         )
         return ReverseSearchReport(query_hash=query_hash, matches=matches)
-
-    def search_pixels(self, pixels: np.ndarray, max_results: Optional[int] = None) -> ReverseSearchReport:
-        """Search by raster (hashes internally)."""
-        return self.search_hash(robust_hash(pixels), max_results=max_results)
 
     # ------------------------------------------------------------------
     def _array(self) -> np.ndarray:

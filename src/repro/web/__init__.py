@@ -8,7 +8,7 @@ payloads* (truncated/NaN/decoy rasters) that the crawler's ingest
 validation boundary excises into the quarantine ledger.
 """
 
-from .archive import CrawlRecord, WaybackArchive
+from .archive import WaybackArchive
 from .checkpoint import CrawlCheckpoint, link_key
 from .crawler import (
     CrawlResult,
@@ -55,7 +55,6 @@ from .sites import (
     IMAGE_SHARING_SERVICES,
     HostingService,
     ServiceKind,
-    all_services,
     service_by_domain,
 )
 from .url import Url, extract_urls, normalize_url, registrable_domain
@@ -68,7 +67,6 @@ __all__ = [
     "CircuitBreaker",
     "CorruptImage",
     "CrawlCheckpoint",
-    "CrawlRecord",
     "CrawlResult",
     "CrawlStats",
     "CrawledImage",
@@ -98,7 +96,6 @@ __all__ = [
     "TransientFault",
     "Url",
     "WaybackArchive",
-    "all_services",
     "content_digest",
     "corrupt_raster",
     "extract_urls",

@@ -11,7 +11,6 @@ crawl lag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Dict, List, Optional, Union
 
@@ -19,15 +18,7 @@ import numpy as np
 
 from .url import Url
 
-__all__ = ["CrawlRecord", "WaybackArchive"]
-
-
-@dataclass(frozen=True, slots=True)
-class CrawlRecord:
-    """One archived snapshot of a URL."""
-
-    url: str
-    crawl_date: datetime
+__all__ = ["WaybackArchive"]
 
 
 class WaybackArchive:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, Iterator, List, Optional, Union
 
@@ -164,7 +164,6 @@ class SimulatedInternet:
         self._rng = np.random.default_rng(seed)
         self._hosted: Dict[str, HostedResource] = {}
         self._origin_sites: Dict[str, OriginSite] = {}
-        self._origin_urls: Dict[str, List[Url]] = {}
         # Hosting services minted after world build (domain churn): these
         # exist only on *this* internet, unlike the static Table 3/4
         # registry in repro.web.sites.
@@ -259,19 +258,6 @@ class SimulatedInternet:
             raise ValueError(f"conflicting registration for origin domain {site.domain}")
         self._origin_sites[site.domain] = site
 
-    def host_on_origin(
-        self, site: OriginSite, image: SyntheticImage, uploaded_at: datetime
-    ) -> Url:
-        """Publish an image on an origin site (always alive)."""
-        if site.domain not in self._origin_sites:
-            self.register_origin_site(site)
-        url = self.mint_url(site.domain, prefix="img/")
-        self._hosted[str(url)] = HostedResource(
-            url=url, resource=image, uploaded_at=uploaded_at, status=FetchStatus.OK
-        )
-        self._origin_urls.setdefault(site.domain, []).append(url)
-        return url
-
     def origin_site(self, domain: str) -> Optional[OriginSite]:
         """Origin-site metadata for a domain, or ``None``."""
         return self._origin_sites.get(domain)
@@ -279,10 +265,6 @@ class SimulatedInternet:
     def origin_sites(self) -> Iterator[OriginSite]:
         """Iterate over all registered origin sites."""
         return iter(self._origin_sites.values())
-
-    def origin_urls(self, domain: str) -> List[Url]:
-        """URLs published on one origin domain."""
-        return list(self._origin_urls.get(domain, []))
 
     # ------------------------------------------------------------------
     # Fetching
@@ -406,13 +388,6 @@ class SimulatedInternet:
         if service is not None:
             return service
         return service_by_domain(domain)
-
-    def dynamic_services(self) -> List[HostingService]:
-        """Churned-in services, sorted by domain (deterministic order)."""
-        return [
-            self._dynamic_services[domain]
-            for domain in sorted(self._dynamic_services)
-        ]
 
     @property
     def n_fetch_calls(self) -> int:

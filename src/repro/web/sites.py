@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = [
     "CLOUD_STORAGE_SERVICES",
     "HostingService",
     "IMAGE_SHARING_SERVICES",
     "ServiceKind",
-    "all_services",
     "service_by_domain",
 ]
 
@@ -116,14 +115,6 @@ _BY_DOMAIN: Dict[str, HostingService] = {
     service.domain: service
     for service in IMAGE_SHARING_SERVICES + CLOUD_STORAGE_SERVICES
 }
-
-
-def all_services(kind: ServiceKind | None = None) -> List[HostingService]:
-    """All registered services, optionally filtered by kind."""
-    services = list(IMAGE_SHARING_SERVICES + CLOUD_STORAGE_SERVICES)
-    if kind is None:
-        return services
-    return [service for service in services if service.kind is kind]
 
 
 def service_by_domain(domain: str) -> HostingService | None:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from repro import build_world
 from repro.cli import build_parser, main
 from repro.core.report_text import (
     render_digest,
@@ -13,7 +14,7 @@ from repro.core.report_text import (
     render_table7,
     render_table8,
 )
-from repro.forum import load_dataset
+from repro.store import RunStore
 
 CLI_WORLD = ["--seed", "3", "--scale", "0.006"]
 
@@ -98,11 +99,16 @@ class TestRenderers:
 @pytest.mark.slow
 class TestCommands:
     def test_build_round_trip(self, tmp_path, capsys):
-        out = tmp_path / "world.jsonl"
+        out = tmp_path / "world.sqlite"
         code = main(["build", *CLI_WORLD, "--out", str(out)])
         assert code == 0
-        dataset = load_dataset(out)
+        with RunStore(out) as store:
+            dataset = store.read_dataset()
         assert dataset.n_posts > 100
+        # The store holds the world's records exactly (read in id order).
+        built = build_world(seed=3, scale=0.006).dataset
+        for records in ("forums", "boards", "actors", "threads", "posts"):
+            assert set(getattr(dataset, records)()) == set(getattr(built, records)())
 
     def test_run_prints_digest(self, capsys):
         code = main(["run", *CLI_WORLD, "--annotate", "200"])

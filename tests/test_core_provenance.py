@@ -7,7 +7,7 @@ import pytest
 from repro.core import PackSampling, ProvenanceAnalyzer
 from repro.domains import default_classifiers
 from repro.media import ImageKind, Pack, SyntheticImage, sample_latent
-from repro.vision import IndexedCopy, ReverseImageIndex
+from repro.vision import IndexedCopy, ReverseImageIndex, robust_hash
 from repro.web import LinkRecord, Url, WaybackArchive
 from repro.web.crawler import CrawledImage, content_digest
 
@@ -35,10 +35,10 @@ def setting(rng):
         for i in (1, 2, 3)
     ]
     index = ReverseImageIndex()
-    index.index_pixels(images[0].pixels,
-                       IndexedCopy("https://porn0.com/a", "porn0.com", EARLIER))
-    index.index_pixels(images[1].pixels,
-                       IndexedCopy("https://porn1.com/b", "porn1.com", LATER))
+    index.index_hash(robust_hash(images[0].pixels),
+                     IndexedCopy("https://porn0.com/a", "porn0.com", EARLIER))
+    index.index_hash(robust_hash(images[1].pixels),
+                     IndexedCopy("https://porn1.com/b", "porn1.com", LATER))
     archive = WaybackArchive(seed=0, coverage=1.0)
     return images, index, archive
 

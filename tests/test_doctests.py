@@ -15,7 +15,6 @@ MODULES = [
     for name in (
         "repro._rng",
         "repro.finance.parser",
-        "repro.forum.stats",
         "repro.text.normalize",
         "repro.text.tokenize",
     )

@@ -65,13 +65,6 @@ class TestClassifier:
         with pytest.raises(ValueError):
             DomainClassifier("X", {}, no_result_rate=0.1, confusion_rate=-1.0)
 
-    def test_classify_many_alignment(self):
-        clf = DomainClassifier("X", MCAFEE_MAPPING, no_result_rate=0.0)
-        verdicts = clf.classify_many(["a.com", "b.com"], ["Games", "Blogs"])
-        assert len(verdicts) == 2
-        with pytest.raises(ValueError):
-            clf.classify_many(["a.com"], ["Games", "Blogs"])
-
     def test_porn_maps_to_service_vocabulary(self):
         mcafee, virustotal, opendns = default_classifiers(seed=0)
         # Sample many domains; the dominant tags must come from each
@@ -92,10 +85,10 @@ class TestClassifier:
         domains = [f"x{i}.com" for i in range(800)]
         categories = ["Games"] * len(domains)
         mcafee_nr = sum(
-            1 for v in mcafee.classify_many(domains, categories) if not v.classified
+            1 for d, c in zip(domains, categories) if not mcafee.classify(d, c).classified
         )
         opendns_nr = sum(
-            1 for v in opendns.classify_many(domains, categories) if not v.classified
+            1 for d, c in zip(domains, categories) if not opendns.classify(d, c).classified
         )
         # §4.5: OpenDNS leaves ~22% unclassified vs ~6% for the others.
         assert opendns_nr > 2 * mcafee_nr
@@ -104,18 +97,16 @@ class TestClassifier:
 class TestTagDistribution:
     def test_counts_tags_not_domains(self):
         clf = DomainClassifier("X", VIRUSTOTAL_MAPPING, no_result_rate=0.0, confusion_rate=0.0)
-        verdicts = clf.classify_many(
-            [f"d{i}.com" for i in range(100)], ["Pornography"] * 100
-        )
+        verdicts = [clf.classify(f"d{i}.com", "Pornography") for i in range(100)]
         rows = tag_distribution(verdicts)
         total_tags = sum(count for _, count, _ in rows)
         assert total_tags >= 100  # multi-tag verdicts inflate the total
 
     def test_cumulative_percent_monotone(self):
         clf = DomainClassifier("X", MCAFEE_MAPPING, no_result_rate=0.1)
-        verdicts = clf.classify_many(
-            [f"d{i}.com" for i in range(50)], ["Games", "Blogs"] * 25
-        )
+        verdicts = [
+            clf.classify(f"d{i}.com", ("Games", "Blogs")[i % 2]) for i in range(50)
+        ]
         rows = tag_distribution(verdicts)
         percents = [p for _, _, p in rows]
         assert percents == sorted(percents)

@@ -158,11 +158,6 @@ class TestQueries:
     def test_span_empty(self):
         assert ForumDataset().span() is None
 
-    def test_thread_participants_order_and_dedup(self):
-        ds = make_minimal()
-        ds.add_post(Post(5002, 1000, 100, T0, "again", 2))
-        assert ds.thread_participants(1000) == [100, 101]
-
     def test_threads_by_forum(self):
         ds = make_minimal()
         assert [t.thread_id for t in ds.threads(1)] == [1000]

@@ -447,8 +447,3 @@ class TestPack:
     def test_stage_mix_invalid(self):
         with pytest.raises(ValueError):
             pack_stage_mix(0)
-
-    def test_stage_counts(self):
-        pack = self.make_pack(4)
-        counts = pack.stage_counts()
-        assert sum(counts.values()) == 4

@@ -170,12 +170,24 @@ class TestKernelBoundaries:
 
     def test_hash_batch_rejects_decoy(self):
         from repro.vision.batch import hash_batch
+        from repro.vision.photodna import robust_hash
 
         with pytest.raises(CorruptPayloadError):
             hash_batch([good_raster(), b"<html>404</html>"])
+        with pytest.raises(DecoyPayloadError):
+            robust_hash(b"<html>404</html>")
 
     def test_hash_batch_rejects_empty_member(self):
         from repro.vision.batch import hash_batch
+        from repro.vision.photodna import robust_hash
 
         with pytest.raises(CorruptPayloadError):
             hash_batch([good_raster(), np.empty((0, 0, 3))])
+        with pytest.raises(EmptyPayloadError):
+            robust_hash(np.empty((0, 0, 3)))
+
+    def test_robust_hash_rejects_wrong_rank(self):
+        from repro.vision.photodna import robust_hash
+
+        with pytest.raises(WrongShapeError):
+            robust_hash(np.zeros((4, 16, 16, 3)))

@@ -38,15 +38,6 @@ class TestLexiconEdges:
 
 
 class TestInternetEdges:
-    def test_origin_urls_listing(self, rng):
-        net = SimulatedInternet(seed=9)
-        site = OriginSite("origin.example", "Blogs", "blog", "Europe")
-        image = SyntheticImage(1, sample_latent(rng, ImageKind.LANDSCAPE))
-        url_a = net.host_on_origin(site, image, T0)
-        url_b = net.host_on_origin(site, image, T0)
-        assert set(map(str, net.origin_urls("origin.example"))) == {str(url_a), str(url_b)}
-        assert net.origin_urls("unknown.example") == []
-
     def test_origin_sites_iteration(self, rng):
         net = SimulatedInternet(seed=9)
         net.register_origin_site(OriginSite("a.example", "Blogs", "blog", "UK"))

@@ -161,14 +161,6 @@ class TestPipelineReportOutcomes:
         )
         assert not report.degraded
 
-    def test_stage_failure_lookup(self):
-        report = self.make_report()
-        failure = report.stage_failure("abuse_filter")
-        assert failure is not None and failure.error_type == "RuntimeError"
-        # skipped stages have no failure record of their own
-        assert report.stage_failure("nsfv") is None
-        assert report.stage_failure("does_not_exist") is None
-
     def test_skipped_outcomes_carry_root_cause(self):
         report = self.make_report()
         by_stage = {o.stage: o for o in report.stage_outcomes}
@@ -198,8 +190,9 @@ class TestPipelineDegradation:
         assert report.earnings is not None
         assert report.actor_analyzer is not None
         # the structured failure record is populated
-        failure = report.stage_failure("abuse_filter")
+        (failure,) = report.stage_failures
         assert isinstance(failure, StageFailure)
+        assert failure.stage == "abuse_filter"
         assert failure.error_type == "RuntimeError"
         assert "injected stage failure" in failure.message
         assert failure.context.get("n_images", 0) > 0

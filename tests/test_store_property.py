@@ -1,8 +1,8 @@
-"""Property-based round-trip tests for the JSONL store.
+"""Property-based round-trip test for the run store's corpus tables.
 
 Hypothesis generates arbitrary small-but-valid datasets (including
 unicode content, odd usernames, deep quote chains) and asserts the
-save/load round trip is lossless.
+``RunStore.append_dataset``/``read_dataset`` round trip is lossless.
 """
 
 from datetime import datetime, timedelta
@@ -17,9 +17,8 @@ from repro.forum import (
     ForumDataset,
     Post,
     Thread,
-    load_dataset,
-    save_dataset,
 )
+from repro.store import RunStore
 
 BASE = datetime(2012, 1, 1)
 
@@ -81,14 +80,17 @@ class TestRoundTripProperty:
     @given(dataset_st())
     @settings(max_examples=25, deadline=None)
     def test_lossless(self, tmp_path_factory, ds):
-        path = tmp_path_factory.mktemp("store") / "ds.jsonl"
-        save_dataset(ds, path)
-        loaded = load_dataset(path)
+        path = tmp_path_factory.mktemp("store") / "ds.sqlite"
+        with RunStore(path) as store:
+            store.append_dataset(ds)
+            loaded = store.read_dataset()
         assert loaded.n_forums == ds.n_forums
         assert loaded.n_boards == ds.n_boards
         assert loaded.n_actors == ds.n_actors
         assert loaded.n_threads == ds.n_threads
         assert loaded.n_posts == ds.n_posts
+        assert list(loaded.forums()) == list(ds.forums())
+        assert list(loaded.boards()) == list(ds.boards())
         for thread in ds.threads():
             other = loaded.thread(thread.thread_id)
             assert other == thread

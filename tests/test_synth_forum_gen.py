@@ -129,6 +129,18 @@ class TestGeneratedStructure:
         )
         assert counts[-1] > 5 * max(np.median(counts), 1)
 
+    def test_posts_per_actor_concentrated(self, world, report):
+        # Real forums have a small core of prolific posters: the Gini
+        # coefficient of posts per actor over the selection is high.
+        per_actor = {}
+        for thread in report.selection:
+            for post in world.dataset.posts_in_thread(thread.thread_id):
+                per_actor[post.author_id] = per_actor.get(post.author_id, 0) + 1
+        counts = np.sort(np.array(list(per_actor.values()), dtype=np.float64))
+        n = counts.size
+        gini = 2.0 * np.sum(np.arange(1, n + 1) * counts) / (n * counts.sum()) - (n + 1.0) / n
+        assert gini > 0.4
+
     def test_earner_proofs_recorded(self, world):
         assert world.forums.earner_ids
         assert world.forums.proof_truth

@@ -18,13 +18,13 @@ from repro.vision import (
     ReportRecord,
     ReverseImageIndex,
     hamming_distance,
-    nsfw_score,
     ocr_word_count,
     robust_hash,
-    skin_mask,
 )
+from repro.vision.nsfw import _skin
 
 T0 = datetime(2015, 1, 1)
+nsfw_score = NsfwScorer().score
 
 
 def render(kind, rng, model_id=None):
@@ -57,19 +57,19 @@ class TestNsfw:
 
     def test_skin_mask_rejects_grayscale_shape(self):
         with pytest.raises(ValueError):
-            skin_mask(np.zeros((8, 8)))
+            nsfw_score(np.zeros((8, 8)))
 
     def test_skin_mask_detects_skin_patch(self):
         pixels = np.zeros((8, 8, 3))
         pixels[:, :, 0] = 0.86
         pixels[:, :, 1] = 0.62
         pixels[:, :, 2] = 0.50
-        assert skin_mask(pixels).all()
+        assert _skin(pixels).all()
 
     def test_skin_mask_rejects_blue(self):
         pixels = np.zeros((8, 8, 3))
         pixels[:, :, 2] = 0.9
-        assert not skin_mask(pixels).any()
+        assert not _skin(pixels).any()
 
     def test_scorer_callable(self, rng):
         scorer = NsfwScorer()
@@ -81,7 +81,7 @@ def _score_with_sum_labels(scorer, pixels):
     """The score as first written: default structure, ``sum_labels`` sizes."""
     from scipy import ndimage
 
-    mask = skin_mask(pixels)
+    mask = _skin(pixels)
     total = mask.size
     coverage = float(mask.sum()) / total
     largest = 0.0
@@ -113,7 +113,7 @@ class TestNsfwLargestComponent:
         speckle = np.zeros((16, 16, 3))
         speckle[::2, ::2] = speckle[1::2, 1::2] = (0.86, 0.62, 0.50)
         rasters.append(speckle)
-        assert any(not skin_mask(r).any() for r in rasters)
+        assert any(not _skin(r).any() for r in rasters)
         for pixels in rasters:
             assert scorer.score(pixels) == _score_with_sum_labels(scorer, pixels)
 
@@ -247,13 +247,13 @@ class TestRobustHash:
 class TestHashList:
     def test_empty_list_never_matches(self, rng):
         service = HashListService()
-        assert not service.match(render(ImageKind.MODEL_NUDE, rng, 1)).matched
+        assert not service.match_hash(robust_hash(render(ImageKind.MODEL_NUDE, rng, 1))).matched
 
     def test_exact_match(self, rng):
         service = HashListService()
         pixels = render(ImageKind.MODEL_NUDE, rng, 1)
         entry = service.add_known_image(pixels, AbuseSeverity.CATEGORY_B, victim_age=17)
-        result = service.match(pixels)
+        result = service.match_hash(robust_hash(pixels))
         assert result.matched
         assert result.entry == entry
         assert result.distance == 0
@@ -263,14 +263,14 @@ class TestHashList:
         pixels = render(ImageKind.MODEL_NUDE, rng, 1)
         service.add_known_image(pixels, AbuseSeverity.CATEGORY_A)
         recompressed = apply_transform("recompress", pixels, seed=1)
-        assert service.match(recompressed).matched
+        assert service.match_hash(robust_hash(recompressed)).matched
 
     def test_no_match_beyond_radius(self, rng):
         service = HashListService(radius=5)
         pixels = render(ImageKind.MODEL_NUDE, rng, 1)
         service.add_known_image(pixels, AbuseSeverity.CATEGORY_A)
         other = render(ImageKind.MODEL_NUDE, rng, 99)
-        assert not service.match(other).matched
+        assert not service.match_hash(robust_hash(other)).matched
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
@@ -309,7 +309,7 @@ class TestReportLog:
 class TestReverseIndex:
     def test_search_empty_index(self, rng):
         index = ReverseImageIndex()
-        report = index.search_pixels(render(ImageKind.MODEL_NUDE, rng, 1))
+        report = index.search_hash(robust_hash(render(ImageKind.MODEL_NUDE, rng, 1)))
         assert report.n_matches == 0
         assert not report.matched
 
@@ -317,8 +317,8 @@ class TestReverseIndex:
         index = ReverseImageIndex()
         pixels = render(ImageKind.MODEL_NUDE, rng, 1)
         copy = IndexedCopy(url="https://a.com/1", domain="a.com", crawl_date=T0)
-        index.index_pixels(pixels, copy)
-        report = index.search_pixels(pixels)
+        index.index_hash(robust_hash(pixels), copy)
+        report = index.search_hash(robust_hash(pixels))
         assert report.matched
         assert report.matches[0].copy == copy
         assert report.matches[0].distance == 0
@@ -347,14 +347,6 @@ class TestReverseIndex:
         report = index.search_hash(h)
         assert report.domains() == ["same.com"]
 
-    def test_earliest_crawl(self):
-        index = ReverseImageIndex()
-        early = datetime(2010, 1, 1)
-        late = datetime(2018, 1, 1)
-        index.index_hash(1, IndexedCopy("https://a.com/1", "a.com", late))
-        index.index_hash(1, IndexedCopy("https://b.com/1", "b.com", early))
-        assert index.search_hash(1).earliest_crawl() == early
-
     def test_max_results_tie_break_stability(self, rng):
         # With many distance ties, the argpartition top-k path must
         # return exactly the same prefix as the full stable sort:
@@ -373,18 +365,6 @@ class TestReverseIndex:
             trimmed = index.search_hash(h, max_results=k)
             assert trimmed.matches == full.matches[:k]
 
-    def test_max_results_tie_break_stability_batched(self, rng):
-        index = ReverseImageIndex(radius=12)
-        queries = [0x1234, 0xFFFF00, 0xABCDEF]
-        for i in range(30):
-            q = queries[i % len(queries)]
-            delta = (0, 0b1, 0b11)[i % 3]
-            index.index_hash(q ^ delta, IndexedCopy(f"https://b{i}.com/x", f"b{i}.com", T0))
-        full = index.search_hashes(queries)
-        trimmed = index.search_hashes(queries, max_results=4)
-        for full_report, trimmed_report in zip(full, trimmed):
-            assert trimmed_report.matches == full_report.matches[:4]
-
     def test_max_results_zero(self):
         index = ReverseImageIndex()
         index.index_hash(1, IndexedCopy("https://a.com/1", "a.com", T0))
@@ -393,6 +373,6 @@ class TestReverseIndex:
     def test_mirror_not_found(self, rng):
         index = ReverseImageIndex()
         pixels = render(ImageKind.MODEL_NUDE, rng, 1)
-        index.index_pixels(pixels, IndexedCopy("https://a.com/1", "a.com", T0))
+        index.index_hash(robust_hash(pixels), IndexedCopy("https://a.com/1", "a.com", T0))
         mirrored = apply_transform("mirror", pixels)
-        assert not index.search_pixels(mirrored).matched
+        assert not index.search_hash(robust_hash(mirrored)).matched

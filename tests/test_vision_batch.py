@@ -1,11 +1,13 @@
-"""Property tests for the batched vision engine (DESIGN.md §7).
+"""Property tests for the hash kernel and the bit kernels (DESIGN.md §7).
 
-The contract under test is *bit-identity*: the batched paths must agree
-exactly — not approximately — with the scalar functions they replace.
+The contract under test is *bit-identity*: the kernels must agree
+exactly — not approximately — with one-image-at-a-time references
+written out here.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy import fft as scipy_fft
 
 from repro.vision import (
     hamming_distance,
@@ -16,7 +18,24 @@ from repro.vision import (
     prepare_thumbnails,
     robust_hash,
 )
-from repro.vision.photodna import _block_mean_resize
+from repro.vision.batch import _block_mean_resize
+
+
+def _reference_hash(pixels) -> int:
+    """The DCT hash of one raster, written as a plain scalar pipeline.
+
+    Grayscale → 32×32 block-mean resize → 2-D DCT → 8×8 low-frequency
+    block with the DC term replaced by coefficient (8, 8) → median
+    threshold → MSB-first pack.  ``hash_batch`` and ``robust_hash`` are
+    held bit-identical to it.
+    """
+    gray = np.asarray(pixels, dtype=np.float64)
+    if gray.ndim == 3:
+        gray = gray.mean(axis=2)
+    spectrum = scipy_fft.dctn(_block_mean_resize(gray, 32), norm="ortho")
+    block = spectrum[:8, :8].copy().ravel()
+    block[0] = spectrum[8, 8]  # drop the DC term (pure brightness)
+    return int("".join("1" if bit else "0" for bit in block > np.median(block)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +63,9 @@ class TestHashBatchBitIdentity:
         rasters = [_raster(*p) for p in params]
         batched = hash_batch(rasters)
         assert batched.dtype == np.uint64
-        assert [int(h) for h in batched] == [robust_hash(r) for r in rasters]
+        expected = [_reference_hash(r) for r in rasters]
+        assert [int(h) for h in batched] == expected
+        assert [robust_hash(r) for r in rasters] == expected
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -57,12 +78,12 @@ class TestHashBatchBitIdentity:
     def test_uniform_stack_matches_scalar(self, seed, h, w, c, n):
         # Same-shape rasters exercise the vectorised stacked path.
         rasters = [_raster(seed + i, h, w, c) for i in range(n)]
-        assert hash_batch(rasters).tolist() == [robust_hash(r) for r in rasters]
+        assert hash_batch(rasters).tolist() == [_reference_hash(r) for r in rasters]
 
     def test_chunked_uniform_stack(self):
         # More rasters than _STACK_CHUNK so the chunk loop runs twice.
         rasters = [_raster(i, 16, 16, 3) for i in range(130)]
-        assert hash_batch(rasters).tolist() == [robust_hash(r) for r in rasters]
+        assert hash_batch(rasters).tolist() == [_reference_hash(r) for r in rasters]
 
     def test_empty_batch(self):
         out = hash_batch([])
