@@ -1,21 +1,15 @@
-"""Tests for JSONL dataset persistence."""
+"""Tests for forum-dataset persistence in the SQLite run store.
 
-from datetime import datetime, timedelta, timezone
+``repro build --out`` writes a dataset with ``RunStore.bind_config`` and
+``append_dataset``; these cases read it back with ``read_dataset``.
+"""
+
+from datetime import datetime
 
 import pytest
 
-from repro.forum import (
-    Actor,
-    Board,
-    Forum,
-    ForumDataset,
-    Post,
-    Thread,
-    load_dataset,
-    save_dataset,
-)
-from repro.forum.dataset import DatasetError
-from repro.store.errors import StoreCorruptionError
+from repro.forum import Actor, Board, Forum, ForumDataset, Post, Thread
+from repro.store import RunStore
 
 T0 = datetime(2014, 6, 15, 12, 30)
 
@@ -34,17 +28,17 @@ def sample_dataset() -> ForumDataset:
 
 class TestRoundTrip:
     def test_counts_preserved(self, sample_dataset, tmp_path):
-        path = tmp_path / "ds.jsonl"
-        n = save_dataset(sample_dataset, path)
-        assert n == 6
-        loaded = load_dataset(path)
+        with RunStore(tmp_path / "ds.sqlite") as store:
+            n = store.append_dataset(sample_dataset)
+            assert n == 6
+            loaded = store.read_dataset()
         assert loaded.n_forums == 1
         assert loaded.n_posts == 2
 
     def test_record_fields_preserved(self, sample_dataset, tmp_path):
-        path = tmp_path / "ds.jsonl"
-        save_dataset(sample_dataset, path)
-        loaded = load_dataset(path)
+        with RunStore(tmp_path / "ds.sqlite") as store:
+            store.append_dataset(sample_dataset)
+            loaded = store.read_dataset()
         assert loaded.forum(1).has_ewhoring_board
         assert loaded.board(2).is_ewhoring_board
         assert loaded.actor(3).username == "carol"
@@ -54,109 +48,15 @@ class TestRoundTrip:
         assert post.created_at == T0
         assert loaded.post(6).quoted_post_id == 5
 
-    def test_double_round_trip_identical(self, sample_dataset, tmp_path):
-        p1 = tmp_path / "one.jsonl"
-        p2 = tmp_path / "two.jsonl"
-        save_dataset(sample_dataset, p1)
-        save_dataset(load_dataset(p1), p2)
-        assert p1.read_text() == p2.read_text()
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "mystery"}\n')
-        with pytest.raises(Exception):
-            load_dataset(path)
-
-    def test_blank_lines_ignored(self, sample_dataset, tmp_path):
-        path = tmp_path / "ds.jsonl"
-        save_dataset(sample_dataset, path)
-        path.write_text(path.read_text() + "\n\n")
-        loaded = load_dataset(path)
-        assert loaded.n_posts == 2
-
-
-def aware_dataset(offset_hours: int = 2) -> ForumDataset:
-    tz = timezone(timedelta(hours=offset_hours))
-    t0 = T0.replace(tzinfo=tz)
-    ds = ForumDataset()
-    ds.add_forum(Forum(1, "F", has_ewhoring_board=True))
-    ds.add_board(Board(2, 1, "eWhoring", category="Market", is_ewhoring_board=True))
-    ds.add_actor(Actor(3, 1, "carol", t0))
-    ds.add_thread(Thread(4, 2, 1, 3, "pack thread", t0))
-    ds.add_post(Post(5, 4, 3, t0, "aware post", 0))
-    return ds
-
-
-class TestTimezoneContract:
-    def test_uniformly_aware_round_trips_exactly(self, tmp_path):
-        ds = aware_dataset()
-        path = tmp_path / "aware.jsonl"
-        save_dataset(ds, path)
-        loaded = load_dataset(path)
-        post = loaded.post(5)
-        assert post.created_at == ds.post(5).created_at
-        assert post.created_at.tzinfo is not None
-        # exact, not merely equal-instant: the offset itself survives
-        assert post.created_at.utcoffset() == timedelta(hours=2)
-        assert loaded.actor(3).registered_at == ds.actor(3).registered_at
-
-    def test_mixed_naive_and_aware_rejected_at_save(self, tmp_path):
-        ds = aware_dataset()
-        ds.add_post(Post(6, 4, 3, T0, "naive straggler", 1))  # no tzinfo
-        path = tmp_path / "mixed.jsonl"
-        with pytest.raises(DatasetError, match="mixed naive"):
-            save_dataset(ds, path)
-
-    def test_rejected_save_leaves_no_partial_file(self, tmp_path):
-        ds = aware_dataset()
-        ds.add_post(Post(6, 4, 3, T0, "naive straggler", 1))
-        path = tmp_path / "mixed.jsonl"
-        with pytest.raises(DatasetError):
-            save_dataset(ds, path)
-        assert not path.exists()
-
-
-class TestCorruptionContract:
-    def test_garbage_json_raises_typed_with_line(self, tmp_path):
-        path = tmp_path / "garbage.jsonl"
-        path.write_text('{"kind": "forum", "forum_id": 1, "name": "F", '
-                        '"has_ewhoring_board": true, "bans_ewhoring": false}\n'
-                        "{{{not json at all\n")
-        with pytest.raises(StoreCorruptionError, match="line 2"):
-            load_dataset(path)
-
-    def test_truncated_record_raises_typed(self, sample_dataset, tmp_path):
-        path = tmp_path / "trunc.jsonl"
-        save_dataset(sample_dataset, path)
-        text = path.read_text()
-        path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
-        with pytest.raises(StoreCorruptionError):
-            load_dataset(path)
-
-    def test_malformed_field_raises_typed(self, tmp_path):
-        path = tmp_path / "badfield.jsonl"
-        path.write_text('{"kind": "forum", "forum_id": 1, "name": "F", '
-                        '"has_ewhoring_board": true, "bans_ewhoring": false}\n'
-                        '{"kind": "actor", "actor_id": 2, "forum_id": 1, '
-                        '"username": "u", "registered_at": "not-a-date"}\n')
-        with pytest.raises(StoreCorruptionError, match="line 2"):
-            load_dataset(path)
-
-    def test_integrity_violation_raises_typed(self, tmp_path):
-        path = tmp_path / "dangling.jsonl"
-        path.write_text('{"kind": "forum", "forum_id": 1, "name": "F", '
-                        '"has_ewhoring_board": true, "bans_ewhoring": false}\n'
-                        '{"kind": "actor", "actor_id": 2, "forum_id": 99, '
-                        '"username": "u", "registered_at": "2014-06-15T12:30:00"}\n')
-        with pytest.raises(StoreCorruptionError):
-            load_dataset(path)
-
 
 class TestWorldRoundTrip:
     def test_generated_world_round_trips(self, world, tmp_path):
-        path = tmp_path / "world.jsonl"
-        save_dataset(world.dataset, path)
-        loaded = load_dataset(path)
+        path = tmp_path / "world.sqlite"
+        with RunStore(path) as store:
+            store.bind_config(world.config)
+            store.append_dataset(world.dataset)
+        with RunStore(path) as store:
+            loaded = store.read_dataset()
         assert loaded.n_threads == world.dataset.n_threads
         assert loaded.n_posts == world.dataset.n_posts
         assert loaded.n_actors == world.dataset.n_actors
