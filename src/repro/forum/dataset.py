@@ -9,6 +9,7 @@ resolution.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import defaultdict
 from dataclasses import replace
 from datetime import datetime
@@ -29,6 +30,14 @@ class ForumDataset:
     Records must be added parents-first (forum before its boards, thread
     before its posts); referential integrity is checked eagerly so that a
     malformed generator fails at construction time, not during measurement.
+
+    Tables and indices iterate in insertion order.  The world build adds
+    records in id order (posts grouped by thread, in position order) —
+    the order :meth:`~repro.store.RunStore.read_dataset` reads a store
+    back in — and the drift mutations keep every index in that order.
+    So a built dataset and its stored copy are equal in every table and
+    index order, and the pipeline's inputs depend on the record set
+    alone (pinned by ``tests/test_store_incremental.py``).
     """
 
     def __init__(self) -> None:
@@ -184,7 +193,8 @@ class ForumDataset:
         """Re-home a thread onto another (existing) board.
 
         The thread's ``forum_id`` follows the destination board, and the
-        by-board / by-forum indices are updated; posts stay attached.
+        by-board / by-forum indices are updated, the thread taking its
+        id-order place there; posts stay attached.
         """
         thread = self._threads[thread_id]
         board = self._boards.get(board_id)
@@ -194,10 +204,10 @@ class ForumDataset:
             return thread
         updated = replace(thread, board_id=board_id, forum_id=board.forum_id)
         self._threads_by_board[thread.board_id].remove(thread_id)
-        self._threads_by_board[board_id].append(thread_id)
+        insort(self._threads_by_board[board_id], thread_id)
         if board.forum_id != thread.forum_id:
             self._threads_by_forum[thread.forum_id].remove(thread_id)
-            self._threads_by_forum[board.forum_id].append(thread_id)
+            insort(self._threads_by_forum[board.forum_id], thread_id)
         self._threads[thread_id] = updated
         return updated
 

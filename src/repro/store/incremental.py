@@ -3,10 +3,11 @@
 :func:`run_incremental` is the engine behind ``repro run --store PATH
 --epoch N``: it builds the world's observation epoch *N*, appends only
 the records newer than the store's watermark (epochs nest, so the append
-is a pure delta), reloads the corpus through the store's canonical
-cursors, and executes the full pipeline with every persisted memo warm —
-the digest-keyed :class:`~repro.vision.cache.VisionCache` (a digest with
-a record was validated clean at ingest), the per-stage crawl
+is a pure delta), checks the store's row counts against the built
+corpus, and executes the full pipeline over that corpus with every
+persisted memo warm — the digest-keyed
+:class:`~repro.vision.cache.VisionCache` (a digest with a record was
+validated clean at ingest), the per-stage crawl
 :data:`~repro.web.crawler.IngestMemo` and the world perceptual-hash
 memo.
 
@@ -35,7 +36,7 @@ from ..obs import RunTelemetry
 from ..synth.world import WorldConfig, build_world
 from ..vision.cache import VisionCache
 from ..web.crawler import IngestKey, IngestMemo
-from .errors import StoreConfigError
+from .errors import StoreConfigError, StoreCorruptionError
 from .sqlite import RunStore
 
 __all__ = ["IncrementalResult", "PersistSession", "run_incremental"]
@@ -143,10 +144,13 @@ def run_incremental(
     before trusting it (a tampered profile string fails eagerly).
 
     The world is still generated deterministically each run (pure
-    hash-RNG — generation is cheap and keeps the ground-truth oracles
-    whole); what the store eliminates is the *expensive* work: image
-    hashing at build, and render/validate/digest/score work in the
-    pipeline, all memoised by content digest.
+    hash-RNG; it keeps the ground-truth oracles whole), and generation
+    is the largest cost of a warm epoch.  What the store eliminates
+    is the work memoisable by content: image hashing at build, and
+    render/validate/digest/score work in the pipeline.  The pipeline
+    measures the built ``world.dataset``; the store's corpus must hold
+    exactly as many rows per table (:class:`StoreCorruptionError`
+    otherwise, with the epoch rolled back).
     """
     if config is None:
         config = WorldConfig(**config_overrides)
@@ -200,15 +204,19 @@ def run_incremental(
             run_store.set_watermark("dataset", effective_epoch, cutoff_iso)
             kill_point("store.dataset.appended")
 
-            # ---- canonical re-read: stage inputs come from store
-            # cursors.  Both cold and delta runs consume the corpus
-            # through the same ordered cursors, so equal record *sets*
-            # give equal stage inputs — in-memory generation order
-            # cannot leak into the equivalence contract.  (Pending
-            # writes are visible mid-transaction on this connection.)
-            with tele.tracer.span("store.read", what="dataset"):
-                world.dataset = run_store.read_dataset()
+            # ---- the store holds exactly the corpus this epoch measures
+            # The pipeline reads world.dataset itself: ForumDataset keeps
+            # its tables and indices in the id order the store's cursors
+            # read, so equal record sets give equal stage inputs.  A row
+            # count that differs means the store is not this world's
+            # corpus; raising here rolls the epoch back.
             counts = run_store.row_counts()
+            measured = {table: getattr(world.dataset, f"n_{table}") for table in counts}
+            if counts != measured:
+                raise StoreCorruptionError(
+                    f"{run_store.path}: the store holds corpus rows {counts} "
+                    f"but epoch {effective_epoch} measures {measured}"
+                )
             for table, count in sorted(counts.items()):
                 tele.work.gauge(f"store.rows.{table}").set(count)
             tele.work.gauge("store.rows_added").set(rows_added)
@@ -239,8 +247,6 @@ def run_incremental(
                 memo_rows = session.save(run_store)
                 tele.work.gauge("store.memo_rows_written").set(memo_rows)
                 kill_point("store.memos.saved")
-                if crawl is not None:
-                    run_store.record_images(effective_epoch, crawl.all_images)
                 run_id = run_store.record_run(
                     effective_epoch,
                     crawl.digest() if crawl is not None else "",

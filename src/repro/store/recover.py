@@ -61,7 +61,6 @@ _SALVAGE_TABLES = (
     "watermarks",
     "runs",
     "quarantine",
-    "images",
     "vision_cache",
     "ingest_memo",
     "world_hashes",

@@ -129,11 +129,6 @@ CREATE TABLE IF NOT EXISTS quarantine (
     context TEXT NOT NULL,
     PRIMARY KEY (run_id, seq)
 );
-CREATE TABLE IF NOT EXISTS images (
-    digest TEXT PRIMARY KEY,
-    first_epoch INTEGER NOT NULL,
-    link_kind TEXT
-);
 CREATE TABLE IF NOT EXISTS vision_cache (
     digest TEXT NOT NULL,
     field TEXT NOT NULL,
@@ -346,9 +341,8 @@ class RunStore:
         at exit; any exception — including ``BaseException`` stop
         requests like :class:`~repro.chaos.SignalInterrupt` — rolls the
         whole unit back.  Reads inside the block observe the pending
-        writes (same connection), so watermark checks and canonical
-        re-reads work mid-epoch.  Nested use flattens into the
-        outermost unit.
+        writes (same connection), so watermark checks and row counts
+        work mid-epoch.  Nested use flattens into the outermost unit.
         """
         if self._txn_depth:
             self._txn_depth += 1
@@ -554,10 +548,10 @@ class RunStore:
     def read_dataset(self) -> ForumDataset:
         """The persisted corpus, in canonical id order, fully validated.
 
-        Both cold and incremental runs read their dataset back through
-        this cursor, so stage inputs are identical whenever the record
-        *sets* are — insertion-order accidents of in-memory generation
-        cannot leak into the equivalence contract.
+        ``repro store verify`` (deep mode) reads the corpus back through
+        this cursor to re-validate every row.  Its order is the one a
+        built :class:`ForumDataset` keeps, so a store epoch measures the
+        built dataset directly and the two agree table for table.
         """
         from_iso = _from_iso
         try:
@@ -834,18 +828,6 @@ class RunStore:
             raise StoreCorruptionError(
                 f"{self.path}: quarantine context is not JSON: {exc}"
             ) from exc
-
-    def record_images(self, epoch: int, crawled: Iterable) -> int:
-        rows = [
-            (c.digest, int(epoch), c.link.link_kind) for c in crawled
-        ]
-        self._executemany(
-            "INSERT OR IGNORE INTO images (digest, first_epoch, link_kind) "
-            "VALUES (?, ?, ?)",
-            rows,
-        )
-        self.commit()
-        return len(rows)
 
     # ------------------------------------------------------------------
     # Telemetry history (DESIGN.md §14): span summaries, deterministic

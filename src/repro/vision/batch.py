@@ -170,42 +170,33 @@ def _thumbnails_uniform(
 ) -> None:
     """Vectorised thumbnail path for same-shape rasters.
 
-    Colour rasters are copied channel-plane by channel-plane into a
-    ``(channels, chunk, h, w)`` buffer while each raster is still
-    cache-warm, so the grayscale step becomes sequential whole-plane
-    adds — the identical per-element operation order of
-    ``pixels.mean(axis=2)`` (sum left-to-right, one divide), hence
-    bit-identical to the per-image path.  Resizing then runs on the whole
-    chunk with two :func:`_resize_axis` calls instead of ``2·chunk``.
+    Each colour raster's channels are summed straight into its slot of a
+    ``(chunk, h, w)`` grayscale buffer — the first two with one
+    float64 ``np.add``, the rest with ``+=`` — and the chunk is divided
+    once: the per-element operation order of ``pixels.mean(axis=2)``
+    (sum left-to-right, one divide), hence bit-identical to the
+    per-image path.  Resizing then runs on the whole chunk with two
+    :func:`_resize_axis` calls instead of ``2·chunk``.
     """
     n = len(items)
     height, width = int(shape[0]), int(shape[1])
     channels = int(shape[2]) if len(shape) == 3 else 0
-    chunk_size = min(n, _STACK_CHUNK)
-    planes = np.empty((max(channels, 1), chunk_size, height, width), dtype=np.float64)
-    gray_buf = np.empty((chunk_size, height, width), dtype=np.float64)
+    gray_buf = np.empty((min(n, _STACK_CHUNK), height, width), dtype=np.float64)
     for start in range(0, n, _STACK_CHUNK):
         block = items[start : start + _STACK_CHUNK]
-        c = len(block)
-        if channels:
-            dest = planes[:, :c]
-            for i, raster in enumerate(block):
-                # One strided copy per image: (h, w, c) → (c, h, w).
-                dest[:, i] = np.asarray(raster).transpose(2, 0, 1)
+        gray = gray_buf[: len(block)]
+        for i, raster in enumerate(block):
+            pixels = np.asarray(raster)
             if channels > 1:
-                gray = np.add(planes[0, :c], planes[1, :c], out=gray_buf[:c])
+                np.add(pixels[..., 0], pixels[..., 1], out=gray[i], dtype=np.float64)
                 for ch in range(2, channels):
-                    gray += planes[ch, :c]
+                    gray[i] += pixels[..., ch]
             else:
-                gray = gray_buf[:c]
-                np.copyto(gray, planes[0, :c])
+                gray[i] = pixels[..., 0] if channels else pixels
+        if channels:
             gray /= float(channels)
-        else:
-            for i, raster in enumerate(block):
-                planes[0, i] = raster
-            gray = planes[0, :c]
         small = _resize_axis(_resize_axis(gray, _HASH_GRID, axis=1), _HASH_GRID, axis=2)
-        thumbs[start : start + c] = small
+        thumbs[start : start + len(block)] = small
 
 
 def hash_batch(rasters: Sequence[np.ndarray]) -> np.ndarray:

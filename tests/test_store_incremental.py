@@ -17,14 +17,19 @@ profiles (corrupt rasters → quarantine), drift profiles (adversarial
 evasion).
 """
 
+import sqlite3
+
 import pytest
 
 from repro.store import (
     PersistSession,
     RunStore,
     StoreConfigError,
+    StoreCorruptionError,
     run_incremental,
+    verify_store,
 )
+from repro.synth.world import WorldConfig, build_world
 
 #: Small-but-inhabited world: every funnel stage sees traffic, including
 #: quarantine (hostile payloads) and the underage/hashlist branches.
@@ -132,8 +137,6 @@ class TestStoreRefusals:
             run_incremental(path, epoch=2, **other)
 
     def test_config_object_and_overrides_are_exclusive(self, tmp_path):
-        from repro.synth.world import WorldConfig
-
         with pytest.raises(TypeError):
             run_incremental(
                 tmp_path / "x.sqlite",
@@ -142,13 +145,111 @@ class TestStoreRefusals:
             )
 
 
+def dataset_orders(dataset):
+    """Every table and index of ``dataset``, in its iteration order."""
+    orders = {
+        "forums": list(dataset.forums()),
+        "boards": list(dataset.boards()),
+        "actors": list(dataset.actors()),
+        "threads": list(dataset.threads()),
+        "posts": list(dataset.posts()),
+    }
+    for forum in dataset.forums():
+        orders["boards", forum.forum_id] = list(dataset.boards(forum.forum_id))
+        orders["threads", forum.forum_id] = list(dataset.threads(forum.forum_id))
+    for board in dataset.boards():
+        orders["threads_in_board", board.board_id] = dataset.threads_in_board(board.board_id)
+    for actor in dataset.actors():
+        orders["posts_by_actor", actor.actor_id] = dataset.posts_by_actor(actor.actor_id)
+    for thread in dataset.threads():
+        orders["posts_in_thread", thread.thread_id] = dataset.posts_in_thread(thread.thread_id)
+    return orders
+
+
+def assert_orders_equal(built, stored):
+    built_orders, stored_orders = dataset_orders(built), dataset_orders(stored)
+    assert built_orders.keys() == stored_orders.keys()
+    differing = [k for k in built_orders if built_orders[k] != stored_orders[k]]
+    assert not differing, f"orders differ in {differing[:5]}"
+
+
+class TestBuiltDatasetEqualsStored:
+    """A store epoch measures the built dataset, not a copy read back.
+
+    That is sound only while the built dataset iterates in the order the
+    store's cursors read: then equal record sets give equal stage inputs.
+    """
+
+    def test_every_epoch_of_a_three_epoch_run(self, tmp_path):
+        with RunStore(tmp_path / "orders.sqlite") as store:
+            for epoch in (1, 2, 3):
+                built = build_world(WorldConfig(**WORLD_KW, epoch=epoch)).dataset
+                store.append_dataset(built)
+                assert_orders_equal(built, store.read_dataset())
+
+    def test_drifted_world(self, tmp_path):
+        # Hostile drift moves threads between boards and forums; a moved
+        # thread must take its id-order place in the indices.
+        cfg = WorldConfig(**WORLD_KW, drift_profile="hostile", drift_epoch=2)
+        world = build_world(cfg)
+        assert any(kind == "move" for kind in world.drift_ledger.migrated_threads.values())
+        with RunStore(tmp_path / "drifted.sqlite") as store:
+            store.append_dataset(world.dataset)
+            assert_orders_equal(world.dataset, store.read_dataset())
+
+
+class TestCorpusRowCheck:
+    def test_extra_stored_row_refuses_the_epoch(self, tmp_path):
+        path = tmp_path / "extra.sqlite"
+        run_incremental(path, epoch=1, **WORLD_KW)
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "INSERT INTO posts SELECT post_id + 1000000000, thread_id, "
+            "author_id, created_at, content, position, quoted_post_id "
+            "FROM posts LIMIT 1"
+        )
+        conn.commit()
+        conn.close()
+        with RunStore(path) as store:
+            before = store.watermark("dataset")
+        with pytest.raises(StoreCorruptionError, match="corpus rows"):
+            run_incremental(path, epoch=2, **WORLD_KW)
+        with RunStore(path) as store:
+            assert store.watermark("dataset") == before
+
+    def test_store_with_legacy_images_table_runs_on(self, tmp_path):
+        """A store from before the write-only ``images`` table was dropped
+        keeps it; the next epoch and verify ignore it."""
+        path = tmp_path / "legacy.sqlite"
+        run_incremental(path, epoch=1, **WORLD_KW)
+        add_legacy_images_table(path)
+        result = run_incremental(path, epoch=2, **WORLD_KW)
+        assert result.rows_added > 0
+        verify_store(path)
+
+
+def add_legacy_images_table(path):
+    """Give ``path`` the ``images`` table older stores carry, with rows."""
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "CREATE TABLE images (digest TEXT PRIMARY KEY, "
+        "first_epoch INTEGER NOT NULL, link_kind TEXT)"
+    )
+    conn.executemany(
+        "INSERT INTO images VALUES (?, ?, ?)",
+        [("d" * 64, 1, "pack"), ("e" * 64, 1, "preview")],
+    )
+    conn.commit()
+    conn.close()
+
+
 class TestDriftThroughStore:
     def test_drift_epoch_zero_is_strict_noop(self, tmp_path):
         """A drift profile armed at epoch 0 must not perturb anything.
 
-        The store path re-validates the persisted profile and replays the
-        world through its cursors; epoch 0 (and profile ``none``) must
-        come out bit-identical to an undrifted run of the same world.
+        The store path re-validates the persisted profile; epoch 0 (and
+        profile ``none``) must come out bit-identical to an undrifted run
+        of the same world.
         """
         plain = run_epochs(tmp_path, "plain", [1, 2, 3])
         armed = run_epochs(

@@ -39,6 +39,8 @@ from repro.store import (
 )
 from repro.web.checkpoint import CheckpointError, CrawlCheckpoint
 
+from .test_store_incremental import add_legacy_images_table
+
 SEED = 7
 
 
@@ -176,19 +178,29 @@ class TestRepair:
         assert not report.repaired
         assert report.verify is not None
 
-    def test_orphan_quarantine_is_trimmed(self, store_copy):
-        conn = sqlite3.connect(store_copy)
-        conn.execute(
-            "INSERT INTO quarantine (run_id, seq, stage, ref, error_type, "
-            "message, context) VALUES (999, 0, 'url_crawl', 'x', 'E', 'm', '{}')"
-        )
-        conn.commit()
+    def test_orphan_quarantine_is_trimmed(self, store_copy, tmp_path):
+        # The row-by-row rebuild also runs on a store that still carries
+        # the crawled-image table older stores have; it is not copied.
+        legacy = shutil.copy(store_copy, tmp_path / "legacy.sqlite")
+        add_legacy_images_table(legacy)
+        for path in (store_copy, legacy):
+            conn = sqlite3.connect(path)
+            conn.execute(
+                "INSERT INTO quarantine (run_id, seq, stage, ref, error_type, "
+                "message, context) VALUES (999, 0, 'url_crawl', 'x', 'E', 'm', '{}')"
+            )
+            conn.commit()
+            conn.close()
+            report = repair_store(path)
+            assert report.repaired
+            assert any("rebuilt store" in a for a in report.actions)
+            verify_store(path)  # now clean
+            # The damaged original was preserved for forensics.
+            assert os.path.exists(str(path) + ".corrupt")
+        conn = sqlite3.connect(legacy)
+        tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
         conn.close()
-        report = repair_store(store_copy)
-        assert report.repaired
-        verify_store(store_copy)  # now clean
-        # The damaged original was preserved for forensics.
-        assert os.path.exists(str(store_copy) + ".corrupt")
+        assert "images" not in tables
 
     def test_dangling_watermark_is_rolled_back(self, store_copy):
         conn = sqlite3.connect(store_copy)
