@@ -159,6 +159,10 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
     benchmark.pedantic(lambda: hash_batch(rasters), rounds=1, iterations=1)
 
     cache_stats = bench_report.vision_cache_stats
+    hit_rate = None
+    if cache_stats is not None:
+        lookups = cache_stats.hits + cache_stats.misses
+        hit_rate = cache_stats.hits / lookups if lookups else 0.0
     payload = {
         "config": {
             "n_rasters": len(rasters),
@@ -179,7 +183,7 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
             {
                 "hits": cache_stats.hits,
                 "misses": cache_stats.misses,
-                "hit_rate": round(cache_stats.hit_rate, 4),
+                "hit_rate": round(hit_rate, 4),
                 "entries": cache_stats.n_entries,
             }
             if cache_stats is not None
@@ -199,7 +203,12 @@ def test_p1_vision_throughput(rasters, bench_report, benchmark):
         f"nsfw blocks of {SCORE_BLOCK}: {rate['nsfw_block']:,.0f} img/s "
         f"({rate['nsfw_block'] / rate['nsfw_scalar']:.2f}×)",
         f"vision cache     : "
-        + (cache_stats.summary() if cache_stats is not None else "n/a"),
+        + (
+            f"{cache_stats.hits} hits, {cache_stats.misses} misses "
+            f"({hit_rate:.1%}), {cache_stats.n_entries} entries"
+            if cache_stats is not None
+            else "n/a"
+        ),
     ]
     print_table("BENCH_vision", "\n".join(lines))
 

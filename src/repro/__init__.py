@@ -47,23 +47,18 @@ __all__ = [
 
 def pipeline_for_world(
     world: World,
-    seed: Optional[int] = None,
     selection_fn=None,
     link_extractor=None,
     pretrained_classifier=None,
-    vision_cache=None,
 ) -> EwhoringPipeline:
     """Wire an :class:`EwhoringPipeline` to a synthetic world's components.
 
     ``selection_fn`` / ``link_extractor`` / ``pretrained_classifier`` are
     the adversarial-drift injection points (see
     :class:`~repro.core.pipeline.EwhoringPipeline`); left ``None`` the
-    pipeline reproduces the paper's static methodology exactly.
-    ``vision_cache`` supplies a pre-warmed
-    :class:`~repro.vision.cache.VisionCache` (a persistent store's
-    digest-keyed memo); ``None`` creates a fresh per-pipeline cache.
-    Each run adds copies of the feature records the world build computed
-    (``world.image_features``) to that cache.
+    pipeline reproduces the paper's static methodology exactly.  Each
+    run adds copies of the feature records the world build computed
+    (``world.image_features``) to its vision cache.
     """
     return EwhoringPipeline(
         dataset=world.dataset,
@@ -72,11 +67,10 @@ def pipeline_for_world(
         hashlist=world.hashlist,
         archive=world.archive,
         category_lookup=world.domain_categories.get,
-        seed=world.config.seed if seed is None else seed,
+        seed=world.config.seed,
         selection_fn=selection_fn,
         link_extractor=link_extractor,
         pretrained_classifier=pretrained_classifier,
-        vision_cache=vision_cache,
         image_features=world.image_features,
     )
 
@@ -84,7 +78,6 @@ def pipeline_for_world(
 def run_pipeline(
     world: World,
     annotate_n: int = 1000,
-    seed: Optional[int] = None,
     strict: bool = True,
     checkpoint=None,
     stage_hooks=None,
@@ -93,7 +86,6 @@ def run_pipeline(
     selection_fn=None,
     link_extractor=None,
     pretrained_classifier=None,
-    vision_cache=None,
     persist=None,
 ) -> PipelineReport:
     """Run the full measurement over a world using its ground-truth oracles.
@@ -109,24 +101,25 @@ def run_pipeline(
     ``telemetry`` (a :class:`~repro.obs.RunTelemetry`) carries the run's
     span tracer and metrics registry — pass one built around an enabled
     :class:`~repro.obs.Tracer` to capture a trace (DESIGN.md §9).
+    ``selection_fn`` / ``link_extractor`` / ``pretrained_classifier``
+    go to :func:`pipeline_for_world`; the drift harness sets them.
 
     ``workers`` is accepted and ignored: the crawl is always serial
     (DESIGN.md §10).  ``benchmarks/e2e/worker.py`` still passes it; the
     parameter goes once that benchmark drops its ``threads2`` workload.
 
-    ``vision_cache`` / ``persist`` plug in a persistent store's warm
-    memos (see :mod:`repro.store`); both preserve bit-identity of every
-    measured quantity — a warm run only *skips recomputation*.
+    ``persist`` (a :class:`~repro.store.incremental.PersistSession`)
+    plugs in a persistent store's warm memos, its ``cache`` the run's
+    vision cache; it preserves bit-identity of every measured quantity —
+    a warm run only *skips recomputation*.
     """
     import math
 
     pipeline = pipeline_for_world(
         world,
-        seed=seed,
         selection_fn=selection_fn,
         link_extractor=link_extractor,
         pretrained_classifier=pretrained_classifier,
-        vision_cache=vision_cache,
     )
     truth = world.forums
     top_n = max(10, int(round(50 * math.sqrt(world.config.scale))))

@@ -158,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
              "measuring (see 'repro drift' for the decay experiment)",
     )
     p_run.add_argument(
-        "--drift-epoch", type=_nonneg_int, default=1, metavar="E",
-        help="how many drift epochs to apply with --drift-profile "
-             "(default 1; 0 = build the world but mutate nothing)",
+        "--drift-epoch", type=_nonneg_int, default=None, metavar="E",
+        help="how many drift epochs to apply (requires --drift-profile; "
+             "default 1; 0 = build the world but mutate nothing)",
     )
     p_run.add_argument(
         "--resume", type=Path, nargs="?", const=Path("crawl.checkpoint.json"),
@@ -187,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
              "--store; default: the full timeline)",
     )
     p_run.add_argument(
-        "--epoch-total", type=int, default=1, metavar="N",
+        "--epoch-total", type=int, default=None, metavar="N",
         help="number of equal-population observation epochs the world's "
-             "timeline is divided into (default 1)",
+             "timeline is divided into (requires --store; default 1)",
     )
 
     p_drift = sub.add_parser(
@@ -340,38 +340,59 @@ def _write_tables(report, out_dir: Path) -> list:
 
 
 def _resilience_summary(report) -> str:
-    """Retry/breaker/stage-boundary summary lines for the ``run`` command."""
+    """Crawl-resilience and stage-boundary lines for the ``run`` command.
+
+    The retry and breaker counts are read from the run's metrics
+    registry, their one home; only the breakers still open at crawl end
+    and the retried links come from the crawl result itself.
+    """
     lines = ["-- crawl resilience --"]
-    if report.crawl is not None:
-        stats = report.crawl.stats
-        # Retries, giveups and breaker skips print in the telemetry
-        # block's "crawl:" line.
-        lines.append(f"transient faults: {stats.n_transient_faults}")
-        if report.crawl.attempt_logs:
+    crawl = report.crawl
+    if crawl is not None:
+        metrics = report.telemetry.metrics
+        lines.append(
+            f"crawl: {metrics.value('crawl.retries')} retries, "
+            f"{metrics.value('crawl.giveups')} giveups, "
+            f"{metrics.value('crawl.breaker_skips')} breaker skips, "
+            f"{metrics.value('crawl.transient_faults')} transient faults"
+        )
+        if crawl.breaker_summary is not None:
+            lines.append(
+                f"breakers: {metrics.value('crawl.breaker_domains')} domains, "
+                f"{crawl.breaker_summary['n_open']} open, "
+                f"{metrics.value('crawl.breaker_opens')} opens"
+            )
+        if crawl.attempt_logs:
             lines.append(f"links that needed the retry machinery: "
-                         f"{len(report.crawl.attempt_logs)}")
+                         f"{len(crawl.attempt_logs)}")
     else:
         lines.append("crawl unavailable (stage failed or skipped)")
     lines.append("-- stage boundaries --")
-    if not report.stage_outcomes:
-        lines.append("no stage records")
-    elif not report.degraded:
-        lines.append(f"all {len(report.stage_outcomes)} stages completed")
-    else:
-        for outcome in report.stage_outcomes:
-            if outcome.status == "failed" and outcome.failure is not None:
-                lines.append(f"FAILED  {outcome.failure.summary()}")
-            elif outcome.status == "skipped":
-                line = f"skipped {outcome.stage} (requires {outcome.skipped_due_to}"
-                if (
-                    outcome.root_cause is not None
-                    and outcome.root_cause != outcome.skipped_due_to
-                ):
-                    line += f"; root cause {outcome.root_cause}"
-                lines.append(line + ")")
-            else:
-                lines.append(f"ok      {outcome.stage} [{outcome.elapsed:.2f}s]")
+    lines.extend(_stage_boundary_lines(report.stage_outcomes))
     return "\n".join(lines)
+
+
+def _stage_boundary_lines(outcomes) -> list:
+    """One line per stage of a degraded run, else a one-line all-clear."""
+    if not outcomes:
+        return ["no stage records"]
+    if all(outcome.ok for outcome in outcomes):
+        return [f"all {len(outcomes)} stages completed"]
+    lines = []
+    for outcome in outcomes:
+        if outcome.status == "failed" and outcome.failure is not None:
+            lines.append(f"FAILED  {outcome.failure.summary()}")
+        elif outcome.status == "skipped":
+            line = f"skipped {outcome.stage} (requires {outcome.skipped_due_to}"
+            if (
+                outcome.root_cause is not None
+                and outcome.root_cause != outcome.skipped_due_to
+            ):
+                line += f"; root cause {outcome.root_cause}"
+            lines.append(line + ")")
+        else:
+            lines.append(f"ok      {outcome.stage} [{outcome.elapsed:.2f}s]")
+    return lines
 
 
 def _print_run_report(report, log) -> None:
@@ -520,14 +541,14 @@ def _run_store_command(args, log) -> int:
         fault_profile=args.fault_profile,
         payload_profile=args.payload_profile,
         drift_profile=args.drift_profile,
-        drift_epoch=args.drift_epoch if args.drift_profile else 0,
-        epoch_total=args.epoch_total,
+        drift_epoch=args.drift_epoch,
+        epoch_total=args.epoch_total if args.epoch_total is not None else 1,
     )
     telemetry = _make_run_telemetry(args)
     log.info(
         "store run: %s epoch=%s/%d",
         args.store, args.epoch if args.epoch is not None else "full",
-        args.epoch_total,
+        config.epoch_total,
     )
     start = time.perf_counter()
     try:
@@ -846,14 +867,25 @@ def _dispatch(args, log) -> int:
     payload_profile = getattr(args, "payload_profile", None)
     drift_profile = getattr(args, "drift_profile", None)
 
-    if getattr(args, "store", None) is not None:
-        if getattr(args, "resume", None) is not None:
+    if args.command == "run":
+        # A flag that modifies another is refused without it, before any
+        # world is built, rather than silently ignored.
+        if args.drift_epoch is None:
+            args.drift_epoch = 1 if drift_profile is not None else 0
+        elif drift_profile is None:
             raise SystemExit(
-                "--resume cannot be used with --store (see 'repro run --help')"
+                "--drift-epoch requires --drift-profile (see 'repro run --help')"
             )
-        return _run_store_command(args, log)
-    if getattr(args, "epoch", None) is not None:
-        raise SystemExit("--epoch requires --store (see 'repro run --help')")
+        if args.store is not None:
+            if args.resume is not None:
+                raise SystemExit(
+                    "--resume cannot be used with --store (see 'repro run --help')"
+                )
+            return _run_store_command(args, log)
+        if args.epoch is not None:
+            raise SystemExit("--epoch requires --store (see 'repro run --help')")
+        if args.epoch_total is not None:
+            raise SystemExit("--epoch-total requires --store (see 'repro run --help')")
 
     log.info(
         "building world",
@@ -872,7 +904,7 @@ def _dispatch(args, log) -> int:
         fault_profile=fault_profile,
         payload_profile=payload_profile,
         drift_profile=drift_profile,
-        drift_epoch=getattr(args, "drift_epoch", 1) if drift_profile else 0,
+        drift_epoch=getattr(args, "drift_epoch", 0),
     )
     log.info(
         "world ready: %s [%.1fs]", world.dataset, time.perf_counter() - start

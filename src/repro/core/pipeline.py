@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ..domains.classifiers import DomainClassifier, default_classifiers
+from ..domains.classifiers import default_classifiers
 from ..forum.dataset import ForumDataset
 from ..obs import RunTelemetry
 from ..forum.models import Thread
@@ -46,7 +46,6 @@ from ..web.archive import WaybackArchive
 from ..web.checkpoint import CrawlCheckpoint
 from ..web.crawler import CrawlResult, CrawledImage, Crawler
 from ..web.internet import SimulatedInternet
-from ..web.retry import RetryPolicy
 from .abuse_filter import AbuseFilter, AbuseFilterResult
 from .quarantine import Quarantine
 from .stage_runner import StageFailure, StageOutcome, StageRunner
@@ -104,6 +103,9 @@ class PipelineReport:
     tops_per_forum: Optional[Dict[str, int]] = None
     n_annotated: Optional[int] = None
     n_annotated_tops: Optional[int] = None
+    #: The fitted TOP classifier the run used (trained here, or the
+    #: pipeline's ``pretrained_classifier``).
+    classifier: Optional[HybridTopClassifier] = None
 
     # Stage 2: URLs and crawling (§4.2).
     links: Optional[LinkExtraction] = None
@@ -174,11 +176,7 @@ class EwhoringPipeline:
         hashlist: HashListService,
         archive: Optional[WaybackArchive] = None,
         category_lookup: Optional[Callable[[str], Optional[str]]] = None,
-        classifiers: Optional[Sequence[DomainClassifier]] = None,
-        nsfv: Optional[NsfvClassifier] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         seed: int = 0,
-        vision_cache: Optional[VisionCache] = None,
         selection_fn: Optional[Callable[[ForumDataset], List[Thread]]] = None,
         link_extractor: Optional[
             Callable[[ForumDataset, Sequence[Thread]], LinkExtraction]
@@ -191,15 +189,13 @@ class EwhoringPipeline:
         self.reverse_index = reverse_index
         self.hashlist = hashlist
         self.archive = archive
-        self.retry_policy = retry_policy
         self.category_lookup = category_lookup if category_lookup is not None else (lambda d: None)
-        self.classifiers = (
-            list(classifiers) if classifiers is not None else list(default_classifiers(seed))
-        )
-        self.nsfv = nsfv if nsfv is not None else NsfvClassifier()
+        self.classifiers = list(default_classifiers(seed))
+        self.nsfv = NsfvClassifier()
         self.seed = seed
-        #: Digest → feature-record map the stages read (DESIGN.md §7).
-        self.vision_cache = vision_cache if vision_cache is not None else VisionCache()
+        #: Digest → feature-record map the stages read (DESIGN.md §7),
+        #: unless a run's ``persist`` session lends its own.
+        self.vision_cache = VisionCache()
         #: The world build's featuriser; each run adopts copies of its
         #: records (see :meth:`Featurizer.adopt`).
         self.image_features = image_features
@@ -216,9 +212,6 @@ class EwhoringPipeline:
         #: annotation + training (the stale-model arm of the retraining-
         #: cadence defense).
         self.pretrained_classifier = pretrained_classifier
-        #: The classifier the last run actually used (fitted); see
-        #: ``_stage_top``.
-        self.last_classifier: Optional[HybridTopClassifier] = None
 
     # ------------------------------------------------------------------
     def run(
@@ -250,9 +243,10 @@ class EwhoringPipeline:
 
         ``persist`` is a warm-memo bundle (duck-typed as
         :class:`~repro.store.incremental.PersistSession`) carrying the
-        per-stage crawl ingest memos a persistent store loaded from
-        earlier epochs (its feature records arrive as ``vision_cache``).
-        Memos only skip recomputation of pure per-record functions
+        feature records (``persist.cache``, the run's vision cache in
+        place of :attr:`vision_cache`) and per-stage crawl ingest memos
+        a persistent store loaded from earlier epochs.  Memos only skip
+        recomputation of pure per-record functions
         (render / validate / digest / featurise), so every measured
         quantity — and the measurement view — is bit-identical with or
         without them; a warm run merely does less work (see DESIGN.md
@@ -268,7 +262,8 @@ class EwhoringPipeline:
         #: scorer) and drops its pixels; every later stage reads records.
         #: It starts from copies of the records the world build computed
         #: for the images it rendered, when those were scored the same way.
-        features = Featurizer(self.vision_cache, self.hashlist, self.nsfv.scorer)
+        cache = persist.cache if persist is not None else self.vision_cache
+        features = Featurizer(cache, self.hashlist, self.nsfv.scorer)
         if self.image_features is not None:
             features.adopt(self.image_features)
         with tele.tracer.span("pipeline.run", seed=self.seed, strict=strict):
@@ -308,29 +303,31 @@ class EwhoringPipeline:
                     self._train_classifier(selection, top_oracle, annotate_n)
                 )
             tops, stats = classifier.extract_tops(self.dataset, selection)
-            # Exposed for repro.drift: the fitted model of this run is
-            # what the frozen-classifier arm reuses in later epochs.
-            self.last_classifier = classifier
             tops_per_forum: Dict[str, int] = {}
             for thread in tops:
                 name = self.dataset.forum(thread.forum_id).name
                 tops_per_forum[name] = tops_per_forum.get(name, 0) + 1
-            return evaluation, stats, tops, tops_per_forum, n_annotated, n_annotated_tops
+            return (
+                classifier, evaluation, stats, tops, tops_per_forum,
+                n_annotated, n_annotated_tops,
+            )
 
         top_out, _ = runner.run(
             "top_extraction", _stage_top, context={"n_threads": len(selection)}
         )
-        evaluation = stats = tops = tops_per_forum = None
+        classifier = evaluation = stats = tops = tops_per_forum = None
         n_annotated = n_annotated_tops = None
         if top_out is not None:
-            evaluation, stats, tops, tops_per_forum, n_annotated, n_annotated_tops = top_out
+            (
+                classifier, evaluation, stats, tops, tops_per_forum,
+                n_annotated, n_annotated_tops,
+            ) = top_out
 
         # ---- stage 2: URLs + crawl ----------------------------------
         def _stage_crawl():
             links = self.link_extractor(self.dataset, tops)
             crawler = Crawler(
                 self.internet,
-                retry_policy=self.retry_policy,
                 ingest_memo=(
                     persist.ingest_memo("url_crawl") if persist is not None else None
                 ),
@@ -492,6 +489,7 @@ class EwhoringPipeline:
             tops_per_forum=tops_per_forum,
             n_annotated=n_annotated,
             n_annotated_tops=n_annotated_tops,
+            classifier=classifier,
             links=links,
             crawl=crawl,
             abuse=abuse,
@@ -506,7 +504,7 @@ class EwhoringPipeline:
             interests=interests,
             stage_outcomes=list(runner.outcomes),
             stage_failures=list(runner.failures),
-            vision_cache_stats=self.vision_cache.stats(),
+            vision_cache_stats=features.cache.stats(),
             quarantine=quarantine,
             telemetry=tele,
         )

@@ -27,8 +27,9 @@ cycle (:mod:`repro.obs` and :mod:`repro.media` are leaf dependencies).
 
 Telemetry: a ledger built with a tracer emits one ``quarantine.admit``
 event per excised record on whichever span is current when the poison
-surfaces (the crawl fetch span, the NSFV stage span, …), and
-:meth:`Quarantine.as_dict` is the snapshot the run manifest embeds.
+surfaces (the crawl fetch span, the NSFV stage span, …); at run end the
+pipeline copies its per-stage and per-error counts into the run's
+metrics registry.
 """
 
 from __future__ import annotations
@@ -209,24 +210,6 @@ class Quarantine:
     def sample(self, n: int = 5) -> List[QuarantineRecord]:
         """The first ``n`` records — stable exemplars for summaries."""
         return self.records[: max(0, n)]
-
-    def merge(self, other: "Quarantine") -> None:
-        """Append another ledger's records."""
-        self.records.extend(other.records)
-
-    def as_dict(self) -> dict:
-        """Snapshot-protocol view: totals plus per-stage/per-error counts.
-
-        This (not ``.records``) is what exporters embed — the common
-        ``as_dict()`` contract shared with ``VisionCacheStats``,
-        ``CrawlStats`` and ``BreakerBoard`` (DESIGN.md §9).
-        """
-        return {
-            "n_quarantined": len(self.records),
-            "by_stage": dict(sorted(self.by_stage().items())),
-            "by_error": dict(sorted(self.by_error().items())),
-            "sample": [r.to_dict() for r in self.sample(3)],
-        }
 
     # ------------------------------------------------------------------
     def summary_lines(self, n_samples: int = 3) -> List[str]:

@@ -110,37 +110,26 @@ def render_earnings(earnings: EarningsResult) -> str:
 
 
 def render_telemetry(report: PipelineReport) -> str:
-    """The run's telemetry block: funnel table + component snapshots.
+    """The run's telemetry block: the funnel table, then the work counts.
 
-    Everything here goes through the snapshot protocol (``as_dict()`` /
-    ``summary()`` on the stats objects) — no reaching into private
-    fields, and no formatting duplicated from the exporters: the funnel
-    table is :func:`repro.obs.export.render_funnel`, shared with
-    ``repro trace``.
+    Reads ``tele.funnel()`` and the two metric registries only, the one
+    home of every count a run records (DESIGN.md §9).  The funnel table
+    is :func:`repro.obs.export.render_funnel`, shared with ``repro
+    trace``.  The crawl's retry and breaker counts print once, in the
+    CLI's crawl-resilience summary; no count here repeats the funnel.
     """
     tele = report.telemetry
     if tele is None:
         return "telemetry: not recorded"
     lines: List[str] = render_funnel(tele.funnel()).splitlines()
     lines.append(tele.summary_line())
-    cache = report.vision_cache_stats
-    if cache is not None:
-        lines.append(f"vision cache: {cache.summary()}")
-    crawl = report.crawl.stats.as_dict() if report.crawl is not None else None
-    if crawl:
+    work = tele.work
+    if work.value("vision_cache.hits") is not None:
         lines.append(
-            f"crawl: {crawl['n_links']} links, {crawl['n_retries']} retries, "
-            f"{crawl['n_giveups']} giveups, {crawl['n_breaker_skips']} breaker skips"
+            f"vision cache: {work.value('vision_cache.hits')} hits, "
+            f"{work.value('vision_cache.misses')} misses, "
+            f"{work.value('vision_cache.entries')} entries"
         )
-    breakers = getattr(report.crawl, "breaker_summary", None)
-    if breakers:
-        lines.append(
-            f"breakers: {breakers['n_domains']} domains, "
-            f"{breakers['n_open']} open, {breakers['total_opens']} opens total"
-        )
-    if report.quarantine is not None:
-        quarantine = report.quarantine.as_dict()
-        lines.append(f"quarantine: {quarantine['n_quarantined']} records")
     return "\n".join(lines)
 
 

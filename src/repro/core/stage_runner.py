@@ -60,16 +60,6 @@ class StageFailure:
             f"(after {self.elapsed:.2f}s){suffix}"
         )
 
-    def as_dict(self) -> dict:
-        """Snapshot-protocol view (export / manifest use)."""
-        return {
-            "stage": self.stage,
-            "error_type": self.error_type,
-            "message": self.message,
-            "elapsed_seconds": self.elapsed,
-            "context": dict(self.context),
-        }
-
 
 @dataclass(frozen=True)
 class StageOutcome:
@@ -91,7 +81,7 @@ class StageOutcome:
         return self.status == "ok"
 
     def as_dict(self) -> dict:
-        """Snapshot-protocol view (export / manifest use)."""
+        """One row of the run manifest's stage table."""
         return {
             "stage": self.stage,
             "status": self.status,
@@ -208,22 +198,3 @@ class StageRunner:
             self.outcomes.append(StageOutcome(stage=stage, status="ok", elapsed=elapsed))
         metrics.counter("pipeline.stage_runs", stage=stage, status="ok").inc()
         return value, True
-
-    # ------------------------------------------------------------------
-    def summary_lines(self) -> List[str]:
-        """Human-readable degradation summary (for the CLI)."""
-        if not self.degraded:
-            return ["all stages completed"]
-        lines: List[str] = []
-        for outcome in self.outcomes:
-            if outcome.status == "failed" and outcome.failure is not None:
-                lines.append(f"FAILED  {outcome.failure.summary()}")
-            elif outcome.status == "skipped":
-                line = f"skipped {outcome.stage} (requires {outcome.skipped_due_to}"
-                if (
-                    outcome.root_cause is not None
-                    and outcome.root_cause != outcome.skipped_due_to
-                ):
-                    line += f"; root cause {outcome.root_cause}"
-                lines.append(line + ")")
-        return lines

@@ -16,10 +16,10 @@ the byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .. import run_pipeline
 from .._rng import SeedSequenceTree
 from ..obs import RunTelemetry
 from ..synth.world import WorldConfig, build_world
@@ -95,35 +95,6 @@ class DriftReport:
                 stage: self.recall_curve(stage) for stage in STAGE_NAMES
             },
         }
-
-
-def _run_epoch_pipeline(
-    world,
-    annotate_n: int,
-    selection_fn=None,
-    link_extractor=None,
-    pretrained_classifier=None,
-    telemetry: Optional[RunTelemetry] = None,
-):
-    """Run the funnel with the world's oracles; returns (pipeline, report)."""
-    from .. import pipeline_for_world
-
-    pipeline = pipeline_for_world(
-        world,
-        selection_fn=selection_fn,
-        link_extractor=link_extractor,
-        pretrained_classifier=pretrained_classifier,
-    )
-    truth = world.forums
-    top_n = max(10, int(round(50 * math.sqrt(world.config.scale))))
-    report = pipeline.run(
-        top_oracle=lambda thread_id: truth.thread_types.get(thread_id) == "top",
-        proof_oracle=truth.proof_truth.get,
-        annotate_n=annotate_n,
-        key_actor_top_n=top_n,
-        telemetry=telemetry,
-    )
-    return pipeline, report
 
 
 def run_drift(
@@ -209,7 +180,7 @@ def run_drift(
                         scenario, seed=defense_seeds.seed(f"radius-{epoch}")
                     )
                     apply_radius(world, calibration)
-            pipeline, pipeline_report = _run_epoch_pipeline(
+            pipeline_report = run_pipeline(
                 world,
                 annotate_n=annotate_n,
                 selection_fn=selection_fn,
@@ -219,7 +190,7 @@ def run_drift(
             if epoch == 0:
                 # The static instrument keeps using this model forever;
                 # the watchlist is the instrument's own epoch-0 output.
-                frozen_classifier = pipeline.last_classifier
+                frozen_classifier = pipeline_report.classifier
                 watchlist = watchlist_from_report(pipeline_report)
             scores = measure_run(world, ledger, pipeline_report)
             crawl = pipeline_report.crawl

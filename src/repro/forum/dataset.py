@@ -249,10 +249,6 @@ class ForumDataset:
         """Return the post with ``post_id`` (KeyError if absent)."""
         return self._posts[post_id]
 
-    def maybe_post(self, post_id: int) -> Optional[Post]:
-        """Return the post or ``None`` when the id is unknown."""
-        return self._posts.get(post_id)
-
     # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------

@@ -22,14 +22,6 @@ class Split:
     train_indices: np.ndarray
     test_indices: np.ndarray
 
-    @property
-    def n_train(self) -> int:
-        return int(self.train_indices.shape[0])
-
-    @property
-    def n_test(self) -> int:
-        return int(self.test_indices.shape[0])
-
 
 def train_test_split(
     n_samples: int,

@@ -5,11 +5,11 @@ A traced run leaves one artifact, the **trace file** (``repro run
 line per finished span (events inlined), sorted by start offset.  The
 header is the run's provenance record, :func:`build_manifest`: seed,
 config, component versions, the Figure-1 stage funnel, per-stage
-outcomes, the full metric snapshot and the quarantine/vision-cache/crawl
-statistic snapshots.  What the span lines already say (span and event
-counts, the slowest spans) is not repeated in the header, so the file is
-self-describing: ``repro trace t.jsonl`` renders a flame summary and the
-funnel without the world or the report.
+outcomes and the snapshot of both metric registries, which hold every
+count the run recorded.  What the span lines already say (span and
+event counts, the slowest spans) is not repeated in the header, so the
+file is self-describing: ``repro trace t.jsonl`` renders a flame
+summary and the funnel without the world or the report.
 
 :func:`render_trace` / :func:`render_funnel` turn a read-back trace into
 the per-stage flame summary and funnel table the ``repro trace``
@@ -53,10 +53,13 @@ __all__ = [
     "write_trace",
 ]
 
-#: Version 2: the header carries the whole run manifest.  A version-1
-#: header held only the seed, config, funnel, stages and metrics; every
-#: reader here treats a missing header field as unknown.
-TRACE_SCHEMA_VERSION = 2
+#: Version 3: the header no longer carries the ``crawl``, ``quarantine``
+#: and ``vision_cache`` blocks of version 2, whose counts the ``metrics``
+#: snapshot already holds.  A version-1 header held only the seed,
+#: config, funnel, stages and metrics.  Every reader here treats a
+#: missing header field as unknown and ignores one it does not use, so
+#: all three versions render and ingest.
+TRACE_SCHEMA_VERSION = 3
 
 #: The exact top-level key set of a run manifest — the schema-stability
 #: contract asserted by ``tests/test_obs_export.py``.  Extend it
@@ -70,9 +73,6 @@ MANIFEST_KEYS = (
     "funnel",
     "stages",
     "metrics",
-    "quarantine",
-    "vision_cache",
-    "crawl",
     "cpu_count",
 )
 
@@ -199,10 +199,10 @@ def build_manifest(
     """The run manifest of one :class:`~repro.core.pipeline.PipelineReport`:
     the header :func:`write_trace` puts above the run's spans.
 
-    ``report.telemetry`` supplies the funnel and metric snapshot; the
-    stage table, quarantine ledger, vision-cache and crawl statistics
-    come from the report's own sections through the common
-    ``as_dict()`` snapshot protocol.
+    ``report.telemetry`` supplies the funnel and the snapshot of both
+    registries, the only place the run's counts live; the stage table
+    (elapsed times and skip causes, held nowhere else) comes from
+    ``report.stage_outcomes``.
 
     ``cpu_count`` is the recording machine's ``os.cpu_count()``, so
     manifests from different machines are never compared blind.  It is
@@ -215,11 +215,6 @@ def build_manifest(
         telemetry.deterministic_snapshot()["metrics"] if telemetry is not None else []
     )
     stages = [outcome.as_dict() for outcome in getattr(report, "stage_outcomes", [])]
-
-    quarantine = getattr(report, "quarantine", None)
-    cache_stats = getattr(report, "vision_cache_stats", None)
-    crawl = getattr(report, "crawl", None)
-
     return {
         "seed": seed,
         "config": dict(config) if config is not None else None,
@@ -228,9 +223,6 @@ def build_manifest(
         "funnel": funnel,
         "stages": stages,
         "metrics": metrics,
-        "quarantine": quarantine.as_dict() if quarantine is not None else None,
-        "vision_cache": cache_stats.as_dict() if cache_stats is not None else None,
-        "crawl": crawl.stats.as_dict() if crawl is not None else None,
         "cpu_count": os.cpu_count(),
     }
 

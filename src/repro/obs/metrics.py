@@ -1,12 +1,15 @@
 """A process-local metrics registry: named counters and gauges.
 
-The crawl, the vision cache and the quarantine ledger each keep a
-private statistics object — ``CrawlStats`` retry counters,
-:class:`~repro.vision.cache.VisionCacheStats`, the
-:class:`~repro.core.quarantine.Quarantine` ledger.  The registry gives
-them one uniform home: every quantity is a named metric with optional
-labels, snapshot-able into the run manifest (see :mod:`repro.obs.export`)
-as one sorted, JSON-ready list.
+The crawl, the vision cache and the quarantine ledger each count as
+they work — ``CrawlStats`` retry counters, the
+:class:`~repro.vision.cache.VisionCache` hit/miss counters, the
+:class:`~repro.core.quarantine.Quarantine` ledger.  At run end the
+pipeline copies those counts into a registry, their one home from then
+on: every quantity is a named metric with optional labels, read back
+one at a time (:meth:`MetricsRegistry.value`, the CLI report) or as one
+sorted, JSON-ready list (:meth:`MetricsRegistry.snapshot`, the run
+manifest of :mod:`repro.obs.export`).  No statistics object exports a
+second copy of its counts.
 
 Every metric in a registry is a pure function of the run's seed and
 inputs; wall times and resource readings live in spans and stage
@@ -26,7 +29,7 @@ lock.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -127,6 +130,11 @@ class MetricsRegistry:
             for (name, labels), metric in items
         ]
 
-    def as_dict(self) -> dict:
-        """Snapshot-protocol alias used by the exporters."""
-        return {"metrics": self.snapshot()}
+    def value(self, name: str, **labels: Any) -> Optional[float]:
+        """One metric's value, ``None`` when the run never recorded it.
+
+        Unlike :meth:`counter`/:meth:`gauge` this creates nothing, so a
+        report can read a registry without changing its snapshot.
+        """
+        metric = self._metrics.get((name, _labels_key(labels)))
+        return None if metric is None else metric.value

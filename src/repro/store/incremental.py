@@ -231,7 +231,6 @@ def run_incremental(
                 annotate_n=annotate_n,
                 strict=strict,
                 telemetry=tele,
-                vision_cache=session.cache,
                 persist=session,
             )
 

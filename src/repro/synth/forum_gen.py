@@ -160,9 +160,9 @@ class ThreadPlan:
 
 @dataclass
 class GeneratedForums:
-    """Everything the forum generator produced, plus ground truth."""
+    """The forum generator's ground truth (its dataset goes to the
+    :class:`~repro.synth.world.World` on its own)."""
 
-    dataset: ForumDataset
     actors: Dict[int, GenActor]
     #: Ground-truth thread types: thread_id -> type string
     #: ("top", "request", "tutorial", "earnings", "discussion",
@@ -279,12 +279,16 @@ class ForumWorldGenerator:
         self._reshare_pool: List[Pack] = []
 
     # ------------------------------------------------------------------
-    def generate(self) -> GeneratedForums:
-        """Generate every forum and return the populated world slice."""
+    def generate(self) -> Tuple[ForumDataset, GeneratedForums]:
+        """Generate every forum; returns the dataset and its ground truth.
+
+        The truth holds no reference to the dataset, so an epoch slice
+        that replaces ``World.dataset`` leaves the full timeline garbage.
+        """
         for spec in FORUM_SPECS:
             self._generate_forum(spec)
-        return GeneratedForums(
-            dataset=ForumDataset.from_sorted_records(**self._records),
+        dataset = ForumDataset.from_sorted_records(**self._records)
+        return dataset, GeneratedForums(
             actors=self.actors,
             thread_types=self.thread_types,
             packs=self.packs,

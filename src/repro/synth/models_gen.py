@@ -122,9 +122,6 @@ class SupplySide:
     #: image_id → CirculatingImage for provenance lookups in experiments.
     by_image_id: Dict[int, CirculatingImage] = field(default_factory=dict)
 
-    def circulating_images(self) -> List[CirculatingImage]:
-        return [ci for model in self.models for ci in model.pool]
-
 
 # ----------------------------------------------------------------------
 # Origin-site generation

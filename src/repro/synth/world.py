@@ -255,7 +255,7 @@ def _build(config: WorldConfig, world_hashes: Optional[Dict[int, int]]) -> World
     max_image_id = max(supply.by_image_id, default=0)
     ids = IdAllocator(start=max_image_id + 1)
     # The generator and its record lists are garbage once it returns.
-    forums = ForumWorldGenerator(
+    dataset, forums = ForumWorldGenerator(
         tree.rng("forums"),
         supply=supply,
         internet=internet,
@@ -273,7 +273,7 @@ def _build(config: WorldConfig, world_hashes: Optional[Dict[int, int]]) -> World
 
     world = World(
         config=config,
-        dataset=forums.dataset,
+        dataset=dataset,
         internet=internet,
         archive=archive,
         reverse_index=reverse_index,

@@ -42,32 +42,6 @@ class VisionCacheStats:
     misses: int
     n_entries: int
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from a record (0.0 when untouched)."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def summary(self) -> str:
-        """One-line human-readable rendering (CLI / report use)."""
-        return (
-            f"hits={self.hits} misses={self.misses} "
-            f"hit_rate={self.hit_rate:.1%} entries={self.n_entries}"
-        )
-
-    def as_dict(self) -> dict:
-        """Snapshot-protocol view (manifest / export use, DESIGN.md §9)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "n_entries": self.n_entries,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class VisionCache(Dict[str, Dict[str, Any]]):
     """Digest → feature record map, with lookup counters.

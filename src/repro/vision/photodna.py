@@ -117,10 +117,6 @@ class ReportLog:
     def records(self) -> List[ReportRecord]:
         return list(self._records)
 
-    @property
-    def n_reports(self) -> int:
-        return len(self._records)
-
     def actioned_urls(self) -> List[str]:
         """All URLs actioned across reports, preserving order."""
         urls: List[str] = []

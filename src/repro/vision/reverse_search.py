@@ -100,37 +100,14 @@ class ReverseImageIndex:
         return len(self._hashes)
 
     # ------------------------------------------------------------------
-    def search_hash(self, query_hash: int, max_results: Optional[int] = None) -> ReverseSearchReport:
-        """Search by precomputed hash; matches sorted by similarity."""
+    def search_hash(self, query_hash: int) -> ReverseSearchReport:
+        """Search by precomputed hash; matches sorted by similarity, ties
+        in indexing order."""
         if not self._hashes:
             return ReverseSearchReport(query_hash=query_hash, matches=())
-        hashes = self._array()
-        distances = popcount(hashes ^ np.uint64(query_hash))
-        return self._report_from_distances(query_hash, distances, max_results)
-
-    def _report_from_distances(
-        self,
-        query_hash: int,
-        distances: np.ndarray,
-        max_results: Optional[int],
-    ) -> ReverseSearchReport:
+        distances = popcount(self._array() ^ np.uint64(query_hash))
         hit_indices = np.flatnonzero(distances <= self.radius)
-        if max_results is not None and 0 < max_results < hit_indices.size:
-            # Top-k selection in O(n) instead of a full O(n log n) sort.
-            # The combined key is distance-major / index-minor — exactly
-            # the order a stable sort on distance produces — so the k
-            # smallest keys are precisely the first k rows of the full
-            # stable sort (tie-break stability preserved; distances are
-            # <= 64 and indices < n, so the key never overflows int64).
-            keys = distances[hit_indices].astype(np.int64) * np.int64(
-                len(self._copies)
-            ) + hit_indices.astype(np.int64)
-            part = np.argpartition(keys, max_results - 1)[:max_results]
-            order = hit_indices[part[np.argsort(keys[part])]]
-        else:
-            order = hit_indices[np.argsort(distances[hit_indices], kind="stable")]
-            if max_results is not None:
-                order = order[:max_results]
+        order = hit_indices[np.argsort(distances[hit_indices], kind="stable")]
         matches = tuple(
             ReverseMatch(
                 copy=self._copies[int(i)],

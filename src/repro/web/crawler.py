@@ -203,8 +203,6 @@ class CrawlStats:
     n_breaker_skips: int = 0
     #: Transient fetch outcomes observed (before retry resolution).
     n_transient_faults: int = 0
-    #: Redirector hops followed across all fetches (adversarial drift).
-    n_redirect_hops: int = 0
 
     def record(self, domain: str, status: FetchStatus) -> None:
         self.n_links += 1
@@ -228,7 +226,6 @@ class CrawlStats:
             "n_giveups": self.n_giveups,
             "n_breaker_skips": self.n_breaker_skips,
             "n_transient_faults": self.n_transient_faults,
-            "n_redirect_hops": self.n_redirect_hops,
         }
 
     @classmethod
@@ -241,29 +238,7 @@ class CrawlStats:
             n_giveups=int(data.get("n_giveups", 0)),
             n_breaker_skips=int(data.get("n_breaker_skips", 0)),
             n_transient_faults=int(data.get("n_transient_faults", 0)),
-            n_redirect_hops=int(data.get("n_redirect_hops", 0)),
         )
-
-    def as_dict(self) -> dict:
-        """Snapshot-protocol view (telemetry / manifest use).
-
-        Unlike :meth:`to_dict` (the checkpoint wire format, round-
-        tripped by :meth:`from_dict`) this adds the derived ``n_ok``
-        and sorts the label maps for stable JSON output.
-        """
-        return {
-            "n_links": self.n_links,
-            "n_ok": self.n_ok,
-            "by_status": dict(
-                sorted((s.value, c) for s, c in self.by_status.items())
-            ),
-            "by_domain": dict(sorted(self.by_domain.items())),
-            "n_retries": self.n_retries,
-            "n_giveups": self.n_giveups,
-            "n_breaker_skips": self.n_breaker_skips,
-            "n_transient_faults": self.n_transient_faults,
-            "n_redirect_hops": self.n_redirect_hops,
-        }
 
 
 @dataclass
@@ -637,7 +612,6 @@ class Crawler:
             result = self._internet.fetch(link.url, attempt=attempt)
             status = result.status
             if not status.transient:
-                stats.n_redirect_hops += result.n_hops
                 breaker.record_success()
                 log = None
                 if attempts:  # at least one retry happened

@@ -258,10 +258,6 @@ class SimulatedInternet:
             raise ValueError(f"conflicting registration for origin domain {site.domain}")
         self._origin_sites[site.domain] = site
 
-    def origin_site(self, domain: str) -> Optional[OriginSite]:
-        """Origin-site metadata for a domain, or ``None``."""
-        return self._origin_sites.get(domain)
-
     def origin_sites(self) -> Iterator[OriginSite]:
         """Iterate over all registered origin sites."""
         return iter(self._origin_sites.values())

@@ -62,17 +62,6 @@ class RetryPolicy:
         if self.retry_budget is not None and self.retry_budget < 0:
             raise ValueError("retry_budget must be >= 0 when set")
 
-    def as_dict(self) -> dict:
-        """Snapshot-protocol view (manifest / export use)."""
-        return {
-            "max_attempts": self.max_attempts,
-            "base_delay": self.base_delay,
-            "max_delay": self.max_delay,
-            "retry_budget": self.retry_budget,
-            "honor_retry_after": self.honor_retry_after,
-            "attempt_cost": self.attempt_cost,
-        }
-
     def backoff_delay(self, attempt: int, u: float) -> float:
         """Full-jitter backoff for the given zero-based ``attempt``.
 
@@ -220,9 +209,9 @@ class BreakerBoard:
         return counts
 
     def as_dict(self) -> dict:
-        """Snapshot-protocol *summary* view (telemetry / manifest use).
+        """Aggregate summary at crawl end (``CrawlResult.breaker_summary``).
 
-        Aggregate counts only — the full per-domain state lives in
+        Counts only — the full per-domain state lives in
         :meth:`snapshot`, which remains the checkpoint serialization.
         """
         return {

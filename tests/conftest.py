@@ -55,12 +55,10 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture()
-def v1_trace(tmp_path):
-    """A profiled trace as schema version 1 wrote it: its header holds
-    only the seed, funnel, stage table and metrics (no ``cpu_count``)."""
+def _old_trace(path, **header):
+    """A profiled trace whose header an older schema version wrote."""
     header = {
-        "type": "meta", "kind": "repro.trace", "schema_version": 1, "seed": 3,
+        "type": "meta", "kind": "repro.trace", "seed": 3, **header,
         "funnel": [{"stage": "images_downloaded", "count": 94}],
         "stages": [{"stage": "url_crawl", "status": "ok", "elapsed_seconds": 0.5}],
         "metrics": [{"name": "crawl.links", "kind": "counter", "value": 27}],
@@ -71,6 +69,21 @@ def v1_trace(tmp_path):
          "attrs": {"profile.cpu_seconds": 0.4, "profile.rss_peak_kb": 80444}}
         for i, name in ((1, "pipeline.run"), (2, "stage.url_crawl"))
     ]
-    path = tmp_path / "v1.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in [header, *spans]))
     return path
+
+
+@pytest.fixture()
+def v1_trace(tmp_path):
+    """Schema version 1: seed, funnel, stages and metrics only."""
+    return _old_trace(tmp_path / "v1.jsonl", schema_version=1)
+
+
+@pytest.fixture()
+def v2_trace(tmp_path):
+    """Schema version 2: also the blocks version 3 dropped."""
+    return _old_trace(
+        tmp_path / "v2.jsonl", schema_version=2, cpu_count=2,
+        crawl={"n_links": 27, "n_redirect_hops": 0},
+        quarantine={"n_quarantined": 0}, vision_cache={"hit_rate": 0.8},
+    )

@@ -66,6 +66,12 @@ class TestParser:
             main(["run", *CLI_WORLD, "--store", str(store), "--resume", str(ckpt)])
         assert not store.exists() and not ckpt.exists()
 
+    @pytest.mark.parametrize("flag, value, base", [
+        ("--epoch-total", "3", "--store"), ("--drift-epoch", "2", "--drift-profile")])
+    def test_modifier_without_its_base_flag_is_refused(self, flag, value, base):
+        with pytest.raises(SystemExit, match=f"{flag} requires {base}"):
+            main(["run", *CLI_WORLD, flag, value])
+
 
 class TestRenderers:
     def test_table1_totals_line(self, report):
@@ -126,8 +132,7 @@ class TestCommands:
         assert code == 0
         output = capsys.readouterr().out
         assert "-- crawl resilience --" in output
-        assert "transient faults:" in output
-        assert re.search(r"^crawl: \d+ links, \d+ retries, ", output, re.M)
+        assert re.search(r"^crawl: \d+ retries, \d+ giveups, ", output, re.M)
         assert ckpt.exists()
         # a second run resumes from the completed checkpoint and succeeds
         code = main(
@@ -169,14 +174,16 @@ class TestCommands:
         assert "-- quarantine --" not in headers
         assert "-- telemetry --" not in headers
         assert output.count("records quarantined") == int(quarantined)
-        assert output.count("vision cache:") == 1
-        # Each fact once across the report and the log: the funnel is the
-        # telemetry block's table, the crawl counters its "crawl:" line.
+        # Each fact once across the report and the log: no count below the
+        # funnel table repeats a funnel row, and each other count prints once.
         everything = output + captured.err
         assert everything.count("metrics: ") == 1
         assert "funnel: " not in everything
-        assert everything.count(" giveups") == 1
-        assert everything.count("breaker skips") == 1
+        below_funnel = output.split("quarantined_records", 1)[1]
+        assert not re.search(r"\d+ (links|records)\b", below_funnel)
+        for label in ("retries", "giveups", "breaker skips", "transient faults",
+                      "domains", "open", "opens", "hits", "misses", "entries"):
+            assert len(re.findall(rf"\b\d+ {label}\b", everything)) == 1, label
 
     def test_tables_writes_files(self, tmp_path, capsys):
         out = tmp_path / "tables"

@@ -162,8 +162,3 @@ class TestQueries:
         ds = make_minimal()
         assert [t.thread_id for t in ds.threads(1)] == [1000]
         assert list(ds.threads(999)) == []
-
-    def test_maybe_post(self):
-        ds = make_minimal()
-        assert ds.maybe_post(5000) is not None
-        assert ds.maybe_post(1) is None

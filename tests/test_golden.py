@@ -157,7 +157,7 @@ def current_outputs() -> dict:
     return {
         "crawl_digest": report.crawl.digest(),
         "measurement_view_sha256": view_sha256(report),
-        "forum_records_sha256": forum_records_sha256(world.forums.dataset),
+        "forum_records_sha256": forum_records_sha256(world.dataset),
         "work": work,
     }
 

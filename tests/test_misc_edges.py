@@ -49,7 +49,7 @@ class TestInternetEdges:
         site = OriginSite("a.example", "Blogs", "blog", "UK")
         net.register_origin_site(site)
         net.register_origin_site(site)  # idempotent
-        assert net.origin_site("a.example") == site
+        assert list(net.origin_sites()) == [site]
 
 
 class TestClassifierEdges:

@@ -136,8 +136,7 @@ class TestSplit:
 
     def test_fraction_respected(self):
         split = train_test_split(100, train_fraction=0.8, seed=2)
-        assert split.n_train == 80
-        assert split.n_test == 20
+        assert (len(split.train_indices), len(split.test_indices)) == (80, 20)
 
     def test_stratified_keeps_both_classes(self):
         labels = [1] * 10 + [0] * 90
@@ -165,5 +164,5 @@ class TestSplit:
     @settings(max_examples=30)
     def test_partition_property(self, n, fraction):
         split = train_test_split(n, train_fraction=fraction, seed=0)
-        assert split.n_train + split.n_test == n
-        assert split.n_train >= 1 and split.n_test >= 1
+        n_train, n_test = len(split.train_indices), len(split.test_indices)
+        assert n_train + n_test == n and n_train >= 1 and n_test >= 1

@@ -49,7 +49,7 @@ class TestFillCopyHashes:
         # and each of those distances occurs.
         supply = generate_supply_side(rng, n_models=3, n_origin_sites=60)
         flips = []
-        for circulating in supply.circulating_images()[:40]:
+        for circulating in [c for m in supply.models for c in m.pool][:40]:
             base = int(rng.integers(0, 2**63)) * 2 + 1
             fill_copy_hashes(rng, circulating, base)
             flips.extend(hamming_distance(c.copy_hash, base) for c in circulating.copies)

@@ -43,11 +43,11 @@ class TestTraceOut:
         assert meta["stages"], "meta must embed the stage table"
         assert {s["name"] for s in spans} >= {"pipeline.run", "stage.url_crawl"}
 
-    def test_trace_subcommand_renders(self, tmp_path, capsys, v1_trace):
+    def test_trace_subcommand_renders(self, tmp_path, capsys, v1_trace, v2_trace):
         trace = tmp_path / "run.jsonl"
         main(["run", *CLI_WORLD, "--annotate", "200", "--trace-out", str(trace)])
         capsys.readouterr()  # drop the run output
-        for path in (trace, v1_trace):
+        for path in (trace, v2_trace, v1_trace):
             code = main(["trace", str(path)])
             assert code == 0
             output = capsys.readouterr().out

@@ -95,7 +95,11 @@ class TestManifest:
 
     def test_schema_stability(self):
         # The trace writer owns the header's type, kind and schema version.
-        assert tuple(self._manifest().keys()) == MANIFEST_KEYS
+        # Version 3: the counts live in ``metrics`` alone.
+        assert tuple(self._manifest().keys()) == MANIFEST_KEYS == (
+            "seed", "config", "versions", "degraded", "funnel", "stages",
+            "metrics", "cpu_count")
+        assert TRACE_SCHEMA_VERSION == 3
 
     def test_json_serialisable(self, tmp_path):
         path = write_trace(tmp_path / "t.jsonl", [], meta=self._manifest())

@@ -405,7 +405,7 @@ class TestObsCli:
         assert main(["obs", "top"]) == 2
 
     def test_ingest_trace_then_top_trace(
-        self, store_path, tmp_path, capsys, v1_trace
+        self, store_path, tmp_path, capsys, v1_trace, v2_trace
     ):
         trace = tmp_path / "t.jsonl"
         assert main(
@@ -413,7 +413,8 @@ class TestObsCli:
              "--trace-out", str(trace), "--profile"]
         ) == 0
         capsys.readouterr()
-        for path, label in ((trace, "from-trace"), (v1_trace, "from-v1")):
+        for path, label in ((trace, "from-trace"), (v2_trace, "from-v2"),
+                            (v1_trace, "from-v1")):
             assert main(["obs", "top", "--trace", str(path)]) == 0
             assert "profiled" in capsys.readouterr().out
             assert main(

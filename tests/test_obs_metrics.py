@@ -72,8 +72,10 @@ class TestRegistry:
         json.dumps(snap)  # must be JSON-serialisable as-is
         assert len(reg) == 3
 
-    def test_as_dict_alias(self):
+    def test_value_reads_without_creating(self):
         reg = MetricsRegistry()
-        reg.counter("one").inc()
-        assert reg.as_dict() == {"metrics": reg.snapshot()}
+        reg.gauge("labelled", stage="x").set(2)
+        assert reg.value("labelled", stage="x") == 2
+        assert reg.value("labelled") is None and reg.value("never") is None
+        assert len(reg) == 1
 

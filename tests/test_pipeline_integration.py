@@ -64,8 +64,6 @@ class TestPipelineReport:
         # NSFV previews are re-queried by provenance (§4.5), so at least
         # those lookups must be served from cache.
         assert stats.hits > 0
-        assert 0.0 < stats.hit_rate <= 1.0
-        assert "hits=" in stats.summary()
 
 
 class TestOracleDiscipline:

@@ -156,12 +156,6 @@ class TestAccounting:
         assert [r.ref for r in ledger.sample(2)] == ["u1", "u2"]
         assert ledger.sample(0) == []
 
-    def test_merge(self):
-        a, b = self.ledger(), self.ledger()
-        a.merge(b)
-        assert len(a) == 6
-        assert a.by_stage() == {"url_crawl": 4, "nsfv": 2}
-
 
 class TestSummaryLines:
     def test_empty(self):

@@ -17,8 +17,8 @@ import pytest
 
 from repro import build_world, run_pipeline
 from repro.media import SyntheticImage
+from repro.store.incremental import PersistSession
 from repro.synth import WorldConfig
-from repro.vision import VisionCache
 
 SEED = 11
 SCALE = 0.02
@@ -40,10 +40,10 @@ def counted():
         monkeypatch.setattr(SyntheticImage, "pixels", property(counting))
         world = build_world(WorldConfig(seed=SEED, scale=SCALE))
         phase[0] = "run"
-        cache = VisionCache()
-        first = run_pipeline(world, vision_cache=cache)
+        session = PersistSession()
+        first = run_pipeline(world, persist=session)
     second = run_pipeline(world)
-    return world, renders, first, cache, second
+    return world, renders, first, session.cache, second
 
 
 def test_build_renders_each_image_once(counted):

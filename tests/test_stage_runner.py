@@ -3,6 +3,7 @@
 import pytest
 
 from repro import run_pipeline
+from repro.cli import _stage_boundary_lines
 from repro.core.stage_runner import StageFailure, StageOutcome, StageRunner
 
 
@@ -66,10 +67,10 @@ class TestStageRunner:
     def test_summary_lines(self):
         runner = StageRunner(strict=False)
         runner.run("alpha", lambda: 1)
-        assert runner.summary_lines() == ["all stages completed"]
+        assert _stage_boundary_lines(runner.outcomes) == ["all 1 stages completed"]
         runner.run("beta", boom)
         runner.run("gamma", lambda: 1, requires=("beta",))
-        lines = runner.summary_lines()
+        lines = _stage_boundary_lines(runner.outcomes)
         assert any(line.startswith("FAILED  beta") for line in lines)
         assert any("skipped gamma" in line for line in lines)
 
@@ -83,7 +84,7 @@ class TestStageRunner:
         beta, gamma = runner.outcomes[1], runner.outcomes[2]
         assert (beta.skipped_due_to, beta.root_cause) == ("alpha", "alpha")
         assert (gamma.skipped_due_to, gamma.root_cause) == ("beta", "alpha")
-        lines = runner.summary_lines()
+        lines = _stage_boundary_lines(runner.outcomes)
         # direct skip: no redundant root-cause suffix
         assert "skipped beta (requires alpha)" in lines
         # transitive skip: the root cause is surfaced

@@ -2,12 +2,14 @@
 
 import gc
 import itertools
+import weakref
 from datetime import datetime
 
 import numpy as np
 import pytest
 
 import repro.synth.world as world_module
+from repro.forum.dataset import ForumDataset
 from repro.media import ImageKind
 from repro.media.validate import CorruptPayloadError
 from repro.synth import (
@@ -43,7 +45,7 @@ class TestSupplySide:
 
     def test_copy_plans_attached(self, rng):
         supply = self.make(rng)
-        counts = [c.n_copies for c in supply.circulating_images()]
+        counts = [c.n_copies for c in supply.by_image_id.values()]
         assert min(counts) >= 1
         assert np.mean(counts) > 5  # Table 5 calibration: ~13 on average
 
@@ -184,6 +186,18 @@ class TestWorld:
     def test_domain_categories_cover_origin_sites(self, world):
         for site in world.supply.origin_sites:
             assert world.domain_categories[site.domain] == site.category
+
+    def test_epoch_world_keeps_only_its_slice(self, monkeypatch):
+        alive, init = weakref.WeakSet(), ForumDataset.__init__
+
+        def tracked_init(self):
+            init(self)
+            alive.add(self)
+
+        monkeypatch.setattr(ForumDataset, "__init__", tracked_init)
+        world = build_world(seed=3, scale=0.005, epoch=1, epoch_total=2)
+        gc.collect()
+        assert list(alive) == [world.dataset]
 
     def test_proof_truth_images_hosted(self, world):
         assert len(world.forums.proof_truth) > 5

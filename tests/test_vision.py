@@ -299,7 +299,7 @@ class TestReportLog:
         log = ReportLog()
         log.report(self.make_record())
         log.report(self.make_record(severity=AbuseSeverity.CATEGORY_A, urls=("u3",)))
-        assert log.n_reports == 2
+        assert len(log.records) == 2
         assert len(log.actioned_urls()) == 3
         assert log.severity_histogram()[AbuseSeverity.CATEGORY_B] == 2
         assert log.region_histogram()["UK"] == 2
@@ -332,13 +332,6 @@ class TestReverseIndex:
         report = index.search_hash(h)
         assert [m.copy.domain for m in report.matches] == ["near.com", "far.com"]
 
-    def test_max_results(self, rng):
-        index = ReverseImageIndex()
-        h = 12345
-        for i in range(10):
-            index.index_hash(h, IndexedCopy(f"https://d{i}.com/x", f"d{i}.com", T0))
-        assert index.search_hash(h, max_results=3).n_matches == 3
-
     def test_domains_deduplicated(self, rng):
         index = ReverseImageIndex()
         h = 777
@@ -346,29 +339,6 @@ class TestReverseIndex:
             index.index_hash(h, IndexedCopy(f"https://same.com/{i}", "same.com", T0))
         report = index.search_hash(h)
         assert report.domains() == ["same.com"]
-
-    def test_max_results_tie_break_stability(self, rng):
-        # With many distance ties, the argpartition top-k path must
-        # return exactly the same prefix as the full stable sort:
-        # distance-major, insertion-order-minor.
-        index = ReverseImageIndex(radius=12)
-        h = 0xDEADBEEF
-        n = 40
-        # Interleave distances 0 and 3 so every distance class has many
-        # tied entries spread across insertion order.
-        for i in range(n):
-            delta = 0 if i % 2 == 0 else 0b111
-            index.index_hash(h ^ delta, IndexedCopy(f"https://d{i}.com/x", f"d{i}.com", T0))
-        full = index.search_hash(h)
-        assert full.n_matches == n
-        for k in (1, 3, 7, n - 1, n, n + 5):
-            trimmed = index.search_hash(h, max_results=k)
-            assert trimmed.matches == full.matches[:k]
-
-    def test_max_results_zero(self):
-        index = ReverseImageIndex()
-        index.index_hash(1, IndexedCopy("https://a.com/1", "a.com", T0))
-        assert index.search_hash(1, max_results=0).n_matches == 0
 
     def test_mirror_not_found(self, rng):
         index = ReverseImageIndex()

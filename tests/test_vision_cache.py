@@ -22,7 +22,9 @@ from repro import build_world, pipeline_for_world
 from repro.core import AbuseFilter, Quarantine
 from repro.core.nsfv import NsfvClassifier, NsfvVerdict
 from repro.core.provenance import ProvenanceAnalyzer
+from repro.core.report_text import render_telemetry
 from repro.media import ImageKind, SyntheticImage, sample_latent
+from repro.obs import RunTelemetry
 from repro.vision import (
     AbuseSeverity,
     Featurizer,
@@ -30,7 +32,6 @@ from repro.vision import (
     HashListService,
     NsfwScorer,
     VisionCache,
-    VisionCacheStats,
     robust_hash,
 )
 from repro.web import LinkRecord, Url
@@ -106,7 +107,6 @@ class TestVisionCache:
         assert set(first) == {"hash", "nsfw"} and first["nsfw"] == 0.4
         stats = features.cache.stats()
         assert (stats.hits, stats.misses, stats.n_entries) == (1, 1, 1)
-        assert stats.hit_rate == 0.5
 
     def test_abuse_matched_record_holds_hash_only(self, rng):
         bad = SyntheticImage(1, sample_latent(rng, ImageKind.MODEL_NUDE, is_underage=True))
@@ -242,9 +242,11 @@ class TestVisionCache:
         assert run.cache == {"listed": {"hash": 7}}
 
     def test_stats_summary_renders(self):
-        stats = VisionCacheStats(hits=3, misses=1, n_entries=2)
-        text = stats.summary()
-        assert "hits=3" in text and "75.0%" in text
+        tele = RunTelemetry()
+        for name, value in (("hits", 3), ("misses", 1), ("entries", 2)):
+            tele.work.gauge(f"vision_cache.{name}").set(value)
+        text = render_telemetry(SimpleNamespace(telemetry=tele))
+        assert "vision cache: 3 hits, 1 misses, 2 entries" in text
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ class TestInternet:
         net = SimulatedInternet(seed=3)
         site = OriginSite("porn.example", "Pornography", "regular website", "Europe")
         net.register_origin_site(site)
-        assert net.origin_site("porn.example") == site
+        assert list(net.origin_sites()) == [site]
         assert net.region_of("porn.example") == "Europe"
         assert net.site_type_of("porn.example") == "regular website"
 
