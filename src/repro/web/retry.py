@@ -201,13 +201,6 @@ class BreakerBoard:
         """Trip events across all domains (including re-opens)."""
         return sum(b.n_opens for b in self._breakers.values())
 
-    def states(self) -> Dict[str, int]:
-        """Breaker count per state name (``closed``/``open``/``half_open``)."""
-        counts: Dict[str, int] = {}
-        for breaker in self._breakers.values():
-            counts[breaker.state.value] = counts.get(breaker.state.value, 0) + 1
-        return counts
-
     def as_dict(self) -> dict:
         """Aggregate summary at crawl end (``CrawlResult.breaker_summary``).
 
@@ -218,7 +211,6 @@ class BreakerBoard:
             "n_domains": len(self._breakers),
             "n_open": self.n_open,
             "total_opens": self.total_opens,
-            "states": dict(sorted(self.states().items())),
         }
 
     # -- checkpoint serialization --------------------------------------
