@@ -15,7 +15,7 @@ Implements the full §6 toolkit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from ..forum.dataset import ForumDataset
-from ..forum.models import Post, Thread
+from ..forum.models import Thread
 from ..forum.query import ewhoring_threads
 
 __all__ = [

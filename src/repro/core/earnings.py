@@ -21,14 +21,14 @@ after their first eWhoring post.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..finance.money import Currency, Money, PaymentPlatform
-from ..finance.parser import UNCLASSIFIED, parse_exchange_heading
+from ..finance.parser import parse_exchange_heading
 from ..finance.rates import HistoricalRates
 from ..forum.dataset import ForumDataset
 from ..forum.models import Post, Thread
@@ -172,7 +172,6 @@ class EarningsAnalyzer:
         rates: Optional[HistoricalRates] = None,
         quarantine: Optional[Quarantine] = None,
         features: Optional[Featurizer] = None,
-        ingest_memo=None,
     ):
         self._dataset = dataset
         self._internet = internet
@@ -189,9 +188,6 @@ class EarningsAnalyzer:
             if features is not None
             else Featurizer(hashlist=hashlist, scorer=self._nsfv.scorer)
         )
-        #: Optional :data:`~repro.web.crawler.IngestMemo` for the §5.1
-        #: crawl, see ``repro.store``.
-        self._ingest_memo = ingest_memo
 
     # ------------------------------------------------------------------
     def analyze(self, selection: Optional[Sequence[Thread]] = None) -> EarningsResult:
@@ -200,9 +196,7 @@ class EarningsAnalyzer:
         earning_threads = self._earnings_threads(threads)
         posts_with_links, links = self._collect_links(threads, earning_threads)
 
-        crawler = Crawler(
-            self._internet, ingest_memo=self._ingest_memo, features=self._features
-        )
+        crawler = Crawler(self._internet, features=self._features)
         # Corrupt payloads are excised at the crawler's ingest boundary
         # (into the shared ledger when one is attached, a private one
         # otherwise) — never into the safety loop below.

@@ -24,14 +24,14 @@ the counterfactual, and reports before/after supply metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
 from ..finance.parser import parse_exchange_heading
 from ..vision.bits import popcount
-from ..vision.photodna import hamming_distance, robust_hash
+from ..vision.photodna import robust_hash
 from ..web.crawler import CrawlResult, CrawledImage
 from .earnings import CurrencyExchangeTable, EarningsResult
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..forum.dataset import ForumDataset
 from ..forum.models import Thread
 from ..forum.query import ewhoring_threads

@@ -243,10 +243,10 @@ class EwhoringPipeline:
 
         ``persist`` is a warm-memo bundle (duck-typed as
         :class:`~repro.store.incremental.PersistSession`) carrying the
-        feature records (``persist.cache``, the run's vision cache in
-        place of :attr:`vision_cache`) and per-stage crawl ingest memos
-        a persistent store loaded from earlier epochs.  Memos only skip
-        recomputation of pure per-record functions
+        feature records and latent digests a persistent store loaded
+        from earlier epochs (``persist.cache``, the run's vision cache in
+        place of :attr:`vision_cache`).  They only skip recomputation of
+        pure per-image functions
         (render / validate / digest / featurise), so every measured
         quantity — and the measurement view — is bit-identical with or
         without them; a warm run merely does less work (see DESIGN.md
@@ -270,7 +270,7 @@ class EwhoringPipeline:
             report = self._run_stages(
                 runner, tele, quarantine, features,
                 top_oracle, proof_oracle, annotate_n,
-                key_actor_top_n, checkpoint, persist,
+                key_actor_top_n, checkpoint,
             )
         return report
 
@@ -286,7 +286,6 @@ class EwhoringPipeline:
         annotate_n: int,
         key_actor_top_n: int,
         checkpoint: Optional[Union[str, Path, CrawlCheckpoint]],
-        persist: Optional[object] = None,
     ) -> PipelineReport:
         """The stage chain, executed inside the ``pipeline.run`` span."""
         fetch_calls_start = self.internet.n_fetch_calls
@@ -326,13 +325,7 @@ class EwhoringPipeline:
         # ---- stage 2: URLs + crawl ----------------------------------
         def _stage_crawl():
             links = self.link_extractor(self.dataset, tops)
-            crawler = Crawler(
-                self.internet,
-                ingest_memo=(
-                    persist.ingest_memo("url_crawl") if persist is not None else None
-                ),
-                features=features,
-            )
+            crawler = Crawler(self.internet, features=features)
             result = crawler.crawl(
                 links.all_links,
                 checkpoint=checkpoint,
@@ -435,9 +428,6 @@ class EwhoringPipeline:
                 nsfv=self.nsfv,
                 quarantine=quarantine,
                 features=features,
-                ingest_memo=(
-                    persist.ingest_memo("earnings") if persist is not None else None
-                ),
             ).analyze(selection)
             ce_table = currency_exchange_table(
                 self.dataset, min_ewhoring_posts=MIN_CE_POSTS, selection=selection

@@ -15,14 +15,13 @@ Implements §4.5 end to end:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..domains.classifiers import DomainClassifier, DomainVerdict, tag_distribution
-from ..media.pack import Pack
 from ..vision.cache import Featurizer
 # Unused here; benchmarks/e2e/layers.py wraps this module attribute.
 from ..vision.photodna import robust_hash  # noqa: F401

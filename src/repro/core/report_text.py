@@ -7,9 +7,7 @@ of the paper's tables.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import numpy as np
+from typing import List
 
 from ..finance.parser import CANONICAL_CURRENCIES
 from ..obs.export import render_funnel

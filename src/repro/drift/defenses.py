@@ -24,7 +24,7 @@ deployable in the real setting the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set
+from typing import Callable, List, Set
 
 import numpy as np
 

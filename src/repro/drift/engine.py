@@ -20,7 +20,7 @@ the decay being measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 from .._rng import path_digest
 from ..media.image import SyntheticImage

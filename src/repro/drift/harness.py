@@ -33,7 +33,7 @@ from .defenses import (
     watchlist_from_report,
 )
 from .measure import StageScore, measure_run, scores_as_dict
-from .profiles import DriftProfile, drift_profile
+from .profiles import drift_profile
 
 __all__ = ["DriftEpochResult", "DriftReport", "run_drift"]
 

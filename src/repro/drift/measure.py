@@ -23,7 +23,7 @@ no wall clock — so decay curves are bit-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ..web.internet import FetchStatus, RedirectPage
 from ..media.pack import Pack

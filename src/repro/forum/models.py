@@ -9,7 +9,7 @@ so they can be hashed, stored and serialised without surprises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional
 

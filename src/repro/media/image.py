@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -199,6 +199,10 @@ class SyntheticImage:
     """
 
     __slots__ = ("image_id", "latent", "_pixels", "_digest")
+
+    #: The pixels are the render of :attr:`latent`, so equal latents mean
+    #: equal content; a view that renders other pixels sets it false.
+    renders_latent = True
 
     def __init__(self, image_id: int, latent: ImageLatent):
         self.image_id = image_id

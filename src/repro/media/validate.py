@@ -52,7 +52,6 @@ __all__ = [
     "WrongDtypeError",
     "WrongShapeError",
     "ensure_color_raster",
-    "rebuild_error",
     "validate_raster",
 ]
 
@@ -163,23 +162,6 @@ def validate_raster(payload: Any, context: str = "") -> np.ndarray:
             f"raster contains NaN/Inf pixels: {_describe(payload)}{suffix}"
         )
     return payload
-
-
-def rebuild_error(error_type: str, message: str) -> Exception:
-    """Reconstruct a recorded validation failure as a raisable exception.
-
-    The crawler's persistent ingest memo (:data:`~repro.web.crawler.
-    IngestMemo`) records failures as ``(error_type, message)`` strings;
-    replay needs an exception object whose class *name* and ``str()``
-    match the original exactly, because that is all the quarantine
-    ledger keeps.
-    Known taxonomy classes are reused; unknown names get a synthesised
-    ``Exception`` subclass of the same name.
-    """
-    cls = globals().get(error_type)
-    if not (isinstance(cls, type) and issubclass(cls, Exception)):
-        cls = type(error_type, (Exception,), {})
-    return cls(message)
 
 
 def ensure_color_raster(payload: Any, context: str = "") -> np.ndarray:

@@ -4,12 +4,12 @@
 --epoch N``: it builds the world's observation epoch *N*, appends only
 the records newer than the store's watermark (epochs nest, so the append
 is a pure delta), checks the store's row counts against the built
-corpus, and executes the full pipeline over that corpus with every
-persisted memo warm — the digest-keyed
-:class:`~repro.vision.cache.VisionCache` (a digest with a record was
-validated clean at ingest), the per-stage crawl
-:data:`~repro.web.crawler.IngestMemo` and the world perceptual-hash
-memo.
+corpus, and executes the full pipeline over that corpus with the
+persisted :class:`~repro.vision.cache.VisionCache` warm: its two
+content-keyed maps, latent → digest and digest → feature record (a
+digest with a record was validated clean at ingest).  The build takes
+the hash of every image whose latent they know, and the crawl the
+digest and features, so neither renders it again.
 
 The headline invariant (DESIGN.md §12, property-tested): an incremental
 run over epochs ``1..N`` is **bit-identical** — crawl digest, quarantine
@@ -29,41 +29,33 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from ..chaos.sites import kill_point
+from ..media.image import ImageLatent
 from ..obs import RunTelemetry
 from ..synth.world import WorldConfig, build_world
 from ..vision.cache import VisionCache
-from ..web.crawler import IngestKey, IngestMemo
 from .errors import StoreConfigError, StoreCorruptionError
 from .sqlite import RunStore
 
 __all__ = ["IncrementalResult", "PersistSession", "run_incremental"]
 
-#: Pipeline stages that own a crawl ingest memo in the store.
-_INGEST_STAGES = ("url_crawl", "earnings")
-
-
 @dataclass
 class PersistSession:
-    """The warm-memo bundle a store lends to one pipeline run.
+    """The warm vision cache a store lends to one epoch.
 
-    Ducked into :meth:`EwhoringPipeline.run` as ``persist``; every memo
-    is consulted-and-filled during the run and written back afterwards.
+    The build reads it and the pipeline run (as ``persist``) reads and
+    fills it; :meth:`save` writes back what the run added.
     """
 
     cache: VisionCache = field(default_factory=VisionCache)
-    ingest_memos: Dict[str, IngestMemo] = field(default_factory=dict)
     #: What the store already holds, as loaded: ``(digest, field)``
-    #: pairs of the vision cache and ingest keys per stage.  Memo
-    #: entries are pure and only accumulate, so :meth:`save` writes
-    #: just the entries outside these sets.
+    #: pairs of the records and the latents of the digest map.  Entries
+    #: are pure and only accumulate, so :meth:`save` writes just the
+    #: entries outside these sets.
     _stored_fields: Set[Tuple[str, str]] = field(default_factory=set)
-    _stored_keys: Dict[str, Set[IngestKey]] = field(default_factory=dict)
-
-    def ingest_memo(self, stage: str) -> IngestMemo:
-        return self.ingest_memos.setdefault(stage, {})
+    _stored_latents: Set[ImageLatent] = field(default_factory=set)
 
     @classmethod
     def load(cls, store: RunStore) -> "PersistSession":
@@ -72,30 +64,25 @@ class PersistSession:
         session._stored_fields = {
             (digest, fld) for digest, record in session.cache.items() for fld in record
         }
-        for stage in _INGEST_STAGES:
-            memo = session.ingest_memo(stage)
-            store.load_ingest_memo(stage, memo)
-            session._stored_keys[stage] = set(memo)
+        session._stored_latents = set(session.cache.digests)
         return session
 
     def save(self, store: RunStore) -> int:
         """Write the memo entries the store lacks; return the rows written."""
         stored = self._stored_fields
-        new_fields: Dict[str, Dict[str, Any]] = {}
+        new = VisionCache()
         for digest, record in self.cache.items():
             for fld, value in record.items():
                 if (digest, fld) not in stored:
-                    new_fields.setdefault(digest, {})[fld] = value
-        rows = sum(len(record) for record in new_fields.values())
-        if new_fields:
-            store.save_vision_cache(new_fields)
-        for stage, memo in sorted(self.ingest_memos.items()):
-            known = self._stored_keys.get(stage, set())
-            new_entries = {key: out for key, out in memo.items() if key not in known}
-            if new_entries:
-                store.save_ingest_memo(stage, new_entries)
-                rows += len(new_entries)
-        return rows
+                    new.setdefault(digest, {})[fld] = value
+        new.digests = {
+            latent: digest
+            for latent, digest in self.cache.digests.items()
+            if latent not in self._stored_latents
+        }
+        if new or new.digests:
+            store.save_vision_cache(new)
+        return sum(len(record) for record in new.values()) + len(new.digests)
 
 
 @dataclass
@@ -146,8 +133,8 @@ def run_incremental(
     The world is still generated deterministically each run (pure
     hash-RNG; it keeps the ground-truth oracles whole), and generation
     is the largest cost of a warm epoch.  What the store eliminates
-    is the work memoisable by content: image hashing at build, and
-    render/validate/digest/score work in the pipeline.  The pipeline
+    is the work memoisable by content: rendering and hashing at build,
+    and render/validate/digest/score work in the pipeline.  The pipeline
     measures the built ``world.dataset``; the store's corpus must hold
     exactly as many rows per table (:class:`StoreCorruptionError`
     otherwise, with the epoch rolled back).
@@ -178,20 +165,16 @@ def run_incremental(
             )
 
         # ---- the atomic epoch unit (DESIGN.md §13) -------------------
-        # Every write of this epoch — world hashes, corpus delta,
-        # watermarks, memos, run record, measurement blob — commits in
+        # Every write of this epoch — corpus delta, watermarks, vision
+        # cache, run record, measurement blob — commits in
         # ONE SQLite transaction at block exit.  A crash (or SIGKILL:
         # the chaos harness injects one at every site below) at any
         # instant before the commit edge rolls the store back to the
         # previous watermark; a partial epoch is never visible.
         with run_store.transaction(), tele.tracer.span("store.epoch"):
-            with tele.tracer.span("store.read", what="world_hashes"):
-                world_hashes = run_store.load_world_hashes()
-            n_hashes_loaded = len(world_hashes)
-            world = build_world(cfg, world_hashes=world_hashes)
-            if len(world_hashes) != n_hashes_loaded:
-                with tele.tracer.span("store.write", what="world_hashes"):
-                    run_store.save_world_hashes(world_hashes)
+            with tele.tracer.span("store.read", what="memos"):
+                session = PersistSession.load(run_store)
+            world = build_world(cfg, known=session.cache)
 
             with tele.tracer.span("store.write", what="dataset_delta") as span:
                 rows_added = run_store.append_dataset(
@@ -221,9 +204,7 @@ def run_incremental(
                 tele.work.gauge(f"store.rows.{table}").set(count)
             tele.work.gauge("store.rows_added").set(rows_added)
 
-            # ---- run the pipeline with every persisted memo warm -----
-            with tele.tracer.span("store.read", what="memos"):
-                session = PersistSession.load(run_store)
+            # ---- run the pipeline with the persisted cache warm ------
             from .. import run_pipeline
 
             report = run_pipeline(

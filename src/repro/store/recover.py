@@ -29,7 +29,7 @@ import os
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from .errors import StoreConfigError, StoreCorruptionError
 from .sqlite import RunStore
@@ -62,8 +62,7 @@ _SALVAGE_TABLES = (
     "runs",
     "quarantine",
     "vision_cache",
-    "ingest_memo",
-    "world_hashes",
+    "latent_digests",
     "blobs",
     "history_runs",
     "history_spans",

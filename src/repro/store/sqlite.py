@@ -6,10 +6,10 @@ One :class:`RunStore` file persists the full funnel across runs:
   read) — also what ``repro build --out`` writes;
 * per-stage watermarks — the observation epoch (and its post-date
   cutoff) up to which the corpus has been generated and measured;
-* the warm-path memos that make delta runs cheap: the digest-keyed
-  :class:`~repro.vision.cache.VisionCache`, the per-payload crawl
-  :data:`~repro.web.crawler.IngestMemo` and the world perceptual-hash
-  memo;
+* the warm-path memo that makes delta runs cheap: the
+  :class:`~repro.vision.cache.VisionCache`, as two content-keyed tables
+  — ``vision_cache`` (digest → feature record) and ``latent_digests``
+  (image latent → digest);
 * run history — one row per pipeline run with its digest, funnel and
   quarantine ledger, plus persisted longitudinal aggregates as JSON
   blobs.
@@ -47,6 +47,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from ..chaos.sites import kill_point
 from ..forum.dataset import ForumDataset
 from ..forum.models import Actor, Board, Forum, Post, Thread
+from ..media.image import ImageKind, ImageLatent
 from .errors import StoreConfigError, StoreCorruptionError, StoreError
 
 __all__ = ["RunStore", "config_fingerprint"]
@@ -135,20 +136,9 @@ CREATE TABLE IF NOT EXISTS vision_cache (
     value TEXT NOT NULL,
     PRIMARY KEY (digest, field)
 );
-CREATE TABLE IF NOT EXISTS ingest_memo (
-    stage TEXT NOT NULL,
-    url TEXT NOT NULL,
-    pack_id INTEGER NOT NULL,
-    member_index INTEGER NOT NULL,
-    ok INTEGER NOT NULL,
-    digest TEXT,
-    error_type TEXT,
-    message TEXT,
-    PRIMARY KEY (stage, url, pack_id, member_index)
-);
-CREATE TABLE IF NOT EXISTS world_hashes (
-    image_id INTEGER PRIMARY KEY,
-    hash TEXT NOT NULL
+CREATE TABLE IF NOT EXISTS latent_digests (
+    latent TEXT PRIMARY KEY,
+    digest TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS blobs (
     kind TEXT NOT NULL,
@@ -206,11 +196,6 @@ CREATE TABLE IF NOT EXISTS history_funnel (
 );
 """
 
-#: ``pack_id``/``member_index`` are part of the ingest-memo primary key,
-#: so NULL (preview links) is stored as this sentinel.
-_NULL_SENTINEL = -1
-
-
 def config_fingerprint(config) -> str:
     """Canonical JSON identity of a world config, minus the epoch axis.
 
@@ -227,6 +212,21 @@ def config_fingerprint(config) -> str:
 
 def _iso(value: datetime) -> str:
     return value.isoformat()
+
+
+def _encode_latent(latent: ImageLatent) -> str:
+    """Every field of ``latent`` as JSON; floats keep their shortest
+    round-trip form, so :func:`_decode_latent` gives an equal latent."""
+    fields = asdict(latent)
+    fields["kind"] = latent.kind.value
+    return json.dumps(fields, sort_keys=True)
+
+
+def _decode_latent(text: str) -> ImageLatent:
+    fields = json.loads(text)
+    fields["kind"] = ImageKind(fields["kind"])
+    fields["transform_chain"] = tuple(fields["transform_chain"])
+    return ImageLatent(**fields)
 
 
 def _from_iso(value: str) -> datetime:
@@ -625,20 +625,25 @@ class RunStore:
     # Memo persistence
     # ------------------------------------------------------------------
     def save_vision_cache(self, cache) -> int:
-        items = cache.items()
+        """Write ``cache``'s records and latent → digest map; return the records."""
         self._executemany(
             "INSERT OR REPLACE INTO vision_cache (digest, field, value) "
             "VALUES (?, ?, ?)",
             (
                 (digest, fld, json.dumps(value))
-                for digest, entry in items
+                for digest, entry in cache.items()
                 for fld, value in entry.items()
             ),
         )
+        self._executemany(
+            "INSERT OR REPLACE INTO latent_digests (latent, digest) VALUES (?, ?)",
+            ((_encode_latent(latent), digest) for latent, digest in cache.digests.items()),
+        )
         self.commit()
-        return len(items)
+        return len(cache)
 
     def load_vision_cache(self, cache) -> int:
+        """Load the records and latent → digest map into ``cache``; return the records."""
         rows = self._execute(
             "SELECT digest, field, value FROM vision_cache ORDER BY digest, field"
         ).fetchall()
@@ -652,75 +657,14 @@ class RunStore:
             ) from exc
         for digest, record in grouped.items():
             cache.setdefault(digest, {}).update(record)
-        return len(grouped)
-
-    def save_ingest_memo(self, stage: str, memo) -> int:
-        self._executemany(
-            "INSERT OR REPLACE INTO ingest_memo "
-            "(stage, url, pack_id, member_index, ok, digest, error_type, message) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                (
-                    stage,
-                    key[0],
-                    _NULL_SENTINEL if key[1] is None else int(key[1]),
-                    _NULL_SENTINEL if key[2] is None else int(key[2]),
-                    int(outcome[0] == "ok"),
-                    outcome[1] if outcome[0] == "ok" else None,
-                    outcome[1] if outcome[0] == "err" else None,
-                    outcome[2] if outcome[0] == "err" else None,
-                )
-                for key, outcome in memo.items()
-            ),
-        )
-        self.commit()
-        return len(memo)
-
-    def load_ingest_memo(self, stage: str, memo) -> int:
-        rows = self._execute(
-            "SELECT url, pack_id, member_index, ok, digest, error_type, message "
-            "FROM ingest_memo WHERE stage=?",
-            (stage,),
-        ).fetchall()
-        entries = []
-        for url, pack_id, member_index, ok, digest, error_type, message in rows:
-            key = (
-                url,
-                None if pack_id == _NULL_SENTINEL else int(pack_id),
-                None if member_index == _NULL_SENTINEL else int(member_index),
-            )
-            if ok:
-                if digest is None:
-                    raise StoreCorruptionError(
-                        f"{self.path}: ingest memo row for {url} marked ok "
-                        f"but has no digest"
-                    )
-                entries.append((key, ("ok", digest)))
-            else:
-                entries.append((key, ("err", error_type or "", message or "")))
-        memo.update(entries)
-        return len(entries)
-
-    def save_world_hashes(self, hashes: Dict[int, int]) -> int:
-        self._executemany(
-            "INSERT OR REPLACE INTO world_hashes (image_id, hash) VALUES (?, ?)",
-            ((int(image_id), str(int(value))) for image_id, value in hashes.items()),
-        )
-        self.commit()
-        return len(hashes)
-
-    def load_world_hashes(self) -> Dict[int, int]:
+        rows = self._execute("SELECT latent, digest FROM latent_digests").fetchall()
         try:
-            return {
-                int(row[0]): int(row[1])
-                for row in self._execute(
-                    "SELECT image_id, hash FROM world_hashes"
-                )
-            }
-        except ValueError as exc:
+            cache.digests.update((_decode_latent(latent), digest) for latent, digest in rows)
+        except (KeyError, TypeError, ValueError) as exc:
             raise StoreCorruptionError(
-                f"{self.path}: world hash rows are not integers: {exc}"
+                f"{self.path}: latent digest row does not decode: {exc}"
             ) from exc
+        return len(grouped)
 
     # ------------------------------------------------------------------
     # Checkpoints and aggregate blobs

@@ -32,7 +32,7 @@ from ..web.sites import (
 from ..web.url import Url
 from . import templates as T
 from .earnings_gen import EarningsPlanner, ProofPlan
-from .models_gen import ModelIdentity, SupplySide
+from .models_gen import SupplySide
 from .profiles import INTEREST_CATEGORIES, ActorProfile, Archetype, sample_profile
 
 __all__ = ["ForumSpec", "FORUM_SPECS", "ForumWorldGenerator", "GeneratedForums", "IdAllocator"]

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..domains.taxonomy import MASTER_CATEGORIES
-from ..media.image import ImageKind, SyntheticImage, sample_latent
+from ..media.image import SyntheticImage, sample_latent
 from ..web.internet import OriginSite
 
 __all__ = [

@@ -26,7 +26,7 @@ from .._rng import SeedSequenceTree
 from ..forum.dataset import ForumDataset
 from ..media.image import ImageKind, SyntheticImage
 from ..media.validate import CorruptPayloadError, validate_raster
-from ..vision.cache import Featurizer
+from ..vision.cache import Featurizer, VisionCache
 from ..vision.photodna import (  # robust_hash: benchmarks/e2e/layers.py wraps it
     AbuseSeverity,
     HashListEntry,
@@ -39,12 +39,7 @@ from ..web.faults import FaultInjector, fault_profile
 from ..web.internet import SimulatedInternet
 from ..web.payload_faults import PayloadFaultInjector, payload_profile
 from ..vision.batch import hash_batch
-from .forum_gen import (
-    DATASET_END,
-    ForumWorldGenerator,
-    GeneratedForums,
-    IdAllocator,
-)
+from .forum_gen import ForumWorldGenerator, GeneratedForums, IdAllocator
 from .models_gen import (
     CirculatingImage,
     SupplySide,
@@ -63,7 +58,7 @@ __all__ = [
 
 #: Version of the random stream world synthesis draws.  One config gives
 #: another world under another version, so a store records the version
-#: its world hashes and corpus came from and refuses a build of another.
+#: its image digests and corpus came from and refuses a build of another.
 #: Version 2 block-draws the forum, template, copy-hash and background
 #: randomness and centres each later skin blob on uncovered skin.
 WORLD_STREAM_VERSION = 2
@@ -185,7 +180,7 @@ class World:
 
 def build_world(
     config: Optional[WorldConfig] = None,
-    world_hashes: Optional[Dict[int, int]] = None,
+    known: Optional[VisionCache] = None,
     **overrides,
 ) -> World:
     """Construct a fully wired synthetic world.
@@ -193,13 +188,13 @@ def build_world(
     Accepts either a prebuilt :class:`WorldConfig` or keyword overrides:
     ``build_world(seed=3, scale=0.02)``.
 
-    ``world_hashes`` is an optional ``image_id -> perceptual hash`` memo
-    (plain ints) consulted and filled while building the web
-    intelligence.  An image whose hash it holds is not rendered at all
-    (rendering is the build's largest cost), and the hash of an image
-    is a pure function of the world seed, so a persistent store can
-    carry it across runs.  The memo changes no rng draw and no value —
-    bit-identity is unaffected.
+    ``known`` is an optional :class:`~repro.vision.cache.VisionCache`
+    (a persistent store's, loaded from earlier epochs), read and never
+    written.  An image whose latent it maps to a digest with a recorded
+    hash takes that hash and is not rendered at all (rendering is the
+    build's largest cost); rendering is a pure function of the latent,
+    so the hash is the one the build would compute.  It changes no rng
+    draw and no value — bit-identity is unaffected.
 
     The build makes no reference cycles, so the cyclic garbage collector
     is paused while it runs (DESIGN.md §7), then set back as it was.
@@ -211,13 +206,13 @@ def build_world(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _build(config, world_hashes)
+        return _build(config, known)
     finally:
         if enabled:
             gc.enable()
 
 
-def _build(config: WorldConfig, world_hashes: Optional[Dict[int, int]]) -> World:
+def _build(config: WorldConfig, known: Optional[VisionCache]) -> World:
     tree = SeedSequenceTree(config.seed, "world")
     internet = SimulatedInternet(seed=tree.seed("internet"))
     if config.fault_profile is not None:
@@ -268,7 +263,7 @@ def _build(config: WorldConfig, world_hashes: Optional[Dict[int, int]]) -> World
     image_features = Featurizer(hashlist=hashlist)
     _build_web_intelligence(
         tree, supply, forums, reverse_index, archive, hashlist,
-        image_features, world_hashes=world_hashes,
+        image_features, known,
     )
 
     world = World(
@@ -410,7 +405,7 @@ def _build_web_intelligence(
     archive: WaybackArchive,
     hashlist: HashListService,
     features: Featurizer,
-    world_hashes: Optional[Dict[int, int]] = None,
+    known: Optional[VisionCache],
 ) -> None:
     rng = tree.rng("webintel")
     in_use = _circulating_in_use(supply, forums)
@@ -434,17 +429,19 @@ def _build_web_intelligence(
     # so the hashlist is complete before any image is NSFW-scored and no
     # abuse image is ever scored.  No rng draw happens here.  A block's
     # entries go in before its images are scored.
-    base_hashes: List[int] = [0] * len(in_use)
+    base_hashes: List[Optional[int]] = [
+        known.hash_of(c.image.latent) if known is not None else None for c in in_use
+    ]
     listed_first = sorted(range(len(in_use)), key=lambda i: not in_use[i].in_hashlist)
-    memo = {} if world_hashes is None else world_hashes
     for start in range(0, len(listed_first), _FEATURE_BLOCK):
         block = listed_first[start : start + _FEATURE_BLOCK]
-        fresh = [in_use[i].image for i in block if memo.get(in_use[i].image.image_id) is None]
-        hashes = hash_batch([image.pixels for image in fresh]).tolist()
-        memo.update((image.image_id, image_hash) for image, image_hash in zip(fresh, hashes))
+        fresh = [i for i in block if base_hashes[i] is None]
+        images = [in_use[i].image for i in fresh]
+        hashes = hash_batch([image.pixels for image in images]).tolist()
+        for i, image_hash in zip(fresh, hashes):
+            base_hashes[i] = image_hash
         for i in block:
             image = in_use[i].image
-            base_hashes[i] = int(memo[image.image_id])
             if in_use[i].in_hashlist:
                 model_id = image.latent.model_id
                 actionable = model_id in verified_model_ids
@@ -456,7 +453,7 @@ def _build_web_intelligence(
                         actionable=actionable,
                     )
                 )
-        _featurise(fresh, hashes, features)
+        _featurise(images, hashes, features)
 
     for circulating, base_hash in zip(in_use, base_hashes):
         fill_copy_hashes(rng, circulating, base_hash)
@@ -485,8 +482,8 @@ def _featurise(images: List[SyntheticImage], hashes: List[int], features: Featur
     """Record the features of ``images`` while their pixels are live, then drop them.
 
     §4.3 hash-then-delete, done once per rendered image: each raster is
-    validated and digested, and its record takes the hash the build
-    computed; ``features`` adds the NSFW scores, as one block, of those
+    validated and digested (the digest recorded under its latent), and
+    its record takes the hash the build computed; ``features`` adds the NSFW scores, as one block, of those
     its hashlist does not match.  An image failing validation gets no
     record, so a crawl validates (and quarantines) it as it would any
     download.
@@ -497,8 +494,9 @@ def _featurise(images: List[SyntheticImage], hashes: List[int], features: Featur
             validate_raster(image.pixels)
         except CorruptPayloadError:
             continue
-        features.cache.setdefault(image.content_digest, {"hash": image_hash})
-        items.append((image.content_digest, image))
+        digest = features.cache.remember(image)
+        features.cache.setdefault(digest, {"hash": image_hash})
+        items.append((digest, image))
     features.features_block(items)
     for image in images:
         image.drop_pixels()

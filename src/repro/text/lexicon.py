@@ -11,7 +11,7 @@ scanned in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Sequence, Tuple
+from typing import FrozenSet, Tuple
 
 from .tokenize import tokenize_raw
 

@@ -9,7 +9,7 @@ compensates with statistical features, not with heavier NLP.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List
+from typing import List
 
 from .stopwords import STOPWORDS
 

@@ -18,9 +18,15 @@ Every later stage reads records instead of pixels.  A record is also
 the run's one fact that its digest was validated clean at ingest, so
 the stage boundaries (:meth:`~repro.core.quarantine.Quarantine.
 filter_rasters`) re-validate only digests without one.  A digest without a
-complete record — one replayed by a persisted ingest memo whose store
-predates this layout, or a hand-built test record — is featurised from
-its pixels where a stage first needs it, so old stores still load.
+complete record (a hand-built test record) is featurised from its pixels
+where a stage first needs it.
+
+A plain image's pixels are a pure function of its latent, so the cache
+also maps each latent it has digested to that digest
+(:attr:`VisionCache.digests`).  An image met again under a new link, or
+in a later epoch of a store, finds its digest, and through the digest
+its record, without being rendered.  A corrupt payload view shares its
+base's latent but not its pixels, so it is never looked up or recorded.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
 
+from ..media.image import ImageLatent, SyntheticImage
 from .nsfw import NsfwScorer
 from .photodna import HashListService, robust_hash
 
@@ -44,21 +51,44 @@ class VisionCacheStats:
 
 
 class VisionCache(Dict[str, Dict[str, Any]]):
-    """Digest → feature record map, with lookup counters.
+    """Digest → feature record map, with lookup counters and the
+    latent → digest map of the plain images digested so far.
 
     A *hit* is a :meth:`Featurizer.features` request an existing record
     answered; a *miss* had to render pixels.  Values are plain ints and
     floats, so the map is JSON-serialisable as-is — :mod:`repro.store`
-    persists it row by row.
+    persists it row by row, and :attr:`digests` beside it.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.hits = 0
         self.misses = 0
+        #: Content digest of each plain image's latent, once digested.
+        self.digests: Dict[ImageLatent, str] = {}
 
     def stats(self) -> VisionCacheStats:
         return VisionCacheStats(hits=self.hits, misses=self.misses, n_entries=len(self))
+
+    def digest_of(self, image: SyntheticImage) -> Optional[str]:
+        """``image``'s content digest if known without rendering it, else ``None``."""
+        digest = image.known_digest
+        if digest is None and image.renders_latent:
+            digest = self.digests.get(image.latent)
+        return digest
+
+    def remember(self, image: SyntheticImage) -> str:
+        """``image``'s content digest, recorded under its latent if it is plain."""
+        digest = image.content_digest
+        if image.renders_latent:
+            self.digests[image.latent] = digest
+        return digest
+
+    def hash_of(self, latent: ImageLatent) -> Optional[int]:
+        """The perceptual hash recorded for ``latent``'s digest, if any."""
+        digest = self.digests.get(latent)
+        record = self.get(digest) if digest is not None else None
+        return None if record is None else record.get("hash")
 
 
 class Featurizer:
@@ -126,8 +156,11 @@ class Featurizer:
         run's hashlist matches the hash, so this cache never holds the
         score of an abuse image.  That check is skipped when ``other``
         computed every score it holds itself, screening each against this
-        very hashlist at the radius and entry count it has now.
+        very hashlist at the radius and entry count it has now.  The
+        latent → digest map is taken whatever the scorer: it holds no
+        score.
         """
+        self.cache.digests.update(other.cache.digests)
         if other.scorer != self.scorer:
             return
         new = {d: dict(r) for d, r in other.cache.items() if d not in self.cache}

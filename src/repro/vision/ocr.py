@@ -18,7 +18,7 @@ fragments, tiny text vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 from scipy import ndimage

@@ -55,7 +55,7 @@ from typing import (
 from ..chaos.sites import kill_point
 from ..media.image import SyntheticImage
 from ..media.pack import Pack
-from ..media.validate import UnexpectedResourceError, rebuild_error, validate_raster
+from ..media.validate import UnexpectedResourceError, validate_raster
 from ..obs.trace import NULL_TRACER
 from .checkpoint import CrawlCheckpoint, link_key
 from .faults import stable_uniform
@@ -72,30 +72,11 @@ __all__ = [
     "CrawlStats",
     "CrawledImage",
     "Crawler",
-    "IngestMemo",
     "LinkAttempt",
     "LinkAttemptLog",
     "LinkRecord",
     "content_digest",
 ]
-
-
-#: Memo key: ``(url, pack_id, member_index)`` — one per ingested payload.
-IngestKey = Tuple[str, Optional[int], Optional[int]]
-
-
-#: Persistent memo of per-payload ingest outcomes:
-#: ``key -> ("ok", digest)`` or ``key -> ("err", error_type, message)``.
-#:
-#: The crawler's :meth:`Crawler._ingest` boundary renders each payload,
-#: validates it and digests its bytes — the dominant cost of a crawl.
-#: All three are pure functions of ``(url, pack_id, member_index)`` for
-#: a fixed world seed (payload corruption is injected per-URL by pure
-#: hashes, and validation messages at ingest use the URL as context),
-#: so a warm run can replay the recorded outcome: clean payloads get
-#: their digest back without touching pixels, poisoned ones re-admit a
-#: byte-identical quarantine record.
-IngestMemo = Dict[IngestKey, Tuple[str, ...]]
 
 
 def content_digest(image: SyntheticImage) -> str:
@@ -376,7 +357,6 @@ class Crawler:
         breaker_threshold: int = 5,
         breaker_cooldown: float = 60.0,
         jitter_seed: int = 0,
-        ingest_memo: Optional[IngestMemo] = None,
         features: Optional["Featurizer"] = None,
     ):
         self._internet = internet
@@ -384,9 +364,6 @@ class Crawler:
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown
         self._jitter_seed = jitter_seed
-        #: Optional persistent memo of per-payload ingest outcomes; a
-        #: hit skips the render/validate/digest work (see :data:`IngestMemo`).
-        self._ingest_memo = ingest_memo
         self._features = features
 
     # ------------------------------------------------------------------
@@ -731,49 +708,32 @@ class Crawler:
             context["pack_id"] = pack_id
         if member_index is not None:
             context["member_index"] = member_index
-        memo = self._ingest_memo
-        if memo is not None:
-            key: IngestKey = (url_str, pack_id, member_index)
-            outcome = memo.get(key)
-            if outcome is not None:
-                if outcome[0] == "ok":
-                    # Replay: the digest is memoised, so the raster is
-                    # never rendered — pixels stay lazy until (if ever)
-                    # a downstream cache miss demands them.
-                    return CrawledImage(
-                        image=image,
-                        digest=outcome[1],
-                        link=link,
-                        pack_id=pack_id,
-                    )
-                quarantine.admit(
-                    stage, url_str, rebuild_error(outcome[1], outcome[2]), context
-                )
-                return None
+        features = self._features
         try:
-            # A repeat download of an object whose digest already has a
+            # A repeat download of content whose digest already has a
             # feature record (so was validated clean) renders nothing:
             # validation is a pure function of the bytes, shape and dtype
-            # the digest covers.
-            digest = image.known_digest
-            if self._features is None or digest not in self._features.cache:
+            # the digest covers, and a plain image's digest is known by
+            # its latent once any image of that latent was digested.
+            digest = features.cache.digest_of(image) if features is not None else None
+            if digest is None or digest not in features.cache:
                 validate_raster(image.pixels, context=url_str)
-                digest = image.content_digest
+                digest = (
+                    features.cache.remember(image)
+                    if features is not None
+                    else image.content_digest
+                )
             crawled = CrawledImage(
                 image=image,
                 digest=digest,
                 link=link,
                 pack_id=pack_id,
             )
-            if self._features is not None:
-                self._features.features(digest, image)
+            if features is not None:
+                features.features(digest, image)
                 image.drop_pixels()
-            if memo is not None:
-                memo[key] = ("ok", digest)
             return crawled
         except Exception as exc:
-            if memo is not None:
-                memo[key] = ("err", type(exc).__name__, str(exc))
             quarantine.admit(stage, url_str, exc, context)
             return None
 

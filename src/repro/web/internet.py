@@ -139,8 +139,6 @@ class FetchResult:
     resource: Optional[Union[SyntheticImage, Pack]] = None
     #: Server-suggested wait before retrying (rate limits), seconds.
     retry_after: Optional[float] = None
-    #: Redirector hops followed before this result (0 for direct fetches).
-    n_hops: int = 0
 
     @property
     def ok(self) -> bool:
@@ -286,20 +284,10 @@ class SimulatedInternet:
         while result.ok and isinstance(result.resource, RedirectPage):
             hops += 1
             if hops > MAX_REDIRECT_HOPS:
-                return FetchResult(
-                    url=result.url, status=FetchStatus.REDIRECT_LOOP, n_hops=hops
-                )
+                return FetchResult(url=result.url, status=FetchStatus.REDIRECT_LOOP)
             target = result.resource.target
             result = self._fetch_once(str(target), target, attempt)
-        if hops == 0:
-            return result
-        return FetchResult(
-            url=result.url,
-            status=result.status,
-            resource=result.resource,
-            retry_after=result.retry_after,
-            n_hops=hops,
-        )
+        return result
 
     def _fetch_once(
         self, key: str, parsed: Optional[Url], attempt: int

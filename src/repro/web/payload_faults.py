@@ -139,6 +139,8 @@ class CorruptImage(SyntheticImage):
 
     __slots__ = ("corruption", "_noise_seed")
 
+    renders_latent = False
+
     def __init__(self, base: SyntheticImage, corruption: str, noise_seed: int):
         if corruption not in CORRUPTION_KINDS:
             raise ValueError(f"unknown corruption kind {corruption!r}")

@@ -25,7 +25,7 @@ hash) instead of a shared RNG stream.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 __all__ = [

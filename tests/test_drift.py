@@ -129,20 +129,24 @@ def test_redirect_chain_resolution_and_loop_cap():
     net.host_exact(hop2, RedirectPage(target=image_url), t0)
     net.host_exact(hop1, RedirectPage(target=hop2), t0)
 
+    # Each hop is one fetch: the two redirect pages, then the image.
+    calls = net.n_fetch_calls
     result = net.fetch(hop1)
     assert result.ok and result.resource is image
-    assert result.n_hops == 2
+    assert net.n_fetch_calls - calls == 3
     # Same (url, attempt) → same walk (checkpoint replay invariant).
+    calls = net.n_fetch_calls
     again = net.fetch(hop1)
-    assert again.n_hops == 2 and again.resource is image
+    assert net.n_fetch_calls - calls == 3 and again.resource is image
 
     loop_a = normalize_url("https://lnk-a.net/loop-a")
     loop_b = normalize_url("https://lnk-a.net/loop-b")
     net.host_exact(loop_a, RedirectPage(target=loop_b), t0)
     net.host_exact(loop_b, RedirectPage(target=loop_a), t0)
+    calls = net.n_fetch_calls
     looped = net.fetch(loop_a)
     assert looped.status is FetchStatus.REDIRECT_LOOP
-    assert looped.n_hops == MAX_REDIRECT_HOPS + 1
+    assert net.n_fetch_calls - calls == MAX_REDIRECT_HOPS + 1
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,10 @@ quantity fails here even when it is self-consistent.
 
 The budget holds counts that the seed fixes and no machine moves:
 ``counts`` (renders, kernel calls and hashlist lookups, each split into
-``build_world`` and ``run_pipeline``; a block kernel counts each image it
-takes), ``telemetry`` (the run's ``work``
-registry) and ``store_epoch_1``/``_2`` (the ``work`` registry of each
-epoch of a two-epoch store run of the same world).  It is compared
+``build_world``, ``run_pipeline`` and each epoch of a two-epoch store
+run of the same world; a block kernel counts each image it takes),
+``telemetry`` (the run's ``work`` registry) and ``store_epoch_1``/``_2``
+(the ``work`` registry of each store epoch).  It is compared
 exactly: more work fails, and less work is a deliberate change too.
 
 A deliberate change to outputs or to work is a re-baseline.  Regenerate
@@ -68,11 +68,12 @@ class WorkCounter:
 
     NAMES = ("renders", "validate_raster", "robust_hash", "hash_batch",
              "nsfw_score", "hashlist_lookups")
+    PHASES = ("build", "run", "store_epoch_1", "store_epoch_2")
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self.phase = "build"
         # Every counter is named, so a kernel that stops being called shows.
-        self.counts = {f"{n}.{p}": 0 for n in self.NAMES for p in ("build", "run")}
+        self.counts = {f"{n}.{p}": 0 for n in self.NAMES for p in self.PHASES}
         render = SyntheticImage.pixels.fget
 
         def pixels(image):
@@ -141,15 +142,15 @@ def work_registry(report) -> dict:
 
 def current_outputs() -> dict:
     config = WorldConfig(seed=SEED, scale=SCALE)
-    with pytest.MonkeyPatch.context() as monkeypatch:
+    with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as tmp:
         counter = WorkCounter(monkeypatch)
         world = build_world(config)
         counter.phase = "run"
         report = run_pipeline(world)
-    work = {"counts": counter.counts, "telemetry": work_registry(report)}
-    with tempfile.TemporaryDirectory() as tmp:
+        work = {"counts": counter.counts, "telemetry": work_registry(report)}
         store = Path(tmp) / "golden.sqlite"
         for epoch in (1, 2):
+            counter.phase = f"store_epoch_{epoch}"
             result = run_incremental(
                 store, epoch=epoch, config=replace(config, epoch_total=2)
             )

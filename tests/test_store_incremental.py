@@ -26,6 +26,7 @@ from repro.store import (
     RunStore,
     StoreConfigError,
     StoreCorruptionError,
+    repair_store,
     run_incremental,
     verify_store,
 )
@@ -241,6 +242,82 @@ def add_legacy_images_table(path):
     )
     conn.commit()
     conn.close()
+
+
+#: The two per-image memo tables of the previous store layout.
+_PARENT_ERA_MEMOS = """
+CREATE TABLE IF NOT EXISTS ingest_memo (
+    stage TEXT NOT NULL, url TEXT NOT NULL, pack_id INTEGER NOT NULL,
+    member_index INTEGER NOT NULL, ok INTEGER NOT NULL, digest TEXT,
+    error_type TEXT, message TEXT,
+    PRIMARY KEY (stage, url, pack_id, member_index)
+);
+CREATE TABLE IF NOT EXISTS world_hashes (image_id INTEGER PRIMARY KEY, hash TEXT NOT NULL);
+"""
+
+
+def add_parent_era_memos(path, result, world):
+    """Give ``path`` the ``ingest_memo`` and ``world_hashes`` tables
+    stores of the previous layout carry, with rows that would change
+    any run that read them: every crawled link replays a failure, and
+    every world image has hash 0."""
+    conn = sqlite3.connect(path)
+    conn.executescript(_PARENT_ERA_MEMOS)
+    conn.executemany(
+        "INSERT OR REPLACE INTO ingest_memo VALUES "
+        "(?, ?, ?, ?, 0, NULL, 'ValueError', 'replayed')",
+        [
+            (stage, str(c.link.url), -1 if c.pack_id is None else c.pack_id, index)
+            for c in result.report.crawl.all_images
+            for stage in ("url_crawl", "earnings")
+            for index in (-1, 0, 1, 2)
+        ],
+    )
+    conn.executemany(
+        "INSERT OR REPLACE INTO world_hashes VALUES (?, '0')",
+        [(c.image.image_id,) for model in world.supply.models for c in model.pool],
+    )
+    conn.commit()
+    conn.close()
+
+
+class TestParentEraStore:
+    def test_old_memo_tables_are_ignored_and_not_repaired(self, tmp_path):
+        path = tmp_path / "parent-era.sqlite"
+        first = run_incremental(path, epoch=1, **WORLD_KW)
+        add_parent_era_memos(path, first, build_world(WorldConfig(**WORLD_KW)))
+        for epoch in (2, 3):
+            inc = run_incremental(path, epoch=epoch, **WORLD_KW)
+        cold = run_epochs(tmp_path, "cold", [3])
+        assert inc.crawl_digest == cold.crawl_digest
+        assert ledger(inc) == ledger(cold)
+        assert inc.measurement == cold.measurement
+        verify_store(path)
+        # An orphan quarantine row makes repair rebuild the store.
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "INSERT INTO quarantine (run_id, seq, stage, ref, error_type, "
+            "message, context) VALUES (999, 0, 'url_crawl', 'x', 'E', 'm', '{}')"
+        )
+        conn.commit()
+        conn.close()
+        assert repair_store(path).repaired
+        verify_store(path)
+        conn = sqlite3.connect(path)
+        tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+        conn.close()
+        assert not tables & {"ingest_memo", "world_hashes"}
+        assert "latent_digests" in tables
+
+    def test_new_store_holds_no_old_memo_table(self, tmp_path):
+        path = tmp_path / "new.sqlite"
+        run_incremental(path, epoch=1, **WORLD_KW)
+        conn = sqlite3.connect(path)
+        tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+        (n_latents,) = conn.execute("SELECT COUNT(*) FROM latent_digests").fetchone()
+        conn.close()
+        assert not tables & {"ingest_memo", "world_hashes"}
+        assert n_latents > 0
 
 
 class TestDriftThroughStore:

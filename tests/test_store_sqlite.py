@@ -13,6 +13,7 @@ from datetime import datetime, timedelta
 import pytest
 
 from repro.forum import Actor, Board, Forum, ForumDataset, Post, Thread
+from repro.media.image import ImageKind, ImageLatent
 from repro.store import (
     RunStore,
     StoreConfigError,
@@ -211,39 +212,46 @@ class TestMemoPersistence:
         assert store.load_vision_cache(warm) == 2
         assert warm == {"d1": {"hash": 12345, "nsfw": 0.25}, "d2": {"hash": 777}}
 
-    def test_ingest_memo_round_trip_with_null_keys(self, store):
-        memo = {
-            ("http://x/a", 1, 0): ("ok", "digest-a"),
-            ("http://x/b", None, None): ("ok", "digest-b"),
-            ("http://x/c", 2, 1): ("err", "ValueError", "boom"),
-        }
-        store.save_ingest_memo("url_crawl", memo)
-        warm = {}
-        store.load_ingest_memo("url_crawl", warm)
-        assert warm[("http://x/b", None, None)] == ("ok", "digest-b")
-        err = warm[("http://x/c", 2, 1)]
-        assert err[0] == "err" and err[1] == "ValueError"
+    def test_latent_digests_round_trip_with_null_fields(self, store):
+        cache = VisionCache()
+        plain = ImageLatent(visual_seed=7, kind=ImageKind.LANDSCAPE,
+                            skin_fraction=0.0, word_count=0)
+        cache.digests[plain] = "digest-a"
+        store.save_vision_cache(cache)
+        warm = VisionCache()
+        store.load_vision_cache(warm)
+        assert warm.digests == {plain: "digest-a"}
+        assert next(iter(warm.digests)).model_id is None
 
-    def test_ingest_memo_stages_are_namespaced(self, store):
-        store.save_ingest_memo("url_crawl", {("http://x/a", None, None): ("ok", "d")})
-        assert store.load_ingest_memo("earnings", {}) == 0
+    def test_latent_digests_round_trip_exactly(self, store):
+        cache = VisionCache()
+        cache["d1"] = {"hash": 2**63 + 5}  # exceeds sqlite signed-int range
+        latent = ImageLatent(
+            visual_seed=2**63 - 2, kind=ImageKind.MODEL_NUDE,
+            skin_fraction=0.1 + 0.2, word_count=1, model_id=12,
+            is_underage=True, transform_chain=("mirror", "crop"),
+        )
+        cache.digests[latent] = "d1"
+        store.save_vision_cache(cache)
+        warm = VisionCache()
+        store.load_vision_cache(warm)
+        assert warm == {"d1": {"hash": 2**63 + 5}}
+        assert warm.digests == {latent: "d1"}
+        assert warm.hash_of(latent) == 2**63 + 5
 
-    def test_ok_row_without_digest_is_corruption(self, tmp_path):
+    def test_undecodable_latent_row_is_corruption(self, tmp_path):
         path = tmp_path / "memo.sqlite"
         with RunStore(path) as s:
-            s.save_ingest_memo("url_crawl", {("http://x/a", None, None): ("ok", "d")})
+            cache = VisionCache()
+            cache.digests[ImageLatent(1, ImageKind.MEME, 0.0, 3)] = "d"
+            s.save_vision_cache(cache)
         conn = sqlite3.connect(str(path))
-        conn.execute("UPDATE ingest_memo SET digest=NULL")
+        conn.execute("""UPDATE latent_digests SET latent='{"kind": "nope"}'""")
         conn.commit()
         conn.close()
         with RunStore(path) as s:
-            with pytest.raises(StoreCorruptionError, match="no digest"):
-                s.load_ingest_memo("url_crawl", {})
-
-    def test_world_hashes_round_trip(self, store):
-        hashes = {1: 2**63 + 5, 2: 42}  # exceeds sqlite signed-int range
-        store.save_world_hashes(hashes)
-        assert store.load_world_hashes() == hashes
+            with pytest.raises(StoreCorruptionError, match="does not decode"):
+                s.load_vision_cache(VisionCache())
 
 
 class TestBlobsAndRuns:

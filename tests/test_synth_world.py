@@ -19,7 +19,7 @@ from repro.synth import (
     generate_supply_side,
 )
 from repro.synth.forum_gen import DATASET_END, DATASET_START
-from repro.vision import Featurizer, robust_hash
+from repro.vision import Featurizer, VisionCache, robust_hash
 
 
 class TestSupplySide:
@@ -210,7 +210,7 @@ class TestBlockFeaturisation:
 
     CONFIG = WorldConfig(seed=3, scale=0.006, underage_rate=0.30, hashlist_rate=0.5)
 
-    def _build(self, monkeypatch, memo, per_image):
+    def _build(self, monkeypatch, known, per_image):
         calls = itertools.count()
 
         def validate(pixels):
@@ -232,27 +232,32 @@ class TestBlockFeaturisation:
                         featurizer.features(digest, image)
 
                 patch.setattr(Featurizer, "features_block", features_block)
-            world = build_world(self.CONFIG, world_hashes=memo)
+            world = build_world(self.CONFIG, known=known)
         features = world.image_features
         return {
             "records": list(features.cache.items()),
+            "digests": list(features.cache.digests.items()),
             "counters": (features.cache.hits, features.cache.misses),
             "screened": features._screened,
             "entries": world.hashlist._entries,
-            "memo": list(memo.items()),
         }
 
     def test_blocks_match_one_image_at_a_time(self, monkeypatch):
-        full = {}
-        build_world(self.CONFIG, world_hashes=full)
-        # Memoised images are not rendered; their entries keep their place.
-        partial = dict(list(full.items())[::3])
-        blocks = self._build(monkeypatch, dict(partial), per_image=False)
-        reference = self._build(monkeypatch, dict(partial), per_image=True)
+        full = build_world(self.CONFIG).image_features.cache
+        # Known images are not rendered; their entries keep their place.
+        partial = VisionCache()
+        for latent, digest in list(full.digests.items())[::3]:
+            partial.digests[latent] = digest
+            partial[digest] = dict(full[digest])
+        before = (dict(partial), dict(partial.digests))
+        blocks = self._build(monkeypatch, partial, per_image=False)
+        reference = self._build(monkeypatch, partial, per_image=True)
+        assert (dict(partial), dict(partial.digests)) == before  # read, never written
         assert blocks == reference
         hits, misses = blocks["counters"]
         assert hits > 0 and misses > 0 and len(blocks["entries"]) > 64
         assert len(blocks["records"]) < len(full) - len(partial)  # failures
+        assert not set(partial.digests) & {latent for latent, _ in blocks["digests"]}
 
 
 class TestGarbageCollectorPause:

@@ -499,6 +499,26 @@ class TestMemoryStructure:
         second = crawler._ingest(_link("/b"), image, quarantine, "url_crawl")
         assert renders.calls == 1
         assert second.digest == first.digest
+        # Another object of the same latent is found by latent, not rendered.
+        copy = SyntheticImage(2, image.latent)
+        third = crawler._ingest(_link("/c"), copy, quarantine, "url_crawl")
+        assert renders.calls == 1
+        assert third.digest == first.digest and copy.known_digest is None
+
+    def test_corrupt_view_of_a_known_latent_is_still_quarantined(self, rng):
+        base = SyntheticImage(1, sample_latent(rng, ImageKind.MODEL_NUDE))
+        features = Featurizer()
+        crawler = Crawler(None, features=features)
+        quarantine = Quarantine()
+        clean = crawler._ingest(_link("/a"), base, quarantine, "url_crawl")
+        assert features.cache.digests == {base.latent: clean.digest}
+        poison = CorruptImage(base, "nan_pixels", noise_seed=1)
+        assert crawler._ingest(_link("/b"), poison, quarantine, "url_crawl") is None
+        assert [(r.ref, r.error_type) for r in quarantine.records] == [
+            ("https://imgur.com/b", "NonFinitePixelError")
+        ]
+        assert features.cache.digest_of(poison) is None
+        assert features.cache.digests == {base.latent: clean.digest}
 
     def test_unknown_poison_digest_still_quarantined_by_abuse_filter(self, rng):
         base = SyntheticImage(1, sample_latent(rng, ImageKind.MODEL_NUDE))
