@@ -79,14 +79,13 @@ def run_pipeline(
     world: World,
     annotate_n: int = 1000,
     strict: bool = True,
-    checkpoint=None,
     stage_hooks=None,
     telemetry=None,
     workers: Optional[int] = None,
     selection_fn=None,
     link_extractor=None,
     pretrained_classifier=None,
-    persist=None,
+    cache=None,
 ) -> PipelineReport:
     """Run the full measurement over a world using its ground-truth oracles.
 
@@ -96,8 +95,7 @@ def run_pipeline(
     scale so the groups keep the paper's selectivity.
 
     ``strict=False`` degrades gracefully on stage failures instead of
-    aborting; ``checkpoint`` (a path or ``CrawlCheckpoint``) makes the
-    §4.2 crawl resumable; ``stage_hooks`` force stage failures in tests;
+    aborting; ``stage_hooks`` force stage failures in tests;
     ``telemetry`` (a :class:`~repro.obs.RunTelemetry`) carries the run's
     span tracer and metrics registry — pass one built around an enabled
     :class:`~repro.obs.Tracer` to capture a trace (DESIGN.md §9).
@@ -108,10 +106,10 @@ def run_pipeline(
     (DESIGN.md §10).  ``benchmarks/e2e/worker.py`` still passes it; the
     parameter goes once that benchmark drops its ``threads2`` workload.
 
-    ``persist`` (a :class:`~repro.store.incremental.PersistSession`)
-    plugs in a persistent store's warm memos, its ``cache`` the run's
-    vision cache; it preserves bit-identity of every measured quantity —
-    a warm run only *skips recomputation*.
+    ``cache`` (a :class:`~repro.vision.cache.VisionCache`, a persistent
+    store's ``PersistSession.cache``) plugs in the store's warm memos as
+    the run's vision cache; it preserves bit-identity of every measured
+    quantity — a warm run only *skips recomputation*.
     """
     import math
 
@@ -129,8 +127,7 @@ def run_pipeline(
         annotate_n=annotate_n,
         key_actor_top_n=top_n,
         strict=strict,
-        checkpoint=checkpoint,
         stage_hooks=stage_hooks,
         telemetry=telemetry,
-        persist=persist,
+        cache=cache,
     )

@@ -1,8 +1,8 @@
 """repro.chaos — deterministic kill-point chaos harness (DESIGN.md §13).
 
 Crash consistency is a *tested* property here, not a hope: named kill
-sites are threaded through crawl checkpointing, atomic artifact writes
-and the store's epoch commit; a subprocess driver
+sites are threaded through atomic artifact writes and the store's
+epoch commit; a subprocess driver
 (``python -m repro.chaos.driver``) arms a :class:`ChaosMonkey` through
 ``REPRO_CHAOS_*`` env vars and dies violently (``SIGKILL``) at one
 deterministic ``(seed, site)``-chosen hit.  The kill-matrix tests then

@@ -6,18 +6,20 @@ into a typed :class:`SignalInterrupt` raised at the next bytecode
 boundary of the main thread, which unwinds through the same
 crash-consistency machinery the chaos harness exercises:
 
-* the crawler's checkpoint is synced and atomically saved on the way
-  out (``Crawler.crawl`` saves on any in-flight exception), so the run
-  is resumable;
 * an open store epoch transaction rolls back — the store stays at the
   previous watermark, exactly as after a ``SIGKILL``;
+* no artifact is left half-written: every artifact is written
+  atomically (:mod:`repro.atomicio`), and a run's artifacts are written
+  only after its pipeline has finished;
 * the process exits with the conventional distinct code ``128 +
   signum`` (130 for SIGINT, 143 for SIGTERM), so supervisors can tell
   "asked to stop" from "failed".
 
 ``SignalInterrupt`` derives from ``BaseException`` (like
 ``KeyboardInterrupt``) so lenient stage boundaries and ``except
-Exception`` cleanup cannot absorb a stop request.
+Exception`` cleanup cannot absorb a stop request.  Recovery is to run
+the same command again: a run is rebuilt from its seed, so the re-run
+is exactly the one that was interrupted.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Crash consistency (DESIGN.md §13) is only credible if it is *tested
 against violent death*, not just clean exits.  This module threads
 named **kill points** through every durability-critical moment of the
-stack — crawl checkpoint saves, atomic artifact replaces, the store's
-epoch commit — and provides the :class:`ChaosMonkey` that a subprocess
+stack — atomic artifact replaces and the store's epoch commit — and
+provides the :class:`ChaosMonkey` that a subprocess
 test driver arms to die (``SIGKILL``), interrupt (``SIGINT``/
 ``SIGTERM``) or raise at exactly one deterministic hit of one site.
 
@@ -15,7 +15,7 @@ crash→recover→re-run equivalence asserted by ``tests/test_chaos_kill.py``
 is a property, not a flake.
 
 With no monkey installed, :func:`kill_point` is one ``None`` check; the
-instrumented sites are per-save/per-commit (never per-record), so the
+instrumented sites are per-write/per-commit (never per-record), so the
 steady-state overhead is unmeasurable (gated < 2 % by
 ``benchmarks/bench_r5_crash.py``).
 """
@@ -43,13 +43,9 @@ __all__ = [
 #: instrumented ``kill_point`` call with a new name requires adding it
 #: here (asserted by ``tests/test_chaos_kill.py``).
 KILL_SITES = (
-    # Crawl checkpointing (repro.web.crawler):
-    # after a periodic mid-crawl checkpoint save has hit disk.
-    "crawl.checkpoint.saved",
     # Atomic artifact writes (repro.atomicio): the torn-write windows of
-    # any checkpoint/trace/JSONL/bench artifact — the temp file
-    # is fully written but the target not yet replaced, and just after
-    # the rename.
+    # any trace/table/bench artifact — the temp file is fully written
+    # but the target not yet replaced, and just after the rename.
     "artifact.tmp_written",
     "artifact.replaced",
     # Store epoch transaction (repro.store): mid-epoch, after each
@@ -92,11 +88,12 @@ def chosen_hit(seed: int, site: str, max_hits: int = 3) -> int:
 
     Pure ``blake2b(seed, site)`` hashing — reproducing a crash needs
     only the ``(seed, site)`` pair.  Bounded by ``max_hits`` so sites
-    hit many times per run (periodic checkpoint saves) still fire early.
+    hit many times per run (one hit per artifact written) still fire
+    early.
 
     >>> chosen_hit(0, "store.commit.before") == chosen_hit(0, "store.commit.before")
     True
-    >>> 1 <= chosen_hit(7, "crawl.checkpoint.saved", 3) <= 3
+    >>> 1 <= chosen_hit(7, "artifact.replaced", 3) <= 3
     True
     """
     digest = hashlib.blake2b(

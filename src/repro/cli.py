@@ -30,7 +30,7 @@ Examples::
     repro run --profile --store store.sqlite     # resource-profiled run, history persisted
     repro trace trace.jsonl
     repro --log-level debug --log-json run --seed 7
-    repro run --fault-profile flaky --resume          # unreliable network, resumable crawl
+    repro run --fault-profile flaky                   # unreliable network, retried crawl
     repro run --fault-profile hostile --lenient       # degrade instead of aborting
     repro run --payload-profile hostile               # corrupt payloads, quarantined per record
     repro run --drift-profile aggressive --drift-epoch 2   # measure a drifted world
@@ -47,10 +47,12 @@ Progress goes through :mod:`repro.obs.log` (structured ``logging`` on
 stderr, JSON with ``--log-json``); measurement output stays on stdout.
 
 Interruption contract (DESIGN.md §13): SIGINT/SIGTERM during ``run``
-checkpoints the crawl, rolls back any open store epoch transaction
-(the store stays at its previous watermark), closes the store cleanly
-and exits with the conventional distinct code ``128 + signum`` (130
-for SIGINT, 143 for SIGTERM).
+rolls back any open store epoch transaction (the store stays at its
+previous watermark), closes the store cleanly, leaves no partial
+artifact and exits with the conventional distinct code ``128 +
+signum`` (130 for SIGINT, 143 for SIGTERM).  Re-running the same
+command is the recovery: a run is rebuilt from its seed, so the re-run
+is exactly the run that was interrupted.
 """
 
 from __future__ import annotations
@@ -161,13 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drift-epoch", type=_nonneg_int, default=None, metavar="E",
         help="how many drift epochs to apply (requires --drift-profile; "
              "default 1; 0 = build the world but mutate nothing)",
-    )
-    p_run.add_argument(
-        "--resume", type=Path, nargs="?", const=Path("crawl.checkpoint.json"),
-        default=None, metavar="CHECKPOINT",
-        help="checkpoint the crawl to this file and resume from it if it "
-             "exists (default path: crawl.checkpoint.json; not with --store, "
-             "whose epochs are atomic)",
     )
     p_run.add_argument(
         "--lenient", action="store_true",
@@ -528,7 +523,7 @@ def _run_drift_command(args, log) -> int:
 def _run_store_command(args, log) -> int:
     """``repro run --store PATH [--epoch E --epoch-total N]``.
 
-    Builds (or resumes) a persistent run store and executes one
+    Creates (or extends) a persistent run store and executes one
     watermark-delta pipeline run against it; results are bit-identical
     to a storeless cold run over the same observation epoch.
     """
@@ -831,12 +826,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with graceful_signals():
             return _dispatch(args, log)
     except SignalInterrupt as exc:
-        # The unwind already did the durable work: crawl checkpoint
-        # synced and saved, store epoch transaction rolled back (the
-        # store is at its previous watermark) and closed.
+        # The unwind already did the durable work: the store epoch
+        # transaction rolled back (the store is at its previous
+        # watermark) and closed.
         log.error(
-            "%s: state checkpointed, store closed cleanly; exiting %d",
-            exc, exc.exit_code,
+            "%s: store closed cleanly; exiting %d", exc, exc.exit_code,
         )
         return exc.exit_code
     except BrokenPipeError:
@@ -877,10 +871,6 @@ def _dispatch(args, log) -> int:
                 "--drift-epoch requires --drift-profile (see 'repro run --help')"
             )
         if args.store is not None:
-            if args.resume is not None:
-                raise SystemExit(
-                    "--resume cannot be used with --store (see 'repro run --help')"
-                )
             return _run_store_command(args, log)
         if args.epoch is not None:
             raise SystemExit("--epoch requires --store (see 'repro run --help')")
@@ -921,7 +911,6 @@ def _dispatch(args, log) -> int:
             world,
             annotate_n=args.annotate,
             strict=not args.lenient,
-            checkpoint=args.resume,
             telemetry=telemetry,
         )
     finally:

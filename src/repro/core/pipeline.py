@@ -27,8 +27,7 @@ earnings analysis after a crawl failure) still run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from ..vision.cache import Featurizer, VisionCache, VisionCacheStats
 from ..vision.photodna import HashListService
 from ..vision.reverse_search import ReverseImageIndex
 from ..web.archive import WaybackArchive
-from ..web.checkpoint import CrawlCheckpoint
 from ..web.crawler import CrawlResult, CrawledImage, Crawler
 from ..web.internet import SimulatedInternet
 from .abuse_filter import AbuseFilter, AbuseFilterResult
@@ -194,7 +192,7 @@ class EwhoringPipeline:
         self.nsfv = NsfvClassifier()
         self.seed = seed
         #: Digest → feature-record map the stages read (DESIGN.md §7),
-        #: unless a run's ``persist`` session lends its own.
+        #: unless a run is given a store's ``cache``.
         self.vision_cache = VisionCache()
         #: The world build's featuriser; each run adopts copies of its
         #: records (see :meth:`Featurizer.adopt`).
@@ -221,18 +219,16 @@ class EwhoringPipeline:
         annotate_n: int = 1000,
         key_actor_top_n: int = 50,
         strict: bool = True,
-        checkpoint: Optional[Union[str, Path, CrawlCheckpoint]] = None,
         stage_hooks: Optional[Mapping[str, Callable[[], None]]] = None,
         telemetry: Optional[RunTelemetry] = None,
-        persist: Optional[object] = None,
+        cache: Optional[VisionCache] = None,
     ) -> PipelineReport:
         """Execute the full measurement and return the report.
 
         ``strict=False`` degrades gracefully on stage failures instead of
-        aborting (see :class:`PipelineReport`); ``checkpoint`` makes the
-        §4.2 crawl resumable; ``stage_hooks`` maps stage names to
-        callables invoked at the top of the stage boundary (tests and
-        benchmarks use this to force failures).
+        aborting (see :class:`PipelineReport`); ``stage_hooks`` maps stage
+        names to callables invoked at the top of the stage boundary (tests
+        and benchmarks use this to force failures).
 
         ``telemetry`` is the run's :class:`~repro.obs.RunTelemetry`
         (span tracer + metrics registry); omitted, a fresh registry with
@@ -241,16 +237,14 @@ class EwhoringPipeline:
         zero-cost-off.  The same object rides out on
         :attr:`PipelineReport.telemetry`.
 
-        ``persist`` is a warm-memo bundle (duck-typed as
-        :class:`~repro.store.incremental.PersistSession`) carrying the
-        feature records and latent digests a persistent store loaded
-        from earlier epochs (``persist.cache``, the run's vision cache in
-        place of :attr:`vision_cache`).  They only skip recomputation of
-        pure per-image functions
-        (render / validate / digest / featurise), so every measured
-        quantity — and the measurement view — is bit-identical with or
-        without them; a warm run merely does less work (see DESIGN.md
-        §12).
+        ``cache`` replaces :attr:`vision_cache` with the
+        :class:`~repro.vision.cache.VisionCache` a persistent store loaded
+        from earlier epochs (``PersistSession.cache``): their feature
+        records and latent digests.  Those only skip recomputation of pure
+        per-image functions (render / validate / digest / featurise), so
+        every measured quantity — and the measurement view — is
+        bit-identical with or without them; a warm run merely does less
+        work (see DESIGN.md §12).
         """
         tele = telemetry if telemetry is not None else RunTelemetry()
         runner = StageRunner(strict=strict, hooks=stage_hooks, telemetry=tele)
@@ -262,7 +256,8 @@ class EwhoringPipeline:
         #: scorer) and drops its pixels; every later stage reads records.
         #: It starts from copies of the records the world build computed
         #: for the images it rendered, when those were scored the same way.
-        cache = persist.cache if persist is not None else self.vision_cache
+        if cache is None:
+            cache = self.vision_cache
         features = Featurizer(cache, self.hashlist, self.nsfv.scorer)
         if self.image_features is not None:
             features.adopt(self.image_features)
@@ -270,7 +265,7 @@ class EwhoringPipeline:
             report = self._run_stages(
                 runner, tele, quarantine, features,
                 top_oracle, proof_oracle, annotate_n,
-                key_actor_top_n, checkpoint,
+                key_actor_top_n,
             )
         return report
 
@@ -285,7 +280,6 @@ class EwhoringPipeline:
         proof_oracle: ProofOracleFn,
         annotate_n: int,
         key_actor_top_n: int,
-        checkpoint: Optional[Union[str, Path, CrawlCheckpoint]],
     ) -> PipelineReport:
         """The stage chain, executed inside the ``pipeline.run`` span."""
         fetch_calls_start = self.internet.n_fetch_calls
@@ -328,7 +322,6 @@ class EwhoringPipeline:
             crawler = Crawler(self.internet, features=features)
             result = crawler.crawl(
                 links.all_links,
-                checkpoint=checkpoint,
                 quarantine=quarantine,
                 stage="url_crawl",
                 tracer=tele.tracer,

@@ -20,6 +20,7 @@ Public surface:
 """
 
 from .errors import StoreConfigError, StoreCorruptionError, StoreError
+from .incremental import IncrementalResult, PersistSession, run_incremental
 from .recover import (
     EXIT_CONFIG,
     EXIT_CORRUPT,
@@ -30,20 +31,6 @@ from .recover import (
     verify_store,
 )
 from .sqlite import RunStore, config_fingerprint
-
-#: The delta-run engine is imported lazily: ``repro.store.incremental``
-#: pulls in the whole pipeline (``repro.web``), whose checkpoint module
-#: depends back on :mod:`repro.store.errors` for its typed corruption
-#: taxonomy — eager import here would be a cycle.
-_LAZY = ("IncrementalResult", "PersistSession", "run_incremental")
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from . import incremental
-
-        return getattr(incremental, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "EXIT_CONFIG",

@@ -45,8 +45,8 @@ __all__ = ["IncrementalResult", "PersistSession", "run_incremental"]
 class PersistSession:
     """The warm vision cache a store lends to one epoch.
 
-    The build reads it and the pipeline run (as ``persist``) reads and
-    fills it; :meth:`save` writes back what the run added.
+    The build reads its cache and the pipeline run (as ``cache``) reads
+    and fills it; :meth:`save` writes back what the run added.
     """
 
     cache: VisionCache = field(default_factory=VisionCache)
@@ -212,7 +212,7 @@ def run_incremental(
                 annotate_n=annotate_n,
                 strict=strict,
                 telemetry=tele,
-                persist=session,
+                cache=session.cache,
             )
 
             # ---- fold results back into the store --------------------

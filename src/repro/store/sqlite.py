@@ -667,7 +667,7 @@ class RunStore:
         return len(grouped)
 
     # ------------------------------------------------------------------
-    # Checkpoints and aggregate blobs
+    # Aggregate blobs
     # ------------------------------------------------------------------
     def save_blob(self, kind: str, key: str, payload: Any) -> None:
         try:

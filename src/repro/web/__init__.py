@@ -2,14 +2,13 @@
 
 Fault tolerance lives here too: :mod:`~repro.web.faults` injects
 transient fetch failures, :mod:`~repro.web.retry` supplies the retry /
-circuit-breaker discipline, :mod:`~repro.web.checkpoint` makes crawls
-resumable, and :mod:`~repro.web.payload_faults` injects *corrupt
-payloads* (truncated/NaN/decoy rasters) that the crawler's ingest
-validation boundary excises into the quarantine ledger.
+circuit-breaker discipline, and :mod:`~repro.web.payload_faults`
+injects *corrupt payloads* (truncated/NaN/decoy rasters) that the
+crawler's ingest validation boundary excises into the quarantine
+ledger.
 """
 
 from .archive import WaybackArchive
-from .checkpoint import CrawlCheckpoint, link_key
 from .crawler import (
     CrawlResult,
     CrawlStats,
@@ -66,7 +65,6 @@ __all__ = [
     "CORRUPTION_KINDS",
     "CircuitBreaker",
     "CorruptImage",
-    "CrawlCheckpoint",
     "CrawlResult",
     "CrawlStats",
     "CrawledImage",
@@ -100,7 +98,6 @@ __all__ = [
     "corrupt_raster",
     "extract_urls",
     "fault_profile",
-    "link_key",
     "normalize_url",
     "payload_profile",
     "registrable_domain",

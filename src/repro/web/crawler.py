@@ -17,21 +17,16 @@ against the real internet) is built in:
   global retry budget, and ``Retry-After`` honouring;
 * each domain sits behind a :class:`~repro.web.retry.CircuitBreaker`;
   links to a domain whose breaker is open are recorded as
-  ``SKIPPED_BREAKER_OPEN`` instead of being fetched;
-* progress can be checkpointed to a :class:`~repro.web.checkpoint.
-  CrawlCheckpoint`, and a resumed crawl is byte-identical to an
-  uninterrupted one (fault draws and jitter are pure functions of
-  ``(url, attempt)``, and breaker/clock/budget state rides along in the
-  checkpoint).
+  ``SKIPPED_BREAKER_OPEN`` instead of being fetched.
 
 The virtual clock is **domain-scoped**: each domain advances its own
 clock by the attempt costs and backoff delays of *its* links, and
 breaker cooldowns are measured against it.  Because retry state,
-breakers and clocks are all per-domain, the resolution of a link
-depends only on its domain's state and ``(url, attempt)``.  So a
-checkpoint whose settled links are not a prefix of the link order —
-as written by the per-domain parallel crawls of earlier versions —
-still resumes to the uninterrupted result.
+breakers and clocks are all per-domain, and fault draws and jitter are
+pure functions of ``(url, attempt)``, the resolution of a link depends
+only on its domain's state and ``(url, attempt)``: every crawl of the
+same world and links is byte-identical, so re-running an interrupted
+run reproduces the uninterrupted result exactly.
 
 With no fault injector installed every fetch settles on its first
 attempt and the crawler behaves exactly like the pre-fault version.
@@ -42,22 +37,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..chaos.sites import kill_point
 from ..media.image import SyntheticImage
 from ..media.pack import Pack
 from ..media.validate import UnexpectedResourceError, validate_raster
 from ..obs.trace import NULL_TRACER
-from .checkpoint import CrawlCheckpoint, link_key
 from .faults import stable_uniform
 from .internet import FetchStatus, SimulatedInternet
 from .retry import BreakerBoard, BreakerState, RetryPolicy
@@ -134,35 +119,6 @@ class LinkAttemptLog:
     gave_up: bool = False
     breaker_skipped: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "url": self.url,
-            "attempts": [
-                {"attempt": a.attempt, "status": a.status.value, "delay": a.delay}
-                for a in self.attempts
-            ],
-            "final_status": self.final_status.value,
-            "gave_up": self.gave_up,
-            "breaker_skipped": self.breaker_skipped,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LinkAttemptLog":
-        return cls(
-            url=data["url"],
-            attempts=[
-                LinkAttempt(
-                    attempt=int(a["attempt"]),
-                    status=FetchStatus(a["status"]),
-                    delay=float(a["delay"]),
-                )
-                for a in data["attempts"]
-            ],
-            final_status=FetchStatus(data["final_status"]),
-            gave_up=bool(data.get("gave_up", False)),
-            breaker_skipped=bool(data.get("breaker_skipped", False)),
-        )
-
 
 @dataclass
 class CrawlStats:
@@ -196,54 +152,6 @@ class CrawlStats:
     @property
     def n_ok(self) -> int:
         return self.count(FetchStatus.OK)
-
-    # -- checkpoint serialization --------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "n_links": self.n_links,
-            "by_status": {s.value: c for s, c in self.by_status.items()},
-            "by_domain": dict(self.by_domain),
-            "n_retries": self.n_retries,
-            "n_giveups": self.n_giveups,
-            "n_breaker_skips": self.n_breaker_skips,
-            "n_transient_faults": self.n_transient_faults,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CrawlStats":
-        return cls(
-            n_links=int(data["n_links"]),
-            by_status={FetchStatus(s): int(c) for s, c in data["by_status"].items()},
-            by_domain={d: int(c) for d, c in data["by_domain"].items()},
-            n_retries=int(data.get("n_retries", 0)),
-            n_giveups=int(data.get("n_giveups", 0)),
-            n_breaker_skips=int(data.get("n_breaker_skips", 0)),
-            n_transient_faults=int(data.get("n_transient_faults", 0)),
-        )
-
-
-@dataclass
-class CrawlState:
-    """Mutable state of one crawl.
-
-    Everything a link's resolution can read or write lives here: the
-    outcome counters, the per-domain circuit breakers, the per-domain
-    virtual clocks, and the running retry-budget spend.  It is restored
-    from a checkpoint by :meth:`Crawler.restore_state` and written back
-    by :meth:`Crawler.sync_checkpoint`.
-    """
-
-    stats: CrawlStats = field(default_factory=CrawlStats)
-    breakers: BreakerBoard = field(default_factory=BreakerBoard)
-    #: Per-domain virtual clocks, seconds (created at ``base_clock``).
-    clocks: Dict[str, float] = field(default_factory=dict)
-    budget_spent: int = 0
-    #: Starting clock for domains without an entry in :attr:`clocks`
-    #: (non-zero only when resuming a legacy global-clock checkpoint).
-    base_clock: float = 0.0
-
-    def clock_for(self, domain: str) -> float:
-        return self.clocks.get(domain, self.base_clock)
 
 
 @dataclass
@@ -294,7 +202,7 @@ class CrawlResult:
         """Order-sensitive digest of everything measurable in the result.
 
         Covers the content digests (in crawl order), pack ids, and the
-        full stats — the equality contract a resumed crawl must meet.
+        full stats — the equality contract two crawls of one world meet.
         """
         h = hashlib.sha1()
         for crawled in self.preview_images:
@@ -370,8 +278,6 @@ class Crawler:
     def crawl(
         self,
         links: Sequence[LinkRecord],
-        checkpoint: Optional[Union[str, "CrawlCheckpoint"]] = None,
-        checkpoint_every: int = 16,
         quarantine: Optional["Quarantine"] = None,
         stage: str = "url_crawl",
         tracer=None,
@@ -380,15 +286,6 @@ class Crawler:
 
         Links behind registration walls are *not* downloaded (the paper
         declines to crawl Dropbox/Drive, §4.2); their status is recorded.
-
-        ``checkpoint`` may be a path (loaded if present, written as the
-        crawl progresses) or a :class:`CrawlCheckpoint` instance.  Link
-        occurrences already settled in the checkpoint are not re-fetched:
-        their outcome is replayed and, for OK links, their content is
-        re-materialized deterministically.  The result of a resumed crawl
-        is byte-identical (see :meth:`CrawlResult.digest`) to an
-        uninterrupted one — including the quarantine ledger, because
-        payload corruption is a pure function of the URL.
 
         ``quarantine`` is the ledger poison records are excised into
         (admitted under ``stage``); when ``None`` a private ledger is
@@ -400,8 +297,7 @@ class Crawler:
         default no-op) receives one ``crawl.fetch`` span per fetched
         link — attributed with domain, link kind, final status and
         attempt count, carrying the retry/backoff/breaker events of its
-        resolution — plus ``crawl.replay`` events for links settled from
-        the checkpoint.
+        resolution.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         if quarantine is None:
@@ -410,134 +306,50 @@ class Crawler:
             quarantine = Quarantine()
         quarantine_start = len(quarantine.records)
 
-        if checkpoint is None:
-            ckpt: Optional[CrawlCheckpoint] = None
-        elif isinstance(checkpoint, CrawlCheckpoint):
-            ckpt = checkpoint
-        else:
-            ckpt = CrawlCheckpoint.load(checkpoint)
-
-        state = self.restore_state(ckpt)
-
+        stats = CrawlStats()
+        breakers = BreakerBoard(
+            failure_threshold=self._breaker_threshold,
+            cooldown=self._breaker_cooldown,
+        )
+        #: Per-domain virtual clocks, seconds.
+        clocks: Dict[str, float] = {}
+        budget_spent = 0
         preview_images: List[CrawledImage] = []
         pack_images: List[CrawledImage] = []
         packs: List[Pack] = []
         attempt_logs: List[LinkAttemptLog] = []
-        # Occurrence index per URL, for the checkpoint keys.
-        occurrences: Dict[str, int] = {}
         seen_pack_ids: Dict[int, None] = {}
-        since_save = 0
 
-        try:
-            for link in links:
-                url_str = str(link.url)
-                host = link.url.host
-                occurrence = occurrences.get(url_str, 0)
-                occurrences[url_str] = occurrence + 1
-                key = link_key(url_str, occurrence) if ckpt is not None else ""
-
-                entry = ckpt.outcome(key) if ckpt is not None else None
-                if entry is not None:
-                    tracer.event("crawl.replay", domain=host, status=entry["status"])
-                    log = self._replay(
-                        link, entry, preview_images, pack_images, packs,
-                        seen_pack_ids, quarantine, stage,
-                    )
-                    if log is not None:
-                        attempt_logs.append(log)
-                    continue
-
-                with tracer.span(
-                    "crawl.fetch", domain=host, kind=link.link_kind
-                ) as span:
-                    clock = state.clock_for(host)
-                    (final_status, final_attempt, log, resource,
-                     clock, state.budget_spent) = self._fetch_with_retry(
-                        link, state.stats, state.breakers, clock,
-                        state.budget_spent, tracer,
-                    )
-                    state.clocks[host] = clock
-                    state.stats.record(host, final_status)
-                    span.set(status=final_status.value, attempts=final_attempt + 1)
-                    if final_status is FetchStatus.OK:
-                        self._collect(
-                            link, resource, preview_images, pack_images,
-                            packs, seen_pack_ids, quarantine, stage,
-                        )
-                if log is not None:
-                    attempt_logs.append(log)
-                if ckpt is None:
-                    continue
-                ckpt.mark(
-                    key,
-                    final_status.value,
-                    final_attempt,
-                    log=log.to_dict() if log is not None else None,
+        for link in links:
+            host = link.url.host
+            with tracer.span(
+                "crawl.fetch", domain=host, kind=link.link_kind
+            ) as span:
+                (final_status, final_attempt, log, resource,
+                 clock, budget_spent) = self._fetch_with_retry(
+                    link, stats, breakers, clocks.get(host, 0.0),
+                    budget_spent, tracer,
                 )
-                since_save += 1
-                # The expensive stats/breaker serialization happens only
-                # at save points, not on every link.
-                if since_save >= max(1, checkpoint_every):
-                    self.sync_checkpoint(ckpt, state)
-                    ckpt.save()
-                    since_save = 0
-                    kill_point("crawl.checkpoint.saved")
-        except BaseException:
-            # A stop request (SignalInterrupt / KeyboardInterrupt) or
-            # stage failure mid-crawl must still leave a resumable
-            # snapshot: every settled link is synced and atomically
-            # saved before the exception unwinds (DESIGN.md §13).
-            if ckpt is not None:
-                self.sync_checkpoint(ckpt, state)
-                ckpt.save()
-            raise
-
-        if ckpt is not None:
-            self.sync_checkpoint(ckpt, state)
-            ckpt.save()
+                clocks[host] = clock
+                stats.record(host, final_status)
+                span.set(status=final_status.value, attempts=final_attempt + 1)
+                if final_status is FetchStatus.OK:
+                    self._collect(
+                        link, resource, preview_images, pack_images,
+                        packs, seen_pack_ids, quarantine, stage,
+                    )
+            if log is not None:
+                attempt_logs.append(log)
 
         return CrawlResult(
             preview_images=preview_images,
             pack_images=pack_images,
             packs=packs,
-            stats=state.stats,
+            stats=stats,
             attempt_logs=attempt_logs,
             quarantined=list(quarantine.records[quarantine_start:]),
-            breaker_summary=state.breakers.as_dict(),
+            breaker_summary=breakers.as_dict(),
         )
-
-    # ------------------------------------------------------------------
-    def restore_state(self, ckpt: Optional[CrawlCheckpoint]) -> CrawlState:
-        """Rebuild mutable crawl state from a checkpoint (or start fresh)."""
-        if ckpt is not None and ckpt.stats is not None:
-            stats = CrawlStats.from_dict(ckpt.stats)
-        else:
-            stats = CrawlStats()
-        if ckpt is not None and ckpt.breakers is not None:
-            breakers = BreakerBoard.restore(ckpt.breakers)
-        else:
-            breakers = BreakerBoard(
-                failure_threshold=self._breaker_threshold,
-                cooldown=self._breaker_cooldown,
-            )
-        if ckpt is None:
-            return CrawlState(stats=stats, breakers=breakers)
-        return CrawlState(
-            stats=stats,
-            breakers=breakers,
-            clocks=dict(ckpt.domain_clocks),
-            budget_spent=ckpt.budget_spent,
-            base_clock=ckpt.base_clock(),
-        )
-
-    @staticmethod
-    def sync_checkpoint(ckpt: CrawlCheckpoint, state: CrawlState) -> None:
-        """Snapshot crawl state into the checkpoint's serialized fields."""
-        ckpt.stats = state.stats.to_dict()
-        ckpt.breakers = state.breakers.snapshot()
-        ckpt.domain_clocks = dict(state.clocks)
-        ckpt.clock = max(state.clocks.values(), default=state.base_clock)
-        ckpt.budget_spent = state.budget_spent
 
     # ------------------------------------------------------------------
     def _fetch_with_retry(
@@ -553,9 +365,7 @@ class Crawler:
 
         Returns ``(final_status, final_attempt, log_or_None, resource,
         clock, budget_spent)``.  ``final_attempt`` is the attempt index
-        whose fetch produced ``final_status`` — re-fetching at that index
-        reproduces the outcome exactly (this is what checkpoint replay
-        relies on).
+        whose fetch produced ``final_status``.
 
         The retry engine narrates itself to ``tracer``: one
         ``retry.attempt`` event per transient outcome, ``retry.backoff``
@@ -644,43 +454,6 @@ class Crawler:
             budget_spent += 1
             stats.n_retries += 1
             attempt += 1
-
-    # ------------------------------------------------------------------
-    def _replay(
-        self,
-        link: LinkRecord,
-        entry: dict,
-        preview_images: List[CrawledImage],
-        pack_images: List[CrawledImage],
-        packs: List[Pack],
-        seen_pack_ids: Dict[int, None],
-        quarantine: "Quarantine",
-        stage: str,
-    ) -> Optional[LinkAttemptLog]:
-        """Re-materialize a checkpointed link outcome without re-crawling.
-
-        Stats are *not* re-recorded (the checkpointed stats already count
-        this occurrence); OK resources are fetched back at the recorded
-        settling attempt, which is deterministic.  Quarantine records
-        *are* re-derived — payload corruption is keyed on the URL alone,
-        so the replayed ledger matches the uninterrupted one exactly.
-        Returns the re-hydrated attempt log, when one was recorded.
-        """
-        log_data = entry.get("log")
-        log = (
-            LinkAttemptLog.from_dict(log_data) if log_data is not None else None
-        )
-        if FetchStatus(entry["status"]) is not FetchStatus.OK:
-            return log
-        result = self._internet.fetch(link.url, attempt=int(entry["attempt"]))
-        if not result.ok:  # pragma: no cover - world/checkpoint mismatch
-            raise RuntimeError(
-                f"checkpoint marked {link.url} OK but re-fetch returned "
-                f"{result.status.value}; checkpoint does not match this world"
-            )
-        self._collect(link, result.resource, preview_images, pack_images,
-                      packs, seen_pack_ids, quarantine, stage)
-        return log
 
     # ------------------------------------------------------------------
     def _ingest(

@@ -7,8 +7,7 @@ URL's **permanent** fate once at publish time (dead link, ToS takedown,
 registration wall, defunct service); this module layers the missing
 *transient* failures on top, at **fetch** time.
 
-Two design rules keep fault injection compatible with reproducibility
-and with checkpointed resume:
+Two design rules keep fault injection reproducible:
 
 1. **Faults are a pure function of ``(seed, url, attempt)``.**  Instead
    of drawing from a shared RNG stream (which would make outcomes depend
@@ -16,8 +15,8 @@ and with checkpointed resume:
    from a SHA-256 hash of the injector seed, the URL, and the attempt
    index.  Two crawls that fetch the same URL at the same attempt number
    see the same outcome no matter what happened in between — which is
-   exactly what makes a resumed, checkpointed crawl byte-identical to an
-   uninterrupted one.
+   exactly what makes every crawl of one world byte-identical, so a
+   re-run of an interrupted run reproduces the uninterrupted one.
 2. **Transient faults hide permanent fates.**  A timeout reveals nothing
    about whether the link is dead; the injector therefore fires *before*
    the registry lookup, and a retried fetch (higher ``attempt``) may then

@@ -273,8 +273,8 @@ class SimulatedInternet:
 
         :class:`RedirectPage` hops are followed transparently (each hop
         is a full fetch, faults included, at the same ``attempt`` index —
-        so a resumed crawl replaying ``(url, attempt)`` re-walks the
-        chain identically).  Chains longer than :data:`MAX_REDIRECT_HOPS`
+        so every fetch of one ``(url, attempt)`` walks the chain
+        identically).  Chains longer than :data:`MAX_REDIRECT_HOPS`
         return ``REDIRECT_LOOP``.
         """
         key = str(url)
@@ -314,8 +314,8 @@ class SimulatedInternet:
                 resource, RedirectPage
             ):
                 # Corruption is a pure function of (seed, url) — NOT of
-                # the attempt index — so checkpoint replay re-fetching at
-                # a recorded attempt sees the identical (corrupt) payload.
+                # the attempt index — so whichever attempt settles a link,
+                # every run sees the identical (corrupt) payload.
                 resource = self._payload_injector.corrupt_resource(
                     key, hosted.url.host, resource
                 )

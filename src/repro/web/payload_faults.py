@@ -12,9 +12,8 @@ The same two design rules as the transport layer apply:
 1. **Corruption is a pure function of ``(seed, url)``** (plus the member
    index inside a pack).  No shared RNG stream: whether a payload is
    corrupt — and *how* — never depends on crawl order or retry attempt,
-   so checkpointed resume re-materializes the identical corrupt payload
-   and the quarantine ledger of a resumed crawl is byte-identical to an
-   uninterrupted one.
+   so every crawl of one world sees the identical corrupt payloads and
+   writes a byte-identical quarantine ledger.
 2. **Corruption never mutates hosted content.**  The injector wraps the
    hosted image in a :class:`CorruptImage` view that renders its own
    corrupted raster; the clean original (and every other URL serving the

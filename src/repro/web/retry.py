@@ -12,21 +12,20 @@ three pieces of the retry discipline:
   failures the breaker opens and the crawler stops hammering the domain;
   after ``cooldown`` (simulated) seconds a half-open probe is allowed,
   and its outcome closes or re-opens the circuit;
-* :class:`BreakerBoard` — the per-domain registry, with snapshot/restore
-  hooks so breaker state survives a checkpointed crawl interruption.
+* :class:`BreakerBoard` — the per-domain registry.
 
 There is no wall clock here: the crawler advances a *virtual clock* by
 the backoff delays it would have slept, which keeps every timing decision
-deterministic and replayable.  For the same reason the jitter variate is
-supplied by the caller (derived from a stable per-``(url, attempt)``
-hash) instead of a shared RNG stream.
+deterministic and the same on every run.  For the same reason the
+jitter variate is supplied by the caller (derived from a stable
+per-``(url, attempt)`` hash) instead of a shared RNG stream.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Optional
 
 __all__ = [
     "BreakerBoard",
@@ -144,28 +143,6 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         self.n_opens += 1
 
-    # -- checkpoint serialization --------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "failure_threshold": self.failure_threshold,
-            "cooldown": self.cooldown,
-            "state": self.state.value,
-            "consecutive_failures": self.consecutive_failures,
-            "opened_at": self.opened_at,
-            "n_opens": self.n_opens,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CircuitBreaker":
-        return cls(
-            failure_threshold=int(data["failure_threshold"]),
-            cooldown=float(data["cooldown"]),
-            state=BreakerState(data["state"]),
-            consecutive_failures=int(data["consecutive_failures"]),
-            opened_at=None if data["opened_at"] is None else float(data["opened_at"]),
-            n_opens=int(data.get("n_opens", 0)),
-        )
-
 
 class BreakerBoard:
     """The per-domain circuit-breaker registry for one crawl."""
@@ -185,12 +162,6 @@ class BreakerBoard:
             self._breakers[domain] = breaker
         return breaker
 
-    def __iter__(self) -> Iterator[Tuple[str, CircuitBreaker]]:
-        return iter(self._breakers.items())
-
-    def __len__(self) -> int:
-        return len(self._breakers)
-
     @property
     def n_open(self) -> int:
         """Breakers currently open."""
@@ -202,32 +173,9 @@ class BreakerBoard:
         return sum(b.n_opens for b in self._breakers.values())
 
     def as_dict(self) -> dict:
-        """Aggregate summary at crawl end (``CrawlResult.breaker_summary``).
-
-        Counts only — the full per-domain state lives in
-        :meth:`snapshot`, which remains the checkpoint serialization.
-        """
+        """Aggregate summary at crawl end (``CrawlResult.breaker_summary``)."""
         return {
             "n_domains": len(self._breakers),
             "n_open": self.n_open,
             "total_opens": self.total_opens,
         }
-
-    # -- checkpoint serialization --------------------------------------
-    def snapshot(self) -> dict:
-        """JSON-serializable state of every breaker."""
-        return {
-            "failure_threshold": self.failure_threshold,
-            "cooldown": self.cooldown,
-            "breakers": {d: b.to_dict() for d, b in self._breakers.items()},
-        }
-
-    @classmethod
-    def restore(cls, data: Mapping) -> "BreakerBoard":
-        board = cls(
-            failure_threshold=int(data.get("failure_threshold", 5)),
-            cooldown=float(data.get("cooldown", 60.0)),
-        )
-        for domain, state in data.get("breakers", {}).items():
-            board._breakers[domain] = CircuitBreaker.from_dict(state)
-        return board

@@ -32,13 +32,8 @@ class TestAtomicWriteText:
     def test_no_temp_residue_on_success(self, tmp_path):
         target = tmp_path / "artifact.txt"
         atomic_write_text(target, "x")
-        atomic_write_text(target, "y", durable=False)
+        atomic_write_text(target, "y")
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
-
-    def test_non_durable_still_atomic(self, tmp_path):
-        target = tmp_path / "artifact.txt"
-        atomic_write_text(target, "content", durable=False)
-        assert target.read_text() == "content"
 
     def test_accepts_str_paths(self, tmp_path):
         target = str(tmp_path / "artifact.txt")

@@ -13,9 +13,9 @@ Two legs:
   reopening the store must pass the integrity probe, the watermark must
   sit exactly at the previous epoch (or the new one, iff the kill landed
   *after* COMMIT), and re-running the epoch must equal a cold run.
-* ``--mode crawl`` — a checkpointed crawl is killed around checkpoint
-  saves and atomic replaces; the checkpoint file must stay loadable
-  (never torn) and the resumed run must equal an uninterrupted one.
+* artifacts — ``repro run --trace-out`` is killed inside the atomic
+  write of its trace; the file must be one complete trace, the old one
+  or the new one, never torn.
 """
 
 import json
@@ -43,8 +43,8 @@ from repro.chaos import (
     kill_point,
     uninstall,
 )
+from repro.obs.export import read_trace
 from repro.store import RunStore, verify_store
-from repro.web.checkpoint import CrawlCheckpoint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
@@ -52,35 +52,39 @@ SRC_DIR = REPO_ROOT / "src"
 SEED = 7
 SCALE = 0.005
 
-#: Sites inside the store's epoch transaction fire once per epoch, so
-#: the deterministic hit must be 1; the crawl/artifact sites fire on
-#: every periodic checkpoint save and can land anywhere in 1..3.
-SITE_MAX_HITS = {site: 1 if site.startswith("store.") else 3 for site in KILL_SITES}
+#: Every site fires once per run here — a store site once per epoch,
+#: an artifact site once per write (the run writes only its trace) — so
+#: the deterministic hit is the first.
+SITE_MAX_HITS = 1
 
 STORE_SITES = tuple(s for s in KILL_SITES if s.startswith("store."))
-CRAWL_SITES = tuple(s for s in KILL_SITES if not s.startswith("store."))
+ARTIFACT_SITES = tuple(s for s in KILL_SITES if s.startswith("artifact."))
 
 def driver_cmd(*args):
     return [sys.executable, "-m", "repro.chaos.driver", "--seed", str(SEED),
             "--scale", str(SCALE), *args]
 
 
-def run_driver(args, chaos_site=None, cwd=None):
+def run_module(cmd, chaos_site=None, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop(ENV_SITE, None)
     if chaos_site is not None:
         env[ENV_SITE] = chaos_site
         env[ENV_SEED] = str(SEED)
-        env[ENV_HIT] = str(chosen_hit(SEED, chaos_site, SITE_MAX_HITS[chaos_site]))
+        env[ENV_HIT] = str(chosen_hit(SEED, chaos_site, SITE_MAX_HITS))
     return subprocess.run(
-        driver_cmd(*args),
+        cmd,
         env=env,
         cwd=cwd,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def run_driver(args, chaos_site=None, cwd=None):
+    return run_module(driver_cmd(*args), chaos_site=chaos_site, cwd=cwd)
 
 
 def driver_json(proc):
@@ -116,12 +120,21 @@ def epoch1_store(tmp_path_factory):
     return path
 
 
+def cli_trace_run(trace: Path, chaos_site=None):
+    return run_module(
+        [sys.executable, "-m", "repro.cli", "run", "--seed", str(SEED),
+         "--scale", str(SCALE), "--trace-out", str(trace)],
+        chaos_site=chaos_site, cwd=trace.parent,
+    )
+
+
 @pytest.fixture(scope="module")
-def cold_crawl_json(tmp_path_factory):
-    """An uninterrupted, checkpoint-free crawl run."""
-    proc = run_driver(["--mode", "crawl"],
-                      cwd=tmp_path_factory.mktemp("chaos-crawl-cold"))
-    return driver_json(proc)
+def clean_trace(tmp_path_factory):
+    """The trace of one uninterrupted ``repro run``, as bytes."""
+    trace = tmp_path_factory.mktemp("chaos-trace") / "t.jsonl"
+    proc = cli_trace_run(trace)
+    assert proc.returncode == 0, proc.stderr
+    return trace.read_bytes()
 
 
 class TestStoreKillMatrix:
@@ -178,28 +191,30 @@ class TestStoreKillMatrix:
         assert recovered["measurement"] == cold_store_json["measurement"]
 
 
-class TestCrawlKillMatrix:
-    """SIGKILL around checkpoint saves; resume; converge."""
+class TestArtifactKillMatrix:
+    """SIGKILL inside an atomic artifact write; one whole file survives."""
 
-    @pytest.mark.parametrize("site", CRAWL_SITES)
-    def test_kill_resume_equals_uninterrupted(self, tmp_path, site, cold_crawl_json):
-        ckpt = tmp_path / "crawl.checkpoint.json"
-        args = ["--mode", "crawl", "--checkpoint", str(ckpt)]
+    @pytest.mark.parametrize("site", ARTIFACT_SITES)
+    def test_kill_leaves_one_trace(self, tmp_path, site, clean_trace):
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(clean_trace)
 
-        killed = run_driver(args, chaos_site=site, cwd=tmp_path)
+        killed = cli_trace_run(trace, chaos_site=site)
         assert killed.returncode == -signal.SIGKILL, (
             f"expected SIGKILL death at {site}, got rc={killed.returncode}: "
             f"{killed.stderr}"
         )
 
-        # Whatever instant the process died at, the checkpoint is either
-        # absent or a complete, loadable snapshot — never torn.
-        CrawlCheckpoint.load(ckpt)
-
-        resumed = driver_json(run_driver(args, cwd=tmp_path))
-        assert resumed["crawl_digest"] == cold_crawl_json["crawl_digest"]
-        assert resumed["quarantine"] == cold_crawl_json["quarantine"]
-        assert resumed["measurement"] == cold_crawl_json["measurement"]
+        # Whatever instant the process died at, the trace is one
+        # complete file: the old one before the rename, the new one after.
+        read_trace(trace, strict=True)
+        tmp = trace.with_name(trace.name + ".tmp")
+        if site == "artifact.tmp_written":
+            assert trace.read_bytes() == clean_trace
+            assert tmp.exists()  # the new trace, written but not renamed
+        else:
+            assert trace.read_bytes() != clean_trace
+            assert not tmp.exists()
 
 
 class TestKillSiteRegistry:
@@ -226,7 +241,7 @@ class TestChosenHit:
                 assert chosen_hit(seed, site, 1) == 1
 
     def test_spreads_across_hits(self):
-        hits = {chosen_hit(seed, "crawl.checkpoint.saved") for seed in range(64)}
+        hits = {chosen_hit(seed, "artifact.replaced") for seed in range(64)}
         assert hits == {1, 2, 3}
 
 
@@ -244,7 +259,7 @@ class TestChaosMonkey:
 
     def test_other_sites_do_not_trip_it(self):
         install(ChaosMonkey("store.commit.before", action="raise", hit=1))
-        kill_point("crawl.checkpoint.saved")
+        kill_point("store.commit.after")
         kill_point("artifact.replaced")
 
     def test_uninstalled_kill_point_is_inert(self):
@@ -281,8 +296,8 @@ class TestInstallFromEnv:
 
     def test_hit_defaults_to_chosen_hit(self):
         monkey = install_from_env({
-            ENV_SITE: "crawl.checkpoint.saved",
+            ENV_SITE: "artifact.replaced",
             ENV_SEED: "9",
             ENV_ACTION: "raise",
         })
-        assert monkey.target_hit == chosen_hit(9, "crawl.checkpoint.saved")
+        assert monkey.target_hit == chosen_hit(9, "artifact.replaced")

@@ -1,10 +1,13 @@
 """Tests for the command-line interface and text renderers."""
 
+import os
 import re
+import signal
 
 import pytest
 
 from repro import build_world
+from repro.chaos import SignalInterrupt, graceful_signals
 from repro.cli import build_parser, main
 from repro.core.report_text import (
     render_digest,
@@ -15,6 +18,7 @@ from repro.core.report_text import (
     render_table8,
 )
 from repro.store import RunStore
+from repro.web import SimulatedInternet
 
 CLI_WORLD = ["--seed", "3", "--scale", "0.006"]
 
@@ -35,7 +39,6 @@ class TestParser:
         assert args.annotate == 1000
         assert args.fault_profile is None
         assert args.payload_profile is None
-        assert args.resume is None
         assert args.lenient is False
 
     def test_payload_profile_choices(self):
@@ -50,21 +53,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--fault-profile", "bogus"])
 
-    def test_resume_default_const(self):
-        args = build_parser().parse_args(["run", "--resume"])
-        assert str(args.resume) == "crawl.checkpoint.json"
-        args = build_parser().parse_args(["run", "--resume", "custom.json"])
-        assert str(args.resume) == "custom.json"
-
     def test_lenient_flag(self):
         args = build_parser().parse_args(["run", "--lenient"])
         assert args.lenient is True
-
-    def test_resume_with_store_is_refused(self, tmp_path):
-        store, ckpt = tmp_path / "store.sqlite", tmp_path / "crawl.json"
-        with pytest.raises(SystemExit, match="--resume cannot be used with --store"):
-            main(["run", *CLI_WORLD, "--store", str(store), "--resume", str(ckpt)])
-        assert not store.exists() and not ckpt.exists()
 
     @pytest.mark.parametrize("flag, value, base", [
         ("--epoch-total", "3", "--store"), ("--drift-epoch", "2", "--drift-profile")])
@@ -123,23 +114,14 @@ class TestCommands:
         assert "== selection (§3) ==" in output
         assert "key actors:" in output
 
-    def test_run_with_fault_profile_and_resume(self, tmp_path, capsys):
-        ckpt = tmp_path / "crawl.json"
+    def test_run_with_fault_profile(self, capsys):
         code = main(
-            ["run", *CLI_WORLD, "--annotate", "200",
-             "--fault-profile", "flaky", "--resume", str(ckpt)]
+            ["run", *CLI_WORLD, "--annotate", "200", "--fault-profile", "flaky"]
         )
         assert code == 0
         output = capsys.readouterr().out
         assert "-- crawl resilience --" in output
         assert re.search(r"^crawl: \d+ retries, \d+ giveups, ", output, re.M)
-        assert ckpt.exists()
-        # a second run resumes from the completed checkpoint and succeeds
-        code = main(
-            ["run", *CLI_WORLD, "--annotate", "200",
-             "--fault-profile", "flaky", "--resume", str(ckpt)]
-        )
-        assert code == 0
 
     def test_run_with_payload_profile_reports_quarantine(self, capsys):
         code = main(
@@ -191,3 +173,45 @@ class TestCommands:
         assert code == 0
         names = {p.name for p in out.iterdir()}
         assert {"table1_forums.txt", "digest.txt"} <= names
+
+
+class TestGracefulInterruption:
+    """SIGINT/SIGTERM mid-run: a typed exit code and no partial artifact.
+
+    Re-running the command is the recovery, so all an interrupted run
+    must leave behind is nothing half-written (DESIGN.md §13).
+    """
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("signum, code", [
+        (signal.SIGINT, 130), (signal.SIGTERM, 143)], ids=["sigint", "sigterm"])
+    def test_signal_mid_crawl_leaves_no_trace(
+        self, tmp_path, monkeypatch, signum, code
+    ):
+        fetch = SimulatedInternet.fetch
+        calls = []
+
+        def interrupting_fetch(self, url, attempt=0):
+            calls.append(url)
+            if len(calls) == 3:
+                os.kill(os.getpid(), signum)
+            return fetch(self, url, attempt=attempt)
+
+        monkeypatch.setattr(SimulatedInternet, "fetch", interrupting_fetch)
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", *CLI_WORLD, "--annotate", "200",
+                     "--trace-out", str(trace)]) == code
+        assert len(calls) == 3
+        assert not trace.exists()
+        assert not trace.with_name("t.jsonl.tmp").exists()
+
+    def test_graceful_signals_restores_handlers(self):
+        before = signal.getsignal(signal.SIGINT)
+        with graceful_signals():
+            assert signal.getsignal(signal.SIGINT) is not before
+        assert signal.getsignal(signal.SIGINT) is before
+
+    def test_signal_interrupt_is_not_an_exception_subclass(self):
+        # BaseException, so lenient stage boundaries can't absorb it —
+        # an interrupted run stops, it doesn't half-continue.
+        assert not issubclass(SignalInterrupt, Exception)

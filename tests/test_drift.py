@@ -134,7 +134,7 @@ def test_redirect_chain_resolution_and_loop_cap():
     result = net.fetch(hop1)
     assert result.ok and result.resource is image
     assert net.n_fetch_calls - calls == 3
-    # Same (url, attempt) → same walk (checkpoint replay invariant).
+    # Same (url, attempt) → same walk (the run-to-run determinism invariant).
     calls = net.n_fetch_calls
     again = net.fetch(hop1)
     assert net.n_fetch_calls - calls == 3 and again.resource is image

@@ -249,8 +249,8 @@ class TestInjector:
         assert run() == run()
 
     def test_same_url_same_corruption_across_fetches(self):
-        """Corruption is keyed on the URL, not the attempt — the property
-        checkpoint replay relies on."""
+        """Corruption is keyed on the URL, not the attempt — so every run
+        of one world sees the same corrupt payloads."""
         inj = self.always()
         first = inj.corrupt_resource("https://imgur.com/a", "imgur.com", make_image())
         second = inj.corrupt_resource("https://imgur.com/a", "imgur.com", make_image())

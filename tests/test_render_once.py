@@ -20,8 +20,8 @@ import pytest
 from repro import build_world, run_pipeline
 from repro.media import SyntheticImage
 from repro.store import run_incremental
-from repro.store.incremental import PersistSession
 from repro.synth import WorldConfig
+from repro.vision.cache import VisionCache
 
 SEED = 11
 SCALE = 0.02
@@ -58,10 +58,10 @@ def counted():
         count_digests(monkeypatch, digests, phase)
         world = build_world(WorldConfig(seed=SEED, scale=SCALE))
         phase[0] = "run"
-        session = PersistSession()
-        first = run_pipeline(world, persist=session)
+        cache = VisionCache()
+        first = run_pipeline(world, cache=cache)
     second = run_pipeline(world)
-    return world, renders, first, session.cache, second, digests
+    return world, renders, first, cache, second, digests
 
 
 def test_build_renders_each_image_once(counted):

@@ -5,9 +5,9 @@ harness proves a SIGKILL can't corrupt anything, so these tests supply
 the corruption by hand — truncation and garbage bytes at
 deterministically hash-chosen offsets — and assert three things:
 
-* every damaged artifact raises the typed taxonomy
-  (:class:`StoreCorruptionError` / :class:`CheckpointError`), never a
-  bare ``sqlite3``/``json`` exception or a half-loaded object;
+* every damaged store raises the typed taxonomy
+  (:class:`StoreCorruptionError`), never a bare ``sqlite3``/``json``
+  exception or a half-loaded object;
 * ``repro store verify`` maps the taxonomy to its typed exit codes;
 * ``repro store repair`` salvages exactly the committed prefix — and
   **refuses** when there is no committed prefix left to save.
@@ -37,7 +37,6 @@ from repro.store import (
     run_incremental,
     verify_store,
 )
-from repro.web.checkpoint import CheckpointError, CrawlCheckpoint
 
 from .test_store_incremental import add_legacy_images_table
 
@@ -281,37 +280,3 @@ class TestStoreCli:
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_CORRUPT, EXIT_CONFIG}) == 3
         assert EXIT_OK == 0
-
-
-class TestTornCheckpoint:
-    def _saved_checkpoint(self, tmp_path):
-        ckpt = CrawlCheckpoint.load(tmp_path / "crawl.checkpoint.json")
-        for i in range(8):
-            ckpt.completed[f"key{i}"] = {"status": "ok", "attempt": 1}
-        ckpt.clock = 12.5
-        ckpt.save()
-        return ckpt.path
-
-    def test_truncated_checkpoint_fails_typed(self, tmp_path):
-        path = self._saved_checkpoint(tmp_path)
-        size = os.path.getsize(path)
-        os.truncate(path, hash_offset("truncate-ckpt", size))
-        with pytest.raises(CheckpointError):
-            CrawlCheckpoint.load(path)
-
-    def test_garbage_checkpoint_fails_typed(self, tmp_path):
-        path = self._saved_checkpoint(tmp_path)
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.seek(hash_offset("garbage-ckpt", size))
-            handle.write(b"\xfe\xed\xfa\xce")
-        with pytest.raises(CheckpointError):
-            CrawlCheckpoint.load(path)
-
-    def test_checkpoint_error_is_both_taxonomies(self, tmp_path):
-        path = self._saved_checkpoint(tmp_path)
-        os.truncate(path, 3)
-        with pytest.raises(StoreCorruptionError):
-            CrawlCheckpoint.load(path)
-        with pytest.raises(ValueError):
-            CrawlCheckpoint.load(path)

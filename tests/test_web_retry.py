@@ -2,10 +2,11 @@
 
 from datetime import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.media import ImageKind, SyntheticImage, sample_latent
+from repro.media import ImageKind, Pack, SyntheticImage, sample_latent
 from repro.web import (
     BreakerBoard,
     BreakerState,
@@ -19,9 +20,9 @@ from repro.web import (
     ScriptedFaultInjector,
     ServiceKind,
     SimulatedInternet,
+    Url,
     fault_profile,
 )
-from repro.web.crawler import CrawlStats
 
 T0 = datetime(2014, 5, 1)
 
@@ -118,13 +119,6 @@ class TestCircuitBreaker:
         breaker.record_failure(0.0)
         assert breaker.state is BreakerState.CLOSED
 
-    def test_serialization_round_trip(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=5.0)
-        breaker.record_failure(1.0)
-        breaker.record_failure(2.0)
-        restored = CircuitBreaker.from_dict(breaker.to_dict())
-        assert restored == breaker
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CircuitBreaker(failure_threshold=0)
@@ -140,17 +134,6 @@ class TestBreakerBoard:
         assert board.breaker("b.com").state is BreakerState.CLOSED
         assert board.n_open == 1
         assert board.total_opens == 1
-
-    def test_snapshot_restore_round_trip(self):
-        board = BreakerBoard(failure_threshold=2, cooldown=30.0)
-        board.breaker("a.com").record_failure(1.0)
-        board.breaker("b.com").record_failure(1.0)
-        board.breaker("b.com").record_failure(2.0)
-        restored = BreakerBoard.restore(board.snapshot())
-        assert len(restored) == 2
-        assert restored.breaker("b.com").state is BreakerState.OPEN
-        assert restored.breaker("a.com").consecutive_failures == 1
-        assert restored.failure_threshold == 2
 
 
 class TestCrawlerRetries:
@@ -253,15 +236,72 @@ class TestCrawlerRetries:
         assert result.stats.n_ok == 10
 
 
-class TestCrawlStats:
-    def test_serialization_round_trip(self):
-        stats = CrawlStats(
-            n_links=4,
-            by_status={FetchStatus.OK: 3, FetchStatus.RATE_LIMITED: 1},
-            by_domain={"x.com": 4},
-            n_retries=7,
-            n_giveups=1,
-            n_breaker_skips=2,
-            n_transient_faults=9,
+def build_net_and_links():
+    """A mixed-fate internet: alive previews, packs, dead links, walls,
+    unknown hosts, and duplicate link occurrences."""
+    rng = np.random.default_rng(99)
+    net = SimulatedInternet(seed=6)
+    alive = HostingService("ok", "ok.com", ServiceKind.IMAGE_SHARING, 1.0, 0.0, 0.0)
+    dead = HostingService("dead", "dead.com", ServiceKind.IMAGE_SHARING, 1.0, 1.0, 0.0)
+    walled = HostingService(
+        "wall", "wall.com", ServiceKind.CLOUD_STORAGE, 1.0, 0.0, 0.0,
+        requires_registration=True,
+    )
+    links = []
+    for i in range(14):
+        url = net.host_on_service(alive, make_image(rng, 100 + i), T0, False)
+        links.append(LinkRecord(url=url, link_kind="preview"))
+    for p in range(3):
+        images = [make_image(rng, 500 + 10 * p + j) for j in range(4)]
+        pack = Pack(pack_id=p + 1, model_id=1, images=images)
+        url = net.host_on_service(alive, pack, T0, False)
+        links.append(LinkRecord(url=url, link_kind="pack"))
+        if p == 0:  # duplicate pack link (same URL twice)
+            links.append(LinkRecord(url=url, link_kind="pack"))
+    for i in range(4):
+        url = net.host_on_service(dead, make_image(rng, 700 + i), T0, False)
+        links.append(LinkRecord(url=url))
+    url = net.host_on_service(
+        walled, Pack(pack_id=9, model_id=1, images=[make_image(rng, 800)]), T0, True
+    )
+    links.append(LinkRecord(url=url, link_kind="pack"))
+    links.append(LinkRecord(url=Url("nowhere.example", "/gone")))
+    # duplicate preview occurrence
+    links.append(links[0])
+    return net, links
+
+
+@pytest.fixture(scope="module")
+def arena():
+    return build_net_and_links()
+
+
+class TestCrawlDeterminism:
+    """Re-running a killed run is the recovery path, so two fresh crawls
+    of one world must agree exactly, under every fault profile."""
+
+    @pytest.mark.parametrize("profile", ["none", "flaky", "hostile", "rate_limited"])
+    def test_two_fresh_crawls_agree(self, arena, profile):
+        net, links = arena
+        injector = (
+            None if profile == "none"
+            else FaultInjector(fault_profile(profile), seed=21)
         )
-        assert CrawlStats.from_dict(stats.to_dict()) == stats
+        net.set_fault_injector(injector)
+        try:
+            first, second = (
+                Crawler(
+                    net,
+                    retry_policy=RetryPolicy(max_attempts=4),
+                    breaker_threshold=4,
+                    breaker_cooldown=5.0,
+                ).crawl(links)
+                for _ in range(2)
+            )
+        finally:
+            net.set_fault_injector(None)
+        assert second.digest() == first.digest()
+        assert second.stats == first.stats
+        assert second.attempt_logs == first.attempt_logs
+        # Every occurrence counts once, duplicates included.
+        assert first.stats.n_links == len(links)
