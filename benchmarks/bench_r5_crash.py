@@ -107,7 +107,7 @@ def _driver(store_path, chaos: bool, tmp) -> subprocess.CompletedProcess:
         env["REPRO_CHAOS_SEED"] = str(BENCH_SEED)
         env["REPRO_CHAOS_HIT"] = str(chosen_hit(BENCH_SEED, KILL_SITE, 1))
     return subprocess.run(
-        [sys.executable, "-m", "repro.chaos.driver", "--mode", "store",
+        [sys.executable, "-m", "repro.chaos.driver",
          "--store", str(store_path), "--seed", str(BENCH_SEED),
          "--scale", str(PIPELINE_SCALE), "--epoch", "1", "--epoch-total", "1"],
         env=env, cwd=tmp, capture_output=True, text=True, timeout=600,

@@ -1,11 +1,11 @@
 """Subprocess entry point for the kill-point chaos harness.
 
 ``python -m repro.chaos.driver`` runs one store-backed incremental
-epoch (``--mode store``, the only mode) with the chaos monkey armed
-from ``REPRO_CHAOS_*`` environment variables.  The parent test
-(``tests/test_chaos_kill.py``, ``benchmarks/bench_r5_crash.py``) sends
-``SIGKILL`` expectations against the exit status, then recovers and
-re-runs to assert bit-identical convergence with an uninterrupted run.
+epoch with the chaos monkey armed from ``REPRO_CHAOS_*`` environment
+variables.  The parent test (``tests/test_chaos_kill.py``,
+``benchmarks/bench_r5_crash.py``) sends ``SIGKILL`` expectations
+against the exit status, then recovers and re-runs to assert
+bit-identical convergence with an uninterrupted run.
 
 On (non-killed) success the run's identity surface is printed as one
 JSON object on stdout: crawl digest, quarantine ledger, measurement
@@ -27,8 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.chaos.driver",
         description="chaos-harness pipeline driver (see repro.chaos)",
     )
-    parser.add_argument("--mode", choices=("store",), default="store",
-                        help="the only mode: one store-backed epoch")
     parser.add_argument("--store", type=Path, required=True, help="store path")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--scale", type=float, default=0.005)
@@ -39,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_store_mode(args) -> dict:
+def run_epoch(args) -> dict:
     from ..store import run_incremental
 
     result = run_incremental(
@@ -57,7 +55,6 @@ def run_store_mode(args) -> dict:
         else []
     )
     return {
-        "mode": "store",
         "crawl_digest": result.crawl_digest,
         "quarantine": quarantine,
         "measurement": result.measurement,
@@ -70,7 +67,7 @@ def run_store_mode(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     install_from_env()
-    json.dump(run_store_mode(args), sys.stdout, sort_keys=True)
+    json.dump(run_epoch(args), sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 

@@ -145,10 +145,10 @@ def render_digest(report: PipelineReport) -> str:
         f"both {stats.n_both})",
         "",
         "== crawl (§4.2) ==",
-        f"links {len(report.links.preview_links)}+{len(report.links.pack_links)}; "
+        f"links {len(report.links.preview_links)} previews, "
+        f"{len(report.links.pack_links)} packs; "
         f"downloads {len(report.crawl.preview_images)} previews, "
-        f"{len(report.crawl.packs)} packs / {len(report.crawl.pack_images)} images; "
-        f"{report.crawl.n_unique_files} unique",
+        f"{len(report.crawl.packs)} packs / {len(report.crawl.pack_images)} images",
         "",
         "== abuse filter (§4.3) ==",
         f"matched {report.abuse.n_matched_images}; actioned URLs "
@@ -156,7 +156,9 @@ def render_digest(report: PipelineReport) -> str:
         f"{len(report.abuse.exposed_actor_ids)}",
         "",
         "== NSFV (§4.4) ==",
-        f"previews NSFV {report.n_nsfv_previews}/{len(report.preview_verdicts)}",
+        "NSFV share of downloaded previews: "
+        + (f"{report.n_nsfv_previews / len(report.preview_verdicts):.1%}"
+           if report.preview_verdicts else "n/a"),
         "",
         "== provenance (§4.5) ==",
         render_table5(report),

@@ -156,7 +156,7 @@ def run_incremental(
     wall_start = time.perf_counter()
     try:
         run_store.bind_config(cfg)
-        watermark = run_store.watermark("dataset")
+        watermark = run_store.watermark()
         if watermark is not None and effective_epoch < watermark["epoch"]:
             raise StoreConfigError(
                 f"{run_store.path}: dataset watermark is at epoch "
@@ -165,8 +165,8 @@ def run_incremental(
             )
 
         # ---- the atomic epoch unit (DESIGN.md §13) -------------------
-        # Every write of this epoch — corpus delta, watermarks, vision
-        # cache, run record, measurement blob — commits in
+        # Every write of this epoch — corpus delta, dataset watermark,
+        # vision cache, run record, telemetry history — commits in
         # ONE SQLite transaction at block exit.  A crash (or SIGKILL:
         # the chaos harness injects one at every site below) at any
         # instant before the commit edge rolls the store back to the
@@ -184,7 +184,7 @@ def run_incremental(
                 span.set(rows_added=rows_added)
             post_dates = [p.created_at for p in world.dataset.posts()]
             cutoff_iso = max(post_dates).isoformat() if post_dates else None
-            run_store.set_watermark("dataset", effective_epoch, cutoff_iso)
+            run_store.set_watermark(effective_epoch, cutoff_iso)
             kill_point("store.dataset.appended")
 
             # ---- the store holds exactly the corpus this epoch measures
@@ -234,12 +234,6 @@ def run_incremental(
                     tele.funnel(),
                 )
                 kill_point("store.run.recorded")
-                run_store.save_blob(
-                    "measurement", f"epoch_{effective_epoch}", measurement
-                )
-                run_store.set_watermark(
-                    "pipeline", effective_epoch, cutoff_iso, run_id
-                )
 
             # ---- telemetry history (DESIGN.md §14) -------------------
             # Condensed span/metric/funnel history rides in the

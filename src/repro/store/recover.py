@@ -6,21 +6,20 @@ integrity probe, schema-version check, persisted-config re-validation —
 then cross-checks the crash-consistency invariants the atomic epoch
 commit guarantees:
 
-* the pipeline watermark never runs ahead of the dataset watermark;
-* the pipeline watermark's ``run_id`` exists in the run history;
+* a store with a recorded run has a dataset watermark, and no run's
+  epoch is past it;
 * every quarantine row belongs to a recorded run;
-* every recorded epoch's measurement blob is present and decodes;
 * (deep mode) the persisted corpus re-validates through the dataset
   integrity checks.
 
 ``repair`` salvages what the commit discipline preserved.  It is
 deliberately conservative: drop a torn WAL (losing only the
 never-committed tail), or — when the main file itself is damaged —
-copy every readable committed row into a rebuilt store, trim the
-watermarks back to the newest *consistent* run, and atomically swap it
-into place only if the result verifies.  When the committed prefix
-cannot be recovered (schema/meta unreadable, corpus fails integrity),
-it **refuses** with a typed error rather than half-heal.
+copy every readable committed row into a rebuilt store, drop the rows
+whose owning run was lost, and atomically swap it into place only if
+the result verifies.  When the committed prefix cannot be recovered
+(schema/meta unreadable, corpus fails integrity), it **refuses** with a
+typed error rather than half-heal.
 """
 
 from __future__ import annotations
@@ -63,11 +62,23 @@ _SALVAGE_TABLES = (
     "quarantine",
     "vision_cache",
     "latent_digests",
-    "blobs",
     "history_runs",
     "history_spans",
     "history_metrics",
     "history_funnel",
+)
+
+#: Run on the salvaged copy, in its transaction: drop the rows whose
+#: owner was lost, which verify would refuse the whole salvage over,
+#: and the ``pipeline`` watermark row older stores carry.
+_TRIM = (
+    "DELETE FROM quarantine WHERE run_id NOT IN (SELECT run_id FROM runs)",
+    *(
+        f"DELETE FROM {detail} WHERE history_id NOT IN "
+        f"(SELECT history_id FROM history_runs)"
+        for detail in ("history_spans", "history_metrics", "history_funnel")
+    ),
+    "DELETE FROM watermarks WHERE stage != 'dataset'",
 )
 
 #: Sidecar suffixes of a SQLite database in WAL mode.
@@ -81,7 +92,7 @@ class VerifyReport:
     path: Path
     schema_version: int
     config_fingerprint: Optional[str]
-    watermarks: Dict[str, Dict[str, Any]]
+    watermark: Optional[Dict[str, Any]]
     row_counts: Dict[str, int]
     n_runs: int
     n_quarantine: int
@@ -98,14 +109,10 @@ class VerifyReport:
             lines.append("config:           bound, re-validates")
         else:
             lines.append("config:           unbound (no run recorded yet)")
-        for stage in sorted(self.watermarks):
-            mark = self.watermarks[stage]
-            lines.append(
-                f"watermark[{stage}]: epoch {mark['epoch']}"
-                + (f" run #{mark['run_id']}" if mark.get("run_id") else "")
-            )
-        if not self.watermarks:
-            lines.append("watermarks:       none (empty store)")
+        if self.watermark is not None:
+            lines.append(f"watermark:        epoch {self.watermark['epoch']}")
+        else:
+            lines.append("watermark:        none (empty store)")
         rows = ", ".join(f"{t}={n}" for t, n in sorted(self.row_counts.items()))
         lines.append(f"corpus rows:      {rows}")
         lines.append(
@@ -172,32 +179,18 @@ def verify_store(path: Union[str, Path], deep: bool = True) -> VerifyReport:
             fingerprint = row[0]
             _revalidate_fingerprint(path, fingerprint)
 
-        watermarks: Dict[str, Dict[str, Any]] = {}
-        for stage in ("dataset", "pipeline"):
-            mark = store.watermark(stage)
-            if mark is not None:
-                watermarks[stage] = mark
-
+        watermark = store.watermark()
         runs = store.runs()
-        run_ids = {run["run_id"] for run in runs}
 
         problems: List[str] = []
-        dataset_mark = watermarks.get("dataset")
-        pipeline_mark = watermarks.get("pipeline")
-        if pipeline_mark is not None:
-            if dataset_mark is None:
+        if runs and watermark is None:
+            problems.append("runs recorded but dataset watermark missing")
+        elif runs:
+            newest = max(runs, key=lambda run: run["epoch"])
+            if newest["epoch"] > watermark["epoch"]:
                 problems.append(
-                    "pipeline watermark present but dataset watermark missing"
-                )
-            elif pipeline_mark["epoch"] > dataset_mark["epoch"]:
-                problems.append(
-                    f"pipeline watermark (epoch {pipeline_mark['epoch']}) runs "
-                    f"ahead of dataset watermark (epoch {dataset_mark['epoch']})"
-                )
-            if pipeline_mark.get("run_id") not in run_ids:
-                problems.append(
-                    f"pipeline watermark references run "
-                    f"#{pipeline_mark.get('run_id')} absent from run history"
+                    f"run #{newest['run_id']} (epoch {newest['epoch']}) is "
+                    f"past the dataset watermark (epoch {watermark['epoch']})"
                 )
 
         n_quarantine = int(
@@ -211,13 +204,6 @@ def verify_store(path: Union[str, Path], deep: bool = True) -> VerifyReport:
         )
         if orphans:
             problems.append(f"{orphans} quarantine rows belong to no recorded run")
-
-        for run in runs:
-            if store.load_blob("measurement", f"epoch_{run['epoch']}") is None:
-                problems.append(
-                    f"run #{run['run_id']} (epoch {run['epoch']}) has no "
-                    f"measurement blob"
-                )
 
         if problems:
             raise StoreCorruptionError(
@@ -234,7 +220,7 @@ def verify_store(path: Union[str, Path], deep: bool = True) -> VerifyReport:
             path=path,
             schema_version=schema_version,
             config_fingerprint=fingerprint,
-            watermarks=watermarks,
+            watermark=watermark,
             row_counts=store.row_counts(),
             n_runs=len(runs),
             n_quarantine=n_quarantine,
@@ -306,7 +292,6 @@ def repair_store(
         f"rebuilt store from readable committed rows"
         + (f" ({skipped} rows unreadable)" if skipped else "")
     )
-    _trim_to_consistent(rebuilt, report)
 
     try:
         report.verify = verify_store(rebuilt, deep=deep)
@@ -329,7 +314,8 @@ def repair_store(
 
 
 def _salvage_copy(source: Path, target: Path) -> int:
-    """Copy every readable row of ``source`` into a fresh store.
+    """Copy every readable row of ``source`` into a fresh store, then
+    trim it (:data:`_TRIM`).
 
     Row-by-row with per-row error absorption, so a malformed page loses
     only the rows that lived on it.  Raises
@@ -360,6 +346,8 @@ def _salvage_copy(source: Path, target: Path) -> int:
             with store.transaction():
                 for table in _SALVAGE_TABLES:
                     skipped += _salvage_table(raw, store, table)
+                for sql in _TRIM:
+                    store._execute(sql)
         finally:
             store.close()
         return skipped
@@ -395,48 +383,3 @@ def _salvage_table(raw: sqlite3.Connection, store: RunStore, table: str) -> int:
             return skipped
         store._execute(sql, tuple(row))
 
-
-def _trim_to_consistent(path: Path, report: RepairReport) -> None:
-    """Roll the rebuilt store's bookkeeping back to its newest
-    consistent run (the committed prefix the atomic epoch commits
-    guarantee), dropping orphaned quarantine rows and dangling
-    watermarks instead of letting verify refuse the whole salvage."""
-    store = RunStore(path)
-    try:
-        with store.transaction():
-            store._execute(
-                "DELETE FROM quarantine WHERE run_id NOT IN "
-                "(SELECT run_id FROM runs)"
-            )
-            # History detail rows whose owning summary row was lost are
-            # unreferenceable; drop them so the salvage stays coherent.
-            for detail in ("history_spans", "history_metrics", "history_funnel"):
-                store._execute(
-                    f"DELETE FROM {detail} WHERE history_id NOT IN "
-                    f"(SELECT history_id FROM history_runs)"
-                )
-            mark = store.watermark("pipeline")
-            if mark is not None:
-                runs = store.runs()
-                run_ids = {run["run_id"] for run in runs}
-                if mark.get("run_id") not in run_ids:
-                    if runs:
-                        last = runs[-1]
-                        store._execute(
-                            "UPDATE watermarks SET epoch=?, run_id=? "
-                            "WHERE stage='pipeline'",
-                            (last["epoch"], last["run_id"]),
-                        )
-                        report.actions.append(
-                            f"rolled pipeline watermark back to run "
-                            f"#{last['run_id']} (epoch {last['epoch']})"
-                        )
-                    else:
-                        store._execute(
-                            "DELETE FROM watermarks WHERE stage='pipeline'"
-                        )
-                        report.actions.append(
-                            "dropped pipeline watermark (no runs survive)"
-                        )
-    finally:
-        store.close()

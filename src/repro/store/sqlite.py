@@ -2,17 +2,16 @@
 
 One :class:`RunStore` file persists the full funnel across runs:
 
-* the forum corpus (typed tables, with the indexes the store cursors
-  read) — also what ``repro build --out`` writes;
-* per-stage watermarks — the observation epoch (and its post-date
-  cutoff) up to which the corpus has been generated and measured;
+* the forum corpus (typed tables, and the one index the posts cursor
+  reads) — also what ``repro build --out`` writes;
+* the dataset watermark — the observation epoch (and its post-date
+  cutoff) up to which the corpus has been appended;
 * the warm-path memo that makes delta runs cheap: the
   :class:`~repro.vision.cache.VisionCache`, as two content-keyed tables
   — ``vision_cache`` (digest → feature record) and ``latent_digests``
   (image latent → digest);
-* run history — one row per pipeline run with its digest, funnel and
-  quarantine ledger, plus persisted longitudinal aggregates as JSON
-  blobs.
+* run history — one row per measured epoch with its digest, funnel and
+  quarantine ledger, plus the telemetry history of DESIGN.md §14.
 
 Every SQLite failure crossing this boundary is wrapped in the typed
 taxonomy of :mod:`repro.store.errors`; a damaged file raises
@@ -26,12 +25,12 @@ guarantees each epoch's visible records are a superset of the last, so
 re-appending is a no-op and the store is append-only by construction.
 
 Crash consistency (DESIGN.md §13): an incremental run wraps *all* of an
-epoch's writes — corpus delta, watermarks, memos, run record,
-measurement blob — in one :meth:`RunStore.transaction`.  Inside the
-block every :meth:`commit` defers to the single ``COMMIT`` issued at
-exit, so a process dying at any instant (the chaos harness injects
-``SIGKILL`` on the commit edge itself) leaves the store exactly at the
-previous watermark; a partial epoch is never visible to a reader.
+epoch's writes — corpus delta, watermark, memos, run record, history —
+in one :meth:`RunStore.transaction`.  Inside the block every
+:meth:`commit` defers to the single ``COMMIT`` issued at exit, so a
+process dying at any instant (the chaos harness injects ``SIGKILL`` on
+the commit edge itself) leaves the store exactly at the previous
+watermark; a partial epoch is never visible to a reader.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from ..chaos.sites import kill_point
 from ..forum.dataset import ForumDataset
 from ..forum.models import Actor, Board, Forum, Post, Thread
 from ..media.image import ImageKind, ImageLatent
-from .errors import StoreConfigError, StoreCorruptionError, StoreError
+from .errors import StoreConfigError, StoreCorruptionError
 
 __all__ = ["RunStore", "config_fingerprint"]
 
@@ -101,12 +100,7 @@ CREATE TABLE IF NOT EXISTS posts (
     position INTEGER NOT NULL,
     quoted_post_id INTEGER
 );
-CREATE INDEX IF NOT EXISTS idx_boards_forum ON boards (forum_id);
-CREATE INDEX IF NOT EXISTS idx_threads_board ON threads (board_id);
-CREATE INDEX IF NOT EXISTS idx_threads_created ON threads (created_at);
 CREATE INDEX IF NOT EXISTS idx_posts_thread ON posts (thread_id, position);
-CREATE INDEX IF NOT EXISTS idx_posts_author ON posts (author_id);
-CREATE INDEX IF NOT EXISTS idx_posts_created ON posts (created_at);
 CREATE TABLE IF NOT EXISTS watermarks (
     stage TEXT PRIMARY KEY,
     epoch INTEGER NOT NULL,
@@ -139,12 +133,6 @@ CREATE TABLE IF NOT EXISTS vision_cache (
 CREATE TABLE IF NOT EXISTS latent_digests (
     latent TEXT PRIMARY KEY,
     digest TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS blobs (
-    kind TEXT NOT NULL,
-    key TEXT NOT NULL,
-    payload TEXT NOT NULL,
-    PRIMARY KEY (kind, key)
 );
 CREATE TABLE IF NOT EXISTS history_runs (
     history_id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -423,36 +411,32 @@ class RunStore:
             )
 
     # ------------------------------------------------------------------
-    # Watermarks
+    # Watermark
     # ------------------------------------------------------------------
-    def watermark(self, stage: str = "dataset") -> Optional[Dict[str, Any]]:
+    # One row of ``watermarks``, stage ``dataset``: the epoch whose corpus
+    # the store holds.  The table keeps its ``stage`` and ``run_id``
+    # columns so stores that carry a second row still open and salvage.
+    def watermark(self) -> Optional[Dict[str, Any]]:
         row = self._execute(
-            "SELECT epoch, cutoff, run_id FROM watermarks WHERE stage=?",
-            (stage,),
+            "SELECT epoch, cutoff FROM watermarks WHERE stage='dataset'"
         ).fetchone()
         if row is None:
             return None
-        return {"epoch": int(row[0]), "cutoff": row[1], "run_id": row[2]}
+        return {"epoch": int(row[0]), "cutoff": row[1]}
 
-    def set_watermark(
-        self,
-        stage: str,
-        epoch: int,
-        cutoff: Optional[str] = None,
-        run_id: Optional[int] = None,
-    ) -> None:
-        existing = self.watermark(stage)
+    def set_watermark(self, epoch: int, cutoff: Optional[str] = None) -> None:
+        existing = self.watermark()
         if existing is not None and epoch < existing["epoch"]:
             raise StoreConfigError(
-                f"{self.path}: watermark for {stage!r} is at epoch "
+                f"{self.path}: dataset watermark is at epoch "
                 f"{existing['epoch']}; the store is append-only and cannot "
                 f"rewind to epoch {epoch}"
             )
         self._execute(
-            "INSERT INTO watermarks (stage, epoch, cutoff, run_id) "
-            "VALUES (?, ?, ?, ?) ON CONFLICT(stage) DO UPDATE SET "
-            "epoch=excluded.epoch, cutoff=excluded.cutoff, run_id=excluded.run_id",
-            (stage, int(epoch), cutoff, run_id),
+            "INSERT INTO watermarks (stage, epoch, cutoff) "
+            "VALUES ('dataset', ?, ?) ON CONFLICT(stage) DO UPDATE SET "
+            "epoch=excluded.epoch, cutoff=excluded.cutoff",
+            (int(epoch), cutoff),
         )
 
     # ------------------------------------------------------------------
@@ -478,7 +462,7 @@ class RunStore:
         on the filter — ``INSERT OR IGNORE`` would absorb any overlap —
         it only removes ~90 % of the probe work from a ≤10 % delta.
         """
-        before = self.row_counts()
+        before = self._conn.total_changes
         threads = list(dataset.threads())
         if since is None:
             new_threads = threads
@@ -542,8 +526,8 @@ class RunStore:
             ),
         )
         self.commit()
-        after = self.row_counts()
-        return sum(after.values()) - sum(before.values())
+        # Rows INSERT OR IGNORE skipped do not count as changes.
+        return self._conn.total_changes - before
 
     def read_dataset(self) -> ForumDataset:
         """The persisted corpus, in canonical id order, fully validated.
@@ -665,33 +649,6 @@ class RunStore:
                 f"{self.path}: latent digest row does not decode: {exc}"
             ) from exc
         return len(grouped)
-
-    # ------------------------------------------------------------------
-    # Aggregate blobs
-    # ------------------------------------------------------------------
-    def save_blob(self, kind: str, key: str, payload: Any) -> None:
-        try:
-            encoded = json.dumps(payload, sort_keys=True)
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"blob {kind}/{key} is not JSON-serialisable: {exc}") from exc
-        self._execute(
-            "INSERT OR REPLACE INTO blobs (kind, key, payload) VALUES (?, ?, ?)",
-            (kind, key, encoded),
-        )
-        self.commit()
-
-    def load_blob(self, kind: str, key: str) -> Optional[Any]:
-        row = self._execute(
-            "SELECT payload FROM blobs WHERE kind=? AND key=?", (kind, key)
-        ).fetchone()
-        if row is None:
-            return None
-        try:
-            return json.loads(row[0])
-        except json.JSONDecodeError as exc:
-            raise StoreCorruptionError(
-                f"{self.path}: blob {kind}/{key} is not JSON: {exc}"
-            ) from exc
 
     # ------------------------------------------------------------------
     # Run history

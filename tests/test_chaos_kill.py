@@ -9,10 +9,11 @@ view.  The crash site is chosen by pure ``(seed, site)`` hashing
 
 Two legs:
 
-* ``--mode store`` — an incremental epoch is killed mid-transaction;
-  reopening the store must pass the integrity probe, the watermark must
-  sit exactly at the previous epoch (or the new one, iff the kill landed
-  *after* COMMIT), and re-running the epoch must equal a cold run.
+* store — an incremental epoch is killed mid-transaction; reopening
+  the store must pass the integrity probe, the dataset watermark and
+  the newest run must sit exactly at the previous epoch (or the new
+  one, iff the kill landed *after* COMMIT), and re-running the epoch
+  must equal a cold run.
 * artifacts — ``repro run --trace-out`` is killed inside the atomic
   write of its trace; the file must be one complete trace, the old one
   or the new one, never torn.
@@ -105,8 +106,7 @@ def copy_store(src: Path, dst: Path) -> Path:
 def cold_store_json(tmp_path_factory):
     """One uninterrupted cold run over the epoch-2 union."""
     path = tmp_path_factory.mktemp("chaos-cold") / "cold.sqlite"
-    proc = run_driver(["--mode", "store", "--store", str(path),
-                       "--epoch", "2", "--epoch-total", "2"])
+    proc = run_driver(["--store", str(path), "--epoch", "2", "--epoch-total", "2"])
     return driver_json(proc)
 
 
@@ -114,8 +114,7 @@ def cold_store_json(tmp_path_factory):
 def epoch1_store(tmp_path_factory):
     """A cleanly committed epoch-1 store the kill tests copy from."""
     path = tmp_path_factory.mktemp("chaos-warm") / "warm.sqlite"
-    proc = run_driver(["--mode", "store", "--store", str(path),
-                       "--epoch", "1", "--epoch-total", "2"])
+    proc = run_driver(["--store", str(path), "--epoch", "1", "--epoch-total", "2"])
     driver_json(proc)
     return path
 
@@ -145,8 +144,7 @@ class TestStoreKillMatrix:
         self, tmp_path, site, epoch1_store, cold_store_json
     ):
         store_path = copy_store(epoch1_store, tmp_path / "killed.sqlite")
-        epoch2 = ["--mode", "store", "--store", str(store_path),
-                  "--epoch", "2", "--epoch-total", "2"]
+        epoch2 = ["--store", str(store_path), "--epoch", "2", "--epoch-total", "2"]
 
         killed = run_driver(epoch2, chaos_site=site)
         assert killed.returncode == -signal.SIGKILL, (
@@ -155,16 +153,17 @@ class TestStoreKillMatrix:
         )
 
         # The store must reopen clean: integrity probe passes, and the
-        # watermark sits at a whole epoch — 1 unless the kill landed
-        # after COMMIT, in which case epoch 2 is durably committed.
+        # watermark and the newest run sit at one whole epoch — 1 unless
+        # the kill landed after COMMIT, in which case epoch 2 is durably
+        # committed.
         report = verify_store(store_path)
-        pipeline_epoch = report.watermarks.get("pipeline", {}).get("epoch")
-        if site == "store.commit.after":
-            assert pipeline_epoch == 2
-        else:
-            assert pipeline_epoch == 1, (
-                f"kill at {site} left a partial watermark: {report.watermarks}"
-            )
+        with RunStore(store_path) as store:
+            newest_run = store.runs()[-1]["epoch"]
+        expected = 2 if site == "store.commit.after" else 1
+        assert (report.watermark["epoch"], newest_run) == (expected, expected), (
+            f"kill at {site} left a partial epoch: watermark "
+            f"{report.watermark}, newest run at epoch {newest_run}"
+        )
 
         recovered = driver_json(run_driver(epoch2))
         assert recovered["crawl_digest"] == cold_store_json["crawl_digest"]
@@ -174,19 +173,17 @@ class TestStoreKillMatrix:
     def test_kill_mid_first_epoch_rolls_back_to_empty(self, tmp_path, cold_store_json):
         """With no committed prefix, death mid-epoch leaves a virgin store."""
         store_path = tmp_path / "virgin.sqlite"
-        args = ["--mode", "store", "--store", str(store_path),
-                "--epoch", "1", "--epoch-total", "2"]
+        args = ["--store", str(store_path), "--epoch", "1", "--epoch-total", "2"]
         killed = run_driver(args, chaos_site="store.commit.before")
         assert killed.returncode == -signal.SIGKILL
 
         with RunStore(store_path) as store:
-            assert store.watermark("pipeline") is None
+            assert store.watermark() is None
             assert store.runs() == []
 
         driver_json(run_driver(args))
         recovered = driver_json(run_driver(
-            ["--mode", "store", "--store", str(store_path),
-             "--epoch", "2", "--epoch-total", "2"]))
+            ["--store", str(store_path), "--epoch", "2", "--epoch-total", "2"]))
         assert recovered["crawl_digest"] == cold_store_json["crawl_digest"]
         assert recovered["measurement"] == cold_store_json["measurement"]
 

@@ -92,6 +92,21 @@ class TestRenderers:
         for marker in ("§3", "§4.1", "§4.2", "§4.3", "§4.4", "§4.5", "§5", "§6"):
             assert marker in digest
 
+    def test_digest_states_funnel_counts_once(self, report):
+        """§4.2 and §4.4 print only what the funnel rows lack."""
+        lines = render_digest(report).splitlines()
+        links, crawl = report.links, report.crawl
+        assert lines[lines.index("== crawl (§4.2) ==") + 1] == (
+            f"links {len(links.preview_links)} previews, {len(links.pack_links)} packs; "
+            f"downloads {len(crawl.preview_images)} previews, "
+            f"{len(crawl.packs)} packs / {len(crawl.pack_images)} images")
+        share = report.n_nsfv_previews / len(report.preview_verdicts)
+        assert lines[lines.index("== NSFV (§4.4) ==") + 1] == (
+            f"NSFV share of downloaded previews: {share:.1%}")
+        funnel = {row["stage"]: row["count"] for row in report.telemetry.funnel()}
+        for stage in ("unique_files", "nsfv_previews"):
+            assert re.search(rf"^{stage} +{funnel[stage]:,}\b", "\n".join(lines), re.M)
+
 
 @pytest.mark.slow
 class TestCommands:

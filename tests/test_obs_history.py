@@ -8,7 +8,6 @@ contract.
 from __future__ import annotations
 
 import os
-import sqlite3
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +23,8 @@ from repro.obs.history import (
     summarize_trace,
 )
 from repro.store import RunStore, run_incremental
+
+from .test_store_incremental import add_orphan_quarantine_row, write_sql
 
 WORLD = dict(seed=3, scale=0.006)
 CLI_WORLD = ["--seed", "3", "--scale", "0.006"]
@@ -182,23 +183,15 @@ class TestStoreRoundTrip:
         # stores that hold them must still verify, repair and list.
         path = tmp_path / "s.sqlite"
         run_incremental(path, epoch=1, annotate_n=200, **WORLD)
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "CREATE TABLE bench_results (name TEXT NOT NULL, recorded_unix "
-            "REAL NOT NULL, payload TEXT NOT NULL, "
-            "PRIMARY KEY (name, recorded_unix))"
-        )
-        conn.execute(
-            "INSERT INTO bench_results VALUES ('BENCH_telemetry', 5.0, '{}')"
-        )
-        conn.execute(
-            "CREATE TABLE profile_samples (history_id INTEGER NOT NULL, "
-            "seq INTEGER NOT NULL, t REAL NOT NULL, rss_kb REAL NOT NULL, "
-            "cpu_seconds REAL NOT NULL, PRIMARY KEY (history_id, seq))"
-        )
-        conn.execute("INSERT INTO profile_samples VALUES (1, 0, 0.1, 8e4, 0.2)")
-        conn.commit()
-        conn.close()
+        write_sql(path, """
+            CREATE TABLE bench_results (name TEXT NOT NULL, recorded_unix REAL NOT NULL,
+                payload TEXT NOT NULL, PRIMARY KEY (name, recorded_unix));
+            INSERT INTO bench_results VALUES ('BENCH_telemetry', 5.0, '{}');
+            CREATE TABLE profile_samples (history_id INTEGER NOT NULL, seq INTEGER NOT NULL,
+                t REAL NOT NULL, rss_kb REAL NOT NULL, cpu_seconds REAL NOT NULL,
+                PRIMARY KEY (history_id, seq));
+            INSERT INTO profile_samples VALUES (1, 0, 0.1, 8e4, 0.2);
+        """)
         assert main(["store", "verify", str(path)]) == 0
         capsys.readouterr()
         assert main(["obs", "runs", "--store", str(path)]) == 0
@@ -208,13 +201,7 @@ class TestStoreRoundTrip:
             runs = store.runs()
         # A dangling quarantine row forces repair to rebuild the store
         # table by table, past the legacy one.
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "INSERT INTO quarantine (run_id, seq, stage, ref, error_type, "
-            "message, context) VALUES (999, 0, 'url_crawl', 'x', 'E', 'm', '{}')"
-        )
-        conn.commit()
-        conn.close()
+        add_orphan_quarantine_row(path)
         assert main(["store", "repair", str(path)]) == 0
         assert "rebuilt store" in capsys.readouterr().out
         with RunStore(path) as store:

@@ -17,6 +17,7 @@ profiles (corrupt rasters → quarantine), drift profiles (adversarial
 evasion).
 """
 
+import re
 import sqlite3
 
 import pytest
@@ -203,20 +204,15 @@ class TestCorpusRowCheck:
     def test_extra_stored_row_refuses_the_epoch(self, tmp_path):
         path = tmp_path / "extra.sqlite"
         run_incremental(path, epoch=1, **WORLD_KW)
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "INSERT INTO posts SELECT post_id + 1000000000, thread_id, "
-            "author_id, created_at, content, position, quoted_post_id "
-            "FROM posts LIMIT 1"
-        )
-        conn.commit()
-        conn.close()
+        write_sql(path, "INSERT INTO posts SELECT post_id + 1000000000, thread_id, "
+                  "author_id, created_at, content, position, quoted_post_id "
+                  "FROM posts LIMIT 1")
         with RunStore(path) as store:
-            before = store.watermark("dataset")
+            before = store.watermark()
         with pytest.raises(StoreCorruptionError, match="corpus rows"):
             run_incremental(path, epoch=2, **WORLD_KW)
         with RunStore(path) as store:
-            assert store.watermark("dataset") == before
+            assert store.watermark() == before
 
     def test_store_with_legacy_images_table_runs_on(self, tmp_path):
         """A store from before the write-only ``images`` table was dropped
@@ -229,40 +225,52 @@ class TestCorpusRowCheck:
         verify_store(path)
 
 
-def add_legacy_images_table(path):
-    """Give ``path`` the ``images`` table older stores carry, with rows."""
+def write_sql(path, script):
+    """Run ``script`` on the store file at ``path``, past the store."""
     conn = sqlite3.connect(path)
-    conn.execute(
-        "CREATE TABLE images (digest TEXT PRIMARY KEY, "
-        "first_epoch INTEGER NOT NULL, link_kind TEXT)"
-    )
-    conn.executemany(
-        "INSERT INTO images VALUES (?, ?, ?)",
-        [("d" * 64, 1, "pack"), ("e" * 64, 1, "preview")],
-    )
-    conn.commit()
+    conn.executescript(script)
     conn.close()
 
 
-#: The two per-image memo tables of the previous store layout.
-_PARENT_ERA_MEMOS = """
-CREATE TABLE IF NOT EXISTS ingest_memo (
+def add_legacy_images_table(path):
+    """Give ``path`` the ``images`` table older stores carry, with rows."""
+    write_sql(path, f"""
+        CREATE TABLE images (digest TEXT PRIMARY KEY,
+                             first_epoch INTEGER NOT NULL, link_kind TEXT);
+        INSERT INTO images VALUES ('{"d" * 64}', 1, 'pack'), ('{"e" * 64}', 1, 'preview');
+    """)
+
+
+#: What stores of earlier layouts carry and nothing reads: two
+#: per-image memo tables, five corpus indices, a measurement blob per
+#: epoch and a ``pipeline`` watermark beside the dataset one.
+_PARENT_ERA_SCHEMA = """
+CREATE TABLE ingest_memo (
     stage TEXT NOT NULL, url TEXT NOT NULL, pack_id INTEGER NOT NULL,
     member_index INTEGER NOT NULL, ok INTEGER NOT NULL, digest TEXT,
     error_type TEXT, message TEXT,
     PRIMARY KEY (stage, url, pack_id, member_index)
 );
-CREATE TABLE IF NOT EXISTS world_hashes (image_id INTEGER PRIMARY KEY, hash TEXT NOT NULL);
+CREATE TABLE world_hashes (image_id INTEGER PRIMARY KEY, hash TEXT NOT NULL);
+CREATE INDEX idx_boards_forum ON boards (forum_id);
+CREATE INDEX idx_threads_board ON threads (board_id);
+CREATE INDEX idx_threads_created ON threads (created_at);
+CREATE INDEX idx_posts_author ON posts (author_id);
+CREATE INDEX idx_posts_created ON posts (created_at);
+CREATE TABLE blobs (kind TEXT NOT NULL, key TEXT NOT NULL, payload TEXT NOT NULL,
+                    PRIMARY KEY (kind, key));
+INSERT INTO blobs VALUES ('measurement', 'epoch_1', '{}');
+INSERT INTO watermarks SELECT 'pipeline', epoch, cutoff, 1 FROM watermarks;
 """
 
 
-def add_parent_era_memos(path, result, world):
-    """Give ``path`` the ``ingest_memo`` and ``world_hashes`` tables
-    stores of the previous layout carry, with rows that would change
-    any run that read them: every crawled link replays a failure, and
-    every world image has hash 0."""
+def add_parent_era_facts(path, result, world):
+    """Give the epoch-1 store at ``path`` what stores of earlier layouts
+    carry, with memo rows that would change any run that read them:
+    every crawled link replays a failure, and every world image has
+    hash 0."""
     conn = sqlite3.connect(path)
-    conn.executescript(_PARENT_ERA_MEMOS)
+    conn.executescript(_PARENT_ERA_SCHEMA)
     conn.executemany(
         "INSERT OR REPLACE INTO ingest_memo VALUES "
         "(?, ?, ?, ?, 0, NULL, 'ValueError', 'replayed')",
@@ -281,33 +289,34 @@ def add_parent_era_memos(path, result, world):
     conn.close()
 
 
+def add_orphan_quarantine_row(path):
+    """A quarantine row of no recorded run: repair rebuilds the store."""
+    write_sql(path, "INSERT INTO quarantine VALUES (999, 0, 'url_crawl', 'x', 'E', 'm', '{}')")
+
+
 class TestParentEraStore:
     def test_old_memo_tables_are_ignored_and_not_repaired(self, tmp_path):
+        """So are the old layouts' indices, blobs and pipeline watermark."""
         path = tmp_path / "parent-era.sqlite"
         first = run_incremental(path, epoch=1, **WORLD_KW)
-        add_parent_era_memos(path, first, build_world(WorldConfig(**WORLD_KW)))
+        add_parent_era_facts(path, first, build_world(WorldConfig(**WORLD_KW)))
         for epoch in (2, 3):
             inc = run_incremental(path, epoch=epoch, **WORLD_KW)
+            assert verify_store(path).watermark["epoch"] == epoch
         cold = run_epochs(tmp_path, "cold", [3])
         assert inc.crawl_digest == cold.crawl_digest
         assert ledger(inc) == ledger(cold)
         assert inc.measurement == cold.measurement
-        verify_store(path)
-        # An orphan quarantine row makes repair rebuild the store.
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "INSERT INTO quarantine (run_id, seq, stage, ref, error_type, "
-            "message, context) VALUES (999, 0, 'url_crawl', 'x', 'E', 'm', '{}')"
-        )
-        conn.commit()
-        conn.close()
+        add_orphan_quarantine_row(path)
         assert repair_store(path).repaired
         verify_store(path)
         conn = sqlite3.connect(path)
-        tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+        names = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+        stages = [row[0] for row in conn.execute("SELECT stage FROM watermarks")]
         conn.close()
-        assert not tables & {"ingest_memo", "world_hashes"}
-        assert "latent_digests" in tables
+        legacy = re.findall(r"CREATE (?:TABLE|INDEX) (\w+)", _PARENT_ERA_SCHEMA)
+        assert len(legacy) == 8 and not names & set(legacy)
+        assert "latent_digests" in names and stages == ["dataset"]
 
     def test_new_store_holds_no_old_memo_table(self, tmp_path):
         path = tmp_path / "new.sqlite"

@@ -1,13 +1,12 @@
 """RunStore unit tests: schema, typed failures, memo round trips.
 
 The store's contract (DESIGN.md §12): append-only, bound to exactly one
-world configuration, watermarked per stage, and *typed* in failure —
-anything wrong with the file or its contents raises a
+world configuration, watermarked at the epoch it holds, and *typed* in
+failure — anything wrong with the file or its contents raises a
 :class:`~repro.store.errors.StoreError` subclass, never a bare
 ``sqlite3``/``json`` exception, and never yields a half-loaded object.
 """
 
-import sqlite3
 from datetime import datetime, timedelta
 
 import pytest
@@ -23,6 +22,8 @@ from repro.store import (
 )
 from repro.synth.world import WorldConfig
 from repro.vision.cache import VisionCache
+
+from .test_store_incremental import write_sql
 
 T0 = datetime(2014, 6, 15, 12, 30)
 
@@ -64,10 +65,7 @@ class TestOpenAndIntegrity:
     def test_schema_version_mismatch_raises_typed(self, tmp_path):
         path = tmp_path / "future.sqlite"
         RunStore(path).close()
-        conn = sqlite3.connect(str(path))
-        conn.execute("UPDATE meta SET value='999' WHERE key='schema_version'")
-        conn.commit()
-        conn.close()
+        write_sql(path, "UPDATE meta SET value='999' WHERE key='schema_version'")
         with pytest.raises(StoreCorruptionError, match="schema version"):
             RunStore(path)
 
@@ -114,13 +112,8 @@ class TestBindConfig:
         cfg = WorldConfig(seed=7, scale=0.01)
         with RunStore(path) as s:
             s.bind_config(cfg)
-        conn = sqlite3.connect(str(path))
-        if stamp is None:
-            conn.execute("DELETE FROM meta WHERE key='world_stream'")
-        else:
-            conn.execute("UPDATE meta SET value=? WHERE key='world_stream'", (stamp,))
-        conn.commit()
-        conn.close()
+        write_sql(path, "DELETE FROM meta WHERE key='world_stream'" if stamp is None
+                  else f"UPDATE meta SET value='{stamp}' WHERE key='world_stream'")
         with RunStore(path) as s:
             with pytest.raises(StoreConfigError, match="stream version 1"):
                 s.bind_config(cfg)
@@ -129,16 +122,9 @@ class TestBindConfig:
         path = tmp_path / "tampered.sqlite"
         with RunStore(path) as s:
             s.bind_config(WorldConfig(seed=7, scale=0.01))
-        conn = sqlite3.connect(str(path))
-        row = conn.execute(
-            "SELECT value FROM meta WHERE key='config_fingerprint'"
-        ).fetchone()
-        tampered = row[0].replace('"seed": 7', '"payload_profile": "bogus", "seed": 7')
-        conn.execute(
-            "UPDATE meta SET value=? WHERE key='config_fingerprint'", (tampered,)
-        )
-        conn.commit()
-        conn.close()
+        write_sql(path, """UPDATE meta SET value=REPLACE(value, '"seed": 7',
+                           '"payload_profile": "bogus", "seed": 7')
+                           WHERE key='config_fingerprint'""")
         with RunStore(path) as s:
             with pytest.raises(StoreCorruptionError, match="re-validate"):
                 s.bind_config(WorldConfig(seed=7, scale=0.01))
@@ -146,23 +132,17 @@ class TestBindConfig:
 
 class TestWatermarks:
     def test_absent_watermark_is_none(self, store):
-        assert store.watermark("dataset") is None
+        assert store.watermark() is None
 
     def test_round_trip(self, store):
-        store.set_watermark("dataset", 2, "2014-06-15T14:30:00", None)
-        wm = store.watermark("dataset")
-        assert wm == {"epoch": 2, "cutoff": "2014-06-15T14:30:00", "run_id": None}
+        store.set_watermark(2, "2014-06-15T14:30:00")
+        assert store.watermark() == {"epoch": 2, "cutoff": "2014-06-15T14:30:00"}
 
     def test_advance_allowed_rewind_refused(self, store):
-        store.set_watermark("dataset", 2)
-        store.set_watermark("dataset", 3)
+        store.set_watermark(2)
+        store.set_watermark(3)
         with pytest.raises(StoreConfigError, match="rewind"):
-            store.set_watermark("dataset", 1)
-
-    def test_stages_are_independent(self, store):
-        store.set_watermark("dataset", 5)
-        store.set_watermark("pipeline", 1)
-        assert store.watermark("pipeline")["epoch"] == 1
+            store.set_watermark(1)
 
 
 class TestDatasetRoundTrip:
@@ -193,10 +173,7 @@ class TestDatasetRoundTrip:
         path = tmp_path / "danglers.sqlite"
         with RunStore(path) as s:
             s.append_dataset(small_dataset())
-        conn = sqlite3.connect(str(path))
-        conn.execute("UPDATE posts SET thread_id=999 WHERE post_id=5")
-        conn.commit()
-        conn.close()
+        write_sql(path, "UPDATE posts SET thread_id=999 WHERE post_id=5")
         with RunStore(path) as s:
             with pytest.raises(StoreCorruptionError, match="integrity"):
                 s.read_dataset()
@@ -245,26 +222,13 @@ class TestMemoPersistence:
             cache = VisionCache()
             cache.digests[ImageLatent(1, ImageKind.MEME, 0.0, 3)] = "d"
             s.save_vision_cache(cache)
-        conn = sqlite3.connect(str(path))
-        conn.execute("""UPDATE latent_digests SET latent='{"kind": "nope"}'""")
-        conn.commit()
-        conn.close()
+        write_sql(path, """UPDATE latent_digests SET latent='{"kind": "nope"}'""")
         with RunStore(path) as s:
             with pytest.raises(StoreCorruptionError, match="does not decode"):
                 s.load_vision_cache(VisionCache())
 
 
 class TestBlobsAndRuns:
-    def test_blob_round_trip(self, store):
-        payload = {"metrics": [1, 2, 3], "nested": {"ok": True}}
-        store.save_blob("measurement", "epoch_1", payload)
-        assert store.load_blob("measurement", "epoch_1") == payload
-        assert store.load_blob("measurement", "missing") is None
-
-    def test_unserialisable_blob_is_typed(self, store):
-        with pytest.raises(StoreError):
-            store.save_blob("measurement", "bad", {"x": object()})
-
     def test_record_run_and_quarantine_ledger(self, store):
         records = [
             {"stage": "url_crawl", "ref": "http://x/a",

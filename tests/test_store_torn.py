@@ -38,7 +38,11 @@ from repro.store import (
     verify_store,
 )
 
-from .test_store_incremental import add_legacy_images_table
+from .test_store_incremental import (
+    add_legacy_images_table,
+    add_orphan_quarantine_row,
+    write_sql,
+)
 
 SEED = 7
 
@@ -98,10 +102,7 @@ class TestTornDatabase:
             verify_store(store_copy)
 
     def test_unsupported_schema_version_fails_typed(self, store_copy):
-        conn = sqlite3.connect(store_copy)
-        conn.execute("UPDATE meta SET value='999' WHERE key='schema_version'")
-        conn.commit()
-        conn.close()
+        write_sql(store_copy, "UPDATE meta SET value='999' WHERE key='schema_version'")
         with pytest.raises(StoreCorruptionError, match="schema version"):
             verify_store(store_copy)
 
@@ -120,13 +121,13 @@ class TestTornWal:
     def test_garbage_wal_is_discarded(self, store_copy):
         self._wal(store_copy, b"\xa5" * 8192)
         report = verify_store(store_copy)
-        assert report.watermarks["pipeline"]["epoch"] == 1
+        assert report.watermark["epoch"] == 1
 
     def test_truncated_wal_is_discarded(self, store_copy):
         size = 8192
         self._wal(store_copy, b"\x00" * hash_offset("truncate-wal", size))
         report = verify_store(store_copy)
-        assert report.watermarks["pipeline"]["epoch"] == 1
+        assert report.watermark["epoch"] == 1
 
     def test_wal_damage_never_raises_untyped(self, store_copy):
         self._wal(store_copy, b"\xff" * 4096)
@@ -140,34 +141,21 @@ class TestTornWal:
 class TestInconsistencyDetection:
     """Partial state that leaked past the commit discipline is caught."""
 
-    def _raw(self, path):
-        return sqlite3.connect(path)
-
     def test_orphan_quarantine_rows_fail_verify(self, store_copy):
-        conn = self._raw(store_copy)
-        conn.execute(
-            "INSERT INTO quarantine (run_id, seq, stage, ref, error_type, "
-            "message, context) VALUES (999, 0, 'url_crawl', 'x', 'E', 'm', '{}')"
-        )
-        conn.commit()
-        conn.close()
+        add_orphan_quarantine_row(store_copy)
         with pytest.raises(StoreCorruptionError, match="belong to no recorded run"):
             verify_store(store_copy)
 
     def test_pipeline_watermark_ahead_fails_verify(self, store_copy):
-        conn = self._raw(store_copy)
-        conn.execute("UPDATE watermarks SET epoch=99 WHERE stage='pipeline'")
-        conn.commit()
-        conn.close()
-        with pytest.raises(StoreCorruptionError, match="runs ahead"):
+        """A run recorded past the dataset watermark."""
+        write_sql(store_copy, "UPDATE runs SET epoch=99")
+        with pytest.raises(StoreCorruptionError, match="past the dataset watermark"):
             verify_store(store_copy)
 
     def test_dangling_watermark_run_id_fails_verify(self, store_copy):
-        conn = self._raw(store_copy)
-        conn.execute("UPDATE watermarks SET run_id=999 WHERE stage='pipeline'")
-        conn.commit()
-        conn.close()
-        with pytest.raises(StoreCorruptionError, match="absent from run history"):
+        """Recorded runs, and no dataset watermark for them."""
+        write_sql(store_copy, "DELETE FROM watermarks WHERE stage='dataset'")
+        with pytest.raises(StoreCorruptionError, match="dataset watermark missing"):
             verify_store(store_copy)
 
 
@@ -183,13 +171,7 @@ class TestRepair:
         legacy = shutil.copy(store_copy, tmp_path / "legacy.sqlite")
         add_legacy_images_table(legacy)
         for path in (store_copy, legacy):
-            conn = sqlite3.connect(path)
-            conn.execute(
-                "INSERT INTO quarantine (run_id, seq, stage, ref, error_type, "
-                "message, context) VALUES (999, 0, 'url_crawl', 'x', 'E', 'm', '{}')"
-            )
-            conn.commit()
-            conn.close()
+            add_orphan_quarantine_row(path)
             report = repair_store(path)
             assert report.repaired
             assert any("rebuilt store" in a for a in report.actions)
@@ -200,16 +182,6 @@ class TestRepair:
         tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
         conn.close()
         assert "images" not in tables
-
-    def test_dangling_watermark_is_rolled_back(self, store_copy):
-        conn = sqlite3.connect(store_copy)
-        conn.execute("UPDATE watermarks SET run_id=999 WHERE stage='pipeline'")
-        conn.commit()
-        conn.close()
-        report = repair_store(store_copy)
-        assert report.repaired
-        assert any("rolled pipeline watermark back" in a for a in report.actions)
-        assert verify_store(store_copy).watermarks["pipeline"]["epoch"] == 1
 
     def test_garbage_mid_file_salvages_committed_prefix(self, store_copy):
         size = os.path.getsize(store_copy)
@@ -230,10 +202,7 @@ class TestRepair:
         assert os.path.exists(store_copy)
 
     def test_unfixable_inconsistency_refuses(self, store_copy):
-        conn = sqlite3.connect(store_copy)
-        conn.execute("UPDATE watermarks SET epoch=99 WHERE stage='pipeline'")
-        conn.commit()
-        conn.close()
+        write_sql(store_copy, "UPDATE runs SET epoch=99")
         with pytest.raises(StoreCorruptionError, match="refusing to repair"):
             repair_store(store_copy)
 
@@ -243,7 +212,7 @@ class TestStoreCli:
         assert main(["store", "verify", str(store_copy)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "store OK" in out
-        assert "watermark[pipeline]" in out
+        assert "watermark:        epoch 1" in out
 
     def test_verify_shallow_flag(self, store_copy, capsys):
         assert main(["store", "verify", "--shallow", str(store_copy)]) == EXIT_OK
@@ -261,13 +230,7 @@ class TestStoreCli:
         assert "nothing to do" in capsys.readouterr().out
 
     def test_repair_trims_and_exits_zero(self, store_copy, capsys):
-        conn = sqlite3.connect(store_copy)
-        conn.execute(
-            "INSERT INTO quarantine (run_id, seq, stage, ref, error_type, "
-            "message, context) VALUES (999, 0, 'url_crawl', 'x', 'E', 'm', '{}')"
-        )
-        conn.commit()
-        conn.close()
+        add_orphan_quarantine_row(store_copy)
         assert main(["store", "repair", str(store_copy)]) == EXIT_OK
         assert "post-repair verify" in capsys.readouterr().out
         assert main(["store", "verify", str(store_copy)]) == EXIT_OK
